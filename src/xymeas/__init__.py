@@ -39,12 +39,14 @@ from .kirkwood import (
     verify_operator_identities,
 )
 from .povm import (
+    HADAMARD,
     OUTCOMES4,
     OUTCOMES16,
     PATTERNS,
     JointPovm,
     PatternStats,
     PositivityError,
+    Table,
     VisibilityTriple,
     build_povm,
     exact_pattern_probs,

@@ -1,13 +1,22 @@
 """Estimation pipeline: visibilities, pattern probabilities, and the error correlation.
 
 Eigenstate runs determine the resolutions ``vx`` and ``vy``. Pair runs on a
-singlet source determine the flip-pattern probabilities ``e(rx, ry)``, whose
-three signed sums recover ``vx^2``, ``vy^2``, and the squared error
-correlation ``c^2``:
+singlet source determine the flip-pattern probabilities ``e(rx, ry)``. Every
+table is a vector in the fixed order of `povm` (``PATTERNS`` index bits
+``(rx, ry)``), and every signed sum over four patterns is a row of the
+Walsh-Hadamard transform ``H = povm.HADAMARD`` (rows: total, y, x, x*y):
+
+    4 * H e = (1, vy^2, vx^2, c^2)      pair-pattern probabilities
+        H w = (1, vy, vx, c)            error-model weights
+
+that is,
 
     vx^2 = 4 * (e(0,0) + e(0,1) - e(1,0) - e(1,1))
     vy^2 = 4 * (e(0,0) - e(0,1) + e(1,0) - e(1,1))
     c^2  = 4 * (e(0,0) - e(0,1) - e(1,0) + e(1,1))
+
+Pattern probabilities are the XOR self-convolution of the weights,
+``e(r) = (1/4) * sum_s w(s) * w(s xor r)``, hence ``4 * H e = (H w)^2``.
 
 For any measurement in the positive family, ``c^2 = -vz^2 <= 0``: the error
 correlation is imaginary, ``c = i*vz`` up to a sign that pair data cannot
@@ -28,7 +37,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .povm import OUTCOMES4, PATTERNS, PatternStats
+from .povm import OUTCOMES4, OUTCOMES16, PATTERNS, PatternStats, Table, _hadamard
 from .qubit import ATOL_ALGEBRA, ensure_axis
 from .simulate import OutcomeCounts4, PairCounts16
 
@@ -97,18 +106,29 @@ class ErrorModel:
     weights: Mapping[tuple[int, int], complex]
 
     def __post_init__(self) -> None:
-        if set(self.weights) != set(PATTERNS):
-            raise ValueError("error model must cover exactly the four flip patterns")
-        values = np.array([complex(self.weights[r]) for r in PATTERNS])
-        if not np.all(np.isfinite(values.view(float))):
-            raise ValueError("error model weights must be finite")
-        total = complex(values.sum())
-        if abs(total - 1.0) > ATOL_ALGEBRA:
-            raise ValueError(f"error model weights must sum to 1, got {total!r}")
+        weights = Table(
+            PATTERNS, self.weights, dtype=complex, total=1.0, tol=ATOL_ALGEBRA, what="error model"
+        )
+        object.__setattr__(self, "weights", weights)
 
 
 def _binomial_stderr(p: float, total: float) -> float:
     return 2.0 * np.sqrt(max(p * (1.0 - p), 0.0) / total)
+
+
+def _estimate_visibility(counts: OutcomeCounts4, axis: str, source: str) -> VisibilityEstimate:
+    """``(correct count - wrong count) / total`` of the measured axis."""
+    name = f"estimate_v{axis.lower()}"
+    if ensure_axis(counts.input_axis) != axis:
+        raise ValueError(f"{name} needs an {axis}-eigenstate run, got axis {counts.input_axis!r}")
+    if counts.total < 1:
+        raise ValueError(f"{name} needs at least one shot")
+    # OUTCOMES4 order: rows x = +1, -1; columns y = +1, -1
+    marginal = counts.counts.array.reshape(2, 2).sum(axis=1 if axis == "X" else 0)
+    p = float(marginal[0 if counts.input_value == +1 else 1]) / counts.total
+    return VisibilityEstimate(
+        value=2.0 * p - 1.0, stderr=_binomial_stderr(p, counts.total), source=source
+    )
 
 
 def estimate_vx(counts: OutcomeCounts4, source: str = "eigenstate-run") -> VisibilityEstimate:
@@ -116,28 +136,12 @@ def estimate_vx(counts: OutcomeCounts4, source: str = "eigenstate-run") -> Visib
 
     ``(correct-x count - wrong-x count) / total`` summed over both y outcomes.
     """
-    if ensure_axis(counts.input_axis) != "X":
-        raise ValueError(f"estimate_vx needs an X-eigenstate run, got axis {counts.input_axis!r}")
-    if counts.total < 1:
-        raise ValueError("estimate_vx needs at least one shot")
-    correct = sum(counts.counts[(x, y)] for x, y in OUTCOMES4 if x == counts.input_value)
-    p = correct / counts.total
-    return VisibilityEstimate(
-        value=2.0 * p - 1.0, stderr=_binomial_stderr(p, counts.total), source=source
-    )
+    return _estimate_visibility(counts, "X", source)
 
 
 def estimate_vy(counts: OutcomeCounts4, source: str = "eigenstate-run") -> VisibilityEstimate:
     """Mirror of `estimate_vx` for Y-eigenstate runs."""
-    if ensure_axis(counts.input_axis) != "Y":
-        raise ValueError(f"estimate_vy needs a Y-eigenstate run, got axis {counts.input_axis!r}")
-    if counts.total < 1:
-        raise ValueError("estimate_vy needs at least one shot")
-    correct = sum(counts.counts[(x, y)] for x, y in OUTCOMES4 if y == counts.input_value)
-    p = correct / counts.total
-    return VisibilityEstimate(
-        value=2.0 * p - 1.0, stderr=_binomial_stderr(p, counts.total), source=source
-    )
+    return _estimate_visibility(counts, "Y", source)
 
 
 def pattern_of(x1: int, y1: int, x2: int, y2: int) -> tuple[int, int]:
@@ -145,48 +149,43 @@ def pattern_of(x1: int, y1: int, x2: int, y2: int) -> tuple[int, int]:
     return (0 if x1 == -x2 else 1, 0 if y1 == -y2 else 1)
 
 
+# Pattern index of each entry of an OUTCOMES16 table.
+_PATTERN_INDEX16 = np.array([PATTERNS.index(pattern_of(*o)) for o in OUTCOMES16])
+
+
 def collapse_pair_counts(counts: PairCounts16) -> PatternStats:
     """Reduce 16 pair-outcome counts to the four per-outcome pattern probabilities.
 
     Four outcome combinations share each pattern, so ``e(r)`` is the pattern
-    class count divided by ``4 * total``; exact probability tables fed
-    through `PairCounts16` (fractional counts, total 1) line up with
-    `povm.exact_pattern_probs` and come back with ``total_shots = 0`` and
+    class count divided by ``4 * total``. Integer counts are a sampled run;
+    a float table (total 1, e.g. exact probabilities) lines up with
+    `povm.exact_pattern_probs` and comes back with ``total_shots = 0`` and
     zero standard errors.
     """
     if counts.total <= 0:
         raise ValueError("collapse_pair_counts needs at least one shot")
-    sampled = float(counts.total).is_integer() and all(
-        float(n).is_integer() for n in counts.counts.values()
-    )
-    class_counts = {r: 0.0 for r in PATTERNS}
-    for outcome, n in counts.counts.items():
-        class_counts[pattern_of(*outcome)] += n
-    e = {}
-    stderr = {}
-    for r in PATTERNS:
-        f = min(max(class_counts[r] / counts.total, 0.0), 1.0)
-        e[r] = f / 4.0
-        if not sampled:
-            stderr[r] = 0.0
-        elif f == 0.0:
-            stderr[r] = (3.0 / counts.total) / 4.0  # rule-of-three upper bound
-        else:
-            stderr[r] = np.sqrt(f * (1.0 - f) / counts.total) / 4.0
-    return PatternStats(e=e, stderr=stderr, total_shots=int(counts.total) if sampled else 0)
+    table = counts.counts.array
+    sampled = table.dtype.kind in "iu"
+    class_counts = np.bincount(_PATTERN_INDEX16, weights=table, minlength=len(PATTERNS))
+    f = np.clip(class_counts / counts.total, 0.0, 1.0)
+    if sampled:
+        # rule-of-three upper bound for an empty pattern class
+        stderr = np.where(f == 0.0, 3.0 / counts.total, np.sqrt(f * (1.0 - f) / counts.total)) / 4.0
+    else:
+        stderr = np.zeros(len(PATTERNS))
+    return PatternStats(e=f / 4.0, stderr=stderr, total_shots=int(counts.total) if sampled else 0)
 
 
-def _signed_pattern_sum(stats: PatternStats, signs: Mapping[tuple[int, int], float]) -> Estimate:
-    value = 4.0 * sum(signs[r] * stats.e[r] for r in PATTERNS)
-    stderr = 4.0 * np.sqrt(sum(stats.stderr[r] ** 2 for r in PATTERNS))
-    return Estimate(value=value, stderr=stderr)
+def _pattern_sums(stats: PatternStats) -> tuple[list[float], float]:
+    """``4 * H e`` = (1, vy^2, vx^2, c^2) and the standard error each sum shares."""
+    sums = (4.0 * _hadamard(stats.e.array)).tolist()
+    return sums, 4.0 * float(np.sqrt(sum(s ** 2 for s in stats.stderr.values())))
 
 
 def vsquared_from_patterns(stats: PatternStats) -> tuple[Estimate, Estimate]:
     """Squared visibilities from pattern probabilities, with propagated errors."""
-    vx2 = _signed_pattern_sum(stats, {(0, 0): 1, (0, 1): 1, (1, 0): -1, (1, 1): -1})
-    vy2 = _signed_pattern_sum(stats, {(0, 0): 1, (0, 1): -1, (1, 0): 1, (1, 1): -1})
-    return vx2, vy2
+    (_, vy2, vx2, _), stderr = _pattern_sums(stats)
+    return Estimate(value=vx2, stderr=stderr), Estimate(value=vy2, stderr=stderr)
 
 
 def csquared_from_patterns(stats: PatternStats) -> CorrelationEstimate:
@@ -195,14 +194,14 @@ def csquared_from_patterns(stats: PatternStats) -> CorrelationEstimate:
     Every measurement in the positive family gives exactly ``-vz^2``; a
     significantly negative estimate is the non-classical signature.
     """
-    c2 = _signed_pattern_sum(stats, {(0, 0): 1, (0, 1): -1, (1, 0): -1, (1, 1): 1})
+    (_, _, _, c2), stderr = _pattern_sums(stats)
     # ATOL_ALGEBRA floor keeps exact zero-stderr inputs with rounding dust
     # below zero from being flagged non-classical
     return CorrelationEstimate(
-        c_squared=c2.value,
-        stderr=c2.stderr,
-        vz_magnitude=float(np.sqrt(max(-c2.value, 0.0))),
-        classical=bool(c2.value >= -(CLASSICAL_SIGMA * c2.stderr + ATOL_ALGEBRA)),
+        c_squared=c2,
+        stderr=stderr,
+        vz_magnitude=float(np.sqrt(max(-c2, 0.0))),
+        classical=bool(c2 >= -(CLASSICAL_SIGMA * stderr + ATOL_ALGEBRA)),
     )
 
 
@@ -223,58 +222,44 @@ def correct_for_source_noise(stats: PatternStats, p: float) -> PatternStats:
     """
     if not 0.0 < p <= 1.0:
         raise ValueError(f"source parameter must lie in (0, 1], got {p!r}")
-    e = {r: (stats.e[r] - (1.0 - p) / 16.0) / p for r in PATTERNS}
-    stderr = {r: stats.stderr[r] / p for r in PATTERNS}
-    return PatternStats(e=e, stderr=stderr, total_shots=stats.total_shots)
+    return PatternStats(
+        e=(stats.e.array - (1.0 - p) / 16.0) / p,
+        stderr=stats.stderr.array / p,
+        total_shots=stats.total_shots,
+    )
 
 
 def error_model_from_visibilities(vx: complex, vy: complex, c: complex) -> ErrorModel:
     """Flip-pattern weights with the given signed sums.
 
+    ``weights = H @ (1, vy, vx, c) / 4``, i.e.
     ``weights(rx, ry) = (1 + (-1)^rx * vx + (-1)^ry * vy + (-1)^(rx+ry) * c) / 4``.
-    Exact inverse of `visibilities_from_error_model`.
+    Exact inverse of `visibilities_from_error_model` (``H @ H = 4``).
     """
-    weights = {
-        (rx, ry): (
-            1.0
-            + (-1.0) ** rx * complex(vx)
-            + (-1.0) ** ry * complex(vy)
-            + (-1.0) ** (rx + ry) * complex(c)
-        )
-        / 4.0
-        for rx, ry in PATTERNS
-    }
-    return ErrorModel(weights=weights)
+    return ErrorModel(weights=_hadamard([1.0, vy, vx, c]) / 4.0)
 
 
 def visibilities_from_error_model(m: ErrorModel) -> tuple[complex, complex, complex]:
     """The three signed sums (vx, vy, c) of an error model's weights."""
-    w = m.weights
-    vx = w[(0, 0)] + w[(0, 1)] - w[(1, 0)] - w[(1, 1)]
-    vy = w[(0, 0)] - w[(0, 1)] + w[(1, 0)] - w[(1, 1)]
-    c = w[(0, 0)] - w[(0, 1)] - w[(1, 0)] + w[(1, 1)]
+    _, vy, vx, c = _hadamard(m.weights.array).tolist()
     return complex(vx), complex(vy), complex(c)
 
 
-def eigenstate_probs_from_error_model(m: ErrorModel, axis: str) -> dict[tuple[int, int], float]:
+def eigenstate_probs_from_error_model(m: ErrorModel, axis: str) -> Table:
     """Predicted outcome table for a +1 eigenstate input of the given axis.
 
-    Only the no-flip/flip marginals of the weights enter, so the correlation
-    part drops out. Complex or out-of-range marginals signal a model that is
-    unphysical for this use and are rejected.
+    Only the no-flip/flip marginals ``(1 +- v) / 2`` of the measured axis
+    enter, so the correlation part drops out. Complex or out-of-range
+    marginals signal a model that is unphysical for this use and are
+    rejected.
     """
     axis = ensure_axis(axis)
     if axis not in ("X", "Y"):
         raise ValueError("eigenstate predictions exist for axis X or Y only")
-    w = m.weights
-    if axis == "X":
-        keep = w[(0, 0)] + w[(0, 1)]
-        flip = w[(1, 0)] + w[(1, 1)]
-    else:
-        keep = w[(0, 0)] + w[(1, 0)]
-        flip = w[(0, 1)] + w[(1, 1)]
+    total, vy, vx, _ = _hadamard(m.weights.array).tolist()
+    v = vx if axis == "X" else vy
     marginals = []
-    for name, value in (("no-flip", keep), ("flip", flip)):
+    for name, value in (("no-flip", (total + v) / 2.0), ("flip", (total - v) / 2.0)):
         value = complex(value)
         if abs(value.imag) > 1e-10:
             raise ValueError(f"{name} marginal is complex: {value!r}")
@@ -282,27 +267,27 @@ def eigenstate_probs_from_error_model(m: ErrorModel, axis: str) -> dict[tuple[in
             raise ValueError(f"{name} marginal out of [0, 1]: {value.real!r}")
         marginals.append(min(max(value.real, 0.0), 1.0))
     keep_p, flip_p = marginals
-    table = {}
-    for x, y in OUTCOMES4:
-        correct = (x == +1) if axis == "X" else (y == +1)
-        table[(x, y)] = (keep_p if correct else flip_p) / 2.0
-    return table
+    correct = [(x if axis == "X" else y) == +1 for x, y in OUTCOMES4]
+    return Table(OUTCOMES4, np.where(correct, keep_p, flip_p) / 2.0)
 
 
-def pattern_quasiprobs(m: ErrorModel) -> dict[tuple[int, int], complex]:
+# _XOR[r, s] = r xor s; pattern indices carry the bits (rx, ry).
+_XOR = np.bitwise_xor.outer(np.arange(len(PATTERNS)), np.arange(len(PATTERNS)))
+
+
+def _self_convolution(w) -> np.ndarray:
+    """``e[..., r] = (1/4) * sum_s w[..., s] * w[..., s xor r]`` over the last axis."""
+    w = np.asarray(w)
+    return np.sum(w[..., None, :] * w[..., _XOR], axis=-1) / 4.0
+
+
+def pattern_quasiprobs(m: ErrorModel) -> Table:
     """XOR self-convolution ``(1/4) * sum_s weights(s) * weights(s xor r)``.
 
     For a normalized model these complex values satisfy, for each of the
     four sign characters chi, ``4 * sum_r chi(r) e(r) = (sum_s chi(s) w(s))^2``.
     """
-    w = m.weights
-    e = {}
-    for rx, ry in PATTERNS:
-        acc = 0.0 + 0.0j
-        for sx, sy in PATTERNS:
-            acc += complex(w[(sx, sy)]) * complex(w[(sx ^ rx, sy ^ ry)])
-        e[(rx, ry)] = acc / 4.0
-    return e
+    return Table(PATTERNS, _self_convolution(m.weights.array), dtype=complex)
 
 
 def predicted_pattern_probs(m: ErrorModel) -> PatternStats:
@@ -313,11 +298,10 @@ def predicted_pattern_probs(m: ErrorModel) -> PatternStats:
     materially complex or negative entry marks the model as inconsistent
     with pair statistics.
     """
-    e = {}
-    for r, value in pattern_quasiprobs(m).items():
+    e = _self_convolution(m.weights.array)
+    for r, value in zip(PATTERNS, e.tolist()):
         if abs(value.imag) > 1e-10:
             raise ValueError(f"predicted pattern e{r} is complex: {value!r}")
         if value.real < -1e-10:
             raise ValueError(f"predicted pattern e{r} is negative: {value.real!r}")
-        e[r] = max(value.real, 0.0)
-    return PatternStats(e=e, stderr={r: 0.0 for r in PATTERNS}, total_shots=0)
+    return PatternStats(e=np.maximum(e.real, 0.0), stderr=np.zeros(len(PATTERNS)), total_shots=0)

@@ -36,6 +36,7 @@ from .fileio import (
     fmt_float,
     fmt_sign,
     named_state_density,
+    parse_sign,
     read_counts_file,
     read_document,
     read_probs_file,
@@ -64,14 +65,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _parse_value(token: str) -> int:
-    if token in ("+1", "1"):
-        return +1
-    if token == "-1":
-        return -1
-    raise UsageError(f"--value must be +1 or -1, got {token!r}")
-
-
 def _manifest_name(out: Path) -> str:
     return out.name + ".manifest"
 
@@ -94,7 +87,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("simulate", help="run a seeded eigenstate or pair experiment")
     p.add_argument("--mode", choices=("eigenstate", "pair"), required=True)
     p.add_argument("--axis", choices=("X", "Y"), help="eigenstate mode only")
-    p.add_argument("--value", help="eigenstate mode only: +1 or -1")
+    p.add_argument("--value", type=parse_sign, help="eigenstate mode only: +1 or -1")
     p.add_argument("--vx", type=float, required=True)
     p.add_argument("--vy", type=float, required=True)
     p.add_argument("--vz", type=float, required=True)
@@ -157,12 +150,13 @@ def cmd_simulate(args) -> int:
             raise UsageError("eigenstate mode requires --axis and --value")
         if args.werner_p is not None:
             raise UsageError("--werner-p applies to pair mode only")
-        value = _parse_value(args.value)
     else:
         if args.axis is not None or args.value is not None:
             raise UsageError("--axis/--value apply to eigenstate mode only")
         if args.randomize_flips:
             raise UsageError("--randomize-flips applies to eigenstate mode only")
+    if args.workers < 1:
+        raise UsageError(f"--workers must be at least 1, got {args.workers}")
 
     config = ExperimentConfig(
         visibilities=VisibilityTriple(args.vx, args.vy, args.vz),
@@ -183,10 +177,10 @@ def cmd_simulate(args) -> int:
         "randomize_flips": fmt_bool(config.randomize_flips),
     }
     if args.mode == "eigenstate":
-        counts = run_eigenstate_experiment(config, args.axis, value, workers=args.workers)
+        counts = run_eigenstate_experiment(config, args.axis, args.value, workers=args.workers)
         write_eigenstate_counts(out, counts, config, manifest)
         parameters["axis"] = args.axis
-        parameters["value"] = fmt_sign(value)
+        parameters["value"] = fmt_sign(args.value)
     else:
         counts = run_pair_experiment(config, workers=args.workers)
         write_pair_counts(out, counts, config, manifest)
@@ -348,7 +342,7 @@ def cmd_reconstruct(args) -> int:
         if artifact.mode != "eigenstate":
             raise UsageError("reconstruct needs a single-qubit table; pair counts cannot be used")
         counts = artifact.eigenstate_counts
-        probs = {o: counts.counts[o] / counts.total for o in OUTCOMES4}
+        probs = counts.counts.array / counts.total
         reference_label = f"{counts.input_axis}{'+' if counts.input_value == +1 else '-'}"
         reference = named_state_density(reference_label)
     elif schema == SCHEMA_PROBS:

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__ as _tool_version
-from .povm import OUTCOMES4, OUTCOMES16, VisibilityTriple
+from .povm import OUTCOMES4, VisibilityTriple
 from .simulate import ExperimentConfig, OutcomeCounts4, PairCounts16
 
 SCHEMA_COUNTS = "xymeas-counts/1"
@@ -76,10 +76,16 @@ def parse_bool(token: str) -> bool:
 
 @dataclass
 class Document:
-    """Parsed or to-be-written artifact file."""
+    """Parsed or to-be-written artifact file.
+
+    A parsed document also records the line number of each header key in
+    ``header_lines`` and of each section row in ``row_lines``.
+    """
 
     header: dict[str, str] = field(default_factory=dict)
     sections: dict[str, list[tuple[str, ...]]] = field(default_factory=dict)
+    header_lines: dict[str, int] = field(default_factory=dict)
+    row_lines: dict[str, list[int]] = field(default_factory=dict)
 
     def require(self, key: str) -> str:
         if key not in self.header:
@@ -116,13 +122,16 @@ def read_document(path: str | Path) -> Document:
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1]
             current = doc.sections.setdefault(name, [])
+            current_lines = doc.row_lines.setdefault(name, [])
         elif current is None:
             key, sep, value = line.partition(":")
             if not sep:
                 raise ValueError(f"{path}:{lineno}: malformed header line {raw!r}")
             doc.header[key.strip()] = value.strip()
+            doc.header_lines[key.strip()] = lineno
         else:
             current.append(tuple(line.split()))
+            current_lines.append(lineno)
     if "schema" not in doc.header:
         raise ValueError(f"{path}: missing schema header")
     return doc
@@ -185,10 +194,7 @@ def write_eigenstate_counts(
         "value": fmt_sign(counts.input_value),
     }
     header.update(_config_header(config))
-    rows = [
-        (fmt_sign(x), fmt_sign(y), str(counts.counts[(x, y)])) for x, y in OUTCOMES4
-    ]
-    write_document(path, Document(header=header, sections={"counts": rows}))
+    write_document(path, Document(header=header, sections={"counts": _counts_rows(counts.counts)}))
 
 
 def write_pair_counts(
@@ -202,17 +208,11 @@ def write_pair_counts(
     }
     header.update(_config_header(config))
     header["werner_p"] = fmt_float(config.werner_p)
-    rows = [
-        (
-            fmt_sign(x1),
-            fmt_sign(y1),
-            fmt_sign(x2),
-            fmt_sign(y2),
-            str(counts.counts[(x1, y1, x2, y2)]),
-        )
-        for x1, y1, x2, y2 in OUTCOMES16
-    ]
-    write_document(path, Document(header=header, sections={"counts": rows}))
+    write_document(path, Document(header=header, sections={"counts": _counts_rows(counts.counts)}))
+
+
+def _counts_rows(table) -> list[tuple[str, ...]]:
+    return [(*map(fmt_sign, outcome), str(n)) for outcome, n in table.items()]
 
 
 @dataclass(frozen=True)
@@ -227,55 +227,63 @@ class CountsArtifact:
     path: str
 
 
+def _outcome_rows(doc: Document, section: str, path, width: int, parse) -> dict:
+    """Rows of ``section`` as {outcome signs: parsed last token}, each checked."""
+    table = {}
+    for row, lineno in zip(doc.section(section), doc.row_lines[section]):
+        if len(row) != width:
+            raise ValueError(f"{path}:{lineno}: malformed [{section}] row {row!r}")
+        outcome = tuple(parse_sign(t) for t in row[:-1])
+        if outcome in table:
+            raise ValueError(f"{path}:{lineno}: duplicate [{section}] row for outcome {row[:-1]}")
+        table[outcome] = parse(row[-1])
+    return table
+
+
 def read_counts_file(path: str | Path) -> CountsArtifact:
+    """Parse a counts file.
+
+    A malformed or duplicated outcome row, or a ``shots`` header that
+    disagrees with the counts sum, is rejected with its ``file:line``.
+    """
     doc = read_document(path)
     expect_schema(doc, SCHEMA_COUNTS, path)
     mode = doc.require("mode")
+    if mode not in ("eigenstate", "pair"):
+        raise ValueError(f"{path}: unknown counts mode {mode!r}")
     visibilities = None
     if all(k in doc.header for k in ("vx", "vy", "vz")):
         visibilities = VisibilityTriple(
             float(doc.header["vx"]), float(doc.header["vy"]), float(doc.header["vz"])
         )
+    counts = _outcome_rows(doc, "counts", path, 3 if mode == "eigenstate" else 5, int)
+    total = sum(counts.values())
+    if "shots" in doc.header and int(doc.header["shots"]) != total:
+        raise ValueError(
+            f"{path}:{doc.header_lines['shots']}: shots {doc.header['shots']} disagrees "
+            f"with the counts sum {total}"
+        )
     if mode == "eigenstate":
-        rows = doc.section("counts")
-        counts = {}
-        for row in rows:
-            if len(row) != 3:
-                raise ValueError(f"{path}: malformed eigenstate counts row {row!r}")
-            counts[(parse_sign(row[0]), parse_sign(row[1]))] = int(row[2])
-        obj = OutcomeCounts4(
+        eigenstate_counts = OutcomeCounts4(
             counts=counts,
-            total=sum(counts.values()),
+            total=total,
             input_axis=doc.require("axis"),
             input_value=parse_sign(doc.require("value")),
         )
-        return CountsArtifact(
-            mode=mode,
-            eigenstate_counts=obj,
-            pair_counts=None,
-            visibilities=visibilities,
-            werner_p=None,
-            path=str(path),
-        )
-    if mode == "pair":
-        rows = doc.section("counts")
-        counts = {}
-        for row in rows:
-            if len(row) != 5:
-                raise ValueError(f"{path}: malformed pair counts row {row!r}")
-            key = tuple(parse_sign(t) for t in row[:4])
-            counts[key] = int(row[4])
-        obj = PairCounts16(counts=counts, total=sum(counts.values()))
+        pair_counts = None
+        werner_p = None
+    else:
+        eigenstate_counts = None
+        pair_counts = PairCounts16(counts=counts, total=total)
         werner_p = float(doc.header["werner_p"]) if "werner_p" in doc.header else None
-        return CountsArtifact(
-            mode=mode,
-            eigenstate_counts=None,
-            pair_counts=obj,
-            visibilities=visibilities,
-            werner_p=werner_p,
-            path=str(path),
-        )
-    raise ValueError(f"{path}: unknown counts mode {mode!r}")
+    return CountsArtifact(
+        mode=mode,
+        eigenstate_counts=eigenstate_counts,
+        pair_counts=pair_counts,
+        visibilities=visibilities,
+        werner_p=werner_p,
+        path=str(path),
+    )
 
 
 # -- exact probability tables --------------------------------------------------
@@ -301,11 +309,7 @@ def write_probs_file(
 def read_probs_file(path: str | Path) -> tuple[dict[tuple[int, int], float], str | None]:
     doc = read_document(path)
     expect_schema(doc, SCHEMA_PROBS, path)
-    probs = {}
-    for row in doc.section("probs"):
-        if len(row) != 3:
-            raise ValueError(f"{path}: malformed probability row {row!r}")
-        probs[(parse_sign(row[0]), parse_sign(row[1]))] = float(row[2])
+    probs = _outcome_rows(doc, "probs", path, 3, float)
     if set(probs) != set(OUTCOMES4):
         raise ValueError(f"{path}: probability table must cover the four outcomes")
     return probs, doc.header.get("state")

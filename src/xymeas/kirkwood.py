@@ -31,7 +31,7 @@ from typing import Mapping
 import numpy as np
 
 from .analysis import ErrorModel, visibilities_from_error_model
-from .povm import OUTCOMES4, OUTCOMES16, ideal_operator
+from .povm import OUTCOMES4, OUTCOMES16, Table, _checked_table, _hadamard, ideal_operator
 from .qubit import (
     ATOL_ALGEBRA,
     ensure_density_matrix,
@@ -68,22 +68,15 @@ class KDDistribution:
     entries: Mapping[tuple[int, int], complex]
 
     def __post_init__(self) -> None:
-        if set(self.entries) != set(OUTCOMES4):
-            raise ValueError("KD distribution must cover exactly the four outcomes")
-        values = np.array([complex(self.entries[o]) for o in OUTCOMES4])
-        if not np.all(np.isfinite(values.view(float))):
-            raise ValueError("KD entries must be finite")
-        total = complex(values.sum())
-        if abs(total - 1.0) > ATOL_ALGEBRA:
-            raise ValueError(f"KD entries must sum to 1, got {total!r}")
-        for x in (+1, -1):
-            marginal = self.entries[(x, +1)] + self.entries[(x, -1)]
-            if abs(complex(marginal).imag) > ATOL_ALGEBRA:
-                raise ValueError(f"x = {x} marginal is not real: {marginal!r}")
-        for y in (+1, -1):
-            marginal = self.entries[(+1, y)] + self.entries[(-1, y)]
-            if abs(complex(marginal).imag) > ATOL_ALGEBRA:
-                raise ValueError(f"y = {y} marginal is not real: {marginal!r}")
+        entries = Table(
+            OUTCOMES4, self.entries, dtype=complex, total=1.0, tol=ATOL_ALGEBRA, what="KD"
+        )
+        object.__setattr__(self, "entries", entries)
+        # OUTCOMES4 order: rows x = +1, -1; columns y = +1, -1
+        for name, axis in (("x", 1), ("y", 0)):
+            marginals = entries.array.reshape(2, 2).sum(axis=axis)
+            if np.max(np.abs(marginals.imag)) > ATOL_ALGEBRA:
+                raise ValueError(f"{name} marginals are not real: {marginals!r}")
 
     def x_marginal(self, x: int) -> float:
         return complex(self.entries[(x, +1)] + self.entries[(x, -1)]).real
@@ -99,37 +92,33 @@ class PairKDDistribution:
     entries: Mapping[tuple[int, int, int, int], complex]
 
     def __post_init__(self) -> None:
-        if set(self.entries) != set(OUTCOMES16):
-            raise ValueError("pair KD distribution must cover exactly the sixteen outcomes")
-        values = np.array([complex(self.entries[o]) for o in OUTCOMES16])
-        if not np.all(np.isfinite(values.view(float))):
-            raise ValueError("pair KD entries must be finite")
-        total = complex(values.sum())
-        if abs(total - 1.0) > ATOL_ALGEBRA:
-            raise ValueError(f"pair KD entries must sum to 1, got {total!r}")
+        entries = Table(
+            OUTCOMES16, self.entries, dtype=complex, total=1.0, tol=ATOL_ALGEBRA, what="pair KD"
+        )
+        object.__setattr__(self, "entries", entries)
 
 
 def kd_from_state(rho) -> KDDistribution:
     """Quasi-probability ``<x|y><y|rho|x>`` of a qubit state."""
     rho = ensure_density_matrix(rho, dim=2)
-    entries = {}
+    entries = []
     for x, y in OUTCOMES4:
         bra_x = eigenstate("X", x)
         ket_y = eigenstate("Y", y)
         overlap = complex(np.vdot(bra_x, ket_y))
-        entries[(x, y)] = overlap * complex(np.vdot(ket_y, rho @ bra_x))
+        entries.append(overlap * complex(np.vdot(ket_y, rho @ bra_x)))
     return KDDistribution(entries=entries)
 
 
 def kd_pair_from_state(rho4) -> PairKDDistribution:
     """Quasi-probability ``<x1,x2|y1,y2><y1,y2|rho4|x1,x2>`` of a two-qubit state."""
     rho4 = ensure_density_matrix(rho4, dim=4)
-    entries = {}
+    entries = []
     for x1, y1, x2, y2 in OUTCOMES16:
         ket_x = tensor_state(eigenstate("X", x1), eigenstate("X", x2))
         ket_y = tensor_state(eigenstate("Y", y1), eigenstate("Y", y2))
         overlap = complex(np.vdot(ket_x, ket_y))
-        entries[(x1, y1, x2, y2)] = overlap * complex(np.vdot(ket_y, rho4 @ ket_x))
+        entries.append(overlap * complex(np.vdot(ket_y, rho4 @ ket_x)))
     return PairKDDistribution(entries=entries)
 
 
@@ -138,21 +127,6 @@ def _check_not_singular(name: str, value: complex) -> complex:
     if abs(value) < SINGULAR_VISIBILITY:
         raise SingularInversionError(name, value)
     return value
-
-
-def _ensure_prob_table(p: Mapping[tuple[int, int], float]) -> dict[tuple[int, int], float]:
-    if set(p) != set(OUTCOMES4):
-        raise ValueError("probability table must cover exactly the four outcomes")
-    table = {}
-    for o in OUTCOMES4:
-        value = float(p[o])
-        if not np.isfinite(value) or value < -ATOL_ALGEBRA or value > 1.0 + ATOL_ALGEBRA:
-            raise ValueError(f"probability P{o} = {value!r} out of range")
-        table[o] = value
-    total = sum(table.values())
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"probability table sums to {total!r}, expected 1")
-    return table
 
 
 def reconstruct_kd(
@@ -170,46 +144,43 @@ def reconstruct_kd(
     than ``SINGULAR_VISIBILITY`` raise `SingularInversionError` naming the
     offending parameter.
     """
-    table = _ensure_prob_table(p)
+    probs = _checked_table(
+        p, OUTCOMES4, low=-ATOL_ALGEBRA, high=1.0 + ATOL_ALGEBRA, total=1.0, what="probabilities"
+    ).tolist()
     vx = _check_not_singular("vx", vx)
     vy = _check_not_singular("vy", vy)
     c = _check_not_singular("c", c)
-    entries = {}
+    entries = []
     for x, y in OUTCOMES4:
         acc = 0.0 + 0.0j
-        for xp, yp in OUTCOMES4:
+        for (xp, yp), prob in zip(OUTCOMES4, probs):
             coeff = 1.0 + (x * xp) / vx + (y * yp) / vy - (x * xp * y * yp) / c
-            acc += coeff * table[(xp, yp)]
-        entries[(x, y)] = acc / 4.0
+            acc += coeff * prob
+        entries.append(acc / 4.0)
     return KDDistribution(entries=entries)
 
 
-def forward_map(kd: KDDistribution, m: ErrorModel) -> dict[tuple[int, int], float]:
+def forward_map(kd: KDDistribution, m: ErrorModel) -> Table:
     """Outcome table produced by an error model acting on a quasi-probability.
 
     Exact inverse of `reconstruct_kd` at matching ``(vx, vy, c)``. The error
-    weights couple to the quasi-probability through its four moments, with
-    the correlation moment paired with ``-c`` (module docstring); for the
-    physical model of a measurement with visibilities (vx, vy, vz), i.e.
-    ``c = i*vz``, this reproduces the measurement's outcome probabilities.
-    Materially complex outputs are rejected as an inconsistent pairing of
-    quasi-probability and model.
+    weights couple to the quasi-probability through its four moments
+    ``H @ kd`` = (total, y, x, x*y), with the correlation moment paired with
+    ``-c`` (module docstring); for the physical model of a measurement with
+    visibilities (vx, vy, vz), i.e. ``c = i*vz``, this reproduces the
+    measurement's outcome probabilities. Materially complex outputs are
+    rejected as an inconsistent pairing of quasi-probability and model.
     """
     vx, vy, c = visibilities_from_error_model(m)
-    m0 = complex(sum(kd.entries[o] for o in OUTCOMES4))
-    mx = complex(sum(x * kd.entries[(x, y)] for x, y in OUTCOMES4))
-    my = complex(sum(y * kd.entries[(x, y)] for x, y in OUTCOMES4))
-    mxy = complex(sum(x * y * kd.entries[(x, y)] for x, y in OUTCOMES4))
-    table = {}
-    for x, y in OUTCOMES4:
-        value = (m0 + vx * x * mx + vy * y * my - c * x * y * mxy) / 4.0
-        if abs(value.imag) > 1e-10:
-            raise ValueError(
-                f"forward map produced a complex probability at {(x, y)}: {value!r}; "
-                "the quasi-probability and error model are inconsistent"
-            )
-        table[(x, y)] = value.real
-    return table
+    moments = _hadamard(kd.entries.array) * np.array([1.0, vy, vx, -c])
+    table = _hadamard(moments) / 4.0
+    worst = int(np.argmax(np.abs(table.imag)))
+    if abs(table[worst].imag) > 1e-10:
+        raise ValueError(
+            f"forward map produced a complex probability at {OUTCOMES4[worst]}: {table[worst]!r}; "
+            "the quasi-probability and error model are inconsistent"
+        )
+    return Table(OUTCOMES4, table.real)
 
 
 @dataclass(frozen=True)

@@ -14,9 +14,10 @@ projector.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -36,8 +37,94 @@ OUTCOMES4: tuple[tuple[int, int], ...] = tuple(itertools.product((+1, -1), repea
 OUTCOMES16: tuple[tuple[int, int, int, int], ...] = tuple(itertools.product((+1, -1), repeat=4))
 
 # Flip patterns (rx, ry): rx = 0 means the X outcomes of a pair show the
-# expected anti-correlation, rx = 1 means they do not; same for ry.
+# expected anti-correlation, rx = 1 means they do not; same for ry. Index i
+# has bits (rx, ry), so pattern i carries the signs of outcome i:
+# (-1)^rx = x and (-1)^ry = y.
 PATTERNS: tuple[tuple[int, int], ...] = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+# 4x4 Walsh-Hadamard transform, HADAMARD[k, i] = (-1)^popcount(k & i). Over
+# PATTERNS or OUTCOMES4 order its rows are the characters 1, y, x and x*y.
+HADAMARD = np.kron([[1.0, 1.0], [1.0, -1.0]], [[1.0, 1.0], [1.0, -1.0]])
+
+_INDEX = {keys: {k: i for i, k in enumerate(keys)} for keys in (OUTCOMES4, OUTCOMES16, PATTERNS)}
+
+
+def _hadamard(table) -> np.ndarray:
+    """``HADAMARD @ table`` over the last axis: (total, y, x, x*y) signed sums.
+
+    Each row is summed left to right, the order of a plain loop, so report
+    digits do not depend on how a BLAS matrix-vector product associates.
+    """
+    return np.sum(HADAMARD * np.asarray(table)[..., None, :], axis=-1)
+
+
+def _checked_table(
+    values,
+    keys=None,
+    *,
+    dtype=float,
+    low: float = -np.inf,
+    high: float = np.inf,
+    total=None,
+    tol: float = 1e-9,
+    what: str = "table",
+) -> np.ndarray:
+    """The one validator of every table; returns its entries as a new vector.
+
+    ``values`` is a mapping over exactly ``keys`` or a sequence in ``keys``
+    order (with ``keys`` None, any non-empty 1-D sequence). ``dtype=None``
+    keeps the element type, so integer counts stay integers. Entries must be
+    finite with real parts in ``[low, high]``; with ``total`` given they must
+    sum to it within ``tol``.
+    """
+    if not isinstance(values, np.ndarray) and isinstance(values, Mapping):
+        if keys is None or set(values) != set(keys):
+            raise ValueError(f"{what}: keys must be exactly {keys}")
+        values = values.array if isinstance(values, Table) else [values[k] for k in keys]
+    vec = np.array(values, dtype=dtype)
+    size_ok = vec.ndim == 1 and vec.size > 0 and (keys is None or vec.size == len(keys))
+    if not size_ok or vec.dtype.kind not in "iufc":
+        count = len(keys) if keys else "one or more"
+        raise ValueError(f"{what}: expected a 1-D table of {count} numbers")
+    # Plain Python on the few entries costs less than numpy's per-call overhead.
+    vec_sum = sum(vec.tolist())
+    # a NaN or infinite entry makes the sum non-finite
+    if not cmath.isfinite(vec_sum):
+        raise ValueError(f"{what}: entries must be finite, got {vec.tolist()}")
+    reals = vec.real.tolist()
+    if min(reals) < low or max(reals) > high:
+        raise ValueError(f"{what}: entry out of [{low}, {high}] in {vec.tolist()}")
+    if total is not None and abs(vec_sum - total) > tol:
+        raise ValueError(f"{what}: entries sum to {vec_sum!r}, expected {total!r}")
+    return vec
+
+
+class Table(Mapping):
+    """Read-only mapping over a fixed key order, backed by one numpy vector.
+
+    ``keys`` is ``OUTCOMES4``, ``OUTCOMES16`` or ``PATTERNS``; ``array``
+    holds the entries in that order for vector code, and ``table[key]``
+    returns the same entry as a plain Python number. ``checks`` go to the
+    validator.
+    """
+
+    def __init__(self, keys, values, **checks):
+        self._index = _INDEX[keys]
+        self.array = _checked_table(values, keys, **checks)
+        self.array.flags.writeable = False
+        self._entries = self.array.tolist()
+
+    def __getitem__(self, key):
+        return self._entries[self._index[key]]
+
+    def __iter__(self) -> Iterator:
+        return iter(self._index)
+
+    def __len__(self) -> int:
+        return len(self._index)
+
+    def __repr__(self) -> str:
+        return f"Table({dict(self)!r})"
 
 
 class PositivityError(ValueError):
@@ -80,7 +167,7 @@ class PatternStats:
     ``e[(rx, ry)]`` is the probability of one specific outcome combination
     showing pattern ``(rx, ry)``; since four outcome combinations share each
     pattern, the four entries sum to 1/4. ``total_shots`` is 0 for exact
-    tables, in which case every stderr is 0.
+    tables, in which case every stderr is 0. Both fields become `Table`s.
     """
 
     e: Mapping[tuple[int, int], float]
@@ -88,25 +175,17 @@ class PatternStats:
     total_shots: int
 
     def __post_init__(self) -> None:
-        if set(self.e) != set(PATTERNS) or set(self.stderr) != set(PATTERNS):
-            raise ValueError("pattern stats must cover exactly the four flip patterns")
         if self.total_shots < 0:
             raise ValueError("total_shots must be non-negative")
-        total = 0.0
-        for r in PATTERNS:
-            value = self.e[r]
-            if not np.isfinite(value) or not np.isfinite(self.stderr[r]):
-                raise ValueError("pattern stats must be finite")
-            if self.stderr[r] < 0.0:
-                raise ValueError("stderr must be non-negative")
-            # Exact tables are nonnegative by construction; sampled tables may
-            # dip below zero only through source-noise correction.
-            floor = -ATOL_ALGEBRA if self.total_shots == 0 else -0.25
-            if not floor <= value <= 1.0 + ATOL_ALGEBRA:
-                raise ValueError(f"pattern probability e{r} = {value!r} out of range")
-            total += value
-        if abs(total - 0.25) > 1e-9:
-            raise ValueError(f"pattern probabilities must sum to 1/4, got {total!r}")
+        # Exact tables are nonnegative by construction; sampled tables may
+        # dip below zero only through source-noise correction.
+        floor = -ATOL_ALGEBRA if self.total_shots == 0 else -0.25
+        e = Table(
+            PATTERNS, self.e, low=floor, high=1.0 + ATOL_ALGEBRA, total=0.25, what="patterns"
+        )
+        object.__setattr__(self, "e", e)
+        stderr = Table(PATTERNS, self.stderr, low=0.0, what="pattern stderr")
+        object.__setattr__(self, "stderr", stderr)
 
 
 @dataclass(frozen=True)
@@ -138,30 +217,23 @@ def build_povm(v: VisibilityTriple) -> JointPovm:
     return JointPovm(visibilities=v, elements=elements)
 
 
-def _real_prob(value: complex, what: str) -> float:
-    if abs(value.imag) > ATOL_ALGEBRA:
-        raise ValueError(f"{what} has a non-negligible imaginary part: {value!r}")
-    if not -ATOL_ALGEBRA <= value.real <= 1.0 + ATOL_ALGEBRA:
-        raise ValueError(f"{what} = {value.real!r} out of [0, 1]")
-    return value.real
+def _real_probs(values, keys, what: str) -> Table:
+    values = np.array(values)
+    worst = np.max(np.abs(values.imag))
+    if worst > ATOL_ALGEBRA:
+        raise ValueError(f"{what} have a non-negligible imaginary part: {worst!r}")
+    slack = ATOL_ALGEBRA
+    return Table(keys, values.real, low=-slack, high=1.0 + slack, total=1.0, tol=slack, what=what)
 
 
-def outcome_probs(povm: JointPovm, rho) -> dict[tuple[int, int], float]:
+def outcome_probs(povm: JointPovm, rho) -> Table:
     """Outcome probabilities ``Tr(element(x,y) @ rho)`` for a qubit state."""
     rho = ensure_density_matrix(rho, dim=2)
-    probs = {
-        (x, y): _real_prob(trace_product(povm.elements[(x, y)], rho), f"P{(x, y)}")
-        for x, y in OUTCOMES4
-    }
-    total = sum(probs.values())
-    if abs(total - 1.0) > ATOL_ALGEBRA:
-        raise ValueError(f"outcome probabilities do not sum to 1: {total!r}")
-    return probs
+    values = [trace_product(povm.elements[o], rho) for o in OUTCOMES4]
+    return _real_probs(values, OUTCOMES4, "outcome probabilities")
 
 
-def pair_outcome_probs(
-    povm1: JointPovm, povm2: JointPovm, rho4
-) -> dict[tuple[int, int, int, int], float]:
+def pair_outcome_probs(povm1: JointPovm, povm2: JointPovm, rho4) -> Table:
     """Joint outcome probabilities for independent measurements on a pair.
 
     Entry ``(x1, y1, x2, y2)`` is ``Tr((element1(x1,y1) (x) element2(x2,y2)) @ rho4)``.
@@ -169,22 +241,18 @@ def pair_outcome_probs(
     `analysis` assume they are identical.
     """
     rho4 = ensure_density_matrix(rho4, dim=4)
-    probs = {}
-    for x1, y1, x2, y2 in OUTCOMES16:
-        op = tensor(povm1.elements[(x1, y1)], povm2.elements[(x2, y2)])
-        probs[(x1, y1, x2, y2)] = _real_prob(
-            trace_product(op, rho4), f"P{(x1, y1, x2, y2)}"
-        )
-    total = sum(probs.values())
-    if abs(total - 1.0) > ATOL_ALGEBRA:
-        raise ValueError(f"pair probabilities do not sum to 1: {total!r}")
-    return probs
+    values = [
+        trace_product(tensor(povm1.elements[(x1, y1)], povm2.elements[(x2, y2)]), rho4)
+        for x1, y1, x2, y2 in OUTCOMES16
+    ]
+    return _real_probs(values, OUTCOMES16, "pair probabilities")
 
 
 def exact_pattern_probs(v: VisibilityTriple) -> PatternStats:
     """Exact flip-pattern probabilities for identical measurements on a singlet pair.
 
-    Closed forms (per outcome combination):
+    ``e = HADAMARD @ (1, vy^2, vx^2, -vz^2) / 16``; in closed form (per
+    outcome combination):
 
         e(0,0) = (1 + vx^2 + vy^2 - vz^2) / 16
         e(0,1) = (1 + vx^2 - vy^2 + vz^2) / 16
@@ -193,14 +261,8 @@ def exact_pattern_probs(v: VisibilityTriple) -> PatternStats:
     """
     if not isinstance(v, VisibilityTriple):
         v = VisibilityTriple(*v)
-    x2, y2, z2 = v.vx ** 2, v.vy ** 2, v.vz ** 2
-    e = {
-        (0, 0): (1.0 + x2 + y2 - z2) / 16.0,
-        (0, 1): (1.0 + x2 - y2 + z2) / 16.0,
-        (1, 0): (1.0 - x2 + y2 + z2) / 16.0,
-        (1, 1): (1.0 - x2 - y2 - z2) / 16.0,
-    }
-    return PatternStats(e=e, stderr={r: 0.0 for r in PATTERNS}, total_shots=0)
+    e = _hadamard([1.0, v.vy ** 2, v.vx ** 2, -(v.vz ** 2)]) / 16.0
+    return PatternStats(e=e, stderr=np.zeros(4), total_shots=0)
 
 
 def ideal_operator(sx: int, sy: int) -> np.ndarray:

@@ -24,17 +24,21 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .povm import OUTCOMES4, OUTCOMES16, VisibilityTriple, build_povm, outcome_probs, pair_outcome_probs
+from .povm import (
+    OUTCOMES4,
+    OUTCOMES16,
+    Table,
+    VisibilityTriple,
+    _checked_table,
+    build_povm,
+    outcome_probs,
+    pair_outcome_probs,
+)
 from .qubit import density, eigenstate, ensure_axis, ensure_sign, identity, singlet
 
 BLOCK_SHOTS = 1 << 16
 
 RNG_ID = "numpy.random.Philox keyed with the seed; block i uses .jumped(i)"
-
-# Index map realizing (x, y) -> (-x, -y) in the OUTCOMES4 order.
-_NEGATE_BOTH4 = np.array(
-    [OUTCOMES4.index((-x, -y)) for x, y in OUTCOMES4], dtype=np.intp
-)
 
 
 @dataclass(frozen=True)
@@ -66,8 +70,9 @@ class ExperimentConfig:
 class OutcomeCounts4:
     """Outcome counts of an eigenstate run, keyed by (x, y).
 
-    Simulated runs hold integer counts; exact probability tables ride
-    through the same type with ``total = 1.0``.
+    ``counts`` becomes a `Table` in ``OUTCOMES4`` order whose dtype says what
+    it holds: integers for a simulated run, floats for an exact probability
+    table riding through the same type with ``total = 1.0``.
     """
 
     counts: Mapping[tuple[int, int], float]
@@ -76,13 +81,11 @@ class OutcomeCounts4:
     input_value: int
 
     def __post_init__(self) -> None:
-        if set(self.counts) != set(OUTCOMES4):
-            raise ValueError("counts must cover exactly the four outcomes")
         # rounding dust below zero tolerated for exact tables
-        if any(c < -1e-12 for c in self.counts.values()):
-            raise ValueError("counts must be non-negative")
-        if abs(sum(self.counts.values()) - self.total) > 1e-9:
-            raise ValueError("counts must sum to total")
+        counts = Table(
+            OUTCOMES4, self.counts, dtype=None, low=-1e-12, total=self.total, what="counts"
+        )
+        object.__setattr__(self, "counts", counts)
         ensure_axis(self.input_axis)
         ensure_sign(self.input_value, "input_value")
 
@@ -91,20 +94,18 @@ class OutcomeCounts4:
 class PairCounts16:
     """Outcome counts of a pair run, keyed by (x1, y1, x2, y2).
 
-    Simulated runs hold integer counts; exact probability tables ride
-    through the same type with ``total = 1.0``.
+    ``counts`` becomes a `Table` in ``OUTCOMES16`` order; integers for a
+    simulated run, floats for an exact probability table with ``total = 1.0``.
     """
 
     counts: Mapping[tuple[int, int, int, int], float]
     total: float
 
     def __post_init__(self) -> None:
-        if set(self.counts) != set(OUTCOMES16):
-            raise ValueError("counts must cover exactly the sixteen outcomes")
-        if any(c < -1e-12 for c in self.counts.values()):
-            raise ValueError("counts must be non-negative")
-        if abs(sum(self.counts.values()) - self.total) > 1e-9:
-            raise ValueError("counts must sum to total")
+        counts = Table(
+            OUTCOMES16, self.counts, dtype=None, low=-1e-12, total=self.total, what="counts"
+        )
+        object.__setattr__(self, "counts", counts)
 
 
 def block_rng(seed: int, block_index: int) -> np.random.Generator:
@@ -112,19 +113,17 @@ def block_rng(seed: int, block_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed).jumped(block_index))
 
 
-def _checked_cumulative(probs) -> np.ndarray:
-    p = np.asarray(probs, dtype=float)
-    if p.ndim != 1 or p.size == 0:
-        raise ValueError("probabilities must be a non-empty 1-D sequence")
-    if np.min(p) < -1e-12:
-        raise ValueError(f"negative probability {np.min(p)!r}")
-    p = np.clip(p, 0.0, None)
-    total = float(np.sum(p))
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"probabilities sum to {total!r}, expected 1")
-    cum = np.cumsum(p / total)
+def _cumulative(probs) -> np.ndarray:
+    """Inverse-CDF edges of a probability vector; the last edge is exactly 1."""
+    p = np.clip(_checked_table(probs, low=-1e-12, total=1.0, what="probabilities"), 0.0, None)
+    cum = np.cumsum(p / np.sum(p))
     cum[-1] = 1.0
     return cum
+
+
+def _inverse_cdf(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Category index of each uniform draw ``u`` under the edges ``cum``."""
+    return np.minimum(np.searchsorted(cum, u, side="right"), cum.size - 1)
 
 
 def sample_categorical(probs, rng: np.random.Generator, size: int | None = None):
@@ -134,9 +133,7 @@ def sample_categorical(probs, rng: np.random.Generator, size: int | None = None)
     by less than 1e-9; larger deviations and negative entries are rejected.
     Returns a scalar index when ``size`` is None, else an array of ``size``.
     """
-    cum = _checked_cumulative(probs)
-    u = rng.random(size if size is not None else 1)
-    idx = np.minimum(np.searchsorted(cum, u, side="right"), cum.size - 1)
+    idx = _inverse_cdf(_cumulative(probs), rng.random(size if size is not None else 1))
     return int(idx[0]) if size is None else idx
 
 
@@ -194,40 +191,30 @@ def run_eigenstate_experiment(
         raise ValueError("eigenstate runs accept axis X or Y only")
 
     povm = build_povm(config.visibilities)
-    probs = outcome_probs(povm, density(eigenstate(axis, value)))
-    cum_nominal = _checked_cumulative([probs[o] for o in OUTCOMES4])
+    cum_nominal = _cumulative(outcome_probs(povm, density(eigenstate(axis, value))).array)
     if config.randomize_flips:
-        flipped = outcome_probs(povm, density(eigenstate(axis, -value)))
-        cum_flipped = _checked_cumulative([flipped[o] for o in OUTCOMES4])
+        cum_flipped = _cumulative(outcome_probs(povm, density(eigenstate(axis, -value))).array)
 
     def block_sampler(rng: np.random.Generator, n: int) -> np.ndarray:
         if not config.randomize_flips:
-            u = rng.random(n)
-            return np.minimum(np.searchsorted(cum_nominal, u, side="right"), 3)
+            return _inverse_cdf(cum_nominal, rng.random(n))
         flips = rng.random(n) < 0.5
         u = rng.random(n)
-        idx_nominal = np.minimum(np.searchsorted(cum_nominal, u, side="right"), 3)
-        idx_flipped = np.minimum(np.searchsorted(cum_flipped, u, side="right"), 3)
-        idx = np.where(flips, idx_flipped, idx_nominal)
-        return np.where(flips, _NEGATE_BOTH4[idx], idx)
+        idx = np.where(flips, _inverse_cdf(cum_flipped, u), _inverse_cdf(cum_nominal, u))
+        # an OUTCOMES4 index has one bit per sign, so (-x, -y) is index ^ 3
+        return np.where(flips, idx ^ 3, idx)
 
     hist = _accumulate_blocks(config.shots, 4, block_sampler, config.seed, workers)
-    counts = {o: int(hist[i]) for i, o in enumerate(OUTCOMES4)}
-    return OutcomeCounts4(
-        counts=counts, total=config.shots, input_axis=axis, input_value=value
-    )
+    return OutcomeCounts4(counts=hist, total=config.shots, input_axis=axis, input_value=value)
 
 
 def run_pair_experiment(config: ExperimentConfig, workers: int = 1) -> PairCounts16:
     """Simulate identical joint measurements on both halves of a pair source."""
     povm = build_povm(config.visibilities)
-    probs = pair_outcome_probs(povm, povm, werner_state(config.werner_p))
-    cum = _checked_cumulative([probs[o] for o in OUTCOMES16])
+    cum = _cumulative(pair_outcome_probs(povm, povm, werner_state(config.werner_p)).array)
 
     def block_sampler(rng: np.random.Generator, n: int) -> np.ndarray:
-        u = rng.random(n)
-        return np.minimum(np.searchsorted(cum, u, side="right"), 15)
+        return _inverse_cdf(cum, rng.random(n))
 
     hist = _accumulate_blocks(config.shots, 16, block_sampler, config.seed, workers)
-    counts = {o: int(hist[i]) for i, o in enumerate(OUTCOMES16)}
-    return PairCounts16(counts=counts, total=config.shots)
+    return PairCounts16(counts=hist, total=config.shots)

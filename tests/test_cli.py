@@ -128,6 +128,17 @@ class TestSimulate:
                        "--werner-p", 0.5, *base) == 1
         assert run_cli("simulate", "--mode", "pair", "--randomize-flips", *base) == 1
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_exit_1(self, tmp_path, capsys, workers):
+        out = tmp_path / "c.txt"
+        code = run_cli(
+            "simulate", "--mode", "pair", "--vx", 0.5, "--vy", 0.5, "--vz", 0,
+            "--shots", 10, "--seed", 1, "--workers", workers, "--out", out,
+        )
+        assert code == 1
+        assert "--workers" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_flips_flag_recorded(self, tmp_path):
         out = tmp_path / "c.txt"
         code = run_cli(
@@ -381,6 +392,35 @@ class TestFileFormat:
         write_eigenstate_counts(path, counts, config, "c.txt.manifest")
         artifact = read_counts_file(path)
         assert artifact.eigenstate_counts == counts
+
+    def test_duplicate_counts_row_rejected(self, tmp_path, capsys):
+        paths = simulate_all(tmp_path, ("0.6", "0.8", "0"), 1000, base_seed=800)
+        lines = paths["ex"].read_text().splitlines()
+        paths["ex"].write_text("\n".join(lines + ["+1 +1 999999"]) + "\n")
+        where = f"{paths['ex']}:{len(lines) + 1}:"
+        with pytest.raises(ValueError, match="duplicate"):
+            read_counts_file(paths["ex"])
+        assert run_cli("estimate", *paths.values(), "--out", tmp_path / "r.txt") == 1
+        assert where in capsys.readouterr().err
+
+    def test_shots_header_disagreeing_with_counts_rejected(self, tmp_path, capsys):
+        paths = simulate_all(tmp_path, ("0.6", "0.8", "0"), 1000, base_seed=900)
+        lines = paths["pair"].read_text().splitlines()
+        lineno = lines.index("shots: 1000") + 1
+        lines[lineno - 1] = "shots: 5"
+        paths["pair"].write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="shots"):
+            read_counts_file(paths["pair"])
+        assert run_cli("estimate", *paths.values(), "--out", tmp_path / "r.txt") == 1
+        assert f"{paths['pair']}:{lineno}:" in capsys.readouterr().err
+
+    def test_duplicate_probs_row_rejected(self, tmp_path):
+        path = tmp_path / "p.txt"
+        write_probs_file(path, {o: 0.25 for o in OUTCOMES4})
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines + ["+1 +1 0.25"]) + "\n")
+        with pytest.raises(ValueError, match=f"{path}:{len(lines) + 1}: duplicate"):
+            read_probs_file(path)
 
     def test_unknown_schema_rejected(self, tmp_path):
         path = tmp_path / "x.txt"

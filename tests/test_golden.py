@@ -1,0 +1,91 @@
+"""Golden bytes: fixed CLI runs must reproduce the recorded artifacts exactly.
+
+The fixtures under ``tests/golden/`` pin the bytes of a measurement dump,
+counts files (eigenstate with and without flip randomization, a Werner
+pair), estimate reports (with and without source-noise correction) and
+reconstruction reports (from a counts file via ``--from-report`` and from a
+probability file). Manifests carry a timestamp and are left out.
+
+Re-record only when a change is meant to alter these bytes, and say so
+with the change:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import shutil
+import sys
+from pathlib import Path
+
+from xymeas import cli
+from xymeas.fileio import write_probs_file
+from xymeas.povm import VisibilityTriple, build_povm, outcome_probs
+from xymeas.qubit import density, eigenstate
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# vx != vy, so a swapped sign row or marginal shows in the bytes
+V = ("0.5", "0.6", "0.4")
+VFLAGS = ["--vx", V[0], "--vy", V[1], "--vz", V[2]]
+SHOTS = "100000"
+
+# Input written by the library, not the CLI: an exact Z+ outcome table.
+PROBS = "zplus.probs"
+
+# (artifact, command line); every command runs in one directory, in order.
+COMMANDS = [
+    ("povm.txt", ["build-povm", *VFLAGS, "--out", "povm.txt"]),
+    ("x.counts", ["simulate", "--mode", "eigenstate", "--axis", "X", "--value", "+1", *VFLAGS,
+                  "--shots", SHOTS, "--seed", "1", "--randomize-flips", "--out", "x.counts"]),
+    ("y.counts", ["simulate", "--mode", "eigenstate", "--axis", "Y", "--value", "-1", *VFLAGS,
+                  "--shots", SHOTS, "--seed", "2", "--out", "y.counts"]),
+    ("pair.counts", ["simulate", "--mode", "pair", *VFLAGS, "--shots", SHOTS, "--seed", "3",
+                     "--werner-p", "0.95", "--out", "pair.counts"]),
+    ("estimate.report", ["estimate", "x.counts", "y.counts", "pair.counts", "--out", "estimate.report"]),
+    ("corrected.report", ["estimate", "x.counts", "y.counts", "pair.counts", "--correct-source-noise",
+                          "--out", "corrected.report"]),
+    ("from-report.kd", ["reconstruct", "--input", "x.counts", "--from-report", "estimate.report",
+                        "--out", "from-report.kd"]),
+    ("probs.kd", ["reconstruct", "--input", PROBS, *VFLAGS, "--out", "probs.kd"]),
+]
+
+
+def write_probs(path):
+    v = VisibilityTriple(*map(float, V))
+    write_probs_file(path, outcome_probs(build_povm(v), density(eigenstate("Z", +1))), state="Z+")
+
+
+def run_all(directory: Path) -> None:
+    """Run every command of `COMMANDS` in ``directory`` (the working directory)."""
+    for artifact, argv in COMMANDS:
+        code = cli.main(argv)
+        if code != 0:
+            raise RuntimeError(f"{' '.join(argv)} exited {code}")
+        assert (directory / artifact).is_file()
+
+
+def test_probs_input_bytes(tmp_path):
+    write_probs(tmp_path / PROBS)
+    assert (tmp_path / PROBS).read_bytes() == (GOLDEN / PROBS).read_bytes()
+
+
+def test_cli_artifacts_are_byte_identical(tmp_path, monkeypatch):
+    shutil.copy(GOLDEN / PROBS, tmp_path / PROBS)
+    monkeypatch.chdir(tmp_path)
+    run_all(tmp_path)
+    for artifact, _argv in COMMANDS:
+        assert (tmp_path / artifact).read_bytes() == (GOLDEN / artifact).read_bytes(), artifact
+
+
+if __name__ == "__main__":
+    import os
+    import tempfile
+
+    GOLDEN.mkdir(exist_ok=True)
+    write_probs(GOLDEN / PROBS)
+    with tempfile.TemporaryDirectory() as work:
+        shutil.copy(GOLDEN / PROBS, Path(work) / PROBS)
+        os.chdir(work)
+        run_all(Path(work))
+        for artifact, _argv in COMMANDS:
+            shutil.copy(artifact, GOLDEN / artifact)
+    print(f"recorded {len(COMMANDS) + 1} fixtures in {GOLDEN}", file=sys.stderr)
