@@ -48,7 +48,13 @@ from .fileio import (
 )
 from .kirkwood import SingularInversionError, kd_from_state, reconstruct_kd
 from .povm import OUTCOMES4, PATTERNS, PositivityError, VisibilityTriple, build_povm
-from .simulate import ExperimentConfig, run_eigenstate_experiment, run_pair_experiment
+from .simulate import (
+    BLOCK_SHOTS,
+    RNG_ID,
+    ExperimentConfig,
+    run_eigenstate_experiment,
+    run_pair_experiment,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -185,7 +191,8 @@ def cmd_simulate(args) -> int:
         counts = run_pair_experiment(config, workers=args.workers)
         write_pair_counts(out, counts, config, manifest)
         parameters["werner_p"] = fmt_float(config.werner_p)
-    write_manifest(out.parent / manifest, "simulate", parameters, [out.name])
+    run = {"rng": RNG_ID, "block_shots": str(BLOCK_SHOTS), "workers": str(args.workers)}
+    write_manifest(out.parent / manifest, "simulate", parameters, [out.name], run=run)
     _diag(f"simulated {config.shots} shots; wrote {out} and {manifest}")
     return EXIT_OK
 

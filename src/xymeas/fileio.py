@@ -29,9 +29,12 @@ is referenced from the result's ``manifest`` header key.
 
 from __future__ import annotations
 
+import platform
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__ as _tool_version
 from .povm import OUTCOMES4, VisibilityTriple
@@ -79,12 +82,14 @@ class Document:
     """Parsed or to-be-written artifact file.
 
     A parsed document also records the line number of each header key in
-    ``header_lines`` and of each section row in ``row_lines``.
+    ``header_lines``, of each section's ``[name]`` line in ``section_lines``
+    and of each section row in ``row_lines``.
     """
 
     header: dict[str, str] = field(default_factory=dict)
     sections: dict[str, list[tuple[str, ...]]] = field(default_factory=dict)
     header_lines: dict[str, int] = field(default_factory=dict)
+    section_lines: dict[str, int] = field(default_factory=dict)
     row_lines: dict[str, list[int]] = field(default_factory=dict)
 
     def require(self, key: str) -> str:
@@ -113,6 +118,10 @@ def write_document(path: str | Path, doc: Document) -> None:
 
 
 def read_document(path: str | Path) -> Document:
+    """Parse the header and sections of an artifact file.
+
+    A malformed or repeated header key is rejected with its ``file:line``.
+    """
     doc = Document()
     current: list[tuple[str, ...]] | None = None
     for lineno, raw in enumerate(Path(path).read_text(encoding="ascii").splitlines(), 1):
@@ -123,12 +132,19 @@ def read_document(path: str | Path) -> Document:
             name = line[1:-1]
             current = doc.sections.setdefault(name, [])
             current_lines = doc.row_lines.setdefault(name, [])
+            doc.section_lines.setdefault(name, lineno)
         elif current is None:
             key, sep, value = line.partition(":")
+            key = key.strip()
             if not sep:
                 raise ValueError(f"{path}:{lineno}: malformed header line {raw!r}")
-            doc.header[key.strip()] = value.strip()
-            doc.header_lines[key.strip()] = lineno
+            if key in doc.header:
+                raise ValueError(
+                    f"{path}:{lineno}: duplicate header key {key!r} "
+                    f"(first on line {doc.header_lines[key]})"
+                )
+            doc.header[key] = value.strip()
+            doc.header_lines[key] = lineno
         else:
             current.append(tuple(line.split()))
             current_lines.append(lineno)
@@ -152,13 +168,22 @@ def write_manifest(
     parameters: dict[str, str],
     artifacts: list[str],
     timestamp: int | None = None,
+    run: dict[str, str] | None = None,
 ) -> None:
+    """Write a manifest; ``run`` adds header lines on how the artifacts were made.
+
+    Every manifest records the numpy and Python versions, on which the
+    sampled counts of a seed depend.
+    """
     doc = Document(
         header={
             "schema": SCHEMA_MANIFEST,
             "command": command,
             "timestamp_utc": str(int(time.time()) if timestamp is None else timestamp),
             "tool_version": _tool_version,
+            "numpy_version": np.__version__,
+            "python_version": platform.python_version(),
+            **(run or {}),
         },
         sections={
             "artifacts": [(name,) for name in artifacts],
@@ -358,18 +383,35 @@ def write_povm_file(path: str | Path, povm, manifest_name: str) -> None:
 
 
 def read_povm_file(path: str | Path):
-    import numpy as np
+    """Parse a measurement dump: visibilities and the four 2x2 operators.
 
+    Each operator entry must have exactly one row; a malformed, duplicated or
+    missing row is rejected with its ``file:line`` (the ``[elements]`` line
+    for a missing one).
+    """
     doc = read_document(path)
     expect_schema(doc, SCHEMA_POVM, path)
     v = VisibilityTriple(
         float(doc.require("vx")), float(doc.require("vy")), float(doc.require("vz"))
     )
     elements = {o: np.zeros((2, 2), dtype=complex) for o in OUTCOMES4}
-    for row in doc.section("elements"):
-        if len(row) != 6:
-            raise ValueError(f"{path}: malformed element row {row!r}")
+    seen = set()
+    for row, lineno in zip(doc.section("elements"), doc.row_lines["elements"]):
+        if len(row) != 6 or row[2] not in ("0", "1") or row[3] not in ("0", "1"):
+            raise ValueError(f"{path}:{lineno}: malformed element row {row!r}")
         x, y = parse_sign(row[0]), parse_sign(row[1])
         i, j = int(row[2]), int(row[3])
+        if (x, y, i, j) in seen:
+            raise ValueError(f"{path}:{lineno}: duplicate element row {row[:4]}")
+        seen.add((x, y, i, j))
         elements[(x, y)][i, j] = complex(float(row[4]), float(row[5]))
+    missing = [
+        (x, y, i, j) for x, y in OUTCOMES4 for i in (0, 1) for j in (0, 1) if (x, y, i, j) not in seen
+    ]
+    if missing:
+        x, y, i, j = missing[0]
+        raise ValueError(
+            f"{path}:{doc.section_lines['elements']}: no element row for "
+            f"{fmt_sign(x)} {fmt_sign(y)} {i} {j}"
+        )
     return v, elements

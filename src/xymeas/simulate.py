@@ -13,7 +13,8 @@ Within a block the draw order is fixed: when flip randomization is active,
 first one uniform per shot for the flip coin, then one uniform per shot for
 the outcome; otherwise only the outcome uniforms. Outcomes are drawn by
 inverse CDF over the fixed category order ``OUTCOMES4`` / ``OUTCOMES16``
-(+1 before -1).
+(+1 before -1). Each block is counted by edge crossings, the number of draws
+below each cumulative edge, which gives the inverse-CDF histogram exactly.
 """
 
 from __future__ import annotations
@@ -121,9 +122,16 @@ def _cumulative(probs) -> np.ndarray:
     return cum
 
 
-def _inverse_cdf(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Category index of each uniform draw ``u`` under the edges ``cum``."""
-    return np.minimum(np.searchsorted(cum, u, side="right"), cum.size - 1)
+def _histogram(cum: np.ndarray, u: np.ndarray, where: np.ndarray | None = None) -> np.ndarray:
+    """Counts of the draws ``u`` (those in ``where``) per inverse-CDF category.
+
+    A draw falls in category k or below exactly when ``u < cum[k]``, so the
+    differenced counts below the first K-1 edges are the histogram of
+    ``searchsorted(cum, u, side="right")`` clipped to K-1, with no index per draw.
+    """
+    below = [np.count_nonzero(u < c if where is None else (u < c) & where) for c in cum[:-1]]
+    total = u.size if where is None else np.count_nonzero(where)
+    return np.diff(below + [total], prepend=0)
 
 
 def sample_categorical(probs, rng: np.random.Generator, size: int | None = None):
@@ -133,7 +141,9 @@ def sample_categorical(probs, rng: np.random.Generator, size: int | None = None)
     by less than 1e-9; larger deviations and negative entries are rejected.
     Returns a scalar index when ``size`` is None, else an array of ``size``.
     """
-    idx = _inverse_cdf(_cumulative(probs), rng.random(size if size is not None else 1))
+    cum = _cumulative(probs)
+    u = rng.random(size if size is not None else 1)
+    idx = np.minimum(np.searchsorted(cum, u, side="right"), cum.size - 1)
     return int(idx[0]) if size is None else idx
 
 
@@ -146,33 +156,20 @@ def werner_state(p: float) -> np.ndarray:
 
 def _accumulate_blocks(
     shots: int,
-    num_categories: int,
     block_sampler: Callable[[np.random.Generator, int], np.ndarray],
     seed: int,
     workers: int,
 ) -> np.ndarray:
     """Sum per-block histograms; identical for any worker count by construction."""
+    sizes = [min(BLOCK_SHOTS, shots - start) for start in range(0, shots, BLOCK_SHOTS)]
 
-    def one_block(args: tuple[int, int]) -> np.ndarray:
-        index, n = args
-        idx = block_sampler(block_rng(seed, index), n)
-        return np.bincount(idx, minlength=num_categories)
-
-    blocks = []
-    start = 0
-    index = 0
-    while start < shots:
-        n = min(BLOCK_SHOTS, shots - start)
-        blocks.append((index, n))
-        start += n
-        index += 1
+    def one_block(index: int) -> np.ndarray:
+        return block_sampler(block_rng(seed, index), sizes[index])
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as executor:
-            parts = list(executor.map(one_block, blocks))
-    else:
-        parts = [one_block(b) for b in blocks]
-    return np.sum(parts, axis=0)
+            return np.sum(list(executor.map(one_block, range(len(sizes)))), axis=0)
+    return np.sum([one_block(index) for index in range(len(sizes))], axis=0)
 
 
 def run_eigenstate_experiment(
@@ -197,14 +194,16 @@ def run_eigenstate_experiment(
 
     def block_sampler(rng: np.random.Generator, n: int) -> np.ndarray:
         if not config.randomize_flips:
-            return _inverse_cdf(cum_nominal, rng.random(n))
-        flips = rng.random(n) < 0.5
-        u = rng.random(n)
-        idx = np.where(flips, _inverse_cdf(cum_flipped, u), _inverse_cdf(cum_nominal, u))
+            return _histogram(cum_nominal, rng.random(n))
+        # one draw of 2n is the stream of the flip coins, then the outcomes
+        w = rng.random(2 * n)
+        flips = w[:n] < 0.5
+        u = w[n:]
         # an OUTCOMES4 index has one bit per sign, so (-x, -y) is index ^ 3
-        return np.where(flips, idx ^ 3, idx)
+        flipped = _histogram(cum_flipped, u, flips)[np.arange(4) ^ 3]
+        return _histogram(cum_nominal, u, ~flips) + flipped
 
-    hist = _accumulate_blocks(config.shots, 4, block_sampler, config.seed, workers)
+    hist = _accumulate_blocks(config.shots, block_sampler, config.seed, workers)
     return OutcomeCounts4(counts=hist, total=config.shots, input_axis=axis, input_value=value)
 
 
@@ -214,7 +213,7 @@ def run_pair_experiment(config: ExperimentConfig, workers: int = 1) -> PairCount
     cum = _cumulative(pair_outcome_probs(povm, povm, werner_state(config.werner_p)).array)
 
     def block_sampler(rng: np.random.Generator, n: int) -> np.ndarray:
-        return _inverse_cdf(cum, rng.random(n))
+        return _histogram(cum, rng.random(n))
 
-    hist = _accumulate_blocks(config.shots, 16, block_sampler, config.seed, workers)
+    hist = _accumulate_blocks(config.shots, block_sampler, config.seed, workers)
     return PairCounts16(counts=hist, total=config.shots)

@@ -1,5 +1,8 @@
 """Command-line interface: artifacts, exit codes, determinism, report consistency."""
 
+import platform
+import re
+
 import numpy as np
 import pytest
 
@@ -23,7 +26,13 @@ from xymeas.analysis import (
 from xymeas.checks import CheckResult
 from xymeas.povm import OUTCOMES4, VisibilityTriple, build_povm, outcome_probs
 from xymeas.qubit import density, eigenstate
-from xymeas.simulate import ExperimentConfig, run_eigenstate_experiment, run_pair_experiment
+from xymeas.simulate import (
+    BLOCK_SHOTS,
+    RNG_ID,
+    ExperimentConfig,
+    run_eigenstate_experiment,
+    run_pair_experiment,
+)
 
 SQ3 = 1.0 / np.sqrt(3.0)
 SQ3_STR = fmt_float(SQ3)
@@ -62,6 +71,26 @@ class TestBuildPovm:
         manifest = read_document(tmp_path / "povm.txt.manifest")
         assert manifest.header["command"] == "build-povm"
         assert ("povm.txt",) in manifest.section("artifacts")
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda lines, k: lines[:k] + lines[k + 1:], "no element row for +1 +1 0 0"),
+            (lambda lines, k: lines + [lines[k]], "duplicate element row"),
+        ],
+        ids=["missing", "duplicated"],
+    )
+    def test_element_row_cover_checked(self, tmp_path, mutate, message):
+        out = tmp_path / "povm.txt"
+        assert run_cli("build-povm", "--vx", 0.5, "--vy", 0.6, "--vz", 0.4, "--out", out) == 0
+        lines = out.read_text().splitlines()
+        first = lines.index("[elements]") + 1
+        mutated = mutate(lines, first)
+        out.write_text("\n".join(mutated) + "\n")
+        # a missing row is reported at [elements], a duplicate at its own line
+        lineno = first if "no element" in message else len(mutated)
+        with pytest.raises(ValueError, match=re.escape(f"{out}:{lineno}: {message}")):
+            read_povm_file(out)
 
     def test_projective_x(self, tmp_path):
         out = tmp_path / "povm.txt"
@@ -117,6 +146,24 @@ class TestSimulate:
         assert run_cli(*args, out1, "--workers", 1) == 0
         assert run_cli(*args, out2, "--workers", 4) == 0
         assert out1.read_bytes().replace(b"w1.txt", b"") == out2.read_bytes().replace(b"w4.txt", b"")
+
+    def test_manifest_records_sampler_and_versions(self, tmp_path):
+        out = tmp_path / "c.txt"
+        assert run_cli(
+            "simulate", "--mode", "pair", "--vx", 0.5, "--vy", 0.5, "--vz", 0.5,
+            "--shots", 1000, "--seed", 3, "--workers", 2, "--out", out,
+        ) == 0
+        header = read_document(tmp_path / "c.txt.manifest").header
+        assert header["rng"] == RNG_ID
+        assert header["block_shots"] == str(BLOCK_SHOTS) == "65536"
+        assert header["workers"] == "2"
+        assert header["numpy_version"] == np.__version__
+        assert header["python_version"] == platform.python_version()
+        assert run_cli("estimate", out, "--allow-partial", "--out", tmp_path / "r.txt") == 0
+        header = read_document(tmp_path / "r.txt.manifest").header
+        assert header["numpy_version"] == np.__version__
+        assert header["python_version"] == platform.python_version()
+        assert "rng" not in header
 
     def test_invalid_mode_combinations_exit_1(self, tmp_path):
         out = tmp_path / "c.txt"
@@ -413,6 +460,17 @@ class TestFileFormat:
             read_counts_file(paths["pair"])
         assert run_cli("estimate", *paths.values(), "--out", tmp_path / "r.txt") == 1
         assert f"{paths['pair']}:{lineno}:" in capsys.readouterr().err
+
+    def test_duplicate_header_key_rejected(self, tmp_path, capsys):
+        paths = simulate_all(tmp_path, ("0.6", "0.8", "0"), 1000, base_seed=950)
+        lines = paths["ex"].read_text().splitlines()
+        lineno = lines.index("axis: X") + 2
+        lines.insert(lineno - 1, "axis: Y")
+        paths["ex"].write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"{paths['ex']}:{lineno}: duplicate header key 'axis'"):
+            read_counts_file(paths["ex"])
+        assert run_cli("estimate", *paths.values(), "--out", tmp_path / "r.txt") == 1
+        assert f"{paths['ex']}:{lineno}:" in capsys.readouterr().err
 
     def test_duplicate_probs_row_rejected(self, tmp_path):
         path = tmp_path / "p.txt"

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from xymeas.povm import (
     OUTCOMES4,
@@ -18,6 +20,8 @@ from xymeas.simulate import (
     ExperimentConfig,
     OutcomeCounts4,
     PairCounts16,
+    _cumulative,
+    _histogram,
     block_rng,
     run_eigenstate_experiment,
     run_pair_experiment,
@@ -75,6 +79,84 @@ class TestSampleCategorical:
     def test_zero_probability_category_never_drawn(self):
         draws = sample_categorical([0.5, 0.0, 0.5], block_rng(5, 0), size=100_000)
         assert not np.any(draws == 1)
+
+
+@st.composite
+def histogram_cases(draw):
+    """Edges of a probability vector with zero categories, uniforms, a mask."""
+    weights = draw(
+        st.lists(st.sampled_from([0.0, 0.0, 1e-9, 0.1, 0.25, 0.5, 1.0]), min_size=1, max_size=16)
+        .filter(lambda w: sum(w) > 0)
+    )
+    cum = _cumulative(np.array(weights) / sum(weights))
+    below_one = [float(c) for c in cum if c < 1.0]
+    special = [0.0, float(np.nextafter(1.0, 0.0)), *below_one]
+    special += [float(np.nextafter(c, 0.0)) for c in below_one if c > 0.0]
+    u = draw(
+        st.lists(
+            st.one_of(st.sampled_from(special), st.floats(0.0, 1.0, exclude_max=True)),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    mask = draw(st.sampled_from(["none", "all-false", "random"]))
+    if mask == "none":
+        where = None
+    elif mask == "all-false":
+        where = np.zeros(len(u), dtype=bool)
+    else:
+        where = np.array(draw(st.lists(st.booleans(), min_size=len(u), max_size=len(u))))
+    return cum, np.array(u), where
+
+
+class TestHistogram:
+    @settings(max_examples=200, deadline=None)
+    @given(case=histogram_cases())
+    @example(case=(np.array([0.5, 0.5, 1.0]), np.array([0.5]), None))
+    @example(case=(np.array([0.25, 1.0]), np.array([0.25]), np.zeros(1, dtype=bool)))
+    def test_equals_bincount_of_inverse_cdf(self, case):
+        cum, u, where = case
+        k = cum.size
+        selected = u if where is None else u[where]
+        expected = np.bincount(
+            np.minimum(np.searchsorted(cum, selected, side="right"), k - 1), minlength=k
+        )
+        assert np.array_equal(_histogram(cum, u, where), expected)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2 ** 64 - 1),
+        index=st.integers(0, 10_000),
+        n=st.integers(1, 5000),
+    )
+    @example(seed=1, index=0, n=BLOCK_SHOTS)
+    @example(seed=2 ** 64 - 1, index=3, n=1)
+    def test_one_double_draw_is_two_consecutive_draws(self, seed, index, n):
+        rng = block_rng(seed, index)
+        first, second = rng.random(n), rng.random(n)
+        assert np.array_equal(
+            block_rng(seed, index).random(2 * n), np.concatenate([first, second])
+        )
+
+
+def per_shot_eigenstate_counts(config, axis, value):
+    """Reference sampler: one inverse-CDF index per shot, then a bincount."""
+    povm = build_povm(config.visibilities)
+    cums = {
+        v: _cumulative(outcome_probs(povm, density(eigenstate(axis, v))).array)
+        for v in (value, -value)
+    }
+    hist = np.zeros(4, dtype=np.int64)
+    for index, start in enumerate(range(0, config.shots, BLOCK_SHOTS)):
+        n = min(BLOCK_SHOTS, config.shots - start)
+        rng = block_rng(config.seed, index)
+        flips = rng.random(n) < 0.5 if config.randomize_flips else np.zeros(n, dtype=bool)
+        u = rng.random(n)
+        nominal = np.searchsorted(cums[value], u, side="right")
+        flipped = np.searchsorted(cums[-value], u, side="right") ^ 3
+        idx = np.minimum(np.where(flips, flipped, nominal), 3)
+        hist += np.bincount(idx, minlength=4)
+    return hist
 
 
 class TestConfig:
@@ -204,6 +286,19 @@ class TestEigenstateExperiment:
             observed = [counts.counts[o] for o in OUTCOMES4]
             assert chi_square(observed, expected, shots) < CHI2_CRIT_3DOF
 
+    @pytest.mark.parametrize("flips", [False, True])
+    def test_counts_equal_per_shot_reference(self, flips):
+        config = ExperimentConfig(
+            visibilities=VisibilityTriple(0.6, 0.3, 0.5),
+            shots=2 * BLOCK_SHOTS + 17,
+            seed=41,
+            randomize_flips=flips,
+        )
+        counts = run_eigenstate_experiment(config, "Y", -1)
+        assert np.array_equal(
+            counts.counts.array, per_shot_eigenstate_counts(config, "Y", -1)
+        )
+
     def test_flipped_counts_recorded_in_nominal_frame(self):
         # projective X device: flipped shots must still be recorded as +1
         config = ExperimentConfig(
@@ -264,6 +359,17 @@ class TestPairExperiment:
         observed = [counts.counts[o] for o in OUTCOMES16]
         expected = [probs[o] for o in OUTCOMES16]
         assert chi_square(observed, expected, config.shots) < CHI2_CRIT_15DOF
+
+    def test_counts_equal_per_shot_reference(self):
+        v = VisibilityTriple(0.4, 0.5, 0.3)
+        config = ExperimentConfig(visibilities=v, shots=BLOCK_SHOTS + 9, seed=42, werner_p=0.7)
+        povm = build_povm(v)
+        cum = _cumulative(pair_outcome_probs(povm, povm, werner_state(0.7)).array)
+        expected = np.zeros(16, dtype=np.int64)
+        for index, n in enumerate((BLOCK_SHOTS, 9)):
+            idx = np.searchsorted(cum, block_rng(42, index).random(n), side="right")
+            expected += np.bincount(np.minimum(idx, 15), minlength=16)
+        assert np.array_equal(run_pair_experiment(config).counts.array, expected)
 
     def test_deterministic_and_chunking_invariant(self):
         config = ExperimentConfig(
