@@ -11,6 +11,7 @@ manifest written next to it.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -37,9 +38,10 @@ from .fileio import (
     fmt_sign,
     named_state_density,
     parse_sign,
+    read_counts_document,
     read_counts_file,
     read_document,
-    read_probs_file,
+    read_probs_document,
     write_document,
     write_eigenstate_counts,
     write_manifest,
@@ -79,7 +81,13 @@ def _diag(message: str) -> None:
     print(message, file=sys.stderr)
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built on the first call and shared after it.
+
+    Nothing builds it at import. Every later `main` in the process reuses
+    it: ``parse_args`` returns a new namespace and leaves the parser as it was.
+    """
     parser = _Parser(prog="xymeas", description=__doc__)
     parser.add_argument("--version", action="version", version=f"xymeas {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -345,7 +353,7 @@ def cmd_reconstruct(args) -> int:
     reference = None
     reference_label = None
     if schema == SCHEMA_COUNTS:
-        artifact = read_counts_file(args.input)
+        artifact = read_counts_document(doc, args.input)
         if artifact.mode != "eigenstate":
             raise UsageError("reconstruct needs a single-qubit table; pair counts cannot be used")
         counts = artifact.eigenstate_counts
@@ -353,7 +361,7 @@ def cmd_reconstruct(args) -> int:
         reference_label = f"{counts.input_axis}{'+' if counts.input_value == +1 else '-'}"
         reference = named_state_density(reference_label)
     elif schema == SCHEMA_PROBS:
-        probs, state = read_probs_file(args.input)
+        probs, state = read_probs_document(doc, args.input)
         if state is not None:
             reference_label = state
             reference = named_state_density(state)

@@ -252,38 +252,50 @@ class CountsArtifact:
     path: str
 
 
+def _parsed(parse, token: str, path, lineno: int, what: str):
+    """``parse(token)``; a token it rejects is reported at ``path:lineno``."""
+    try:
+        return parse(token)
+    except ValueError as exc:
+        raise ValueError(f"{path}:{lineno}: {what}: {exc}") from None
+
+
+def _header_value(doc: Document, key: str, path, parse=float):
+    """Header ``key`` of a parsed document, through ``parse``, located on a bad value."""
+    return _parsed(parse, doc.require(key), path, doc.header_lines[key], f"header {key}")
+
+
 def _outcome_rows(doc: Document, section: str, path, width: int, parse) -> dict:
     """Rows of ``section`` as {outcome signs: parsed last token}, each checked."""
     table = {}
+    what = f"[{section}] row"
     for row, lineno in zip(doc.section(section), doc.row_lines[section]):
         if len(row) != width:
-            raise ValueError(f"{path}:{lineno}: malformed [{section}] row {row!r}")
-        outcome = tuple(parse_sign(t) for t in row[:-1])
+            raise ValueError(f"{path}:{lineno}: malformed {what} {row!r}")
+        outcome = tuple(_parsed(parse_sign, t, path, lineno, what) for t in row[:-1])
         if outcome in table:
-            raise ValueError(f"{path}:{lineno}: duplicate [{section}] row for outcome {row[:-1]}")
-        table[outcome] = parse(row[-1])
+            raise ValueError(f"{path}:{lineno}: duplicate {what} for outcome {row[:-1]}")
+        table[outcome] = _parsed(parse, row[-1], path, lineno, what)
     return table
 
 
-def read_counts_file(path: str | Path) -> CountsArtifact:
-    """Parse a counts file.
+def read_counts_document(doc: Document, path: str | Path) -> CountsArtifact:
+    """The counts artifact held in ``doc``, as parsed from ``path`` by `read_document`.
 
-    A malformed or duplicated outcome row, or a ``shots`` header that
-    disagrees with the counts sum, is rejected with its ``file:line``.
+    A malformed or duplicated outcome row, a header number that does not
+    parse, or a ``shots`` header that disagrees with the counts sum is
+    rejected with its ``file:line``.
     """
-    doc = read_document(path)
     expect_schema(doc, SCHEMA_COUNTS, path)
     mode = doc.require("mode")
     if mode not in ("eigenstate", "pair"):
         raise ValueError(f"{path}: unknown counts mode {mode!r}")
     visibilities = None
     if all(k in doc.header for k in ("vx", "vy", "vz")):
-        visibilities = VisibilityTriple(
-            float(doc.header["vx"]), float(doc.header["vy"]), float(doc.header["vz"])
-        )
+        visibilities = VisibilityTriple(*(_header_value(doc, k, path) for k in ("vx", "vy", "vz")))
     counts = _outcome_rows(doc, "counts", path, 3 if mode == "eigenstate" else 5, int)
     total = sum(counts.values())
-    if "shots" in doc.header and int(doc.header["shots"]) != total:
+    if "shots" in doc.header and _header_value(doc, "shots", path, int) != total:
         raise ValueError(
             f"{path}:{doc.header_lines['shots']}: shots {doc.header['shots']} disagrees "
             f"with the counts sum {total}"
@@ -293,14 +305,14 @@ def read_counts_file(path: str | Path) -> CountsArtifact:
             counts=counts,
             total=total,
             input_axis=doc.require("axis"),
-            input_value=parse_sign(doc.require("value")),
+            input_value=_header_value(doc, "value", path, parse_sign),
         )
         pair_counts = None
         werner_p = None
     else:
         eigenstate_counts = None
         pair_counts = PairCounts16(counts=counts, total=total)
-        werner_p = float(doc.header["werner_p"]) if "werner_p" in doc.header else None
+        werner_p = _header_value(doc, "werner_p", path) if "werner_p" in doc.header else None
     return CountsArtifact(
         mode=mode,
         eigenstate_counts=eigenstate_counts,
@@ -309,6 +321,11 @@ def read_counts_file(path: str | Path) -> CountsArtifact:
         werner_p=werner_p,
         path=str(path),
     )
+
+
+def read_counts_file(path: str | Path) -> CountsArtifact:
+    """Parse a counts file; see `read_counts_document`."""
+    return read_counts_document(read_document(path), path)
 
 
 # -- exact probability tables --------------------------------------------------
@@ -331,13 +348,20 @@ def write_probs_file(
     write_document(path, Document(header=header, sections={"probs": rows}))
 
 
-def read_probs_file(path: str | Path) -> tuple[dict[tuple[int, int], float], str | None]:
-    doc = read_document(path)
+def read_probs_document(
+    doc: Document, path: str | Path
+) -> tuple[dict[tuple[int, int], float], str | None]:
+    """The table and state label held in ``doc``, as parsed from ``path`` by `read_document`."""
     expect_schema(doc, SCHEMA_PROBS, path)
     probs = _outcome_rows(doc, "probs", path, 3, float)
     if set(probs) != set(OUTCOMES4):
         raise ValueError(f"{path}: probability table must cover the four outcomes")
     return probs, doc.header.get("state")
+
+
+def read_probs_file(path: str | Path) -> tuple[dict[tuple[int, int], float], str | None]:
+    """Parse a probability file; see `read_probs_document`."""
+    return read_probs_document(read_document(path), path)
 
 
 def named_state_density(label: str):
@@ -386,25 +410,24 @@ def read_povm_file(path: str | Path):
     """Parse a measurement dump: visibilities and the four 2x2 operators.
 
     Each operator entry must have exactly one row; a malformed, duplicated or
-    missing row is rejected with its ``file:line`` (the ``[elements]`` line
-    for a missing one).
+    missing row, or a header number that does not parse, is rejected with its
+    ``file:line`` (the ``[elements]`` line for a missing row).
     """
     doc = read_document(path)
     expect_schema(doc, SCHEMA_POVM, path)
-    v = VisibilityTriple(
-        float(doc.require("vx")), float(doc.require("vy")), float(doc.require("vz"))
-    )
+    v = VisibilityTriple(*(_header_value(doc, k, path) for k in ("vx", "vy", "vz")))
     elements = {o: np.zeros((2, 2), dtype=complex) for o in OUTCOMES4}
     seen = set()
     for row, lineno in zip(doc.section("elements"), doc.row_lines["elements"]):
         if len(row) != 6 or row[2] not in ("0", "1") or row[3] not in ("0", "1"):
             raise ValueError(f"{path}:{lineno}: malformed element row {row!r}")
-        x, y = parse_sign(row[0]), parse_sign(row[1])
+        x, y = (_parsed(parse_sign, t, path, lineno, "element row") for t in row[:2])
         i, j = int(row[2]), int(row[3])
         if (x, y, i, j) in seen:
             raise ValueError(f"{path}:{lineno}: duplicate element row {row[:4]}")
         seen.add((x, y, i, j))
-        elements[(x, y)][i, j] = complex(float(row[4]), float(row[5]))
+        real, imag = (_parsed(float, t, path, lineno, "element row") for t in row[4:])
+        elements[(x, y)][i, j] = complex(real, imag)
     missing = [
         (x, y, i, j) for x, y in OUTCOMES4 for i in (0, 1) for j in (0, 1) if (x, y, i, j) not in seen
     ]

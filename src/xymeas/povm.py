@@ -27,8 +27,6 @@ from .qubit import (
     ensure_sign,
     identity,
     pauli,
-    tensor,
-    trace_product,
 )
 
 # Fixed outcome orderings, +1 before -1; also the category order used by the
@@ -226,10 +224,18 @@ def _real_probs(values, keys, what: str) -> Table:
     return Table(keys, values.real, low=-slack, high=1.0 + slack, total=1.0, tol=slack, what=what)
 
 
+def _stacked_elements(povm: JointPovm) -> np.ndarray:
+    """The four elements in ``OUTCOMES4`` order as one (4, 2, 2) complex array."""
+    stack = np.array([povm.elements[o] for o in OUTCOMES4], dtype=complex)
+    if stack.shape != (4, 2, 2):
+        raise ValueError(f"measurement elements must be 2x2, got shape {stack.shape[1:]}")
+    return stack
+
+
 def outcome_probs(povm: JointPovm, rho) -> Table:
     """Outcome probabilities ``Tr(element(x,y) @ rho)`` for a qubit state."""
     rho = ensure_density_matrix(rho, dim=2)
-    values = [trace_product(povm.elements[o], rho) for o in OUTCOMES4]
+    values = np.trace(_stacked_elements(povm) @ rho, axis1=1, axis2=2)
     return _real_probs(values, OUTCOMES4, "outcome probabilities")
 
 
@@ -237,14 +243,17 @@ def pair_outcome_probs(povm1: JointPovm, povm2: JointPovm, rho4) -> Table:
     """Joint outcome probabilities for independent measurements on a pair.
 
     Entry ``(x1, y1, x2, y2)`` is ``Tr((element1(x1,y1) (x) element2(x2,y2)) @ rho4)``.
-    The two measurements may differ; the pattern-based estimators in
-    `analysis` assume they are identical.
+    The 16 Kronecker products are one broadcast product, entry for entry
+    what ``np.kron`` computes, so the table equals the per-element
+    ``trace_product(tensor(...), rho4)`` bit for bit. The two measurements
+    may differ; the pattern-based estimators in `analysis` assume they are
+    identical.
     """
     rho4 = ensure_density_matrix(rho4, dim=4)
-    values = [
-        trace_product(tensor(povm1.elements[(x1, y1)], povm2.elements[(x2, y2)]), rho4)
-        for x1, y1, x2, y2 in OUTCOMES16
-    ]
+    e1, e2 = _stacked_elements(povm1), _stacked_elements(povm2)
+    # axes (o1, o2, i1, i2, j1, j2): kron row i1*2+i2, column j1*2+j2, outcome o1*4+o2
+    kron = (e1[:, None, :, None, :, None] * e2[None, :, None, :, None, :]).reshape(16, 4, 4)
+    values = np.trace(kron @ rho4, axis1=1, axis2=2)
     return _real_probs(values, OUTCOMES16, "pair probabilities")
 
 

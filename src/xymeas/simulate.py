@@ -160,14 +160,18 @@ def _accumulate_blocks(
     seed: int,
     workers: int,
 ) -> np.ndarray:
-    """Sum per-block histograms; identical for any worker count by construction."""
+    """Sum per-block histograms; identical for any worker count by construction.
+
+    At most one thread per block runs, and a single one runs serially.
+    """
     sizes = [min(BLOCK_SHOTS, shots - start) for start in range(0, shots, BLOCK_SHOTS)]
 
     def one_block(index: int) -> np.ndarray:
         return block_sampler(block_rng(seed, index), sizes[index])
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as executor:
+    threads = min(workers, len(sizes))
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as executor:
             return np.sum(list(executor.map(one_block, range(len(sizes)))), axis=0)
     return np.sum([one_block(index) for index in range(len(sizes))], axis=0)
 

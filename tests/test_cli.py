@@ -1,12 +1,16 @@
 """Command-line interface: artifacts, exit codes, determinism, report consistency."""
 
+import os
 import platform
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from xymeas import cli
+from xymeas import cli, fileio
 from xymeas.fileio import (
     fmt_float,
     read_counts_file,
@@ -90,6 +94,24 @@ class TestBuildPovm:
         # a missing row is reported at [elements], a duplicate at its own line
         lineno = first if "no element" in message else len(mutated)
         with pytest.raises(ValueError, match=re.escape(f"{out}:{lineno}: {message}")):
+            read_povm_file(out)
+
+    @pytest.mark.parametrize(
+        "column, token, message",
+        [(0, "+2", "expected +1 or -1, got '+2'"), (5, "i", "could not convert")],
+        ids=["sign", "entry"],
+    )
+    def test_bad_element_token_located(self, tmp_path, column, token, message):
+        out = tmp_path / "povm.txt"
+        assert run_cli("build-povm", "--vx", 0.5, "--vy", 0.6, "--vz", 0.4, "--out", out) == 0
+        lines = out.read_text().splitlines()
+        k = lines.index("[elements]") + 1
+        row = lines[k].split()
+        row[column] = token
+        lines[k] = " ".join(row)
+        out.write_text("\n".join(lines) + "\n")
+        # no command reads povm files; the CLI maps this ValueError to exit 1
+        with pytest.raises(ValueError, match=re.escape(f"{out}:{k + 1}: element row: {message}")):
             read_povm_file(out)
 
     def test_projective_x(self, tmp_path):
@@ -344,6 +366,30 @@ class TestReconstruct:
         assert report.section_value("kd_reference_deviation", "state") == "X+"
         assert float(report.section_value("kd_reference_deviation", "max_abs")) < 0.01
 
+    @pytest.mark.parametrize("kind", ["counts", "probs"])
+    def test_input_read_once(self, tmp_path, monkeypatch, kind):
+        path = tmp_path / "in.txt"
+        if kind == "counts":
+            assert run_cli(
+                "simulate", "--mode", "eigenstate", "--axis", "Y", "--value", "-1",
+                "--vx", 0.6, "--vy", 0.7, "--vz", 0.3, "--shots", 1000, "--seed", 30, "--out", path,
+            ) == 0
+        else:
+            write_probs_file(path, {o: 0.25 for o in OUTCOMES4}, state="mixed")
+        reads = []
+
+        def counting(p):
+            reads.append(Path(p))
+            return read_document(p)
+
+        monkeypatch.setattr(cli, "read_document", counting)
+        monkeypatch.setattr(fileio, "read_document", counting)
+        assert run_cli(
+            "reconstruct", "--input", path, "--vx", 0.6, "--vy", 0.7, "--vz", 0.3,
+            "--out", tmp_path / "kd.txt",
+        ) == 0
+        assert reads == [path]
+
     def test_from_report_uses_estimated_visibilities(self, tmp_path):
         paths = simulate_all(tmp_path, (SQ3_STR, SQ3_STR, SQ3_STR), 400_000, base_seed=700)
         report_path = tmp_path / "report.txt"
@@ -472,6 +518,25 @@ class TestFileFormat:
         assert run_cli("estimate", *paths.values(), "--out", tmp_path / "r.txt") == 1
         assert f"{paths['ex']}:{lineno}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "prefix, replacement, message",
+        [
+            ("-1 -1 ", "-1 +2 250", "[counts] row: expected +1 or -1, got '+2'"),
+            ("+1 -1 ", "+1 -1 12.5", "[counts] row: invalid literal for int()"),
+            ("vx: ", "vx: 0.6x", "header vx: could not convert string to float: '0.6x'"),
+            ("shots: ", "shots: 1e3", "header shots: invalid literal for int()"),
+        ],
+        ids=["sign", "count", "header-float", "header-shots"],
+    )
+    def test_bad_token_located(self, tmp_path, capsys, prefix, replacement, message):
+        paths = simulate_all(tmp_path, ("0.6", "0.8", "0"), 1000, base_seed=970)
+        lines = paths["ex"].read_text().splitlines()
+        k = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+        lines[k] = replacement
+        paths["ex"].write_text("\n".join(lines) + "\n")
+        assert run_cli("estimate", *paths.values(), "--out", tmp_path / "r.txt") == 1
+        assert f"error: {paths['ex']}:{k + 1}: {message}" in capsys.readouterr().err
+
     def test_duplicate_probs_row_rejected(self, tmp_path):
         path = tmp_path / "p.txt"
         write_probs_file(path, {o: 0.25 for o in OUTCOMES4})
@@ -491,3 +556,38 @@ class TestFileFormat:
             cli.main(["--version"])
         assert exc.value.code == 0
         assert "xymeas" in capsys.readouterr().out
+
+
+class TestParserReuse:
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_import_builds_no_parser(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        code = "import xymeas.cli; print(xymeas.cli.build_parser.cache_info().currsize)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0"
+
+    def test_no_flag_state_between_calls(self, tmp_path):
+        args = [
+            "simulate", "--mode", "eigenstate", "--axis", "X", "--value", "+1",
+            "--vx", 0.6, "--vy", 0.3, "--vz", 0.5, "--shots", 5000, "--seed", 8, "--out",
+        ]
+        plain, flipped, again = tmp_path / "a.txt", tmp_path / "b.txt", tmp_path / "c.txt"
+        assert run_cli(*args, plain) == 0
+        assert run_cli(*args, flipped, "--randomize-flips") == 0
+        assert run_cli(*args, again) == 0
+        assert read_document(flipped).header["randomize_flips"] == "true"
+        assert again.read_bytes().replace(b"c.txt", b"") == plain.read_bytes().replace(b"a.txt", b"")
+
+    def test_valid_call_after_usage_error(self, tmp_path):
+        assert run_cli("simulate", "--mode", "pair", "--vx", "abc") == 1
+        assert run_cli("verify", "--grid", 1) == 1
+        out = tmp_path / "povm.txt"
+        assert run_cli("build-povm", "--vx", 0.5, "--vy", 0.5, "--vz", 0, "--out", out) == 0
+        assert out.exists()

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from xymeas import checks
 from xymeas.analysis import error_model_from_visibilities
+from xymeas.checks import CheckResult, check_operator_identities
 from xymeas.kirkwood import (
     KDDistribution,
     SingularInversionError,
@@ -302,19 +304,28 @@ class TestKDValidation:
 
 class TestOperatorIdentities:
     def test_all_checks_pass(self):
-        report = verify_operator_identities(samples=200)
-        assert report.ok
-        names = [c.name for c in report.checks]
-        assert "x_times_y_equals_i_z" in names
-        assert "ideal_operator_is_family_at_vz_i" in names
-        assert "ideal_operators_sum_to_identity" in names
-        assert "ideal_traces_equal_kd_entries" in names
+        deviations = verify_operator_identities(samples=200)
+        assert list(deviations) == [
+            "x_times_y_equals_i_z",
+            "ideal_operator_is_family_at_vz_i",
+            "ideal_operators_sum_to_identity",
+            "ideal_traces_equal_kd_entries",
+        ]
+        assert check_operator_identities(samples=200) == CheckResult(
+            "operator_identities", True, f"max deviation {max(deviations.values()):.3e}"
+        )
 
-    def test_summary_lines(self):
-        report = verify_operator_identities(samples=10)
-        summary = report.summary()
-        assert summary.count("PASS") == len(report.checks)
-        assert "FAIL" not in summary
+    def test_summary_lines(self, monkeypatch):
+        result = check_operator_identities(samples=10)
+        assert result.passed and result.detail.startswith("max deviation ")
+
+        def broken(samples, seed):
+            return {"x_times_y_equals_i_z": 0.0, "ideal_traces_equal_kd_entries": float("nan")}
+
+        monkeypatch.setattr(checks, "verify_operator_identities", broken)
+        result = check_operator_identities(samples=10)
+        assert not result.passed
+        assert result.detail == "failed: ideal_traces_equal_kd_entries"
 
     def test_deterministic_given_seed(self):
         a = verify_operator_identities(samples=50, seed=5)

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xymeas.kirkwood import random_qubit_density
 from xymeas.povm import (
     OUTCOMES4,
     OUTCOMES16,
     PATTERNS,
+    JointPovm,
     PatternStats,
     PositivityError,
     VisibilityTriple,
@@ -27,6 +29,7 @@ from xymeas.qubit import (
     min_eigenvalue_hermitian,
     pauli,
     singlet,
+    tensor,
     trace_product,
 )
 from xymeas.simulate import werner_state
@@ -198,6 +201,52 @@ class TestPairOutcomeProbs:
         povm = build_povm(VisibilityTriple(0.5, 0.5, 0.0))
         with pytest.raises(ValueError):
             pair_outcome_probs(povm, povm, identity(4))
+
+
+    def test_non_2x2_elements_rejected(self):
+        v = VisibilityTriple(0.5, 0.5, 0.0)
+        povm = build_povm(v)
+        wide = JointPovm(visibilities=v, elements={o: identity(4) / 4.0 for o in OUTCOMES4})
+        with pytest.raises(ValueError, match="2x2"):
+            pair_outcome_probs(povm, wide, density(singlet()))
+        with pytest.raises(ValueError, match="2x2"):
+            outcome_probs(wide, identity(2) / 2.0)
+
+
+def random_pair_density(seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    rho = a @ a.conj().T
+    rho = (rho + rho.conj().T) / 2.0
+    return rho / np.trace(rho).real
+
+
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+qubit_states = st.one_of(
+    st.sampled_from([(a, s) for a in "XYZ" for s in (+1, -1)]).map(
+        lambda a: density(eigenstate(*a))
+    ),
+    seeds.map(lambda s: random_qubit_density(np.random.default_rng(s))),
+)
+pair_states = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0).map(werner_state),
+    seeds.map(random_pair_density),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(v1=visibility_triples, v2=visibility_triples, rho=qubit_states, rho4=pair_states)
+def test_stacked_tables_equal_per_element_reference(v1, v2, rho, rho4):
+    """One stacked product gives the per-element traces bit for bit."""
+    povm1, povm2 = build_povm(v1), build_povm(v2)
+    single = [trace_product(povm1.elements[o], rho) for o in OUTCOMES4]
+    assert np.array_equal(outcome_probs(povm1, rho).array, np.real(single))
+    for a, b in ((povm1, povm2), (povm2, povm1), (povm1, povm1)):
+        pair = [
+            trace_product(tensor(a.elements[(x1, y1)], b.elements[(x2, y2)]), rho4)
+            for x1, y1, x2, y2 in OUTCOMES16
+        ]
+        assert np.array_equal(pair_outcome_probs(a, b, rho4).array, np.real(pair))
 
 
 class TestExactPatternProbs:

@@ -1,10 +1,13 @@
 """Seeded Monte-Carlo runs: determinism, statistics, flips, source noise."""
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from xymeas import simulate
 from xymeas.povm import (
     OUTCOMES4,
     OUTCOMES16,
@@ -310,6 +313,40 @@ class TestEigenstateExperiment:
         counts = run_eigenstate_experiment(config, "X", +1)
         assert counts.counts[(-1, +1)] == 0
         assert counts.counts[(-1, -1)] == 0
+
+
+class TestWorkerThreads:
+    def test_one_block_runs_serially(self, monkeypatch):
+        config = ExperimentConfig(
+            visibilities=VisibilityTriple(0.4, 0.5, 0.3), shots=BLOCK_SHOTS, seed=43,
+            randomize_flips=True,
+        )
+        serial = run_eigenstate_experiment(config, "X", +1, workers=1)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-block run started a thread pool")
+
+        monkeypatch.setattr(simulate, "ThreadPoolExecutor", no_pool)
+        assert run_eigenstate_experiment(config, "X", +1, workers=4) == serial
+
+    def test_several_blocks_use_the_pool(self, monkeypatch):
+        pools = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(simulate, "ThreadPoolExecutor", RecordingPool)
+        config = ExperimentConfig(
+            visibilities=VisibilityTriple(0.4, 0.5, 0.3), shots=2 * BLOCK_SHOTS + 1, seed=44
+        )
+        serial = run_pair_experiment(config, workers=1)
+        assert pools == []
+        assert run_pair_experiment(config, workers=2) == serial
+        assert run_pair_experiment(config, workers=8) == serial
+        # three blocks: never more threads than blocks
+        assert pools == [2, 3]
 
 
 class TestPairExperiment:
