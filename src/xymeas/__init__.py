@@ -76,7 +76,6 @@ from .simulate import (
     block_rng,
     run_eigenstate_experiment,
     run_pair_experiment,
-    sample_categorical,
     werner_state,
 )
 

@@ -2,7 +2,11 @@
 
 Each check sweeps a family of inputs and reports the worst deviation from
 the exact prediction. Failures are returned, never raised, so a runner can
-print every result before deciding its exit status.
+print every result before deciding its exit status. Every check runs as
+numpy arrays: grid triples and random models in chunks of at most `CHUNK`,
+the same cases a one-at-a-time loop would visit, and the random states of
+the operator identities as one batch. A failing grid check names the first
+offending triple.
 """
 
 from __future__ import annotations
@@ -12,21 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import _self_convolution, classicality_statistic, pattern_of
+from .analysis import _PATTERN_INDEX16, _self_convolution
 from .kirkwood import verify_operator_identities
-from .povm import (
-    OUTCOMES4,
-    OUTCOMES16,
-    VisibilityTriple,
-    _hadamard,
-    build_povm,
-    exact_pattern_probs,
-    pair_outcome_probs,
-)
-from .qubit import ATOL_ALGEBRA, ATOL_EIG, density, identity, min_eigenvalue_hermitian, singlet
+from .povm import VisibilityTriple, _exact_patterns, _family_elements, _hadamard
+from .qubit import ATOL_ALGEBRA, ATOL_EIG, _lowest_eigenvalues, density, identity, singlet
 
-# Random models are swept as arrays of this many at a time, which bounds
-# memory whatever the sample count.
+# Cases are swept as arrays of this many at a time, which bounds memory
+# whatever the grid density or sample count.
 CHUNK = 256
 
 
@@ -50,35 +46,70 @@ def visibility_grid(n: int) -> list[VisibilityTriple]:
     return triples
 
 
+def _grid_chunks(triples: list[VisibilityTriple]):
+    """``(start, v)`` for runs of `CHUNK` triples, ``v`` their (n, 3) array of (vx, vy, vz)."""
+    for start in range(0, len(triples), CHUNK):
+        yield start, np.array([(t.vx, t.vy, t.vz) for t in triples[start:start + CHUNK]])
+
+
+def _singlet_pair_tables(elements: np.ndarray) -> np.ndarray:
+    """``Tr((E_a (x) E_b) rho)`` on the singlet for each (4, 2, 2) stack of an (n, 4, 2, 2) array.
+
+    One contraction with the singlet as a (2, 2, 2, 2) array, axes (k, l, i, j)
+    for row k*2+l and column i*2+j, so no 4x4 Kronecker product is formed.
+    Returns (n, 16) in ``OUTCOMES16`` order.
+    """
+    rho = density(singlet()).reshape(2, 2, 2, 2)
+    pairs = np.einsum("naik,nbjl,klij->nab", elements, elements, rho)
+    return pairs.reshape(len(elements), 16)
+
+
+def _first_failure(name: str, triples, start: int, tests) -> CheckResult | None:
+    """FAIL at the first triple of a chunk that fails any of ``tests``, else None.
+
+    ``tests`` lists ``(label, deviation, tolerance)`` in the order one triple
+    is checked; ``deviation`` has one row per triple of the chunk starting at
+    ``start``. The message quotes the first failing entry of that row. A NaN
+    deviation fails.
+    """
+    devs = [dev.reshape(len(dev), -1) for _, dev, _ in tests]
+    failed = [~(dev <= tol) for dev, (_, _, tol) in zip(devs, tests)]
+    rows = np.flatnonzero(np.any(np.concatenate(failed, axis=1), axis=1))
+    if rows.size == 0:
+        return None
+    row = rows[0]
+    label, dev, bad = next((t[0], d[row], f[row]) for t, d, f in zip(tests, devs, failed) if f[row].any())
+    return CheckResult(name, False, f"{label} {dev[np.argmax(bad)]:.3e} at {triples[start + row]}")
+
+
 def check_povm_family(grid: int = 9) -> CheckResult:
-    """Completeness, closed-form minimum eigenvalue, and exact pair patterns."""
+    """Completeness, Hermiticity, closed-form minimum eigenvalue, and exact pair patterns.
+
+    Per chunk of grid triples: the (n, 4, 2, 2) element stack, its sums, its
+    Hermiticity defects, its 2x2 minimum eigenvalues against
+    ``(1 - |v|) / 4``, and its singlet pair tables against
+    ``HADAMARD @ (1, vy^2, vx^2, -vz^2) / 16``.
+    """
+    triples = visibility_grid(grid)
     worst = 0.0
-    singlet_rho = density(singlet())
-    for v in visibility_grid(grid):
-        povm = build_povm(v)
-        total = sum(povm.elements[o] for o in OUTCOMES4)
-        completeness = float(np.max(np.abs(total - identity(2))))
-        if completeness > ATOL_ALGEBRA:
-            return CheckResult(
-                "povm_family", False, f"completeness violated by {completeness:.3e} at {v}"
-            )
-        expected_min = (1.0 - np.sqrt(v.norm_squared)) / 4.0
-        for o in OUTCOMES4:
-            deviation = abs(min_eigenvalue_hermitian(povm.elements[o]) - expected_min)
-            if deviation > ATOL_EIG:
-                return CheckResult(
-                    "povm_family", False, f"min eigenvalue off by {deviation:.3e} at {v}"
-                )
-            worst = max(worst, deviation, completeness)
-        stats = exact_pattern_probs(v)
-        probs = pair_outcome_probs(povm, povm, singlet_rho)
-        for o in OUTCOMES16:
-            deviation = abs(probs[o] - stats.e[pattern_of(*o)])
-            if deviation > ATOL_ALGEBRA:
-                return CheckResult(
-                    "povm_family", False, f"pair pattern off by {deviation:.3e} at {v}"
-                )
-            worst = max(worst, deviation)
+    for start, v in _grid_chunks(triples):
+        elements = _family_elements(v)
+        completeness = np.max(np.abs(np.sum(elements, axis=1) - identity(2)), axis=(-2, -1))
+        hermiticity = np.max(np.abs(elements - elements.conj().swapaxes(-1, -2)), axis=(-2, -1))
+        expected_min = (1.0 - np.sqrt(v[:, 0] ** 2 + v[:, 1] ** 2 + v[:, 2] ** 2)) / 4.0
+        eigenvalue = np.abs(_lowest_eigenvalues(elements) - expected_min[:, None])
+        pairs = _singlet_pair_tables(elements)
+        pattern = np.abs(pairs - _exact_patterns(v)[:, _PATTERN_INDEX16])
+        tests = [
+            ("completeness violated by", completeness, ATOL_ALGEBRA),
+            ("Hermiticity violated by", hermiticity, ATOL_ALGEBRA),
+            ("min eigenvalue off by", eigenvalue, ATOL_EIG),
+            ("pair pattern off by", pattern, ATOL_ALGEBRA),
+        ]
+        failure = _first_failure("povm_family", triples, start, tests)
+        if failure is not None:
+            return failure
+        worst = max(worst, *(float(np.max(dev)) for _, dev, _ in tests))
     return CheckResult("povm_family", True, f"max deviation {worst:.3e}")
 
 
@@ -107,15 +138,19 @@ def check_classicality_dichotomy(
     grid: int = 9, samples: int = 10_000, seed: int = 20240902
 ) -> CheckResult:
     """S = vz^2/4 >= 0 on the measurement grid; S <= 0 for classical models."""
+    triples = visibility_grid(grid)
     worst = 0.0
-    for v in visibility_grid(grid):
-        s = classicality_statistic(exact_pattern_probs(v))
-        deviation = abs(s - v.vz ** 2 / 4.0)
-        if deviation > ATOL_ALGEBRA or s < -ATOL_ALGEBRA:
-            return CheckResult(
-                "classicality_dichotomy", False, f"quantum side violated by {deviation:.3e} at {v}"
-            )
-        worst = max(worst, deviation)
+    for start, v in _grid_chunks(triples):
+        e = _exact_patterns(v)
+        # `analysis.classicality_statistic`, term for term
+        s = e[:, 1] + e[:, 2] - e[:, 0] - e[:, 3]
+        # vz^2/4 >= 0, so an S below -ATOL_ALGEBRA also fails on its deviation
+        deviation = np.abs(s - v[:, 2] ** 2 / 4.0)
+        tests = [("quantum side violated by", deviation, ATOL_ALGEBRA)]
+        failure = _first_failure("classicality_dichotomy", triples, start, tests)
+        if failure is not None:
+            return failure
+        worst = max(worst, float(np.max(deviation)))
     rng = np.random.Generator(np.random.Philox(key=seed))
     max_s = -np.inf
     for start in range(0, samples, CHUNK):

@@ -42,6 +42,7 @@ from .fileio import (
     read_counts_file,
     read_document,
     read_probs_document,
+    section_number,
     write_document,
     write_eigenstate_counts,
     write_manifest,
@@ -332,9 +333,9 @@ def _reconstruction_visibilities(args) -> tuple[float, float, float]:
             raise UsageError("give either --vx/--vy/--vz or --from-report, not both")
         report = read_document(args.from_report)
         expect_schema(report, SCHEMA_REPORT, args.from_report)
-        vx = float(report.section_value("visibility_x", "value"))
-        vy = float(report.section_value("visibility_y", "value"))
-        vz = float(report.section_value("csquared", "vz_magnitude"))
+        vx = section_number(report, "visibility_x", "value", args.from_report)
+        vy = section_number(report, "visibility_y", "value", args.from_report)
+        vz = section_number(report, "csquared", "vz_magnitude", args.from_report)
         _diag(
             "note: pair statistics determine only |vz|; using the positive sign, "
             "which conjugates the result if the device's vz is negative"

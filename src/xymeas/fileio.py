@@ -265,6 +265,26 @@ def _header_value(doc: Document, key: str, path, parse=float):
     return _parsed(parse, doc.require(key), path, doc.header_lines[key], f"header {key}")
 
 
+def _header_visibilities(doc: Document, path) -> VisibilityTriple:
+    """The ``vx``/``vy``/``vz`` headers; a triple outside the family is located at ``vx``."""
+    values = [_header_value(doc, k, path) for k in ("vx", "vy", "vz")]
+    try:
+        return VisibilityTriple(*values)
+    except ValueError as exc:
+        # also a PositivityError: a bad input file is a usage error, not a domain error
+        raise ValueError(f"{path}:{doc.header_lines['vx']}: visibilities: {exc}") from None
+
+
+def section_number(doc: Document, section: str, key: str, path, parse=float):
+    """The value of row ``key`` in ``section``, through ``parse``, located on a bad value."""
+    for row, lineno in zip(doc.section(section), doc.row_lines[section]):
+        if row and row[0] == key:
+            if len(row) != 2:
+                raise ValueError(f"{path}:{lineno}: malformed [{section}] row {row!r}")
+            return _parsed(parse, row[1], path, lineno, f"[{section}] {key}")
+    raise ValueError(f"{path}:{doc.section_lines[section]}: missing entry {key!r} in section [{section}]")
+
+
 def _outcome_rows(doc: Document, section: str, path, width: int, parse) -> dict:
     """Rows of ``section`` as {outcome signs: parsed last token}, each checked."""
     table = {}
@@ -283,8 +303,9 @@ def read_counts_document(doc: Document, path: str | Path) -> CountsArtifact:
     """The counts artifact held in ``doc``, as parsed from ``path`` by `read_document`.
 
     A malformed or duplicated outcome row, a header number that does not
-    parse, or a ``shots`` header that disagrees with the counts sum is
-    rejected with its ``file:line``.
+    parse, header visibilities outside the measurement family, or a
+    ``shots`` header that disagrees with the counts sum is rejected with its
+    ``file:line``.
     """
     expect_schema(doc, SCHEMA_COUNTS, path)
     mode = doc.require("mode")
@@ -292,7 +313,7 @@ def read_counts_document(doc: Document, path: str | Path) -> CountsArtifact:
         raise ValueError(f"{path}: unknown counts mode {mode!r}")
     visibilities = None
     if all(k in doc.header for k in ("vx", "vy", "vz")):
-        visibilities = VisibilityTriple(*(_header_value(doc, k, path) for k in ("vx", "vy", "vz")))
+        visibilities = _header_visibilities(doc, path)
     counts = _outcome_rows(doc, "counts", path, 3 if mode == "eigenstate" else 5, int)
     total = sum(counts.values())
     if "shots" in doc.header and _header_value(doc, "shots", path, int) != total:
@@ -410,12 +431,13 @@ def read_povm_file(path: str | Path):
     """Parse a measurement dump: visibilities and the four 2x2 operators.
 
     Each operator entry must have exactly one row; a malformed, duplicated or
-    missing row, or a header number that does not parse, is rejected with its
-    ``file:line`` (the ``[elements]`` line for a missing row).
+    missing row, a header number that does not parse, or header visibilities
+    outside the family, is rejected with its ``file:line`` (the
+    ``[elements]`` line for a missing row).
     """
     doc = read_document(path)
     expect_schema(doc, SCHEMA_POVM, path)
-    v = VisibilityTriple(*(_header_value(doc, k, path) for k in ("vx", "vy", "vz")))
+    v = _header_visibilities(doc, path)
     elements = {o: np.zeros((2, 2), dtype=complex) for o in OUTCOMES4}
     seen = set()
     for row, lineno in zip(doc.section("elements"), doc.row_lines["elements"]):

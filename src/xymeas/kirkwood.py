@@ -34,12 +34,12 @@ from .analysis import ErrorModel, visibilities_from_error_model
 from .povm import OUTCOMES4, OUTCOMES16, Table, _checked_table, _hadamard, ideal_operator
 from .qubit import (
     ATOL_ALGEBRA,
+    _bloch_operators,
     ensure_density_matrix,
     eigenstate,
     identity,
     pauli,
     tensor_state,
-    trace_product,
 )
 
 # Visibilities below this magnitude make the inversion numerically
@@ -100,14 +100,16 @@ class PairKDDistribution:
 
 def kd_from_state(rho) -> KDDistribution:
     """Quasi-probability ``<x|y><y|rho|x>`` of a qubit state."""
-    rho = ensure_density_matrix(rho, dim=2)
-    entries = []
-    for x, y in OUTCOMES4:
-        bra_x = eigenstate("X", x)
-        ket_y = eigenstate("Y", y)
-        overlap = complex(np.vdot(bra_x, ket_y))
-        entries.append(overlap * complex(np.vdot(ket_y, rho @ bra_x)))
-    return KDDistribution(entries=entries)
+    return KDDistribution(entries=_kd_entries(ensure_density_matrix(rho, dim=2)))
+
+
+def _kd_entries(rho: np.ndarray) -> np.ndarray:
+    """``<x|y><y|rho|x>`` in ``OUTCOMES4`` order for each state of a (..., 2, 2) stack, as (..., 4)."""
+    ket_x = np.array([eigenstate("X", x) for x, _ in OUTCOMES4])
+    ket_y = np.array([eigenstate("Y", y) for _, y in OUTCOMES4])
+    overlap = np.sum(ket_x.conj() * ket_y, axis=-1)
+    rho_x = np.sum(np.asarray(rho)[..., None, :, :] * ket_x[:, None, :], axis=-1)
+    return overlap * np.sum(ket_y.conj() * rho_x, axis=-1)
 
 
 def kd_pair_from_state(rho4) -> PairKDDistribution:
@@ -185,13 +187,19 @@ def forward_map(kd: KDDistribution, m: ErrorModel) -> Table:
 
 def random_qubit_density(rng: np.random.Generator) -> np.ndarray:
     """Density matrix with Bloch vector drawn uniformly from the unit ball."""
-    direction = rng.normal(size=3)
-    direction /= np.linalg.norm(direction)
-    radius = rng.random() ** (1.0 / 3.0)
-    r = radius * direction
-    return (
-        identity(2) + r[0] * pauli("X") + r[1] * pauli("Y") + r[2] * pauli("Z")
-    ) / 2.0
+    return _random_qubit_densities(rng, 1)[0]
+
+
+def _random_qubit_densities(rng: np.random.Generator, n: int) -> np.ndarray:
+    """``n`` states as (n, 2, 2): one batch of ``n`` directions, then one of ``n`` radii.
+
+    So for ``n > 1`` the states differ from ``n`` calls of
+    `random_qubit_density`, which interleave the two draws.
+    """
+    direction = rng.normal(size=(n, 3))
+    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    radius = rng.random(n) ** (1.0 / 3.0)
+    return _bloch_operators(radius[:, None] * direction) / 2.0
 
 
 def verify_operator_identities(samples: int = 1000, seed: int = 20240901) -> dict[str, float]:
@@ -206,6 +214,9 @@ def verify_operator_identities(samples: int = 1000, seed: int = 20240901) -> dic
     * the four ideal operators sum to the identity;
     * ``Tr(ideal_operator(x, y) @ rho)`` equals the quasi-probability entry
       ``kd_from_state(rho)[(x, y)]`` for ``samples`` random states.
+
+    The states are drawn as one batch (`_random_qubit_densities`), validated
+    as a stack, and both sides of the last identity are computed over it.
     """
     deviations = {}
 
@@ -213,24 +224,18 @@ def verify_operator_identities(samples: int = 1000, seed: int = 20240901) -> dic
         np.max(np.abs(pauli("X") @ pauli("Y") - 1j * pauli("Z")))
     )
 
-    eye = identity(2)
-    dev = 0.0
-    for sx, sy in OUTCOMES4:
-        family = (eye + sx * pauli("X") + sy * pauli("Y") + sx * sy * 1j * pauli("Z")) / 4.0
-        dev = max(dev, float(np.max(np.abs(ideal_operator(sx, sy) - family))))
-    deviations["ideal_operator_is_family_at_vz_i"] = dev
+    ideal = np.array([ideal_operator(sx, sy) for sx, sy in OUTCOMES4])
+    family = _bloch_operators([(sx, sy, sx * sy * 1j) for sx, sy in OUTCOMES4]) / 4.0
+    deviations["ideal_operator_is_family_at_vz_i"] = float(np.max(np.abs(ideal - family)))
 
-    total = sum(ideal_operator(sx, sy) for sx, sy in OUTCOMES4)
-    deviations["ideal_operators_sum_to_identity"] = float(np.max(np.abs(total - eye)))
+    total = np.sum(ideal, axis=0)
+    deviations["ideal_operators_sum_to_identity"] = float(np.max(np.abs(total - identity(2))))
 
     rng = np.random.Generator(np.random.Philox(key=seed))
-    dev = 0.0
-    for _ in range(samples):
-        rho = random_qubit_density(rng)
-        kd = kd_from_state(rho)
-        for x, y in OUTCOMES4:
-            diff = abs(trace_product(ideal_operator(x, y), rho) - kd.entries[(x, y)])
-            dev = max(dev, float(diff))
-    deviations["ideal_traces_equal_kd_entries"] = dev
+    rho = ensure_density_matrix(_random_qubit_densities(rng, samples), dim=2)
+    traces = np.einsum("oij,nji->no", ideal, rho)
+    deviations["ideal_traces_equal_kd_entries"] = float(
+        np.max(np.abs(traces - _kd_entries(rho)), initial=0.0)
+    )
 
     return deviations

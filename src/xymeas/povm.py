@@ -23,6 +23,7 @@ import numpy as np
 
 from .qubit import (
     ATOL_ALGEBRA,
+    _bloch_operators,
     ensure_density_matrix,
     ensure_sign,
     identity,
@@ -206,13 +207,18 @@ def build_povm(v: VisibilityTriple) -> JointPovm:
     """
     if not isinstance(v, VisibilityTriple):
         v = VisibilityTriple(*v)
-    eye = identity(2)
-    sx, sy, sz = pauli("X"), pauli("Y"), pauli("Z")
-    elements = {
-        (x, y): (eye + x * v.vx * sx + y * v.vy * sy + x * y * v.vz * sz) / 4.0
-        for x, y in OUTCOMES4
-    }
-    return JointPovm(visibilities=v, elements=elements)
+    stack = _family_elements([v.vx, v.vy, v.vz])
+    return JointPovm(visibilities=v, elements=dict(zip(OUTCOMES4, stack)))
+
+
+def _family_elements(v) -> np.ndarray:
+    """Elements of the family for a (..., 3) stack of (vx, vy, vz), as (..., 4, 2, 2).
+
+    The four elements run in ``OUTCOMES4`` order. Nothing is validated, so a
+    check can build elements for any triple, positive or not.
+    """
+    signs = np.array([(x, y, x * y) for x, y in OUTCOMES4], dtype=float)
+    return _bloch_operators(np.asarray(v, dtype=float)[..., None, :] * signs) / 4.0
 
 
 def _real_probs(values, keys, what: str) -> Table:
@@ -270,8 +276,15 @@ def exact_pattern_probs(v: VisibilityTriple) -> PatternStats:
     """
     if not isinstance(v, VisibilityTriple):
         v = VisibilityTriple(*v)
-    e = _hadamard([1.0, v.vy ** 2, v.vx ** 2, -(v.vz ** 2)]) / 16.0
+    e = _exact_patterns([v.vx, v.vy, v.vz])
     return PatternStats(e=e, stderr=np.zeros(4), total_shots=0)
+
+
+def _exact_patterns(v) -> np.ndarray:
+    """`exact_pattern_probs` for a (..., 3) stack of (vx, vy, vz), unchecked, as (..., 4)."""
+    squares = np.asarray(v, dtype=float) ** 2
+    ones = np.ones(squares.shape[:-1])
+    return _hadamard(np.stack([ones, squares[..., 1], squares[..., 0], -squares[..., 2]], axis=-1)) / 16.0
 
 
 def ideal_operator(sx: int, sy: int) -> np.ndarray:

@@ -60,16 +60,18 @@ def _as_complex_array(a, what: str) -> np.ndarray:
     return arr
 
 
-def _ensure_operator(m, what: str = "operator") -> np.ndarray:
+def _ensure_operator(m, what: str = "operator", stack: bool = False) -> np.ndarray:
+    """A 2x2 or 4x4 complex matrix; with ``stack``, any number of them over leading axes."""
     arr = _as_complex_array(m, what)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] not in (2, 4):
+    if arr.ndim < 2 or (arr.ndim > 2 and not stack) or arr.shape[-2:] not in ((2, 2), (4, 4)):
         raise ValueError(f"{what} must be a 2x2 or 4x4 matrix, got shape {arr.shape}")
     return arr
 
 
 def is_hermitian(m, atol: float = ATOL_ALGEBRA) -> bool:
-    arr = _ensure_operator(m)
-    return bool(np.max(np.abs(arr - arr.conj().T)) <= atol)
+    """Whether a matrix, or every matrix of a (..., d, d) stack, is Hermitian within ``atol``."""
+    arr = _ensure_operator(m, stack=True)
+    return bool(np.max(np.abs(arr - arr.conj().swapaxes(-1, -2))) <= atol)
 
 
 def identity(dim: int = 2) -> np.ndarray:
@@ -110,16 +112,21 @@ def density(psi) -> np.ndarray:
 
 
 def ensure_density_matrix(rho, dim: int | None = None, what: str = "density matrix") -> np.ndarray:
-    """Validate a density matrix: Hermitian, unit trace, positive within slack."""
-    arr = _ensure_operator(rho, what)
-    if dim is not None and arr.shape[0] != dim:
+    """Validate a density matrix, or each of a (..., d, d) stack: Hermitian, unit trace, PSD.
+
+    A stack is rejected as a whole, its message quoting the worst trace.
+    """
+    arr = _ensure_operator(rho, what, stack=True)
+    if dim is not None and arr.shape[-1] != dim:
         raise ValueError(f"{what} must be {dim}x{dim}, got shape {arr.shape}")
-    if not is_hermitian(arr, atol=ATOL_EIG):
+    if np.max(np.abs(arr - arr.conj().swapaxes(-1, -2)), initial=0.0) > ATOL_EIG:
         raise ValueError(f"{what} is not Hermitian")
-    tr = complex(np.trace(arr))
-    if abs(tr - 1.0) > ATOL_EIG:
-        raise ValueError(f"{what} does not have unit trace: trace = {tr!r}")
-    if min_eigenvalue_hermitian(arr) < -ATOL_EIG:
+    tr = np.trace(arr, axis1=-2, axis2=-1)
+    off = np.abs(tr - 1.0)
+    if np.max(off, initial=0.0) > ATOL_EIG:
+        worst = complex(np.ravel(tr)[np.argmax(off)])
+        raise ValueError(f"{what} does not have unit trace: trace = {worst!r}")
+    if np.min(_lowest_eigenvalues(arr), initial=0.0) < -ATOL_EIG:
         raise ValueError(f"{what} is not positive semidefinite")
     return arr
 
@@ -151,20 +158,39 @@ def trace_product(m, rho) -> complex:
     return complex(np.trace(ma @ mb))
 
 
-def min_eigenvalue_hermitian(m) -> float:
-    """Smallest eigenvalue of a Hermitian operator.
+def min_eigenvalue_hermitian(m):
+    """Smallest eigenvalue of a Hermitian operator, or of each of a (..., d, d) stack.
 
     The 2x2 case uses the closed form ``(a+d)/2 - sqrt(((a-d)/2)^2 + |b|^2)``;
-    the 4x4 case falls back to a dense Hermitian eigensolve.
+    the 4x4 case falls back to a dense Hermitian eigensolve. A single matrix
+    gives a float, a stack an array over its leading axes.
     """
-    arr = _ensure_operator(m)
+    arr = _ensure_operator(m, stack=True)
     if not is_hermitian(arr, atol=ATOL_EIG):
         raise ValueError("min_eigenvalue_hermitian requires a Hermitian input")
-    if arr.shape[0] == 2:
-        a = arr[0, 0].real
-        d = arr[1, 1].real
-        b = arr[0, 1]
+    lowest = _lowest_eigenvalues(arr)
+    return float(lowest) if arr.ndim == 2 else lowest
+
+
+def _lowest_eigenvalues(arr: np.ndarray) -> np.ndarray:
+    """`min_eigenvalue_hermitian` of each matrix of a (..., d, d) stack, unchecked."""
+    if arr.shape[-1] == 2:
+        a = arr[..., 0, 0].real
+        d = arr[..., 1, 1].real
         half_diff = 0.5 * (a - d)
-        radius = np.hypot(half_diff, abs(b))
-        return float(0.5 * (a + d) - radius)
-    return float(np.linalg.eigvalsh(arr)[0])
+        radius = np.hypot(half_diff, np.abs(arr[..., 0, 1]))
+        return 0.5 * (a + d) - radius
+    return np.linalg.eigvalsh(arr)[..., 0]
+
+
+def _bloch_operators(coeffs) -> np.ndarray:
+    """``I + c0*X + c1*Y + c2*Z`` for each row ``c`` of a (..., 3) stack, as (..., 2, 2).
+
+    The terms are added left to right, so the result is bit for bit the
+    one-matrix expression.
+    """
+    c = np.asarray(coeffs)[..., None, None]
+    return (
+        identity(2) + c[..., 0, :, :] * _PAULI["X"] + c[..., 1, :, :] * _PAULI["Y"]
+        + c[..., 2, :, :] * _PAULI["Z"]
+    )

@@ -134,19 +134,6 @@ def _histogram(cum: np.ndarray, u: np.ndarray, where: np.ndarray | None = None) 
     return np.diff(below + [total], prepend=0)
 
 
-def sample_categorical(probs, rng: np.random.Generator, size: int | None = None):
-    """Draw category indices by inverse CDF over the given fixed ordering.
-
-    Probabilities are renormalized internally when their sum deviates from 1
-    by less than 1e-9; larger deviations and negative entries are rejected.
-    Returns a scalar index when ``size`` is None, else an array of ``size``.
-    """
-    cum = _cumulative(probs)
-    u = rng.random(size if size is not None else 1)
-    idx = np.minimum(np.searchsorted(cum, u, side="right"), cum.size - 1)
-    return int(idx[0]) if size is None else idx
-
-
 def werner_state(p: float) -> np.ndarray:
     """Isotropic mixture ``p * singlet + (1 - p) * I/4`` of the pair source."""
     if not 0.0 <= p <= 1.0:

@@ -1,0 +1,253 @@
+"""The array-native `verify` checks: agreement with one-at-a-time references, and failure injection."""
+
+import numpy as np
+import pytest
+
+from xymeas import checks, kirkwood
+from xymeas.analysis import classicality_statistic, pattern_of
+from xymeas.checks import (
+    CHUNK,
+    check_classicality_dichotomy,
+    check_operator_identities,
+    check_povm_family,
+    visibility_grid,
+)
+from xymeas.kirkwood import _kd_entries, _random_qubit_densities, kd_from_state
+from xymeas.povm import (
+    OUTCOMES4,
+    OUTCOMES16,
+    _exact_patterns,
+    _family_elements,
+    build_povm,
+    exact_pattern_probs,
+    pair_outcome_probs,
+)
+from xymeas.qubit import density, singlet
+
+GRID = visibility_grid(9)
+DELTA = 1e-9
+# a triple in the second chunk, so the chunk offset is exercised
+LATE = CHUNK + 17
+EARLY = 40
+
+
+def as_array(triples):
+    return np.array([(t.vx, t.vy, t.vz) for t in triples])
+
+
+def rows_of(v, index):
+    """Rows of a chunk's (n, 3) array that hold grid triple ``index``."""
+    return np.flatnonzero(np.all(v == as_array([GRID[index]]), axis=1))
+
+
+def test_grid_spans_more_than_one_chunk():
+    assert len(GRID) == 310 > LATE
+
+
+class TestAgreementWithReferences:
+    def test_family_elements_are_build_povm_bit_for_bit(self):
+        stack = _family_elements(as_array(GRID))
+        for v, elements in zip(GRID, stack):
+            expected = build_povm(v).elements
+            for o, element in zip(OUTCOMES4, elements):
+                assert element.tobytes() == expected[o].tobytes()
+
+    def test_pair_tables_match_kronecker_traces(self):
+        tables = checks._singlet_pair_tables(_family_elements(as_array(GRID)))
+        rho = density(singlet())
+        for v, table in zip(GRID[::7], tables[::7]):
+            povm = build_povm(v)
+            expected = pair_outcome_probs(povm, povm, rho).array
+            assert np.max(np.abs(table - expected)) <= 1e-15
+
+    def test_exact_patterns_match_closed_form_and_statistic(self):
+        patterns = _exact_patterns(as_array(GRID))
+        for v, row in zip(GRID, patterns):
+            vx2, vy2, vz2 = v.vx ** 2, v.vy ** 2, v.vz ** 2
+            closed = [1 + vx2 + vy2 - vz2, 1 + vx2 - vy2 + vz2, 1 - vx2 + vy2 + vz2, 1 - vx2 - vy2 - vz2]
+            assert np.max(np.abs(row - np.array(closed) / 16.0)) <= 1e-16
+            stats = exact_pattern_probs(v)
+            assert row.tobytes() == stats.e.array.tobytes()
+            assert row[1] + row[2] - row[0] - row[3] == classicality_statistic(stats)
+
+    def test_pattern_index_follows_pattern_of(self):
+        from xymeas.analysis import _PATTERN_INDEX16
+        from xymeas.povm import PATTERNS
+
+        assert [PATTERNS[i] for i in _PATTERN_INDEX16] == [pattern_of(*o) for o in OUTCOMES16]
+
+    def test_stacked_kd_entries_equal_single_state_digits(self):
+        rho = _random_qubit_densities(np.random.Generator(np.random.Philox(key=3)), 50)
+        stacked = _kd_entries(rho)
+        for state, row in zip(rho, stacked):
+            assert row.tobytes() == kd_from_state(state).entries.array.tobytes()
+
+    def test_kd_entries_match_vdot_loop(self):
+        from xymeas.qubit import eigenstate
+
+        rho = _random_qubit_densities(np.random.Generator(np.random.Philox(key=4)), 200)
+        stacked = _kd_entries(rho)
+        for state, row in zip(rho, stacked):
+            for k, (x, y) in enumerate(OUTCOMES4):
+                ket_x, ket_y = eigenstate("X", x), eigenstate("Y", y)
+                expected = np.vdot(ket_x, ket_y) * np.vdot(ket_y, state @ ket_x)
+                assert abs(row[k] - expected) <= 1e-15
+
+    def test_states_drawn_as_one_batch(self):
+        rng = np.random.Generator(np.random.Philox(key=9))
+        rho = _random_qubit_densities(rng, 20)
+        ref = np.random.Generator(np.random.Philox(key=9))
+        direction = ref.normal(size=(20, 3))
+        radius = ref.random(20) ** (1.0 / 3.0)
+        bloch = radius[:, None] * direction / np.linalg.norm(direction, axis=1, keepdims=True)
+        assert np.allclose(rho[:, 0, 1], (bloch[:, 0] - 1j * bloch[:, 1]) / 2.0, rtol=0, atol=1e-15)
+        assert np.allclose(rho[:, 0, 0].real, (1.0 + bloch[:, 2]) / 2.0, rtol=0, atol=1e-15)
+
+    def test_all_pass_at_default_sizes(self):
+        assert check_povm_family().passed
+        assert check_classicality_dichotomy(samples=100).passed
+        assert check_operator_identities().passed
+
+
+def perturbed_elements(monkeypatch, edits):
+    """Patch the element stack: ``edits`` maps a grid index to an in-place edit of its (4, 2, 2) elements."""
+    original = checks._family_elements
+
+    def patched(v):
+        stack = original(v)
+        for index, edit in edits.items():
+            for row in rows_of(v, index):
+                edit(stack[row])
+        return stack
+
+    monkeypatch.setattr(checks, "_family_elements", patched)
+
+
+def add_to_entry(o, i, j, delta):
+    def edit(elements):
+        elements[o, i, j] += delta
+
+    return edit
+
+
+def shift_between(o1, o2, matrix):
+    """Move ``matrix`` from element o2 to element o1: the sum, hence completeness, is kept."""
+
+    def edit(elements):
+        elements[o1] += matrix
+        elements[o2] -= matrix
+
+    return edit
+
+
+class TestPovmFamilyFailures:
+    @pytest.mark.parametrize("index", [0, EARLY, LATE, len(GRID) - 1])
+    def test_completeness(self, monkeypatch, index):
+        perturbed_elements(monkeypatch, {index: add_to_entry(2, 0, 0, DELTA)})
+        result = check_povm_family()
+        assert not result.passed
+        assert result.detail == f"completeness violated by {DELTA:.3e} at {GRID[index]}"
+
+    def test_hermiticity(self, monkeypatch):
+        skew = np.array([[0, DELTA], [0, 0]], dtype=complex)
+        perturbed_elements(monkeypatch, {LATE: shift_between(1, 3, skew)})
+        result = check_povm_family()
+        assert result.detail == f"Hermiticity violated by {DELTA:.3e} at {GRID[LATE]}"
+
+    def test_min_eigenvalue(self, monkeypatch):
+        perturbed_elements(monkeypatch, {EARLY: shift_between(0, 1, DELTA * np.eye(2))})
+        result = check_povm_family()
+        assert result.detail == f"min eigenvalue off by {DELTA:.3e} at {GRID[EARLY]}"
+
+    def test_pair_entry(self, monkeypatch):
+        original = checks._singlet_pair_tables
+
+        def patched(elements):
+            tables = original(elements)
+            hit = [k for k in range(len(elements)) if np.array_equal(elements[k], target)]
+            tables[hit, 9] += DELTA
+            return tables
+
+        target = _family_elements(as_array([GRID[LATE]]))[0]
+        monkeypatch.setattr(checks, "_singlet_pair_tables", patched)
+        result = check_povm_family()
+        assert not result.passed
+        assert result.detail.startswith("pair pattern off by 1.000e-09")
+        assert result.detail.endswith(f" at {GRID[LATE]}")
+
+    def test_first_offending_triple_wins_across_kinds_and_chunks(self, monkeypatch):
+        perturbed_elements(
+            monkeypatch,
+            {
+                LATE: add_to_entry(0, 1, 1, DELTA),
+                EARLY: shift_between(0, 1, DELTA * np.eye(2)),
+                EARLY + 1: add_to_entry(0, 0, 0, DELTA),
+            },
+        )
+        result = check_povm_family()
+        assert result.detail == f"min eigenvalue off by {DELTA:.3e} at {GRID[EARLY]}"
+
+    def test_nan_fails(self, monkeypatch):
+        perturbed_elements(monkeypatch, {LATE: add_to_entry(3, 1, 0, np.nan)})
+        result = check_povm_family()
+        assert not result.passed
+        assert result.detail.endswith(f" at {GRID[LATE]}")
+
+    def test_below_tolerance_passes(self, monkeypatch):
+        perturbed_elements(monkeypatch, {LATE: shift_between(0, 1, 1e-14 * np.eye(2))})
+        result = check_povm_family()
+        assert result.passed
+        # the eigenvalue shift, up to rounding at the scale of the entries
+        assert float(result.detail.removeprefix("max deviation ")) == pytest.approx(1e-14, rel=0.02)
+
+
+class TestClassicalityFailures:
+    def test_one_grid_triple(self, monkeypatch):
+        original = _exact_patterns
+
+        def patched(v):
+            e = original(v)
+            e[rows_of(v, LATE), 1] += DELTA
+            return e
+
+        monkeypatch.setattr(checks, "_exact_patterns", patched)
+        result = check_classicality_dichotomy(samples=10)
+        assert not result.passed
+        assert result.detail.startswith("quantum side violated by 1.000e-09")
+        assert result.detail.endswith(f" at {GRID[LATE]}")
+
+
+class TestOperatorIdentityFailures:
+    @pytest.mark.parametrize("state", [0, 517, 999])
+    def test_one_kd_entry_of_one_state(self, monkeypatch, state):
+        original = kirkwood._kd_entries
+
+        def patched(rho):
+            entries = original(rho)
+            if entries.ndim == 2:
+                entries[state, 2] += DELTA
+            return entries
+
+        monkeypatch.setattr(kirkwood, "_kd_entries", patched)
+        deviations = kirkwood.verify_operator_identities(samples=1000)
+        assert deviations["ideal_traces_equal_kd_entries"] == pytest.approx(DELTA, rel=1e-6)
+        result = check_operator_identities()
+        assert result == checks.CheckResult(
+            "operator_identities", False, "failed: ideal_traces_equal_kd_entries"
+        )
+
+    def test_states_validated_as_a_stack(self, monkeypatch):
+        original = kirkwood._random_qubit_densities
+
+        def patched(rng, n):
+            rho = original(rng, n)
+            rho[n // 2] *= 1.5
+            return rho
+
+        monkeypatch.setattr(kirkwood, "_random_qubit_densities", patched)
+        with pytest.raises(ValueError, match="unit trace"):
+            kirkwood.verify_operator_identities(samples=100)
+
+    def test_no_states(self):
+        deviations = kirkwood.verify_operator_identities(samples=0)
+        assert deviations["ideal_traces_equal_kd_entries"] == 0.0

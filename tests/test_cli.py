@@ -537,6 +537,58 @@ class TestFileFormat:
         assert run_cli("estimate", *paths.values(), "--out", tmp_path / "r.txt") == 1
         assert f"error: {paths['ex']}:{k + 1}: {message}" in capsys.readouterr().err
 
+    def test_out_of_family_header_visibilities_located(self, tmp_path, capsys):
+        paths = simulate_all(tmp_path, ("0.5", "0.7", "0.3"), 1000, base_seed=980)
+        lines = paths["ex"].read_text().splitlines()
+        lineno = lines.index("vx: 0.5") + 1
+        lines[lineno - 1] = "vx: 0.9"
+        paths["ex"].write_text("\n".join(lines) + "\n")
+        where = f"{paths['ex']}:{lineno}: visibilities: vx^2 + vy^2 + vz^2 = 1.39"
+        with pytest.raises(ValueError, match=re.escape(where)):
+            read_counts_file(paths["ex"])
+        # a malformed input file is a usage error (1), not a domain error (2)
+        assert run_cli("estimate", *paths.values(), "--out", tmp_path / "r.txt") == 1
+        assert f"error: {where}" in capsys.readouterr().err
+
+    def test_out_of_family_povm_header_located(self, tmp_path):
+        out = tmp_path / "povm.txt"
+        assert run_cli("build-povm", "--vx", 0.5, "--vy", 0.7, "--vz", 0.3, "--out", out) == 0
+        lines = out.read_text().splitlines()
+        lineno = lines.index("vx: 0.5") + 1
+        lines[lineno - 1] = "vx: 0.9"
+        out.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{out}:{lineno}: visibilities: vx^2")):
+            read_povm_file(out)
+
+    @pytest.mark.parametrize(
+        "section, old, new, message",
+        [
+            ("[visibility_x]", "value ", "value abc", "[visibility_x] value: could not convert string to float: 'abc'"),
+            ("[visibility_y]", "value ", "value 0.6 0.7", "malformed [visibility_y] row ('value', '0.6', '0.7')"),
+            ("[csquared]", "vz_magnitude ", None, "missing entry 'vz_magnitude' in section [csquared]"),
+        ],
+        ids=["bad-float", "extra-token", "missing"],
+    )
+    def test_from_report_values_located(self, tmp_path, capsys, section, old, new, message):
+        paths = simulate_all(tmp_path, ("0.5", "0.6", "0.4"), 1000, base_seed=990)
+        report = tmp_path / "r.txt"
+        assert run_cli("estimate", *paths.values(), "--out", report) == 0
+        lines = report.read_text().splitlines()
+        start = lines.index(section)
+        k = next(i for i in range(start, len(lines)) if lines[i].startswith(old))
+        # a missing row is reported at its section's line
+        lineno = start + 1 if new is None else k + 1
+        if new is None:
+            del lines[k]
+        else:
+            lines[k] = new
+        report.write_text("\n".join(lines) + "\n")
+        code = run_cli(
+            "reconstruct", "--input", paths["ex"], "--from-report", report, "--out", tmp_path / "kd.txt"
+        )
+        assert code == 1
+        assert f"error: {report}:{lineno}: {message}" in capsys.readouterr().err
+
     def test_duplicate_probs_row_rejected(self, tmp_path):
         path = tmp_path / "p.txt"
         write_probs_file(path, {o: 0.25 for o in OUTCOMES4})

@@ -311,7 +311,7 @@ class TestOperatorIdentities:
             "ideal_operators_sum_to_identity",
             "ideal_traces_equal_kd_entries",
         ]
-        assert check_operator_identities(samples=200) == CheckResult(
+        assert check_operator_identities(samples=200, seed=20240901) == CheckResult(
             "operator_identities", True, f"max deviation {max(deviations.values()):.3e}"
         )
 

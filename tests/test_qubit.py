@@ -227,6 +227,100 @@ class TestMinEigenvalue:
             min_eigenvalue_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
+@st.composite
+def hermitian_2x2_stacks(draw):
+    """(n, 2, 2) Hermitian stacks whose rows often have ``b = 0`` or ``a = d``."""
+    real = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
+    maybe_zero = st.one_of(st.just(0.0), real)
+    rows = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        a = draw(real)
+        d = draw(st.one_of(st.just(a), real))
+        b = complex(draw(maybe_zero), draw(maybe_zero))
+        rows.append([[a, b], [b.conjugate(), d]])
+    return np.array(rows, dtype=complex)
+
+
+@st.composite
+def boundary_triples(draw):
+    """(n, 3) triples with vx, vy >= 0 and vx^2 + vy^2 + vz^2 = 1, axes and diagonals included."""
+    special = st.sampled_from([(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, -1.0), (1.0, 1.0, 1.0)])
+    direction = st.tuples(*(st.floats(min_value=-1.0, max_value=1.0, allow_nan=False),) * 3)
+    rows = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        v = np.array(draw(st.one_of(special, direction)))
+        v[:2] = np.abs(v[:2])
+        if np.linalg.norm(v) < 1e-3:
+            v = np.array([0.0, 0.0, 1.0])
+        rows.append(v / np.linalg.norm(v))
+    return np.array(rows)
+
+
+class TestStackedMinEigenvalue:
+    @settings(max_examples=100, deadline=None)
+    @given(stack=hermitian_2x2_stacks())
+    def test_matches_batched_eigvalsh(self, stack):
+        lowest = min_eigenvalue_hermitian(stack)
+        assert lowest.shape == (len(stack),)
+        assert np.max(np.abs(lowest - np.linalg.eigvalsh(stack)[:, 0])) <= 1e-12
+        # a stack gives each matrix's single-matrix value, digit for digit
+        assert lowest.tolist() == [min_eigenvalue_hermitian(m) for m in stack]
+
+    @settings(max_examples=50, deadline=None)
+    @given(v=boundary_triples())
+    def test_boundary_family_elements_are_rank_deficient(self, v):
+        from xymeas.povm import _family_elements
+
+        elements = _family_elements(v)
+        lowest = min_eigenvalue_hermitian(elements)
+        assert lowest.shape == (len(v), 4)
+        assert np.max(np.abs(lowest - np.linalg.eigvalsh(elements)[..., 0])) <= 1e-12
+        assert np.max(np.abs(lowest)) <= ATOL_EIG
+
+    def test_leading_axes_kept_and_4x4_stacks(self):
+        rng = np.random.default_rng(5)
+        stack2 = np.array([[random_hermitian(rng) for _ in range(3)] for _ in range(2)])
+        assert min_eigenvalue_hermitian(stack2).shape == (2, 3)
+        stack4 = np.array([random_hermitian(rng, 4) for _ in range(5)])
+        assert np.allclose(min_eigenvalue_hermitian(stack4), np.linalg.eigvalsh(stack4)[:, 0], atol=1e-12)
+        assert isinstance(min_eigenvalue_hermitian(stack2[0, 0]), float)
+
+    def test_non_hermitian_member_rejected(self):
+        stack = np.array([identity(2), identity(2), [[0, 1], [0, 0]]], dtype=complex)
+        with pytest.raises(ValueError, match="Hermitian"):
+            min_eigenvalue_hermitian(stack)
+
+
+class TestStackedDensityMatrices:
+    def test_valid_stack_returned(self):
+        stack = np.array([density(eigenstate(a, s)) for a in AXES for s in (+1, -1)])
+        assert qubit.ensure_density_matrix(stack, dim=2) is not None
+        assert qubit.is_hermitian(stack)
+
+    @pytest.mark.parametrize(
+        "spoil, message",
+        [
+            (lambda m: m + np.array([[0, 1e-6], [0, 0]]), "not Hermitian"),
+            (lambda m: 1.5 * m, r"unit trace: trace = \(1\.5\+0j\)"),
+            (lambda m: np.diag([1.5, -0.5]), "positive"),
+        ],
+        ids=["hermitian", "trace", "positive"],
+    )
+    def test_one_bad_member_rejects_the_stack(self, spoil, message):
+        stack = np.array([density(eigenstate("Z", +1))] * 4)
+        stack[2] = spoil(stack[2])
+        with pytest.raises(ValueError, match=message):
+            qubit.ensure_density_matrix(stack)
+
+    def test_empty_stack_accepted(self):
+        assert qubit.ensure_density_matrix(np.zeros((0, 2, 2)), dim=2).shape == (0, 2, 2)
+
+    def test_single_matrix_functions_reject_stacks(self):
+        stack = np.array([identity(2)] * 2)
+        with pytest.raises(ValueError, match="2x2 or 4x4 matrix"):
+            trace_product(stack, stack)
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     axis=st.sampled_from(AXES),

@@ -28,7 +28,6 @@ from xymeas.simulate import (
     block_rng,
     run_eigenstate_experiment,
     run_pair_experiment,
-    sample_categorical,
     werner_state,
 )
 
@@ -37,6 +36,20 @@ SQ3 = 1.0 / np.sqrt(3.0)
 # chi-square quantiles at significance 1e-3 (upper tail)
 CHI2_CRIT_3DOF = 16.266
 CHI2_CRIT_15DOF = 37.697
+
+
+def sample_categorical(probs, rng: np.random.Generator, size: int | None = None):
+    """Draw category indices by inverse CDF over the given fixed ordering.
+
+    The one-draw-at-a-time law that `simulate._histogram` counts by edge
+    crossings. Probabilities are renormalized when their sum deviates from 1
+    by less than 1e-9; larger deviations and negative entries are rejected.
+    Returns a scalar index when ``size`` is None, else an array of ``size``.
+    """
+    cum = _cumulative(probs)
+    u = rng.random(size if size is not None else 1)
+    idx = np.minimum(np.searchsorted(cum, u, side="right"), cum.size - 1)
+    return int(idx[0]) if size is None else idx
 
 
 def chi_square(counts, probs, total):
