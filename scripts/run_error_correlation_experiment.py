@@ -1,26 +1,31 @@
 #!/usr/bin/env python3
 """End-to-end error-correlation experiment at the symmetric visibility point.
 
-Simulates eigenstate runs (to fix vx and vy), a singlet-pair run (to expose
-the error correlation), estimates everything, and prints the estimates next
-to the exact predictions. The headline number is c^2: classically it could
-never be negative, but the device with vz != 0 drives it to -vz^2.
+Drives ``xymeas simulate`` (eigenstate runs fix vx and vy, a singlet-pair run
+exposes the error correlation) and ``xymeas estimate`` in a temporary directory
+and prints the report next to the exact predictions. The headline number is
+c^2: classically never negative, but the device with vz != 0 drives it to -vz^2.
 """
 
 import argparse
+import contextlib
+import io
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
-from xymeas.analysis import (
-    classicality_statistic,
-    collapse_pair_counts,
-    csquared_from_patterns,
-    estimate_vx,
-    estimate_vy,
-    vsquared_from_patterns,
-)
-from xymeas.povm import VisibilityTriple, exact_pattern_probs
-from xymeas.simulate import ExperimentConfig, run_eigenstate_experiment, run_pair_experiment
+from xymeas import cli
+from xymeas.fileio import read_document, section_number
+from xymeas.povm import PATTERNS, VisibilityTriple, exact_pattern_probs
+
+
+def xymeas(*argv) -> None:
+    """Run one CLI command quietly; on failure exit with its diagnostics."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+        if cli.main([str(a) for a in argv]) != cli.EXIT_OK:
+            sys.exit(err.getvalue().rstrip())
 
 
 def main() -> None:
@@ -33,56 +38,49 @@ def main() -> None:
     parser.add_argument("--werner-p", type=float, default=1.0)
     args = parser.parse_args()
 
+    run = ["--vx", args.vx, "--vy", args.vy, "--vz", args.vz, "--shots", args.shots]
+    with tempfile.TemporaryDirectory() as work:
+        x, y, pair, out = (Path(work) / name for name in ("x", "y", "pair", "estimate.report"))
+        for axis, seed, path in (("X", args.seed, x), ("Y", args.seed + 1, y)):
+            xymeas("simulate", "--mode", "eigenstate", "--axis", axis, "--value", "+1", *run,
+                   "--seed", seed, "--randomize-flips", "--out", path)
+        xymeas("simulate", "--mode", "pair", *run, "--seed", args.seed + 2,
+               "--werner-p", args.werner_p, "--out", pair)
+        xymeas("estimate", x, y, pair, "--out", out)
+        report = read_document(out)
     v = VisibilityTriple(args.vx, args.vy, args.vz)
-    base = dict(visibilities=v, shots=args.shots)
 
-    counts_x = run_eigenstate_experiment(
-        ExperimentConfig(**base, seed=args.seed, randomize_flips=True), "X", +1
-    )
-    counts_y = run_eigenstate_experiment(
-        ExperimentConfig(**base, seed=args.seed + 1, randomize_flips=True), "Y", +1
-    )
-    pair = run_pair_experiment(
-        ExperimentConfig(**base, seed=args.seed + 2, werner_p=args.werner_p)
-    )
+    def number(section: str, key: str = "value") -> float:
+        return section_number(report, section, key, out)
 
-    vx_est = estimate_vx(counts_x)
-    vy_est = estimate_vy(counts_y)
-    stats = collapse_pair_counts(pair)
-    vx2, vy2 = vsquared_from_patterns(stats)
-    corr = csquared_from_patterns(stats)
-    s_stat = classicality_statistic(stats)
-    exact = exact_pattern_probs(v)
-
+    p = args.werner_p
     print(f"device visibilities: vx={v.vx:.6f} vy={v.vy:.6f} vz={v.vz:.6f}")
     print(f"shots per run: {args.shots}, source werner_p: {args.werner_p}")
     print()
     print(f"{'quantity':<22}{'estimate':>14}{'stderr':>12}{'exact':>14}")
     rows = [
-        ("vx (eigenstate run)", vx_est.value, vx_est.stderr, v.vx),
-        ("vy (eigenstate run)", vy_est.value, vy_est.stderr, v.vy),
-        ("vx^2 (pair run)", vx2.value, vx2.stderr, args.werner_p * v.vx ** 2),
-        ("vy^2 (pair run)", vy2.value, vy2.stderr, args.werner_p * v.vy ** 2),
-        ("c^2 (pair run)", corr.c_squared, corr.stderr, -args.werner_p * v.vz ** 2),
-        ("S statistic", s_stat, 0.0, args.werner_p * v.vz ** 2 / 4),
+        ("vx (eigenstate run)", "visibility_x", v.vx),
+        ("vy (eigenstate run)", "visibility_y", v.vy),
+        ("vx^2 (pair run)", "vx_squared_pair", p * v.vx ** 2),
+        ("vy^2 (pair run)", "vy_squared_pair", p * v.vy ** 2),
+        ("c^2 (pair run)", "csquared", -p * v.vz ** 2),
     ]
+    rows = [(name, number(s), number(s, "stderr"), reference) for name, s, reference in rows]
+    rows.append(("S statistic", number("classicality", "statistic"), 0.0, p * v.vz ** 2 / 4))
     for name, value, stderr, reference in rows:
         print(f"{name:<22}{value:>14.6f}{stderr:>12.2g}{reference:>14.6f}")
     print()
-    for r in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        print(
-            f"pattern e{r}: estimate {stats.e[r]:.6f} +- {stats.stderr[r]:.2g}, "
-            f"exact {args.werner_p * exact.e[r] + (1 - args.werner_p) / 16:.6f}"
-        )
+    exact = exact_pattern_probs(v).e
+    for (_, _, e, stderr), r in zip(report.section("patterns"), PATTERNS):
+        print(f"pattern e{r}: estimate {float(e):.6f} +- {float(stderr):.2g}, "
+              f"exact {p * exact[r] + (1 - p) / 16:.6f}")
     print()
-    sigmas = abs(corr.c_squared) / corr.stderr if corr.stderr > 0 else float("inf")
-    if corr.classical:
+    if report.section_value("csquared", "classical") == "true":
         print("verdict: consistent with a classical error model (c^2 >= 0 within 3 sigma)")
     else:
-        print(
-            f"verdict: non-classical error correlation, c^2 < 0 at {sigmas:.1f} sigma "
-            f"(|vz| estimate {corr.vz_magnitude:.6f})"
-        )
+        sigmas = abs(number("csquared")) / number("csquared", "stderr")
+        print(f"verdict: non-classical error correlation, c^2 < 0 at {sigmas:.1f} sigma "
+              f"(|vz| estimate {number('csquared', 'vz_magnitude'):.6f})")
 
 
 if __name__ == "__main__":

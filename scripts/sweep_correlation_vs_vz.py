@@ -10,7 +10,12 @@ can reproduce.
 import argparse
 import sys
 
-from xymeas.analysis import classicality_statistic, collapse_pair_counts, csquared_from_patterns
+from xymeas.analysis import (
+    classicality_statistic,
+    collapse_pair_counts,
+    csquared_from_patterns,
+    is_classical,
+)
 from xymeas.fileio import fmt_float
 from xymeas.povm import VisibilityTriple, exact_pattern_probs
 from xymeas.simulate import ExperimentConfig, run_pair_experiment
@@ -39,15 +44,15 @@ def main() -> None:
             ExperimentConfig(visibilities=v, shots=args.shots, seed=args.seed + i)
         )
         stats = collapse_pair_counts(counts)
-        corr = csquared_from_patterns(stats)
+        c2 = csquared_from_patterns(stats)
         row = [
             fmt_float(vz),
             fmt_float(-(vz ** 2)),
-            fmt_float(corr.c_squared),
-            fmt_float(corr.stderr),
+            fmt_float(c2.value),
+            fmt_float(c2.stderr),
             fmt_float(classicality_statistic(exact)),
             fmt_float(classicality_statistic(stats)),
-            "classical" if corr.classical else "non-classical",
+            "classical" if is_classical(c2) else "non-classical",
         ]
         print("\t".join(row), file=args.out)
 

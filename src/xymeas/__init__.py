@@ -10,10 +10,8 @@ tables.
 
 from .analysis import (
     CLASSICAL_SIGMA,
-    CorrelationEstimate,
     ErrorModel,
     Estimate,
-    VisibilityEstimate,
     classicality_statistic,
     collapse_pair_counts,
     correct_for_source_noise,
@@ -22,6 +20,7 @@ from .analysis import (
     error_model_from_visibilities,
     estimate_vx,
     estimate_vy,
+    is_classical,
     pattern_of,
     predicted_pattern_probs,
     visibilities_from_error_model,
@@ -29,7 +28,6 @@ from .analysis import (
 )
 from .kirkwood import (
     KDDistribution,
-    PairKDDistribution,
     SingularInversionError,
     forward_map,
     kd_from_state,

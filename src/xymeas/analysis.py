@@ -25,6 +25,9 @@ instead force ``c^2 >= 0``; equivalently, the statistic
 ``s = e(0,1) + e(1,0) - e(0,0) - e(1,1)`` is ``vz^2 / 4 >= 0`` for every
 quantum measurement and ``<= 0`` for every classical model.
 
+Each estimate (``vx``, ``vy``; ``vx^2``, ``vy^2``, ``c^2``) is one `Estimate`,
+value and standard error; `is_classical` is the one verdict on ``c^2``.
+
 Standard errors use plain binomial/multinomial propagation. Zero-count
 pattern cells get the rule-of-three upper bound ``3/N`` in place of an
 estimated binomial spread.
@@ -48,6 +51,8 @@ CLASSICAL_SIGMA = 3.0
 
 @dataclass(frozen=True)
 class Estimate:
+    """A finite estimate with its non-negative standard error."""
+
     value: float
     stderr: float
 
@@ -56,39 +61,6 @@ class Estimate:
             raise ValueError("estimate must be finite")
         if self.stderr < 0.0:
             raise ValueError("stderr must be non-negative")
-
-
-@dataclass(frozen=True)
-class VisibilityEstimate:
-    value: float
-    stderr: float
-    source: str  # "eigenstate-run", "pair-run", or "exact"
-
-    def __post_init__(self) -> None:
-        if self.stderr < 0.0:
-            raise ValueError("stderr must be non-negative")
-        if self.source not in ("eigenstate-run", "pair-run", "exact"):
-            raise ValueError(f"unknown estimate source {self.source!r}")
-
-
-@dataclass(frozen=True)
-class CorrelationEstimate:
-    """Squared error correlation with its non-classicality verdict.
-
-    ``c_squared`` may be negative; only its square is observable, so no sign
-    of the correlation itself is ever reported. ``vz_magnitude`` is
-    ``sqrt(max(-c_squared, 0))`` and ``classical`` is True when ``c_squared``
-    is within ``CLASSICAL_SIGMA`` standard errors of the classical region.
-    """
-
-    c_squared: float
-    stderr: float
-    vz_magnitude: float
-    classical: bool
-
-    def __post_init__(self) -> None:
-        if self.stderr < 0.0 or self.vz_magnitude < 0.0:
-            raise ValueError("stderr and vz_magnitude must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -112,11 +84,7 @@ class ErrorModel:
         object.__setattr__(self, "weights", weights)
 
 
-def _binomial_stderr(p: float, total: float) -> float:
-    return 2.0 * np.sqrt(max(p * (1.0 - p), 0.0) / total)
-
-
-def _estimate_visibility(counts: OutcomeCounts4, axis: str, source: str) -> VisibilityEstimate:
+def _estimate_visibility(counts: OutcomeCounts4, axis: str) -> Estimate:
     """``(correct count - wrong count) / total`` of the measured axis."""
     name = f"estimate_v{axis.lower()}"
     if ensure_axis(counts.input_axis) != axis:
@@ -126,22 +94,21 @@ def _estimate_visibility(counts: OutcomeCounts4, axis: str, source: str) -> Visi
     # OUTCOMES4 order: rows x = +1, -1; columns y = +1, -1
     marginal = counts.counts.array.reshape(2, 2).sum(axis=1 if axis == "X" else 0)
     p = float(marginal[0 if counts.input_value == +1 else 1]) / counts.total
-    return VisibilityEstimate(
-        value=2.0 * p - 1.0, stderr=_binomial_stderr(p, counts.total), source=source
-    )
+    stderr = 2.0 * np.sqrt(max(p * (1.0 - p), 0.0) / counts.total)
+    return Estimate(value=2.0 * p - 1.0, stderr=stderr)
 
 
-def estimate_vx(counts: OutcomeCounts4, source: str = "eigenstate-run") -> VisibilityEstimate:
+def estimate_vx(counts: OutcomeCounts4) -> Estimate:
     """Resolution of the X outcome from an X-eigenstate run.
 
     ``(correct-x count - wrong-x count) / total`` summed over both y outcomes.
     """
-    return _estimate_visibility(counts, "X", source)
+    return _estimate_visibility(counts, "X")
 
 
-def estimate_vy(counts: OutcomeCounts4, source: str = "eigenstate-run") -> VisibilityEstimate:
+def estimate_vy(counts: OutcomeCounts4) -> Estimate:
     """Mirror of `estimate_vx` for Y-eigenstate runs."""
-    return _estimate_visibility(counts, "Y", source)
+    return _estimate_visibility(counts, "Y")
 
 
 def pattern_of(x1: int, y1: int, x2: int, y2: int) -> tuple[int, int]:
@@ -188,21 +155,24 @@ def vsquared_from_patterns(stats: PatternStats) -> tuple[Estimate, Estimate]:
     return Estimate(value=vx2, stderr=stderr), Estimate(value=vy2, stderr=stderr)
 
 
-def csquared_from_patterns(stats: PatternStats) -> CorrelationEstimate:
-    """Squared error correlation from pattern probabilities.
+def csquared_from_patterns(stats: PatternStats) -> Estimate:
+    """Squared error correlation ``c^2`` from pattern probabilities.
 
     Every measurement in the positive family gives exactly ``-vz^2``; a
-    significantly negative estimate is the non-classical signature.
+    significantly negative estimate is the non-classical signature (see
+    `is_classical`). Only the square is observable, so no sign of the
+    correlation itself is ever reported.
     """
     (_, _, _, c2), stderr = _pattern_sums(stats)
-    # ATOL_ALGEBRA floor keeps exact zero-stderr inputs with rounding dust
-    # below zero from being flagged non-classical
-    return CorrelationEstimate(
-        c_squared=c2,
-        stderr=stderr,
-        vz_magnitude=float(np.sqrt(max(-c2, 0.0))),
-        classical=bool(c2 >= -(CLASSICAL_SIGMA * stderr + ATOL_ALGEBRA)),
-    )
+    return Estimate(value=c2, stderr=stderr)
+
+
+def is_classical(c2: Estimate) -> bool:
+    """Whether ``c^2`` lies within ``CLASSICAL_SIGMA`` standard errors of the classical region.
+
+    The ``ATOL_ALGEBRA`` floor keeps exact inputs with rounding dust below zero classical.
+    """
+    return bool(c2.value >= -(CLASSICAL_SIGMA * c2.stderr + ATOL_ALGEBRA))
 
 
 def classicality_statistic(stats: PatternStats) -> float:

@@ -12,17 +12,20 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from pathlib import Path
 
 from . import __version__
 from .analysis import (
+    Estimate,
     classicality_statistic,
     collapse_pair_counts,
     correct_for_source_noise,
     csquared_from_patterns,
     estimate_vx,
     estimate_vy,
+    is_classical,
     vsquared_from_patterns,
 )
 from .checks import run_all_checks
@@ -240,22 +243,17 @@ def cmd_estimate(args) -> int:
     ]
     summary = []
 
-    if "eigenstate-X" in roles:
-        vx_est = estimate_vx(roles["eigenstate-X"].eigenstate_counts)
-        doc.sections["visibility_x"] = [
-            ("value", fmt_float(vx_est.value)),
-            ("stderr", fmt_float(vx_est.stderr)),
-            ("source", vx_est.source),
-        ]
-        summary.append(f"vx = {vx_est.value:.6f} +- {vx_est.stderr:.2g}")
-    if "eigenstate-Y" in roles:
-        vy_est = estimate_vy(roles["eigenstate-Y"].eigenstate_counts)
-        doc.sections["visibility_y"] = [
-            ("value", fmt_float(vy_est.value)),
-            ("stderr", fmt_float(vy_est.stderr)),
-            ("source", vy_est.source),
-        ]
-        summary.append(f"vy = {vy_est.value:.6f} +- {vy_est.stderr:.2g}")
+    def section(name: str, est: Estimate, *extra: tuple[str, str]) -> str:
+        """Write ``[name]`` as value, stderr and ``extra`` rows; return ``"v +- s"`` for stdout."""
+        doc.sections[name] = [("value", fmt_float(est.value)), ("stderr", fmt_float(est.stderr)), *extra]
+        return f"{est.value:.6f} +- {est.stderr:.2g}"
+
+    for axis, estimate in (("x", estimate_vx), ("y", estimate_vy)):
+        role = f"eigenstate-{axis.upper()}"
+        if role in roles:
+            est = estimate(roles[role].eigenstate_counts)
+            figure = section(f"visibility_{axis}", est, ("source", "eigenstate-run"))
+            summary.append(f"v{axis} = {figure}")
 
     if "pair" in roles:
         pair = roles["pair"]
@@ -276,26 +274,18 @@ def cmd_estimate(args) -> int:
             for rx, ry in PATTERNS
         ]
         vx2, vy2 = vsquared_from_patterns(stats)
-        doc.sections["vx_squared_pair"] = [
-            ("value", fmt_float(vx2.value)),
-            ("stderr", fmt_float(vx2.stderr)),
-        ]
-        doc.sections["vy_squared_pair"] = [
-            ("value", fmt_float(vy2.value)),
-            ("stderr", fmt_float(vy2.stderr)),
-        ]
-        corr = csquared_from_patterns(stats)
-        doc.sections["csquared"] = [
-            ("value", fmt_float(corr.c_squared)),
-            ("stderr", fmt_float(corr.stderr)),
-            ("vz_magnitude", fmt_float(corr.vz_magnitude)),
-            ("classical", fmt_bool(corr.classical)),
-        ]
+        section("vx_squared_pair", vx2)
+        section("vy_squared_pair", vy2)
+        c2 = csquared_from_patterns(stats)
+        classical = is_classical(c2)
+        vz = math.sqrt(max(-c2.value, 0.0))
+        extra = ("vz_magnitude", fmt_float(vz)), ("classical", fmt_bool(classical))
+        figure = section("csquared", c2, *extra)
         statistic = classicality_statistic(stats)
         doc.sections["classicality"] = [("statistic", fmt_float(statistic))]
-        verdict = "consistent with classical errors" if corr.classical else "non-classical"
-        summary.append(f"c^2 = {corr.c_squared:.6f} +- {corr.stderr:.2g} ({verdict})")
-        summary.append(f"|vz| = {corr.vz_magnitude:.6f}, S = {statistic:.6f}")
+        verdict = "consistent with classical errors" if classical else "non-classical"
+        summary.append(f"c^2 = {figure} ({verdict})")
+        summary.append(f"|vz| = {vz:.6f}, S = {statistic:.6f}")
 
     configured = {a.visibilities for a in roles.values()}
     if len(configured) == 1 and None not in configured:

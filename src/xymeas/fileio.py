@@ -81,9 +81,10 @@ def parse_bool(token: str) -> bool:
 class Document:
     """Parsed or to-be-written artifact file.
 
-    A parsed document also records the line number of each header key in
-    ``header_lines``, of each section's ``[name]`` line in ``section_lines``
-    and of each section row in ``row_lines``.
+    A parsed document also records the file it came from in ``path``, the
+    line number of each header key in ``header_lines``, of each section's
+    ``[name]`` line in ``section_lines`` and of each section row in
+    ``row_lines``; its "missing" errors start with ``path:`` or ``path:line:``.
     """
 
     header: dict[str, str] = field(default_factory=dict)
@@ -91,22 +92,29 @@ class Document:
     header_lines: dict[str, int] = field(default_factory=dict)
     section_lines: dict[str, int] = field(default_factory=dict)
     row_lines: dict[str, list[int]] = field(default_factory=dict)
+    path: str | Path | None = None
+
+    def _where(self, lineno: int | None = None) -> str:
+        if self.path is None:
+            return ""
+        return f"{self.path}:{lineno}: " if lineno is not None else f"{self.path}: "
 
     def require(self, key: str) -> str:
         if key not in self.header:
-            raise ValueError(f"missing header key {key!r}")
+            raise ValueError(f"{self._where()}missing header key {key!r}")
         return self.header[key]
 
     def section(self, name: str) -> list[tuple[str, ...]]:
         if name not in self.sections:
-            raise ValueError(f"missing section [{name}]")
+            raise ValueError(f"{self._where()}missing section [{name}]")
         return self.sections[name]
 
     def section_value(self, name: str, key: str) -> str:
         for row in self.section(name):
             if row and row[0] == key:
                 return row[1]
-        raise ValueError(f"missing entry {key!r} in section [{name}]")
+        where = self._where(self.section_lines.get(name))
+        raise ValueError(f"{where}missing entry {key!r} in section [{name}]")
 
 
 def write_document(path: str | Path, doc: Document) -> None:
@@ -122,7 +130,7 @@ def read_document(path: str | Path) -> Document:
 
     A malformed or repeated header key is rejected with its ``file:line``.
     """
-    doc = Document()
+    doc = Document(path=path)
     current: list[tuple[str, ...]] | None = None
     for lineno, raw in enumerate(Path(path).read_text(encoding="ascii").splitlines(), 1):
         line = raw.strip()

@@ -25,6 +25,7 @@ order, which conjugates every quasi-probability entry.)
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -85,43 +86,34 @@ class KDDistribution:
         return complex(self.entries[(+1, y)] + self.entries[(-1, y)]).real
 
 
-@dataclass(frozen=True)
-class PairKDDistribution:
-    """Quasi-probability of a two-qubit state over (x1, y1, x2, y2)."""
-
-    entries: Mapping[tuple[int, int, int, int], complex]
-
-    def __post_init__(self) -> None:
-        entries = Table(
-            OUTCOMES16, self.entries, dtype=complex, total=1.0, tol=ATOL_ALGEBRA, what="pair KD"
-        )
-        object.__setattr__(self, "entries", entries)
-
-
 def kd_from_state(rho) -> KDDistribution:
     """Quasi-probability ``<x|y><y|rho|x>`` of a qubit state."""
     return KDDistribution(entries=_kd_entries(ensure_density_matrix(rho, dim=2)))
 
 
-def _kd_entries(rho: np.ndarray) -> np.ndarray:
-    """``<x|y><y|rho|x>`` in ``OUTCOMES4`` order for each state of a (..., 2, 2) stack, as (..., 4)."""
-    ket_x = np.array([eigenstate("X", x) for x, _ in OUTCOMES4])
-    ket_y = np.array([eigenstate("Y", y) for _, y in OUTCOMES4])
+def _product_kets(outcomes, axis: str) -> np.ndarray:
+    """``|a1> (x) |a2> (x) ...`` for each outcome ``(x1, y1, x2, y2, ...)``, ``a`` the ``axis`` signs."""
+    first = "XY".index(axis)
+    kets = ([eigenstate(axis, s) for s in o[first::2]] for o in outcomes)
+    return np.array([functools.reduce(tensor_state, k) for k in kets])
+
+
+def _kd_entries(rho: np.ndarray, outcomes=OUTCOMES4) -> np.ndarray:
+    """``<x|y><y|rho|x>`` in ``outcomes`` order for each state of a (..., d, d) stack, as (..., k).
+
+    ``outcomes`` is ``OUTCOMES4`` for a qubit, ``OUTCOMES16`` for a pair (`_product_kets`).
+    """
+    ket_x = _product_kets(outcomes, "X")
+    ket_y = _product_kets(outcomes, "Y")
     overlap = np.sum(ket_x.conj() * ket_y, axis=-1)
     rho_x = np.sum(np.asarray(rho)[..., None, :, :] * ket_x[:, None, :], axis=-1)
     return overlap * np.sum(ket_y.conj() * rho_x, axis=-1)
 
 
-def kd_pair_from_state(rho4) -> PairKDDistribution:
-    """Quasi-probability ``<x1,x2|y1,y2><y1,y2|rho4|x1,x2>`` of a two-qubit state."""
-    rho4 = ensure_density_matrix(rho4, dim=4)
-    entries = []
-    for x1, y1, x2, y2 in OUTCOMES16:
-        ket_x = tensor_state(eigenstate("X", x1), eigenstate("X", x2))
-        ket_y = tensor_state(eigenstate("Y", y1), eigenstate("Y", y2))
-        overlap = complex(np.vdot(ket_x, ket_y))
-        entries.append(overlap * complex(np.vdot(ket_y, rho4 @ ket_x)))
-    return PairKDDistribution(entries=entries)
+def kd_pair_from_state(rho4) -> Table:
+    """Quasi-probability ``<x1,x2|y1,y2><y1,y2|rho4|x1,x2>`` of a two-qubit state over ``OUTCOMES16``."""
+    entries = _kd_entries(ensure_density_matrix(rho4, dim=4), OUTCOMES16)
+    return Table(OUTCOMES16, entries, dtype=complex, total=1.0, tol=ATOL_ALGEBRA, what="pair KD")
 
 
 def _check_not_singular(name: str, value: complex) -> complex:

@@ -17,6 +17,7 @@ from xymeas.analysis import (
     csquared_from_patterns,
     estimate_vx,
     estimate_vy,
+    is_classical,
     pattern_quasiprobs,
     predicted_pattern_probs,
     vsquared_from_patterns,
@@ -92,15 +93,15 @@ def test_criterion_3_negative_csquared():
     with criterion(3, "c^2 = -vz^2 exactly on the grid; Monte-Carlo hits -1/3 non-classically"):
         for v in GRID:
             corr = csquared_from_patterns(exact_pattern_probs(v))
-            assert abs(corr.c_squared - (-(v.vz ** 2))) <= 1e-12
+            assert abs(corr.value - (-(v.vz ** 2))) <= 1e-12
         config = ExperimentConfig(
             visibilities=VisibilityTriple(SQ3, SQ3, SQ3), shots=1_000_000, seed=20240910
         )
         counts = run_pair_experiment(config)
         corr = csquared_from_patterns(collapse_pair_counts(counts))
-        assert abs(corr.c_squared - (-1 / 3)) <= 0.01
-        assert corr.c_squared < -3.0 * corr.stderr
-        assert corr.classical is False
+        assert abs(corr.value - (-1 / 3)) <= 0.01
+        assert corr.value < -3.0 * corr.stderr
+        assert is_classical(corr) is False
 
 
 def test_criterion_4_classicality_dichotomy():
@@ -208,7 +209,7 @@ def test_criterion_9_singlet_pair_kd():
     with criterion(9, "singlet pair quasi-probability is the real quarter-delta table"):
         kd = kd_pair_from_state(density(singlet()))
         for x1, y1, x2, y2 in OUTCOMES16:
-            entry = complex(kd.entries[(x1, y1, x2, y2)])
+            entry = complex(kd[(x1, y1, x2, y2)])
             assert abs(entry.imag) <= 1e-12
             expected = 0.25 if (x2 == -x1 and y2 == -y1) else 0.0
             assert abs(entry.real - expected) <= 1e-12

@@ -15,6 +15,7 @@ from xymeas.analysis import (
     error_model_from_visibilities,
     estimate_vx,
     estimate_vy,
+    is_classical,
     pattern_of,
     predicted_pattern_probs,
     visibilities_from_error_model,
@@ -56,7 +57,6 @@ class TestVisibilityEstimates:
         est = estimate_vx(counts)
         assert est.value == pytest.approx(0.6, abs=1e-15)
         assert est.stderr == pytest.approx(2 * np.sqrt(0.8 * 0.2 / 1e6), rel=1e-12)
-        assert est.source == "eigenstate-run"
 
     def test_perfect_and_uniform(self):
         perfect = OutcomeCounts4(
@@ -76,9 +76,8 @@ class TestVisibilityEstimates:
             build_povm(VisibilityTriple(0.6, 0.8, 0.0)), density(eigenstate("Y", +1))
         )
         counts = eigenstate_counts(probs, 1.0, "Y", +1)
-        est = estimate_vy(counts, source="exact")
+        est = estimate_vy(counts)
         assert est.value == pytest.approx(0.8, abs=1e-12)
-        assert est.source == "exact"
 
     def test_negative_input_value_counts_correctly(self):
         probs = outcome_probs(
@@ -175,9 +174,9 @@ class TestPatternSums:
         assert vx2.value == pytest.approx(1 / 3, abs=1e-12)
         assert vy2.value == pytest.approx(1 / 3, abs=1e-12)
         corr = csquared_from_patterns(stats)
-        assert corr.c_squared == pytest.approx(-1 / 3, abs=1e-12)
-        assert corr.vz_magnitude == pytest.approx(SQ3, abs=1e-12)
-        assert corr.classical is False
+        assert corr.value == pytest.approx(-1 / 3, abs=1e-12)
+        assert np.sqrt(-corr.value) == pytest.approx(SQ3, abs=1e-12)
+        assert is_classical(corr) is False
 
     def test_z_blind_device(self):
         stats = exact_pattern_probs(VisibilityTriple(0.6, 0.8, 0.0))
@@ -185,8 +184,8 @@ class TestPatternSums:
         assert vx2.value == pytest.approx(0.36, abs=1e-12)
         assert vy2.value == pytest.approx(0.64, abs=1e-12)
         corr = csquared_from_patterns(stats)
-        assert corr.c_squared == pytest.approx(0.0, abs=1e-12)
-        assert corr.classical is True
+        assert corr.value == pytest.approx(0.0, abs=1e-12)
+        assert is_classical(corr) is True
 
     def test_uniform_patterns(self):
         stats = PatternStats(
@@ -203,8 +202,8 @@ class TestPatternSums:
             total_shots=0,
         )
         corr = csquared_from_patterns(stats)
-        assert corr.c_squared == pytest.approx(1.0, abs=1e-12)
-        assert corr.classical is True
+        assert corr.value == pytest.approx(1.0, abs=1e-12)
+        assert is_classical(corr) is True
         assert classicality_statistic(stats) == pytest.approx(-0.25, abs=1e-12)
 
     @pytest.mark.parametrize(
@@ -220,7 +219,7 @@ class TestPatternSums:
         stats = exact_pattern_probs(v)
         assert classicality_statistic(stats) == pytest.approx(v.vz ** 2 / 4, abs=1e-12)
         corr = csquared_from_patterns(stats)
-        assert corr.c_squared == pytest.approx(-v.vz ** 2, abs=1e-12)
+        assert corr.value == pytest.approx(-v.vz ** 2, abs=1e-12)
 
     def test_boundary_vz_zero(self):
         stats = exact_pattern_probs(VisibilityTriple(0.7, 0.7, 0.0))
@@ -261,9 +260,9 @@ class TestSourceNoiseCorrection:
             total_shots=1000,
         )
         raw = csquared_from_patterns(noisy)
-        assert raw.c_squared == pytest.approx(-p * v.vz ** 2, abs=1e-12)
+        assert raw.value == pytest.approx(-p * v.vz ** 2, abs=1e-12)
         corrected = csquared_from_patterns(correct_for_source_noise(noisy, p))
-        assert corrected.c_squared == pytest.approx(-v.vz ** 2, abs=1e-12)
+        assert corrected.value == pytest.approx(-v.vz ** 2, abs=1e-12)
         assert corrected.stderr == pytest.approx(raw.stderr / p, rel=1e-12)
 
     def test_invalid_parameter_rejected(self):

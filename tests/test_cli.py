@@ -281,7 +281,7 @@ class TestEstimate:
         assert float(report.section_value("visibility_y", "value")) == pytest.approx(vy.value, abs=1e-12)
         assert float(report.section_value("vx_squared_pair", "value")) == pytest.approx(vx2.value, abs=1e-12)
         assert float(report.section_value("vy_squared_pair", "value")) == pytest.approx(vy2.value, abs=1e-12)
-        assert float(report.section_value("csquared", "value")) == pytest.approx(corr.c_squared, abs=1e-12)
+        assert float(report.section_value("csquared", "value")) == pytest.approx(corr.value, abs=1e-12)
         assert float(report.section_value("classicality", "statistic")) == pytest.approx(
             classicality_statistic(stats), abs=1e-12
         )
@@ -588,6 +588,25 @@ class TestFileFormat:
         )
         assert code == 1
         assert f"error: {report}:{lineno}: {message}" in capsys.readouterr().err
+
+    def test_missing_header_key_names_file(self, tmp_path, capsys):
+        paths = simulate_all(tmp_path, ("0.5", "0.6", "0.4"), 1000, base_seed=1000)
+        lines = paths["ex"].read_text().splitlines()
+        lines.remove("mode: eigenstate")
+        paths["ex"].write_text("\n".join(lines) + "\n")
+        assert run_cli("estimate", *paths.values(), "--out", tmp_path / "r.txt") == 1
+        assert f"error: {paths['ex']}: missing header key 'mode'" in capsys.readouterr().err
+
+    def test_missing_report_section_names_file(self, tmp_path, capsys):
+        paths = simulate_all(tmp_path, ("0.5", "0.6", "0.4"), 1000, base_seed=1010)
+        report = tmp_path / "r.txt"
+        assert run_cli("estimate", paths["ey"], paths["pair"], "--allow-partial", "--out", report) == 0
+        assert "[visibility_x]" not in report.read_text()
+        code = run_cli(
+            "reconstruct", "--input", paths["ey"], "--from-report", report, "--out", tmp_path / "kd.txt"
+        )
+        assert code == 1
+        assert f"error: {report}: missing section [visibility_x]" in capsys.readouterr().err
 
     def test_duplicate_probs_row_rejected(self, tmp_path):
         path = tmp_path / "p.txt"

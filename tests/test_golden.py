@@ -2,9 +2,10 @@
 
 The fixtures under ``tests/golden/`` pin the bytes of a measurement dump,
 counts files (eigenstate with and without flip randomization, a Werner
-pair), estimate reports (with and without source-noise correction) and
-reconstruction reports (from a counts file via ``--from-report`` and from a
-probability file). Manifests carry a timestamp and are left out.
+pair), estimate reports (with and without source-noise correction) and the
+summary lines each estimate prints to stdout, and reconstruction reports
+(from a counts file via ``--from-report`` and from a probability file).
+Manifests carry a timestamp and are left out.
 
 Re-record only when a change is meant to alter these bytes, and say so
 with the change:
@@ -12,6 +13,8 @@ with the change:
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import contextlib
+import io
 import shutil
 import sys
 from pathlib import Path
@@ -49,18 +52,30 @@ COMMANDS = [
 ]
 
 
+# artifact -> fixture holding the stdout of the command that writes it
+STDOUT = {"estimate.report": "estimate.stdout", "corrected.report": "corrected.stdout"}
+
+
 def write_probs(path):
     v = VisibilityTriple(*map(float, V))
     write_probs_file(path, outcome_probs(build_povm(v), density(eigenstate("Z", +1))), state="Z+")
 
 
-def run_all(directory: Path) -> None:
-    """Run every command of `COMMANDS` in ``directory`` (the working directory)."""
+def run_all(directory: Path) -> dict[str, str]:
+    """Run every command of `COMMANDS` in ``directory`` (the working directory).
+
+    Returns the stdout of the commands named in `STDOUT`, keyed by fixture.
+    """
+    stdout = {}
     for artifact, argv in COMMANDS:
-        code = cli.main(argv)
+        with contextlib.redirect_stdout(io.StringIO()) as captured:
+            code = cli.main(argv)
         if code != 0:
             raise RuntimeError(f"{' '.join(argv)} exited {code}")
         assert (directory / artifact).is_file()
+        if artifact in STDOUT:
+            stdout[STDOUT[artifact]] = captured.getvalue()
+    return stdout
 
 
 def test_probs_input_bytes(tmp_path):
@@ -71,9 +86,11 @@ def test_probs_input_bytes(tmp_path):
 def test_cli_artifacts_are_byte_identical(tmp_path, monkeypatch):
     shutil.copy(GOLDEN / PROBS, tmp_path / PROBS)
     monkeypatch.chdir(tmp_path)
-    run_all(tmp_path)
+    stdout = run_all(tmp_path)
     for artifact, _argv in COMMANDS:
         assert (tmp_path / artifact).read_bytes() == (GOLDEN / artifact).read_bytes(), artifact
+    for fixture, text in stdout.items():
+        assert text.encode() == (GOLDEN / fixture).read_bytes(), fixture
 
 
 if __name__ == "__main__":
@@ -85,7 +102,9 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as work:
         shutil.copy(GOLDEN / PROBS, Path(work) / PROBS)
         os.chdir(work)
-        run_all(Path(work))
+        stdout = run_all(Path(work))
         for artifact, _argv in COMMANDS:
             shutil.copy(artifact, GOLDEN / artifact)
-    print(f"recorded {len(COMMANDS) + 1} fixtures in {GOLDEN}", file=sys.stderr)
+    for fixture, text in stdout.items():
+        (GOLDEN / fixture).write_bytes(text.encode())
+    print(f"recorded {len(COMMANDS) + len(STDOUT) + 1} fixtures in {GOLDEN}", file=sys.stderr)

@@ -24,9 +24,10 @@ from xymeas.qubit import (
     pauli,
     singlet,
     tensor,
+    tensor_state,
     trace_product,
 )
-from xymeas.simulate import ExperimentConfig, run_eigenstate_experiment
+from xymeas.simulate import ExperimentConfig, run_eigenstate_experiment, werner_state
 
 SQ3 = 1.0 / np.sqrt(3.0)
 
@@ -95,11 +96,37 @@ class TestKDFromState:
             kd_from_state(np.diag([0.5, 0.6]))
 
 
+def kd_pair_reference(rho4) -> dict:
+    """``<x1,x2|y1,y2><y1,y2|rho4|x1,x2>`` one outcome at a time, by `vdot` of product kets."""
+    entries = {}
+    for x1, y1, x2, y2 in OUTCOMES16:
+        ket_x = tensor_state(eigenstate("X", x1), eigenstate("X", x2))
+        ket_y = tensor_state(eigenstate("Y", y1), eigenstate("Y", y2))
+        overlap = complex(np.vdot(ket_x, ket_y))
+        entries[(x1, y1, x2, y2)] = overlap * complex(np.vdot(ket_y, rho4 @ ket_x))
+    return entries
+
+
 class TestPairKD:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_per_outcome_reference(self, seed):
+        rng = np.random.default_rng(560 + seed)
+        for _ in range(25):
+            # Werner states mixed with random product states, and random full-rank states
+            product = tensor(random_qubit_density(rng), random_qubit_density(rng))
+            lam = rng.random()
+            ginibre = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            generic = ginibre @ ginibre.conj().T
+            for rho4 in (lam * werner_state(rng.random()) + (1 - lam) * product, generic / np.trace(generic).real):
+                pair = kd_pair_from_state(rho4)
+                reference = kd_pair_reference(rho4)
+                for o in OUTCOMES16:
+                    assert abs(pair[o] - reference[o]) <= 1e-15, o
+
     def test_singlet_is_quarter_delta(self):
         kd = kd_pair_from_state(density(singlet()))
         for x1, y1, x2, y2 in OUTCOMES16:
-            entry = complex(kd.entries[(x1, y1, x2, y2)])
+            entry = complex(kd[(x1, y1, x2, y2)])
             assert abs(entry.imag) <= 1e-12
             if x2 == -x1 and y2 == -y1:
                 assert entry.real == pytest.approx(0.25, abs=1e-12)
@@ -109,7 +136,7 @@ class TestPairKD:
     def test_maximally_mixed_uniform(self):
         kd = kd_pair_from_state(identity(4) / 4)
         for o in OUTCOMES16:
-            assert kd.entries[o] == pytest.approx(1 / 16, abs=1e-12)
+            assert kd[o] == pytest.approx(1 / 16, abs=1e-12)
 
     def test_product_state_factorizes(self):
         rng = np.random.default_rng(54)
@@ -120,7 +147,7 @@ class TestPairKD:
         kd_b = kd_from_state(rho_b)
         for x1, y1, x2, y2 in OUTCOMES16:
             expected = kd_a.entries[(x1, y1)] * kd_b.entries[(x2, y2)]
-            assert pair.entries[(x1, y1, x2, y2)] == pytest.approx(expected, abs=1e-12)
+            assert pair[(x1, y1, x2, y2)] == pytest.approx(expected, abs=1e-12)
 
     def test_wing_marginals_reproduce_x_statistics(self):
         rng = np.random.default_rng(55)
@@ -129,7 +156,7 @@ class TestPairKD:
         pair = kd_pair_from_state(tensor(rho_a, rho_b))
         for x1 in (+1, -1):
             marginal = sum(
-                pair.entries[(x1, y1, x2, y2)]
+                pair[(x1, y1, x2, y2)]
                 for y1 in (+1, -1)
                 for x2 in (+1, -1)
                 for y2 in (+1, -1)
