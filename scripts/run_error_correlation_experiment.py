@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from xymeas import cli
-from xymeas.fileio import read_document, section_number
+from xymeas.fileio import read_document
 from xymeas.povm import PATTERNS, VisibilityTriple, exact_pattern_probs
 
 
@@ -51,7 +51,7 @@ def main() -> None:
     v = VisibilityTriple(args.vx, args.vy, args.vz)
 
     def number(section: str, key: str = "value") -> float:
-        return section_number(report, section, key, out)
+        return report.section_value(section, key, float)
 
     p = args.werner_p
     print(f"device visibilities: vx={v.vx:.6f} vy={v.vy:.6f} vz={v.vz:.6f}")

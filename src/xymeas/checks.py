@@ -11,7 +11,6 @@ offending triple.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,23 +32,18 @@ class CheckResult:
     detail: str
 
 
-def visibility_grid(n: int) -> list[VisibilityTriple]:
-    """All valid triples on an n x n x n grid over [0,1]^2 x [-1,1]."""
+def visibility_grid(n: int) -> np.ndarray:
+    """All valid triples on an n x n x n grid over [0,1]^2 x [-1,1], as (vx, vy, vz) rows.
+
+    The rows run in ``itertools.product(xs, xs, zs)`` order.
+    """
     if n < 2:
         raise ValueError("grid density must be at least 2")
     xs = np.linspace(0.0, 1.0, n)
     zs = np.linspace(-1.0, 1.0, n)
-    triples = []
-    for vx, vy, vz in itertools.product(xs, xs, zs):
-        if vx * vx + vy * vy + vz * vz <= 1.0 + 1e-12:
-            triples.append(VisibilityTriple(vx, vy, vz))
-    return triples
-
-
-def _grid_chunks(triples: list[VisibilityTriple]):
-    """``(start, v)`` for runs of `CHUNK` triples, ``v`` their (n, 3) array of (vx, vy, vz)."""
-    for start in range(0, len(triples), CHUNK):
-        yield start, np.array([(t.vx, t.vy, t.vz) for t in triples[start:start + CHUNK]])
+    v = np.stack(np.meshgrid(xs, xs, zs, indexing="ij"), axis=-1).reshape(-1, 3)
+    vx, vy, vz = v.T
+    return v[vx * vx + vy * vy + vz * vz <= 1.0 + 1e-12]
 
 
 def _singlet_pair_tables(elements: np.ndarray) -> np.ndarray:
@@ -64,13 +58,12 @@ def _singlet_pair_tables(elements: np.ndarray) -> np.ndarray:
     return pairs.reshape(len(elements), 16)
 
 
-def _first_failure(name: str, triples, start: int, tests) -> CheckResult | None:
-    """FAIL at the first triple of a chunk that fails any of ``tests``, else None.
+def _first_failure(name: str, v: np.ndarray, tests) -> CheckResult | None:
+    """FAIL at the first triple of chunk ``v`` that fails any of ``tests``, else None.
 
     ``tests`` lists ``(label, deviation, tolerance)`` in the order one triple
-    is checked; ``deviation`` has one row per triple of the chunk starting at
-    ``start``. The message quotes the first failing entry of that row. A NaN
-    deviation fails.
+    is checked; ``deviation`` has one row per row of ``v``. The message
+    quotes the first failing entry of that row. A NaN deviation fails.
     """
     devs = [dev.reshape(len(dev), -1) for _, dev, _ in tests]
     failed = [~(dev <= tol) for dev, (_, _, tol) in zip(devs, tests)]
@@ -79,7 +72,8 @@ def _first_failure(name: str, triples, start: int, tests) -> CheckResult | None:
         return None
     row = rows[0]
     label, dev, bad = next((t[0], d[row], f[row]) for t, d, f in zip(tests, devs, failed) if f[row].any())
-    return CheckResult(name, False, f"{label} {dev[np.argmax(bad)]:.3e} at {triples[start + row]}")
+    triple = VisibilityTriple(*v[row])
+    return CheckResult(name, False, f"{label} {dev[np.argmax(bad)]:.3e} at {triple}")
 
 
 def check_povm_family(grid: int = 9) -> CheckResult:
@@ -92,7 +86,8 @@ def check_povm_family(grid: int = 9) -> CheckResult:
     """
     triples = visibility_grid(grid)
     worst = 0.0
-    for start, v in _grid_chunks(triples):
+    for start in range(0, len(triples), CHUNK):
+        v = triples[start:start + CHUNK]
         elements = _family_elements(v)
         completeness = np.max(np.abs(np.sum(elements, axis=1) - identity(2)), axis=(-2, -1))
         hermiticity = np.max(np.abs(elements - elements.conj().swapaxes(-1, -2)), axis=(-2, -1))
@@ -106,7 +101,7 @@ def check_povm_family(grid: int = 9) -> CheckResult:
             ("min eigenvalue off by", eigenvalue, ATOL_EIG),
             ("pair pattern off by", pattern, ATOL_ALGEBRA),
         ]
-        failure = _first_failure("povm_family", triples, start, tests)
+        failure = _first_failure("povm_family", v, tests)
         if failure is not None:
             return failure
         worst = max(worst, *(float(np.max(dev)) for _, dev, _ in tests))
@@ -140,14 +135,15 @@ def check_classicality_dichotomy(
     """S = vz^2/4 >= 0 on the measurement grid; S <= 0 for classical models."""
     triples = visibility_grid(grid)
     worst = 0.0
-    for start, v in _grid_chunks(triples):
+    for start in range(0, len(triples), CHUNK):
+        v = triples[start:start + CHUNK]
         e = _exact_patterns(v)
         # `analysis.classicality_statistic`, term for term
         s = e[:, 1] + e[:, 2] - e[:, 0] - e[:, 3]
         # vz^2/4 >= 0, so an S below -ATOL_ALGEBRA also fails on its deviation
         deviation = np.abs(s - v[:, 2] ** 2 / 4.0)
         tests = [("quantum side violated by", deviation, ATOL_ALGEBRA)]
-        failure = _first_failure("classicality_dichotomy", triples, start, tests)
+        failure = _first_failure("classicality_dichotomy", v, tests)
         if failure is not None:
             return failure
         worst = max(worst, float(np.max(deviation)))

@@ -30,27 +30,24 @@ from .analysis import (
 )
 from .checks import run_all_checks
 from .fileio import (
+    ELEMENT_KEYS,
     SCHEMA_COUNTS,
+    SCHEMA_POVM,
     SCHEMA_PROBS,
     SCHEMA_REPORT,
     CountsArtifact,
-    Document,
     expect_schema,
     fmt_bool,
     fmt_float,
     fmt_sign,
+    keyed_rows,
     named_state_density,
     parse_sign,
     read_counts_document,
     read_counts_file,
     read_document,
     read_probs_document,
-    section_number,
-    write_document,
-    write_eigenstate_counts,
-    write_manifest,
-    write_pair_counts,
-    write_povm_file,
+    write_artifact,
 )
 from .kirkwood import SingularInversionError, kd_from_state, reconstruct_kd
 from .povm import OUTCOMES4, PATTERNS, PositivityError, VisibilityTriple, build_povm
@@ -75,10 +72,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); remap to the contract
         raise UsageError(message)
-
-
-def _manifest_name(out: Path) -> str:
-    return out.name + ".manifest"
 
 
 def _diag(message: str) -> None:
@@ -149,16 +142,12 @@ def build_parser() -> _Parser:
 def cmd_build_povm(args) -> int:
     v = VisibilityTriple(args.vx, args.vy, args.vz)
     povm = build_povm(v)
-    out: Path = args.out
-    manifest = _manifest_name(out)
-    write_povm_file(out, povm, manifest)
-    write_manifest(
-        out.parent / manifest,
-        "build-povm",
-        {"vx": fmt_float(v.vx), "vy": fmt_float(v.vy), "vz": fmt_float(v.vz)},
-        [out.name],
-    )
-    _diag(f"wrote {out} and {manifest}")
+    entries = [complex(e) for o in OUTCOMES4 for e in povm.elements[o].flat]
+    real, imag = [fmt_float(e.real) for e in entries], [fmt_float(e.imag) for e in entries]
+    sections = {"elements": keyed_rows(ELEMENT_KEYS, real, imag)}
+    parameters = {"vx": fmt_float(v.vx), "vy": fmt_float(v.vy), "vz": fmt_float(v.vz)}
+    manifest = write_artifact(args.out, SCHEMA_POVM, "build-povm", parameters, sections, parameters)
+    _diag(f"wrote {args.out} and {manifest}")
     return EXIT_OK
 
 
@@ -183,29 +172,25 @@ def cmd_simulate(args) -> int:
         randomize_flips=args.randomize_flips,
         werner_p=args.werner_p if args.werner_p is not None else 1.0,
     )
-    out: Path = args.out
-    manifest = _manifest_name(out)
-    parameters = {
-        "mode": args.mode,
-        "vx": fmt_float(config.visibilities.vx),
-        "vy": fmt_float(config.visibilities.vy),
-        "vz": fmt_float(config.visibilities.vz),
-        "shots": str(config.shots),
-        "seed": str(config.seed),
-        "randomize_flips": fmt_bool(config.randomize_flips),
-    }
+    # the counts header and the manifest's [parameters], in one order
+    parameters = {"mode": args.mode}
+    if args.mode == "eigenstate":
+        parameters.update(axis=args.axis, value=fmt_sign(args.value))
+    v = config.visibilities
+    parameters.update(
+        vx=fmt_float(v.vx), vy=fmt_float(v.vy), vz=fmt_float(v.vz), shots=str(config.shots),
+        seed=str(config.seed), randomize_flips=fmt_bool(config.randomize_flips),
+    )
     if args.mode == "eigenstate":
         counts = run_eigenstate_experiment(config, args.axis, args.value, workers=args.workers)
-        write_eigenstate_counts(out, counts, config, manifest)
-        parameters["axis"] = args.axis
-        parameters["value"] = fmt_sign(args.value)
     else:
-        counts = run_pair_experiment(config, workers=args.workers)
-        write_pair_counts(out, counts, config, manifest)
         parameters["werner_p"] = fmt_float(config.werner_p)
+        counts = run_pair_experiment(config, workers=args.workers)
+    table = counts.counts
+    sections = {"counts": keyed_rows(tuple(table), map(str, table.values()))}
     run = {"rng": RNG_ID, "block_shots": str(BLOCK_SHOTS), "workers": str(args.workers)}
-    write_manifest(out.parent / manifest, "simulate", parameters, [out.name], run=run)
-    _diag(f"simulated {config.shots} shots; wrote {out} and {manifest}")
+    manifest = write_artifact(args.out, SCHEMA_COUNTS, "simulate", parameters, sections, parameters, run)
+    _diag(f"simulated {config.shots} shots; wrote {args.out} and {manifest}")
     return EXIT_OK
 
 
@@ -234,18 +219,12 @@ def cmd_estimate(args) -> int:
             "missing measurements: " + ", ".join(missing) + " (use --allow-partial to proceed)"
         )
 
-    doc = Document(header={"schema": SCHEMA_REPORT, "command": "estimate"})
-    out: Path = args.out
-    manifest = _manifest_name(out)
-    doc.header["manifest"] = manifest
-    doc.sections["inputs"] = [
-        (role, str(artifact.path)) for role, artifact in sorted(roles.items())
-    ]
+    sections = {"inputs": [(role, str(artifact.path)) for role, artifact in sorted(roles.items())]}
     summary = []
 
     def section(name: str, est: Estimate, *extra: tuple[str, str]) -> str:
         """Write ``[name]`` as value, stderr and ``extra`` rows; return ``"v +- s"`` for stdout."""
-        doc.sections[name] = [("value", fmt_float(est.value)), ("stderr", fmt_float(est.stderr)), *extra]
+        sections[name] = [("value", fmt_float(est.value)), ("stderr", fmt_float(est.stderr)), *extra]
         return f"{est.value:.6f} +- {est.stderr:.2g}"
 
     for axis, estimate in (("x", estimate_vx), ("y", estimate_vy)):
@@ -264,12 +243,12 @@ def cmd_estimate(args) -> int:
                 raise UsageError("pair counts file does not record werner_p")
             stats = correct_for_source_noise(stats, pair.werner_p)
             corrected = True
-        doc.sections["pair_run"] = [
+        sections["pair_run"] = [
             ("total_shots", str(pair.pair_counts.total)),
             ("werner_p", fmt_float(pair.werner_p) if pair.werner_p is not None else "unknown"),
             ("source_noise_corrected", fmt_bool(corrected)),
         ]
-        doc.sections["patterns"] = [
+        sections["patterns"] = [
             (str(rx), str(ry), fmt_float(stats.e[(rx, ry)]), fmt_float(stats.stderr[(rx, ry)]))
             for rx, ry in PATTERNS
         ]
@@ -282,7 +261,7 @@ def cmd_estimate(args) -> int:
         extra = ("vz_magnitude", fmt_float(vz)), ("classical", fmt_bool(classical))
         figure = section("csquared", c2, *extra)
         statistic = classicality_statistic(stats)
-        doc.sections["classicality"] = [("statistic", fmt_float(statistic))]
+        sections["classicality"] = [("statistic", fmt_float(statistic))]
         verdict = "consistent with classical errors" if classical else "non-classical"
         summary.append(f"c^2 = {figure} ({verdict})")
         summary.append(f"|vz| = {vz:.6f}, S = {statistic:.6f}")
@@ -290,7 +269,7 @@ def cmd_estimate(args) -> int:
     configured = {a.visibilities for a in roles.values()}
     if len(configured) == 1 and None not in configured:
         v = configured.pop()
-        doc.sections["exact_reference"] = [
+        sections["exact_reference"] = [
             ("vx", fmt_float(v.vx)),
             ("vy", fmt_float(v.vy)),
             ("vz", fmt_float(v.vz)),
@@ -300,19 +279,14 @@ def cmd_estimate(args) -> int:
             ("classicality_statistic", fmt_float(v.vz ** 2 / 4.0)),
         ]
 
-    write_document(out, doc)
-    write_manifest(
-        out.parent / manifest,
-        "estimate",
-        {
-            "allow_partial": fmt_bool(args.allow_partial),
-            "correct_source_noise": fmt_bool(args.correct_source_noise),
-        },
-        [out.name],
-    )
+    parameters = {
+        "allow_partial": fmt_bool(args.allow_partial),
+        "correct_source_noise": fmt_bool(args.correct_source_noise),
+    }
+    manifest = write_artifact(args.out, SCHEMA_REPORT, "estimate", {}, sections, parameters)
     for line in summary:
         print(line)
-    _diag(f"wrote {out} and {manifest}")
+    _diag(f"wrote {args.out} and {manifest}")
     return EXIT_OK
 
 
@@ -322,10 +296,10 @@ def _reconstruction_visibilities(args) -> tuple[float, float, float]:
         if any(f is not None for f in flags):
             raise UsageError("give either --vx/--vy/--vz or --from-report, not both")
         report = read_document(args.from_report)
-        expect_schema(report, SCHEMA_REPORT, args.from_report)
-        vx = section_number(report, "visibility_x", "value", args.from_report)
-        vy = section_number(report, "visibility_y", "value", args.from_report)
-        vz = section_number(report, "csquared", "vz_magnitude", args.from_report)
+        expect_schema(report, SCHEMA_REPORT)
+        vx = report.section_value("visibility_x", "value", float)
+        vy = report.section_value("visibility_y", "value", float)
+        vz = report.section_value("csquared", "vz_magnitude", float)
         _diag(
             "note: pair statistics determine only |vz|; using the positive sign, "
             "which conjugates the result if the device's vz is negative"
@@ -344,7 +318,7 @@ def cmd_reconstruct(args) -> int:
     reference = None
     reference_label = None
     if schema == SCHEMA_COUNTS:
-        artifact = read_counts_document(doc, args.input)
+        artifact = read_counts_document(doc)
         if artifact.mode != "eigenstate":
             raise UsageError("reconstruct needs a single-qubit table; pair counts cannot be used")
         counts = artifact.eigenstate_counts
@@ -352,7 +326,7 @@ def cmd_reconstruct(args) -> int:
         reference_label = f"{counts.input_axis}{'+' if counts.input_value == +1 else '-'}"
         reference = named_state_density(reference_label)
     elif schema == SCHEMA_PROBS:
-        probs, state = read_probs_document(doc, args.input)
+        probs, state = read_probs_document(doc)
         if state is not None:
             reference_label = state
             reference = named_state_density(state)
@@ -362,54 +336,28 @@ def cmd_reconstruct(args) -> int:
     vx, vy, vz = _reconstruction_visibilities(args)
     kd = reconstruct_kd(probs, vx, vy, 1j * vz)
 
-    out: Path = args.out
-    manifest = _manifest_name(out)
-    report = Document(
-        header={"schema": SCHEMA_REPORT, "command": "reconstruct", "manifest": manifest}
-    )
-    report.sections["parameters"] = [
-        ("vx", fmt_float(vx)),
-        ("vy", fmt_float(vy)),
-        ("vz", fmt_float(vz)),
-        ("input", str(args.input)),
-    ]
-    report.sections["kd"] = [
-        (
-            fmt_sign(x),
-            fmt_sign(y),
-            fmt_float(complex(kd.entries[(x, y)]).real),
-            fmt_float(complex(kd.entries[(x, y)]).imag),
-        )
-        for x, y in OUTCOMES4
-    ]
-    report.sections["kd_x_marginals"] = [
-        (fmt_sign(x), fmt_float(kd.x_marginal(x))) for x in (+1, -1)
-    ]
-    report.sections["kd_y_marginals"] = [
-        (fmt_sign(y), fmt_float(kd.y_marginal(y))) for y in (+1, -1)
-    ]
+    parameters = {"vx": fmt_float(vx), "vy": fmt_float(vy), "vz": fmt_float(vz), "input": str(args.input)}
+    entries = [complex(kd.entries[o]) for o in OUTCOMES4]
+    real, imag = [fmt_float(e.real) for e in entries], [fmt_float(e.imag) for e in entries]
+    sections = {
+        "parameters": list(parameters.items()),
+        "kd": keyed_rows(OUTCOMES4, real, imag),
+        "kd_x_marginals": [(fmt_sign(x), fmt_float(kd.x_marginal(x))) for x in (+1, -1)],
+        "kd_y_marginals": [(fmt_sign(y), fmt_float(kd.y_marginal(y))) for y in (+1, -1)],
+    }
     if reference is not None:
         expected = kd_from_state(reference)
-        rows = [("state", reference_label)]
-        worst = 0.0
-        for x, y in OUTCOMES4:
-            deviation = abs(complex(kd.entries[(x, y)]) - complex(expected.entries[(x, y)]))
-            worst = max(worst, deviation)
-            rows.append((fmt_sign(x), fmt_sign(y), fmt_float(deviation)))
-        rows.append(("max_abs", fmt_float(worst)))
-        report.sections["kd_reference_deviation"] = rows
+        deviations = [abs(e - complex(expected.entries[o])) for e, o in zip(entries, OUTCOMES4)]
+        sections["kd_reference_deviation"] = [
+            ("state", reference_label),
+            *keyed_rows(OUTCOMES4, map(fmt_float, deviations)),
+            ("max_abs", fmt_float(max(0.0, *deviations))),
+        ]
 
-    write_document(out, report)
-    write_manifest(
-        out.parent / manifest,
-        "reconstruct",
-        {"vx": fmt_float(vx), "vy": fmt_float(vy), "vz": fmt_float(vz), "input": str(args.input)},
-        [out.name],
-    )
-    for x, y in OUTCOMES4:
-        entry = complex(kd.entries[(x, y)])
+    manifest = write_artifact(args.out, SCHEMA_REPORT, "reconstruct", {}, sections, parameters)
+    for (x, y), entry in zip(OUTCOMES4, entries):
         print(f"kd({fmt_sign(x)}, {fmt_sign(y)}) = {entry.real:+.6f} {entry.imag:+.6f}i")
-    _diag(f"wrote {out} and {manifest}")
+    _diag(f"wrote {args.out} and {manifest}")
     return EXIT_OK
 
 

@@ -24,11 +24,16 @@ losslessly; outcome signs are written ``+1`` / ``-1``. Schema identifiers:
 
 Result files never contain timestamps (identical runs are byte-identical);
 the manifest, written next to each result file, carries the timestamp and
-is referenced from the result's ``manifest`` header key.
+is referenced from the result's ``manifest`` header key. `write_artifact`
+is the one writer of a result and its manifest. Keyed tables (the
+``[counts]``, ``[probs]`` and ``[elements]`` rows) are written by
+`keyed_rows` and read back by one row parser, `_parse_keyed`, which locates
+every fault with ``file:line``.
 """
 
 from __future__ import annotations
 
+import functools
 import platform
 import time
 from dataclasses import dataclass, field
@@ -37,8 +42,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__ as _tool_version
-from .povm import OUTCOMES4, VisibilityTriple
-from .simulate import ExperimentConfig, OutcomeCounts4, PairCounts16
+from .povm import OUTCOMES4, OUTCOMES16, VisibilityTriple
+from .simulate import OutcomeCounts4, PairCounts16
 
 SCHEMA_COUNTS = "xymeas-counts/1"
 SCHEMA_PROBS = "xymeas-probs/1"
@@ -47,6 +52,9 @@ SCHEMA_REPORT = "xymeas-report/1"
 SCHEMA_MANIFEST = "xymeas-manifest/1"
 
 STATE_LABELS = ("Z+", "Z-", "X+", "X-", "Y+", "Y-", "mixed")
+
+# (x, y, i, j): entry (i, j) of operator (x, y), the row keys of a measurement dump
+ELEMENT_KEYS = tuple((x, y, i, j) for x, y in OUTCOMES4 for i in (0, 1) for j in (0, 1))
 
 
 def fmt_float(x: float) -> str:
@@ -69,12 +77,12 @@ def fmt_bool(b: bool) -> str:
     return "true" if b else "false"
 
 
-def parse_bool(token: str) -> bool:
-    if token == "true":
-        return True
-    if token == "false":
-        return False
-    raise ValueError(f"expected true or false, got {token!r}")
+def _parsed(doc: Document, lineno: int, what: str, parse, *tokens):
+    """``parse(*tokens)``; a value it rejects is reported at line ``lineno`` of ``doc``."""
+    try:
+        return parse(*tokens)
+    except ValueError as exc:
+        raise ValueError(f"{doc._where(lineno)}{what}: {exc}") from None
 
 
 @dataclass
@@ -84,7 +92,7 @@ class Document:
     A parsed document also records the file it came from in ``path``, the
     line number of each header key in ``header_lines``, of each section's
     ``[name]`` line in ``section_lines`` and of each section row in
-    ``row_lines``; its "missing" errors start with ``path:`` or ``path:line:``.
+    ``row_lines``; its errors start with ``path:`` or ``path:line:``.
     """
 
     header: dict[str, str] = field(default_factory=dict)
@@ -109,11 +117,18 @@ class Document:
             raise ValueError(f"{self._where()}missing section [{name}]")
         return self.sections[name]
 
-    def section_value(self, name: str, key: str) -> str:
-        for row in self.section(name):
+    def section_value(self, name: str, key: str, parse=str):
+        """The value of row ``key`` in section ``name`` of a parsed document, through ``parse``.
+
+        A row of other than two tokens and a value ``parse`` rejects are
+        located at the row, a missing row at the ``[name]`` line.
+        """
+        for row, lineno in zip(self.section(name), self.row_lines[name]):
             if row and row[0] == key:
-                return row[1]
-        where = self._where(self.section_lines.get(name))
+                if len(row) != 2:
+                    raise ValueError(f"{self._where(lineno)}malformed [{name}] row {row!r}")
+                return _parsed(self, lineno, f"[{name}] {key}", parse, row[1])
+        where = self._where(self.section_lines[name])
         raise ValueError(f"{where}missing entry {key!r} in section [{name}]")
 
 
@@ -161,13 +176,13 @@ def read_document(path: str | Path) -> Document:
     return doc
 
 
-def expect_schema(doc: Document, schema: str, path: str | Path) -> None:
+def expect_schema(doc: Document, schema: str) -> None:
     found = doc.require("schema")
     if found != schema:
-        raise ValueError(f"{path}: expected schema {schema}, found {found}")
+        raise ValueError(f"{doc._where()}expected schema {schema}, found {found}")
 
 
-# -- manifests ---------------------------------------------------------------
+# -- writing -------------------------------------------------------------------
 
 
 def write_manifest(
@@ -175,7 +190,6 @@ def write_manifest(
     command: str,
     parameters: dict[str, str],
     artifacts: list[str],
-    timestamp: int | None = None,
     run: dict[str, str] | None = None,
 ) -> None:
     """Write a manifest; ``run`` adds header lines on how the artifacts were made.
@@ -187,7 +201,7 @@ def write_manifest(
         header={
             "schema": SCHEMA_MANIFEST,
             "command": command,
-            "timestamp_utc": str(int(time.time()) if timestamp is None else timestamp),
+            "timestamp_utc": str(int(time.time())),
             "tool_version": _tool_version,
             "numpy_version": np.__version__,
             "python_version": platform.python_version(),
@@ -201,51 +215,103 @@ def write_manifest(
     write_document(path, doc)
 
 
-# -- counts ------------------------------------------------------------------
+def write_artifact(
+    out: str | Path,
+    schema: str,
+    command: str,
+    header: dict[str, str],
+    sections: dict[str, list[tuple[str, ...]]],
+    parameters: dict[str, str],
+    run: dict[str, str] | None = None,
+) -> str:
+    """Write the result ``out`` and its manifest next to it; return the manifest's name.
+
+    The result's header is ``schema``, ``command`` and ``manifest``, then
+    ``header``. The manifest echoes ``parameters`` and adds ``run`` (see
+    `write_manifest`); a command whose header is its parameter echo passes
+    the same dict twice.
+    """
+    out = Path(out)
+    manifest = out.name + ".manifest"
+    header = {"schema": schema, "command": command, "manifest": manifest, **header}
+    write_document(out, Document(header=header, sections=sections))
+    write_manifest(out.parent / manifest, command, parameters, [out.name], run=run)
+    return manifest
 
 
-def _config_header(config: ExperimentConfig) -> dict[str, str]:
+@functools.cache
+def _key_tokens(keys: tuple) -> dict[tuple[str, ...], int]:
+    """The row tokens of each key of ``keys`` -> its position in ``keys``.
+
+    A key column holding -1 is written as signs ``+1``/``-1``; any other (an
+    operator entry index) as digits.
+    """
+    signs = [-1 in column for column in zip(*keys)]
     return {
-        "vx": fmt_float(config.visibilities.vx),
-        "vy": fmt_float(config.visibilities.vy),
-        "vz": fmt_float(config.visibilities.vz),
-        "shots": str(config.shots),
-        "seed": str(config.seed),
-        "randomize_flips": fmt_bool(config.randomize_flips),
+        tuple(fmt_sign(v) if sign else str(v) for v, sign in zip(key, signs)): k
+        for k, key in enumerate(keys)
     }
 
 
-def write_eigenstate_counts(
-    path: str | Path, counts: OutcomeCounts4, config: ExperimentConfig, manifest_name: str
-) -> None:
-    header = {
-        "schema": SCHEMA_COUNTS,
-        "command": "simulate",
-        "manifest": manifest_name,
-        "mode": "eigenstate",
-        "axis": counts.input_axis,
-        "value": fmt_sign(counts.input_value),
-    }
-    header.update(_config_header(config))
-    write_document(path, Document(header=header, sections={"counts": _counts_rows(counts.counts)}))
+def keyed_rows(keys: tuple, *columns) -> list[tuple[str, ...]]:
+    """Rows of a keyed table in ``keys`` order: a key's tokens, then one token of each column."""
+    return [(*tokens, *values) for tokens, values in zip(_key_tokens(keys), zip(*columns))]
 
 
-def write_pair_counts(
-    path: str | Path, counts: PairCounts16, config: ExperimentConfig, manifest_name: str
-) -> None:
-    header = {
-        "schema": SCHEMA_COUNTS,
-        "command": "simulate",
-        "manifest": manifest_name,
-        "mode": "pair",
-    }
-    header.update(_config_header(config))
-    header["werner_p"] = fmt_float(config.werner_p)
-    write_document(path, Document(header=header, sections={"counts": _counts_rows(counts.counts)}))
+# -- reading -------------------------------------------------------------------
 
 
-def _counts_rows(table) -> list[tuple[str, ...]]:
-    return [(*map(fmt_sign, outcome), str(n)) for outcome, n in table.items()]
+def _parse_keyed(doc: Document, name: str, keys: tuple, width: int, parse) -> list:
+    """The values of section ``name``, one row per key of ``keys``, in ``keys`` order.
+
+    A row holds a key's tokens (as `keyed_rows` writes them) and then
+    ``width`` value tokens, the arguments of ``parse``. A row of another
+    length, an unknown or repeated key, and a value ``parse`` rejects are
+    located at the row; a missing key at the ``[name]`` line.
+    """
+    index = _key_tokens(keys)
+    n = len(keys[0])
+    values = [None] * len(keys)
+    first: dict[tuple[str, ...], int] = {}
+    what = f"[{name}] row"
+    for row, lineno in zip(doc.section(name), doc.row_lines[name]):
+        key = row[:n]
+        if len(row) != n + width:
+            raise ValueError(f"{doc._where(lineno)}malformed {what} {row!r}")
+        if key not in index:
+            raise ValueError(f"{doc._where(lineno)}{what}: unknown key {' '.join(key)}")
+        if key in first:
+            raise ValueError(
+                f"{doc._where(lineno)}duplicate {what} {' '.join(key)} (first on line {first[key]})"
+            )
+        first[key] = lineno
+        values[index[key]] = _parsed(doc, lineno, what, parse, *row[n:])
+    if len(first) < len(keys):
+        missing = next(key for key in index if key not in first)
+        raise ValueError(f"{doc._where(doc.section_lines[name])}no {what} for {' '.join(missing)}")
+    return values
+
+
+def _count(token: str) -> int:
+    n = int(token)
+    if n < 0:
+        raise ValueError(f"negative count {n}")
+    if str(n) != token:  # int() also takes "+5", "007" and "3_68"
+        raise ValueError(f"count {token!r} is not written as {n}")
+    return n
+
+
+def _header_value(doc: Document, key: str, parse=float):
+    """Header ``key`` of a parsed document, through ``parse``, located on a bad value."""
+    value = doc.require(key)
+    return _parsed(doc, doc.header_lines[key], f"header {key}", parse, value)
+
+
+def _header_visibilities(doc: Document) -> VisibilityTriple:
+    """The ``vx``/``vy``/``vz`` headers; a triple outside the family is located at ``vx``."""
+    values = [_header_value(doc, k) for k in ("vx", "vy", "vz")]
+    # also a PositivityError: a bad input file is a usage error, not a domain error
+    return _parsed(doc, doc.header_lines["vx"], "visibilities", VisibilityTriple, *values)
 
 
 @dataclass(frozen=True)
@@ -260,73 +326,27 @@ class CountsArtifact:
     path: str
 
 
-def _parsed(parse, token: str, path, lineno: int, what: str):
-    """``parse(token)``; a token it rejects is reported at ``path:lineno``."""
-    try:
-        return parse(token)
-    except ValueError as exc:
-        raise ValueError(f"{path}:{lineno}: {what}: {exc}") from None
+def read_counts_document(doc: Document) -> CountsArtifact:
+    """The counts artifact held in ``doc``, as parsed by `read_document`.
 
-
-def _header_value(doc: Document, key: str, path, parse=float):
-    """Header ``key`` of a parsed document, through ``parse``, located on a bad value."""
-    return _parsed(parse, doc.require(key), path, doc.header_lines[key], f"header {key}")
-
-
-def _header_visibilities(doc: Document, path) -> VisibilityTriple:
-    """The ``vx``/``vy``/``vz`` headers; a triple outside the family is located at ``vx``."""
-    values = [_header_value(doc, k, path) for k in ("vx", "vy", "vz")]
-    try:
-        return VisibilityTriple(*values)
-    except ValueError as exc:
-        # also a PositivityError: a bad input file is a usage error, not a domain error
-        raise ValueError(f"{path}:{doc.header_lines['vx']}: visibilities: {exc}") from None
-
-
-def section_number(doc: Document, section: str, key: str, path, parse=float):
-    """The value of row ``key`` in ``section``, through ``parse``, located on a bad value."""
-    for row, lineno in zip(doc.section(section), doc.row_lines[section]):
-        if row and row[0] == key:
-            if len(row) != 2:
-                raise ValueError(f"{path}:{lineno}: malformed [{section}] row {row!r}")
-            return _parsed(parse, row[1], path, lineno, f"[{section}] {key}")
-    raise ValueError(f"{path}:{doc.section_lines[section]}: missing entry {key!r} in section [{section}]")
-
-
-def _outcome_rows(doc: Document, section: str, path, width: int, parse) -> dict:
-    """Rows of ``section`` as {outcome signs: parsed last token}, each checked."""
-    table = {}
-    what = f"[{section}] row"
-    for row, lineno in zip(doc.section(section), doc.row_lines[section]):
-        if len(row) != width:
-            raise ValueError(f"{path}:{lineno}: malformed {what} {row!r}")
-        outcome = tuple(_parsed(parse_sign, t, path, lineno, what) for t in row[:-1])
-        if outcome in table:
-            raise ValueError(f"{path}:{lineno}: duplicate {what} for outcome {row[:-1]}")
-        table[outcome] = _parsed(parse, row[-1], path, lineno, what)
-    return table
-
-
-def read_counts_document(doc: Document, path: str | Path) -> CountsArtifact:
-    """The counts artifact held in ``doc``, as parsed from ``path`` by `read_document`.
-
-    A malformed or duplicated outcome row, a header number that does not
-    parse, header visibilities outside the measurement family, or a
-    ``shots`` header that disagrees with the counts sum is rejected with its
-    ``file:line``.
+    A malformed, unknown, duplicated, missing or negative ``[counts]`` row,
+    a header number that does not parse, header visibilities outside the
+    measurement family, or a ``shots`` header that disagrees with the counts
+    sum is rejected with its ``file:line``.
     """
-    expect_schema(doc, SCHEMA_COUNTS, path)
+    expect_schema(doc, SCHEMA_COUNTS)
     mode = doc.require("mode")
     if mode not in ("eigenstate", "pair"):
-        raise ValueError(f"{path}: unknown counts mode {mode!r}")
+        raise ValueError(f"{doc._where(doc.header_lines['mode'])}unknown counts mode {mode!r}")
     visibilities = None
     if all(k in doc.header for k in ("vx", "vy", "vz")):
-        visibilities = _header_visibilities(doc, path)
-    counts = _outcome_rows(doc, "counts", path, 3 if mode == "eigenstate" else 5, int)
-    total = sum(counts.values())
-    if "shots" in doc.header and _header_value(doc, "shots", path, int) != total:
+        visibilities = _header_visibilities(doc)
+    keys = OUTCOMES4 if mode == "eigenstate" else OUTCOMES16
+    counts = _parse_keyed(doc, "counts", keys, 1, _count)
+    total = sum(counts)
+    if "shots" in doc.header and _header_value(doc, "shots", int) != total:
         raise ValueError(
-            f"{path}:{doc.header_lines['shots']}: shots {doc.header['shots']} disagrees "
+            f"{doc._where(doc.header_lines['shots'])}shots {doc.header['shots']} disagrees "
             f"with the counts sum {total}"
         )
     if mode == "eigenstate":
@@ -334,63 +354,54 @@ def read_counts_document(doc: Document, path: str | Path) -> CountsArtifact:
             counts=counts,
             total=total,
             input_axis=doc.require("axis"),
-            input_value=_header_value(doc, "value", path, parse_sign),
+            input_value=_header_value(doc, "value", parse_sign),
         )
         pair_counts = None
         werner_p = None
     else:
         eigenstate_counts = None
         pair_counts = PairCounts16(counts=counts, total=total)
-        werner_p = _header_value(doc, "werner_p", path) if "werner_p" in doc.header else None
+        werner_p = _header_value(doc, "werner_p") if "werner_p" in doc.header else None
     return CountsArtifact(
         mode=mode,
         eigenstate_counts=eigenstate_counts,
         pair_counts=pair_counts,
         visibilities=visibilities,
         werner_p=werner_p,
-        path=str(path),
+        path=str(doc.path),
     )
 
 
 def read_counts_file(path: str | Path) -> CountsArtifact:
     """Parse a counts file; see `read_counts_document`."""
-    return read_counts_document(read_document(path), path)
+    return read_counts_document(read_document(path))
 
 
 # -- exact probability tables --------------------------------------------------
 
 
 def write_probs_file(
-    path: str | Path,
-    probs: dict[tuple[int, int], float],
-    state: str | None = None,
-    manifest_name: str | None = None,
+    path: str | Path, probs: dict[tuple[int, int], float], state: str | None = None
 ) -> None:
     header = {"schema": SCHEMA_PROBS}
-    if manifest_name is not None:
-        header["manifest"] = manifest_name
     if state is not None:
         if state not in STATE_LABELS:
             raise ValueError(f"unknown state label {state!r}, expected one of {STATE_LABELS}")
         header["state"] = state
-    rows = [(fmt_sign(x), fmt_sign(y), fmt_float(probs[(x, y)])) for x, y in OUTCOMES4]
+    rows = keyed_rows(OUTCOMES4, [fmt_float(probs[o]) for o in OUTCOMES4])
     write_document(path, Document(header=header, sections={"probs": rows}))
 
 
-def read_probs_document(
-    doc: Document, path: str | Path
-) -> tuple[dict[tuple[int, int], float], str | None]:
-    """The table and state label held in ``doc``, as parsed from ``path`` by `read_document`."""
-    expect_schema(doc, SCHEMA_PROBS, path)
-    probs = _outcome_rows(doc, "probs", path, 3, float)
-    if set(probs) != set(OUTCOMES4):
-        raise ValueError(f"{path}: probability table must cover the four outcomes")
-    return probs, doc.header.get("state")
+def read_probs_document(doc: Document) -> tuple[dict[tuple[int, int], float], str | None]:
+    """The table and state label held in ``doc``, as parsed by `read_document`."""
+    expect_schema(doc, SCHEMA_PROBS)
+    probs = _parse_keyed(doc, "probs", OUTCOMES4, 1, float)
+    return dict(zip(OUTCOMES4, probs)), doc.header.get("state")
 
 
 def read_probs_file(path: str | Path) -> tuple[dict[tuple[int, int], float], str | None]:
     """Parse a probability file; see `read_probs_document`."""
-    return read_probs_document(read_document(path), path)
+    return read_probs_document(read_document(path))
 
 
 def named_state_density(label: str):
@@ -407,64 +418,20 @@ def named_state_density(label: str):
 # -- measurement dumps ---------------------------------------------------------
 
 
-def write_povm_file(path: str | Path, povm, manifest_name: str) -> None:
-    v = povm.visibilities
-    header = {
-        "schema": SCHEMA_POVM,
-        "command": "build-povm",
-        "manifest": manifest_name,
-        "vx": fmt_float(v.vx),
-        "vy": fmt_float(v.vy),
-        "vz": fmt_float(v.vz),
-    }
-    rows = []
-    for x, y in OUTCOMES4:
-        el = povm.elements[(x, y)]
-        for i in range(2):
-            for j in range(2):
-                rows.append(
-                    (
-                        fmt_sign(x),
-                        fmt_sign(y),
-                        str(i),
-                        str(j),
-                        fmt_float(el[i, j].real),
-                        fmt_float(el[i, j].imag),
-                    )
-                )
-    write_document(path, Document(header=header, sections={"elements": rows}))
+def _entry(real: str, imag: str) -> complex:
+    return complex(float(real), float(imag))
 
 
 def read_povm_file(path: str | Path):
     """Parse a measurement dump: visibilities and the four 2x2 operators.
 
-    Each operator entry must have exactly one row; a malformed, duplicated or
-    missing row, a header number that does not parse, or header visibilities
-    outside the family, is rejected with its ``file:line`` (the
-    ``[elements]`` line for a missing row).
+    Each operator entry must have exactly one ``[elements]`` row; a
+    malformed, unknown, duplicated or missing row, a header number that
+    does not parse, or header visibilities outside the family, is rejected
+    with its ``file:line`` (the ``[elements]`` line for a missing row).
     """
     doc = read_document(path)
-    expect_schema(doc, SCHEMA_POVM, path)
-    v = _header_visibilities(doc, path)
-    elements = {o: np.zeros((2, 2), dtype=complex) for o in OUTCOMES4}
-    seen = set()
-    for row, lineno in zip(doc.section("elements"), doc.row_lines["elements"]):
-        if len(row) != 6 or row[2] not in ("0", "1") or row[3] not in ("0", "1"):
-            raise ValueError(f"{path}:{lineno}: malformed element row {row!r}")
-        x, y = (_parsed(parse_sign, t, path, lineno, "element row") for t in row[:2])
-        i, j = int(row[2]), int(row[3])
-        if (x, y, i, j) in seen:
-            raise ValueError(f"{path}:{lineno}: duplicate element row {row[:4]}")
-        seen.add((x, y, i, j))
-        real, imag = (_parsed(float, t, path, lineno, "element row") for t in row[4:])
-        elements[(x, y)][i, j] = complex(real, imag)
-    missing = [
-        (x, y, i, j) for x, y in OUTCOMES4 for i in (0, 1) for j in (0, 1) if (x, y, i, j) not in seen
-    ]
-    if missing:
-        x, y, i, j = missing[0]
-        raise ValueError(
-            f"{path}:{doc.section_lines['elements']}: no element row for "
-            f"{fmt_sign(x)} {fmt_sign(y)} {i} {j}"
-        )
-    return v, elements
+    expect_schema(doc, SCHEMA_POVM)
+    v = _header_visibilities(doc)
+    entries = np.array(_parse_keyed(doc, "elements", ELEMENT_KEYS, 2, _entry)).reshape(4, 2, 2)
+    return v, dict(zip(OUTCOMES4, entries))

@@ -47,7 +47,7 @@ from xymeas.qubit import (
 from xymeas.simulate import ExperimentConfig, run_eigenstate_experiment, run_pair_experiment
 
 SQ3 = 1.0 / np.sqrt(3.0)
-GRID = visibility_grid(9)
+GRID = [VisibilityTriple(*v) for v in visibility_grid(9)]
 
 
 @contextlib.contextmanager

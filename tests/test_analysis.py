@@ -230,7 +230,7 @@ class TestPatternSums:
         # runs see, across the whole family
         from xymeas.checks import visibility_grid
 
-        for v in visibility_grid(5):
+        for v in (VisibilityTriple(*row) for row in visibility_grid(5)):
             vx2, vy2 = vsquared_from_patterns(exact_pattern_probs(v))
             assert vx2.value == pytest.approx(v.vx ** 2, abs=1e-12)
             assert vy2.value == pytest.approx(v.vy ** 2, abs=1e-12)

@@ -1,5 +1,7 @@
 """The array-native `verify` checks: agreement with one-at-a-time references, and failure injection."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from xymeas.kirkwood import _kd_entries, _random_qubit_densities, kd_from_state
 from xymeas.povm import (
     OUTCOMES4,
     OUTCOMES16,
+    VisibilityTriple,
     _exact_patterns,
     _family_elements,
     build_povm,
@@ -25,44 +28,49 @@ from xymeas.povm import (
 from xymeas.qubit import density, singlet
 
 GRID = visibility_grid(9)
+# the same triples as records, for references and the FAIL text
+TRIPLES = [VisibilityTriple(*v) for v in GRID]
 DELTA = 1e-9
 # a triple in the second chunk, so the chunk offset is exercised
 LATE = CHUNK + 17
 EARLY = 40
 
 
-def as_array(triples):
-    return np.array([(t.vx, t.vy, t.vz) for t in triples])
-
-
 def rows_of(v, index):
     """Rows of a chunk's (n, 3) array that hold grid triple ``index``."""
-    return np.flatnonzero(np.all(v == as_array([GRID[index]]), axis=1))
+    return np.flatnonzero(np.all(v == GRID[index], axis=1))
 
 
 def test_grid_spans_more_than_one_chunk():
-    assert len(GRID) == 310 > LATE
+    assert GRID.shape == (310, 3) and len(GRID) > LATE
+
+
+@pytest.mark.parametrize("n", [2, 3, 9])
+def test_grid_matches_triple_loop(n):
+    xs, zs = np.linspace(0.0, 1.0, n), np.linspace(-1.0, 1.0, n)
+    loop = [(x, y, z) for x, y, z in itertools.product(xs, xs, zs) if x * x + y * y + z * z <= 1.0 + 1e-12]
+    assert visibility_grid(n).tobytes() == np.array(loop).tobytes()
 
 
 class TestAgreementWithReferences:
     def test_family_elements_are_build_povm_bit_for_bit(self):
-        stack = _family_elements(as_array(GRID))
-        for v, elements in zip(GRID, stack):
+        stack = _family_elements(GRID)
+        for v, elements in zip(TRIPLES, stack):
             expected = build_povm(v).elements
             for o, element in zip(OUTCOMES4, elements):
                 assert element.tobytes() == expected[o].tobytes()
 
     def test_pair_tables_match_kronecker_traces(self):
-        tables = checks._singlet_pair_tables(_family_elements(as_array(GRID)))
+        tables = checks._singlet_pair_tables(_family_elements(GRID))
         rho = density(singlet())
-        for v, table in zip(GRID[::7], tables[::7]):
+        for v, table in zip(TRIPLES[::7], tables[::7]):
             povm = build_povm(v)
             expected = pair_outcome_probs(povm, povm, rho).array
             assert np.max(np.abs(table - expected)) <= 1e-15
 
     def test_exact_patterns_match_closed_form_and_statistic(self):
-        patterns = _exact_patterns(as_array(GRID))
-        for v, row in zip(GRID, patterns):
+        patterns = _exact_patterns(GRID)
+        for v, row in zip(TRIPLES, patterns):
             vx2, vy2, vz2 = v.vx ** 2, v.vy ** 2, v.vz ** 2
             closed = [1 + vx2 + vy2 - vz2, 1 + vx2 - vy2 + vz2, 1 - vx2 + vy2 + vz2, 1 - vx2 - vy2 - vz2]
             assert np.max(np.abs(row - np.array(closed) / 16.0)) <= 1e-16
@@ -146,18 +154,18 @@ class TestPovmFamilyFailures:
         perturbed_elements(monkeypatch, {index: add_to_entry(2, 0, 0, DELTA)})
         result = check_povm_family()
         assert not result.passed
-        assert result.detail == f"completeness violated by {DELTA:.3e} at {GRID[index]}"
+        assert result.detail == f"completeness violated by {DELTA:.3e} at {TRIPLES[index]}"
 
     def test_hermiticity(self, monkeypatch):
         skew = np.array([[0, DELTA], [0, 0]], dtype=complex)
         perturbed_elements(monkeypatch, {LATE: shift_between(1, 3, skew)})
         result = check_povm_family()
-        assert result.detail == f"Hermiticity violated by {DELTA:.3e} at {GRID[LATE]}"
+        assert result.detail == f"Hermiticity violated by {DELTA:.3e} at {TRIPLES[LATE]}"
 
     def test_min_eigenvalue(self, monkeypatch):
         perturbed_elements(monkeypatch, {EARLY: shift_between(0, 1, DELTA * np.eye(2))})
         result = check_povm_family()
-        assert result.detail == f"min eigenvalue off by {DELTA:.3e} at {GRID[EARLY]}"
+        assert result.detail == f"min eigenvalue off by {DELTA:.3e} at {TRIPLES[EARLY]}"
 
     def test_pair_entry(self, monkeypatch):
         original = checks._singlet_pair_tables
@@ -168,12 +176,12 @@ class TestPovmFamilyFailures:
             tables[hit, 9] += DELTA
             return tables
 
-        target = _family_elements(as_array([GRID[LATE]]))[0]
+        target = _family_elements(GRID[LATE:LATE + 1])[0]
         monkeypatch.setattr(checks, "_singlet_pair_tables", patched)
         result = check_povm_family()
         assert not result.passed
         assert result.detail.startswith("pair pattern off by 1.000e-09")
-        assert result.detail.endswith(f" at {GRID[LATE]}")
+        assert result.detail.endswith(f" at {TRIPLES[LATE]}")
 
     def test_first_offending_triple_wins_across_kinds_and_chunks(self, monkeypatch):
         perturbed_elements(
@@ -185,13 +193,13 @@ class TestPovmFamilyFailures:
             },
         )
         result = check_povm_family()
-        assert result.detail == f"min eigenvalue off by {DELTA:.3e} at {GRID[EARLY]}"
+        assert result.detail == f"min eigenvalue off by {DELTA:.3e} at {TRIPLES[EARLY]}"
 
     def test_nan_fails(self, monkeypatch):
         perturbed_elements(monkeypatch, {LATE: add_to_entry(3, 1, 0, np.nan)})
         result = check_povm_family()
         assert not result.passed
-        assert result.detail.endswith(f" at {GRID[LATE]}")
+        assert result.detail.endswith(f" at {TRIPLES[LATE]}")
 
     def test_below_tolerance_passes(self, monkeypatch):
         perturbed_elements(monkeypatch, {LATE: shift_between(0, 1, 1e-14 * np.eye(2))})
@@ -214,7 +222,7 @@ class TestClassicalityFailures:
         result = check_classicality_dichotomy(samples=10)
         assert not result.passed
         assert result.detail.startswith("quantum side violated by 1.000e-09")
-        assert result.detail.endswith(f" at {GRID[LATE]}")
+        assert result.detail.endswith(f" at {TRIPLES[LATE]}")
 
 
 class TestOperatorIdentityFailures:

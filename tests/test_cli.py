@@ -79,8 +79,8 @@ class TestBuildPovm:
     @pytest.mark.parametrize(
         "mutate, message",
         [
-            (lambda lines, k: lines[:k] + lines[k + 1:], "no element row for +1 +1 0 0"),
-            (lambda lines, k: lines + [lines[k]], "duplicate element row"),
+            (lambda lines, k: lines[:k] + lines[k + 1:], "no [elements] row for +1 +1 0 0"),
+            (lambda lines, k: lines + [lines[k]], "duplicate [elements] row +1 +1 0 0"),
         ],
         ids=["missing", "duplicated"],
     )
@@ -92,13 +92,13 @@ class TestBuildPovm:
         mutated = mutate(lines, first)
         out.write_text("\n".join(mutated) + "\n")
         # a missing row is reported at [elements], a duplicate at its own line
-        lineno = first if "no element" in message else len(mutated)
+        lineno = first if message.startswith("no ") else len(mutated)
         with pytest.raises(ValueError, match=re.escape(f"{out}:{lineno}: {message}")):
             read_povm_file(out)
 
     @pytest.mark.parametrize(
         "column, token, message",
-        [(0, "+2", "expected +1 or -1, got '+2'"), (5, "i", "could not convert")],
+        [(0, "+2", "unknown key +2 +1 0 0"), (5, "i", "could not convert")],
         ids=["sign", "entry"],
     )
     def test_bad_element_token_located(self, tmp_path, column, token, message):
@@ -111,7 +111,7 @@ class TestBuildPovm:
         lines[k] = " ".join(row)
         out.write_text("\n".join(lines) + "\n")
         # no command reads povm files; the CLI maps this ValueError to exit 1
-        with pytest.raises(ValueError, match=re.escape(f"{out}:{k + 1}: element row: {message}")):
+        with pytest.raises(ValueError, match=re.escape(f"{out}:{k + 1}: [elements] row: {message}")):
             read_povm_file(out)
 
     def test_projective_x(self, tmp_path):
@@ -464,13 +464,13 @@ class TestFileFormat:
         config = ExperimentConfig(
             visibilities=VisibilityTriple(0.3, 0.4, 0.5), shots=5000, seed=77, werner_p=0.9
         )
-        counts = run_pair_experiment(config)
-        from xymeas.fileio import write_pair_counts
-
         path = tmp_path / "c.txt"
-        write_pair_counts(path, counts, config, "c.txt.manifest")
+        assert run_cli(
+            "simulate", "--mode", "pair", "--vx", 0.3, "--vy", 0.4, "--vz", 0.5,
+            "--shots", 5000, "--seed", 77, "--werner-p", 0.9, "--out", path,
+        ) == 0
         artifact = read_counts_file(path)
-        assert artifact.pair_counts == counts
+        assert artifact.pair_counts == run_pair_experiment(config)
         assert artifact.werner_p == 0.9
         assert artifact.visibilities == config.visibilities
 
@@ -478,13 +478,33 @@ class TestFileFormat:
         config = ExperimentConfig(
             visibilities=VisibilityTriple(0.3, 0.4, 0.5), shots=5000, seed=78
         )
-        counts = run_eigenstate_experiment(config, "Y", -1)
-        from xymeas.fileio import write_eigenstate_counts
-
         path = tmp_path / "c.txt"
-        write_eigenstate_counts(path, counts, config, "c.txt.manifest")
+        assert run_cli(
+            "simulate", "--mode", "eigenstate", "--axis", "Y", "--value", "-1",
+            "--vx", 0.3, "--vy", 0.4, "--vz", 0.5, "--shots", 5000, "--seed", 78, "--out", path,
+        ) == 0
         artifact = read_counts_file(path)
-        assert artifact.eigenstate_counts == counts
+        assert artifact.eigenstate_counts == run_eigenstate_experiment(config, "Y", -1)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["build-povm", "--vx", 0.5, "--vy", 0.6, "--vz", 0.4],
+            ["simulate", "--mode", "eigenstate", "--axis", "Y", "--value", "-1", "--vx", 0.5,
+             "--vy", 0.6, "--vz", 0.4, "--shots", 1000, "--seed", 4, "--randomize-flips"],
+            ["simulate", "--mode", "pair", "--vx", 0.5, "--vy", 0.6, "--vz", 0.4,
+             "--shots", 1000, "--seed", 5, "--werner-p", 0.9],
+        ],
+        ids=["build-povm", "eigenstate", "pair"],
+    )
+    def test_manifest_parameters_echo_result_header(self, tmp_path, argv):
+        out = tmp_path / "a.txt"
+        assert run_cli(*argv, "--out", out) == 0
+        header = list(read_document(out).header.items())
+        assert [key for key, _ in header[:3]] == ["schema", "command", "manifest"]
+        assert header[1:3] == [("command", argv[0]), ("manifest", "a.txt.manifest")]
+        parameters = read_document(tmp_path / "a.txt.manifest").section("parameters")
+        assert parameters == header[3:]
 
     def test_duplicate_counts_row_rejected(self, tmp_path, capsys):
         paths = simulate_all(tmp_path, ("0.6", "0.8", "0"), 1000, base_seed=800)
@@ -521,21 +541,43 @@ class TestFileFormat:
     @pytest.mark.parametrize(
         "prefix, replacement, message",
         [
-            ("-1 -1 ", "-1 +2 250", "[counts] row: expected +1 or -1, got '+2'"),
+            ("-1 -1 ", "-1 +2 250", "[counts] row: unknown key -1 +2"),
             ("+1 -1 ", "+1 -1 12.5", "[counts] row: invalid literal for int()"),
+            ("+1 +1 ", "+1 +1 -368", "[counts] row: negative count -368"),
+            ("+1 +1 ", "+1 +1 3_68", "[counts] row: count '3_68' is not written as 368"),
+            ("+1 -1 ", None, "no [counts] row for +1 -1"),
             ("vx: ", "vx: 0.6x", "header vx: could not convert string to float: '0.6x'"),
             ("shots: ", "shots: 1e3", "header shots: invalid literal for int()"),
         ],
-        ids=["sign", "count", "header-float", "header-shots"],
+        ids=["sign", "count", "negative-count", "spelled-count", "missing-row", "header-float", "header-shots"],
     )
     def test_bad_token_located(self, tmp_path, capsys, prefix, replacement, message):
         paths = simulate_all(tmp_path, ("0.6", "0.8", "0"), 1000, base_seed=970)
         lines = paths["ex"].read_text().splitlines()
         k = next(i for i, line in enumerate(lines) if line.startswith(prefix))
-        lines[k] = replacement
+        if replacement is None:
+            # a missing row is reported at its section's line, before any shots check
+            del lines[k]
+            k = lines.index("[counts]")
+        else:
+            lines[k] = replacement
         paths["ex"].write_text("\n".join(lines) + "\n")
         assert run_cli("estimate", *paths.values(), "--out", tmp_path / "r.txt") == 1
         assert f"error: {paths['ex']}:{k + 1}: {message}" in capsys.readouterr().err
+
+    def test_missing_probs_row_located(self, tmp_path, capsys):
+        path = tmp_path / "p.txt"
+        write_probs_file(path, {o: 0.25 for o in OUTCOMES4}, state="mixed")
+        lines = path.read_text().splitlines()
+        section = lines.index("[probs]") + 1
+        del lines[section]
+        path.write_text("\n".join(lines) + "\n")
+        code = run_cli(
+            "reconstruct", "--input", path, "--vx", 0.5, "--vy", 0.5, "--vz", 0.5,
+            "--out", tmp_path / "kd.txt",
+        )
+        assert code == 1
+        assert f"error: {path}:{section}: no [probs] row for +1 +1" in capsys.readouterr().err
 
     def test_out_of_family_header_visibilities_located(self, tmp_path, capsys):
         paths = simulate_all(tmp_path, ("0.5", "0.7", "0.3"), 1000, base_seed=980)
@@ -565,9 +607,10 @@ class TestFileFormat:
         [
             ("[visibility_x]", "value ", "value abc", "[visibility_x] value: could not convert string to float: 'abc'"),
             ("[visibility_y]", "value ", "value 0.6 0.7", "malformed [visibility_y] row ('value', '0.6', '0.7')"),
+            ("[visibility_x]", "value ", "value -0.3 0.7", "malformed [visibility_x] row ('value', '-0.3', '0.7')"),
             ("[csquared]", "vz_magnitude ", None, "missing entry 'vz_magnitude' in section [csquared]"),
         ],
-        ids=["bad-float", "extra-token", "missing"],
+        ids=["bad-float", "extra-token", "two-values", "missing"],
     )
     def test_from_report_values_located(self, tmp_path, capsys, section, old, new, message):
         paths = simulate_all(tmp_path, ("0.5", "0.6", "0.4"), 1000, base_seed=990)
@@ -596,6 +639,15 @@ class TestFileFormat:
         paths["ex"].write_text("\n".join(lines) + "\n")
         assert run_cli("estimate", *paths.values(), "--out", tmp_path / "r.txt") == 1
         assert f"error: {paths['ex']}: missing header key 'mode'" in capsys.readouterr().err
+
+    def test_section_value_rejects_extra_token(self, tmp_path):
+        path = tmp_path / "r.txt"
+        path.write_text("schema: xymeas-report/1\n[csquared]\nvalue -0.3 0.7\nclassical true\n")
+        doc = read_document(path)
+        assert doc.section_value("csquared", "classical") == "true"
+        for parse in (str, float):
+            with pytest.raises(ValueError, match=re.escape(f"{path}:3: malformed [csquared] row")):
+                doc.section_value("csquared", "value", parse)
 
     def test_missing_report_section_names_file(self, tmp_path, capsys):
         paths = simulate_all(tmp_path, ("0.5", "0.6", "0.4"), 1000, base_seed=1010)
