@@ -40,7 +40,17 @@ from typing import Mapping
 
 import numpy as np
 
-from .povm import OUTCOMES4, OUTCOMES16, PATTERNS, PatternStats, Table, _hadamard
+from .povm import (
+    OUTCOMES4,
+    OUTCOMES16,
+    PATTERNS,
+    PatternStats,
+    Table,
+    _columns,
+    _hadamard,
+    _rows4,
+    _sum4,
+)
 from .qubit import ATOL_ALGEBRA, ensure_axis
 from .simulate import OutcomeCounts4, PairCounts16
 
@@ -241,14 +251,20 @@ def eigenstate_probs_from_error_model(m: ErrorModel, axis: str) -> Table:
     return Table(OUTCOMES4, np.where(correct, keep_p, flip_p) / 2.0)
 
 
-# _XOR[r, s] = r xor s; pattern indices carry the bits (rx, ry).
-_XOR = np.bitwise_xor.outer(np.arange(len(PATTERNS)), np.arange(len(PATTERNS)))
-
-
 def _self_convolution(w) -> np.ndarray:
-    """``e[..., r] = (1/4) * sum_s w[..., s] * w[..., s xor r]`` over the last axis."""
-    w = np.asarray(w)
-    return np.sum(w[..., None, :] * w[..., _XOR], axis=-1) / 4.0
+    """``e[..., r] = (1/4) * sum_s w[..., s] * w[..., s xor r]`` over the last axis.
+
+    Bit for bit, and in the same memory layout, the ``np.sum`` over the
+    ``(..., 4, 4)`` table of products ``w(s) * w(s xor r)``, without building
+    it: each product keeps that operand order (a fused complex multiply is
+    not commutative to the bit) and each row is summed by `povm._sum4`.
+    """
+    w, inner = _columns(w)
+    e, rows = _rows4(w[0], False)
+    for r, row in enumerate(rows):
+        _sum4(*(w[s] * w[s ^ r] for s in range(4)), inner, out=row)
+    e /= 4.0
+    return e
 
 
 def pattern_quasiprobs(m: ErrorModel) -> Table:

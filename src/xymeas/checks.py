@@ -22,7 +22,7 @@ from .qubit import ATOL_ALGEBRA, ATOL_EIG, _lowest_eigenvalues, density, identit
 
 # Cases are swept as arrays of this many at a time, which bounds memory
 # whatever the grid density or sample count.
-CHUNK = 256
+CHUNK = 1024
 
 
 @dataclass(frozen=True)

@@ -133,7 +133,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="run the self-verification sweeps")
     p.add_argument("--grid", type=int, default=9, help="visibility grid density per axis")
-    p.add_argument("--samples", type=int, default=10_000, help="random models per sweep")
+    p.add_argument("--samples", type=int, default=10_000, help="random models per sweep (default 10^4)")
     p.add_argument("--seed", type=int, default=20240901)
 
     return parser
@@ -241,6 +241,9 @@ def cmd_estimate(args) -> int:
         if args.correct_source_noise:
             if pair.werner_p is None:
                 raise UsageError("pair counts file does not record werner_p")
+            if pair.werner_p == 0.0:
+                where = f"{pair.path}:{pair.werner_p_line}"
+                raise UsageError(f"{where}: werner_p 0 leaves no singlet signal to correct")
             stats = correct_for_source_noise(stats, pair.werner_p)
             corrected = True
         sections["pair_run"] = [

@@ -34,6 +34,7 @@ every fault with ``file:line``.
 from __future__ import annotations
 
 import functools
+import math
 import platform
 import time
 from dataclasses import dataclass, field
@@ -301,6 +302,20 @@ def _count(token: str) -> int:
     return n
 
 
+def _finite(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"{token!r} is not finite")
+    return value
+
+
+def _werner_p(token: str) -> float:
+    value = _finite(token)
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{token!r} is not in [0, 1]")
+    return value
+
+
 def _header_value(doc: Document, key: str, parse=float):
     """Header ``key`` of a parsed document, through ``parse``, located on a bad value."""
     value = doc.require(key)
@@ -324,6 +339,8 @@ class CountsArtifact:
     visibilities: VisibilityTriple | None
     werner_p: float | None
     path: str
+    # line of the ``werner_p`` header, for errors a later check raises about it
+    werner_p_line: int | None = None
 
 
 def read_counts_document(doc: Document) -> CountsArtifact:
@@ -331,8 +348,9 @@ def read_counts_document(doc: Document) -> CountsArtifact:
 
     A malformed, unknown, duplicated, missing or negative ``[counts]`` row,
     a header number that does not parse, header visibilities outside the
-    measurement family, or a ``shots`` header that disagrees with the counts
-    sum is rejected with its ``file:line``.
+    measurement family, a ``werner_p`` header outside [0, 1], or a ``shots``
+    header that disagrees with the counts sum is rejected with its
+    ``file:line``.
     """
     expect_schema(doc, SCHEMA_COUNTS)
     mode = doc.require("mode")
@@ -361,7 +379,7 @@ def read_counts_document(doc: Document) -> CountsArtifact:
     else:
         eigenstate_counts = None
         pair_counts = PairCounts16(counts=counts, total=total)
-        werner_p = _header_value(doc, "werner_p") if "werner_p" in doc.header else None
+        werner_p = _header_value(doc, "werner_p", _werner_p) if "werner_p" in doc.header else None
     return CountsArtifact(
         mode=mode,
         eigenstate_counts=eigenstate_counts,
@@ -369,6 +387,7 @@ def read_counts_document(doc: Document) -> CountsArtifact:
         visibilities=visibilities,
         werner_p=werner_p,
         path=str(doc.path),
+        werner_p_line=doc.header_lines.get("werner_p") if werner_p is not None else None,
     )
 
 
@@ -393,9 +412,18 @@ def write_probs_file(
 
 
 def read_probs_document(doc: Document) -> tuple[dict[tuple[int, int], float], str | None]:
-    """The table and state label held in ``doc``, as parsed by `read_document`."""
+    """The table and state label held in ``doc``, as parsed by `read_document`.
+
+    Besides the row faults of `_parse_keyed`, an entry that is not finite is
+    located at its row, and a table that does not sum to 1 (within 1e-9, the
+    tolerance of every probability table) at the ``[probs]`` line.
+    """
     expect_schema(doc, SCHEMA_PROBS)
-    probs = _parse_keyed(doc, "probs", OUTCOMES4, 1, float)
+    probs = _parse_keyed(doc, "probs", OUTCOMES4, 1, _finite)
+    total = sum(probs)
+    if abs(total - 1.0) > 1e-9:
+        where = doc._where(doc.section_lines["probs"])
+        raise ValueError(f"{where}[probs] entries sum to {total!r}, expected 1")
     return dict(zip(OUTCOMES4, probs)), doc.header.get("state")
 
 

@@ -32,7 +32,7 @@ from typing import Mapping
 import numpy as np
 
 from .analysis import ErrorModel, visibilities_from_error_model
-from .povm import OUTCOMES4, OUTCOMES16, Table, _checked_table, _hadamard, ideal_operator
+from .povm import OUTCOMES4, OUTCOMES16, Table, _checked_table, _hadamard, _sum4, ideal_operator
 from .qubit import (
     ATOL_ALGEBRA,
     _bloch_operators,
@@ -98,16 +98,33 @@ def _product_kets(outcomes, axis: str) -> np.ndarray:
     return np.array([functools.reduce(tensor_state, k) for k in kets])
 
 
+def _sum_innermost(terms: list):
+    """``np.sum`` over an innermost axis of length 2 or 4, from its terms, bit for bit."""
+    if len(terms) == 2:
+        return (0.0 + terms[0]) + terms[1]
+    return _sum4(*terms, inner=True)
+
+
 def _kd_entries(rho: np.ndarray, outcomes=OUTCOMES4) -> np.ndarray:
     """``<x|y><y|rho|x>`` in ``outcomes`` order for each state of a (..., d, d) stack, as (..., k).
 
-    ``outcomes`` is ``OUTCOMES4`` for a qubit, ``OUTCOMES16`` for a pair (`_product_kets`).
+    ``outcomes`` is ``OUTCOMES4`` for a qubit, ``OUTCOMES16`` for a pair
+    (`_product_kets`). For a row-major stack the entries are bit for bit the
+    ``np.sum`` contractions of the (..., k, d, d) products
+    ``rho[..., i, j] * ket_x[o, j]`` over ``j`` and then of
+    ``conj(ket_y[o, i]) * rho_x[..., o, i]`` over ``i``, added term by term
+    without building either product.
     """
     ket_x = _product_kets(outcomes, "X")
     ket_y = _product_kets(outcomes, "Y")
     overlap = np.sum(ket_x.conj() * ket_y, axis=-1)
-    rho_x = np.sum(np.asarray(rho)[..., None, :, :] * ket_x[:, None, :], axis=-1)
-    return overlap * np.sum(ket_y.conj() * rho_x, axis=-1)
+    rho = np.asarray(rho)
+    dim = ket_x.shape[-1]
+    # rho_x[i][..., o] = sum_j rho[..., i, j] * ket_x[o, j]
+    rho_x = [
+        _sum_innermost([rho[..., i, j, None] * ket_x[:, j] for j in range(dim)]) for i in range(dim)
+    ]
+    return overlap * _sum_innermost([ket_y[:, i].conj() * rho_x[i] for i in range(dim)])
 
 
 def kd_pair_from_state(rho4) -> Table:

@@ -48,13 +48,90 @@ HADAMARD = np.kron([[1.0, 1.0], [1.0, -1.0]], [[1.0, 1.0], [1.0, -1.0]])
 _INDEX = {keys: {k: i for i, k in enumerate(keys)} for keys in (OUTCOMES4, OUTCOMES16, PATTERNS)}
 
 
+def _columns(table) -> tuple[list, bool]:
+    """The four last-axis columns of ``table`` as float64 or complex128 views.
+
+    Also says whether that axis is the innermost in memory (every other axis
+    of length above 1 has a larger stride), which decides the order in which
+    ``np.sum`` adds a complex row (see `_sum4`).
+    """
+    t = np.asarray(table)
+    t = t.astype(np.result_type(t.dtype, np.float64), copy=False)
+    step = abs(t.strides[-1])
+    inner = all(abs(s) > step for s, n in zip(t.strides[:-1], t.shape[:-1]) if n > 1 and s)
+    return [t[..., k] for k in range(4)], inner
+
+
+def _rows4(like, inner: bool) -> tuple[np.ndarray, list]:
+    """An empty ``(..., 4)`` result with the shape and dtype of column ``like``, and its four rows.
+
+    Laid out as ``np.sum`` lays out its result: row-major when the summed
+    axis was the innermost, with the new axis outermost in memory otherwise.
+    """
+    if inner:
+        out = np.empty(like.shape + (4,), like.dtype)
+    else:
+        out = np.empty((4,) + like.shape, like.dtype).transpose((*range(1, like.ndim + 1), 0))
+    return out, [out[..., k] for k in range(4)]
+
+
+def _sum4(p0, p1, p2, p3, inner: bool, out=None):
+    """``np.sum`` of the four terms, added as numpy adds a length-4 axis, into ``out`` if given.
+
+    Real terms go left to right, ``(((0.0 + p0) + p1) + p2) + p3``. Complex
+    terms go pairwise, ``(0.0 + (p0 + p1)) + (p2 + p3)``, when the summed
+    axis is the innermost in memory (``inner``) and left to right otherwise.
+    """
+    if inner and np.iscomplexobj(p0):
+        out = np.add(p0, p1, out=out)
+        out += 0.0
+        out += p2 + p3
+    else:
+        out = np.add(p0, 0.0, out=out)
+        out += p1
+        out += p2
+        out += p3
+    return out
+
+
 def _hadamard(table) -> np.ndarray:
     """``HADAMARD @ table`` over the last axis: (total, y, x, x*y) signed sums.
 
-    Each row is summed left to right, the order of a plain loop, so report
-    digits do not depend on how a BLAS matrix-vector product associates.
+    Bit for bit ``np.sum(HADAMARD * table[..., None, :], axis=-1)``, so
+    report digits never depend on how a BLAS matrix-vector product
+    associates: a row ``(a, b, c, d)`` is ``(((0.0 + a) ± b) ± c) ± d``, or
+    ``(0.0 + (a ± b)) ± (c ± d)`` for complex rows stored innermost (see
+    `_sum4`). The rows are built in place from the four columns, sharing
+    partial sums, without a ``(..., 4, 4)`` temporary.
     """
-    return np.sum(HADAMARD * np.asarray(table)[..., None, :], axis=-1)
+    (a, b, c, d), inner = _columns(table)
+    h, (h0, h1, h2, h3) = _rows4(a, inner)
+    if inner and np.iscomplexobj(a):
+        # h0, h1 hold 0.0 + (a ± b) until the halves c ± d are added
+        np.add(a, b, out=h0)
+        np.subtract(a, b, out=h1)
+        h0 += 0.0
+        h1 += 0.0
+        cd, c_d = c + d, c - d
+        np.subtract(h0, cd, out=h2)
+        np.subtract(h1, c_d, out=h3)
+        h0 += cd
+        h1 += c_d
+    else:
+        # h0, h1 hold (0.0 + a) ± b until c and d are added
+        np.add(a, 0.0, out=h0)
+        np.add(a, 0.0, out=h1)
+        h0 += b
+        h1 -= b
+        np.subtract(h0, c, out=h2)
+        np.subtract(h1, c, out=h3)
+        h2 -= d
+        h3 += d
+        h0 += c
+        h0 += d
+        h1 += c
+        h1 -= d
+    return h
 
 
 def _checked_table(

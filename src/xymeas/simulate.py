@@ -5,7 +5,9 @@ Determinism contract
 All randomness comes from one 64-bit seed. Shots are partitioned into fixed
 blocks of ``BLOCK_SHOTS``; block ``i`` draws from the counter-based
 ``numpy.random.Philox`` generator keyed with the seed and jumped ``i`` times
-(``Philox(key=seed).jumped(i)``). Block boundaries depend only on the shot
+(``Philox(key=seed).jumped(i)``). A jump adds 2^128 to the 256-bit counter,
+so that generator is built directly as ``Philox(key=seed, counter=[0, 0, i, 0])``,
+the same state without a jump. Block boundaries depend only on the shot
 count, never on the worker count, and block results are merged by addition,
 so serial and parallel executions produce identical counts.
 
@@ -111,7 +113,8 @@ class PairCounts16:
 
 def block_rng(seed: int, block_index: int) -> np.random.Generator:
     """Independent generator for one shot block; see the module docstring."""
-    return np.random.Generator(np.random.Philox(key=seed).jumped(block_index))
+    counter = np.array([0, 0, block_index, 0], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=seed, counter=counter))
 
 
 def _cumulative(probs) -> np.ndarray:

@@ -8,10 +8,10 @@ import pytest
 from xymeas import checks, kirkwood
 from xymeas.analysis import classicality_statistic, pattern_of
 from xymeas.checks import (
-    CHUNK,
     check_classicality_dichotomy,
     check_operator_identities,
     check_povm_family,
+    run_all_checks,
     visibility_grid,
 )
 from xymeas.kirkwood import _kd_entries, _random_qubit_densities, kd_from_state
@@ -31,9 +31,17 @@ GRID = visibility_grid(9)
 # the same triples as records, for references and the FAIL text
 TRIPLES = [VisibilityTriple(*v) for v in GRID]
 DELTA = 1e-9
+# The default grid fits in one `checks.CHUNK`; these tests sweep it in chunks
+# of this size instead, so a failure is also located past a chunk offset.
+SMALL_CHUNK = 256
 # a triple in the second chunk, so the chunk offset is exercised
-LATE = CHUNK + 17
+LATE = SMALL_CHUNK + 17
 EARLY = 40
+
+
+@pytest.fixture(autouse=True)
+def small_chunks(monkeypatch):
+    monkeypatch.setattr(checks, "CHUNK", SMALL_CHUNK)
 
 
 def rows_of(v, index):
@@ -43,6 +51,19 @@ def rows_of(v, index):
 
 def test_grid_spans_more_than_one_chunk():
     assert GRID.shape == (310, 3) and len(GRID) > LATE
+    assert checks.CHUNK == SMALL_CHUNK < LATE
+
+
+@pytest.mark.parametrize("grid, samples", [(9, 10_000), (5, 2500), (13, 300)])
+def test_chunk_size_does_not_change_details(monkeypatch, grid, samples):
+    # every case is swept in the same order and the random streams are drawn
+    # in the same order, whatever the chunk size
+    details = {}
+    for chunk in (256, 1024):
+        monkeypatch.setattr(checks, "CHUNK", chunk)
+        details[chunk] = run_all_checks(grid=grid, samples=samples)
+    assert details[256] == details[1024]
+    assert all(result.passed for result in details[1024])
 
 
 @pytest.mark.parametrize("n", [2, 3, 9])

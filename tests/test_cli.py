@@ -579,6 +579,74 @@ class TestFileFormat:
         assert code == 1
         assert f"error: {path}:{section}: no [probs] row for +1 +1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("+1 -1 ", "+1 -1 nan", "[probs] row: 'nan' is not finite"),
+            ("-1 +1 ", "-1 +1 -inf", "[probs] row: '-inf' is not finite"),
+            ("+1 +1 ", "+1 +1 0.5", "[probs] entries sum to 1.25, expected 1"),
+            ("-1 -1 ", "-1 -1 0.2499", "[probs] entries sum to 0.9999, expected 1"),
+        ],
+        ids=["nan", "inf", "sum-high", "sum-low"],
+    )
+    def test_bad_probs_table_located(self, tmp_path, capsys, old, new, message):
+        path = tmp_path / "p.txt"
+        write_probs_file(path, {o: 0.25 for o in OUTCOMES4}, state="mixed")
+        lines = path.read_text().splitlines()
+        k = next(i for i, line in enumerate(lines) if line.startswith(old))
+        lines[k] = new
+        path.write_text("\n".join(lines) + "\n")
+        # an entry is located at its row, a bad sum at the [probs] line
+        lineno = lines.index("[probs]") + 1 if "sum" in message else k + 1
+        with pytest.raises(ValueError, match=re.escape(f"{path}:{lineno}: {message}")):
+            read_probs_file(path)
+        code = run_cli(
+            "reconstruct", "--input", path, "--vx", 0.5, "--vy", 0.5, "--vz", 0.5,
+            "--out", tmp_path / "kd.txt",
+        )
+        assert code == 1
+        assert f"error: {path}:{lineno}: {message}" in capsys.readouterr().err
+
+    def test_probs_sum_within_tolerance_accepted(self, tmp_path):
+        path = tmp_path / "p.txt"
+        write_probs_file(path, {(1, 1): 0.25 + 5e-10, (1, -1): 0.25, (-1, 1): 0.25, (-1, -1): 0.25})
+        assert read_probs_file(path)[0][(1, 1)] == 0.25 + 5e-10
+
+    def werner_counts(self, tmp_path, value):
+        """A pair counts file written with ``--werner-p 0.9``, then its header set to ``value``."""
+        paths = simulate_all(tmp_path, ("0.5", "0.6", "0.4"), 1000, base_seed=1020)
+        assert run_cli(
+            "simulate", "--mode", "pair", "--vx", 0.5, "--vy", 0.6, "--vz", 0.4,
+            "--shots", 1000, "--seed", 1023, "--werner-p", 0.9, "--out", paths["pair"],
+        ) == 0
+        lines = paths["pair"].read_text().splitlines()
+        lineno = next(i for i, line in enumerate(lines, 1) if line.startswith("werner_p: "))
+        lines[lineno - 1] = f"werner_p: {value}"
+        paths["pair"].write_text("\n".join(lines) + "\n")
+        return paths, lineno
+
+    @pytest.mark.parametrize("value", ["1.5", "-0.1", "nan", "inf"])
+    def test_bad_werner_p_header_located(self, tmp_path, capsys, value):
+        paths, lineno = self.werner_counts(tmp_path, value)
+        where = f"{paths['pair']}:{lineno}: header werner_p: "
+        with pytest.raises(ValueError, match=re.escape(where)):
+            read_counts_file(paths["pair"])
+        argv = ("estimate", paths["pair"], "--allow-partial", "--out", tmp_path / "r.txt")
+        assert run_cli(*argv) == 1
+        assert f"error: {where}" in capsys.readouterr().err
+
+    def test_zero_werner_p_read_but_not_corrected(self, tmp_path, capsys):
+        # ExperimentConfig accepts p = 0, so the reader does; dividing by it is refused
+        paths, lineno = self.werner_counts(tmp_path, "0")
+        assert read_counts_file(paths["pair"]).werner_p == 0.0
+        report = tmp_path / "r.txt"
+        assert run_cli("estimate", *paths.values(), "--out", report) == 0
+        assert "werner_p 0" in report.read_text()
+        code = run_cli("estimate", *paths.values(), "--correct-source-noise", "--out", report)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"usage error: {paths['pair']}:{lineno}: werner_p 0 leaves no singlet signal" in err
+
     def test_out_of_family_header_visibilities_located(self, tmp_path, capsys):
         paths = simulate_all(tmp_path, ("0.5", "0.7", "0.3"), 1000, base_seed=980)
         lines = paths["ex"].read_text().splitlines()

@@ -4,7 +4,9 @@ The fixtures under ``tests/golden/`` pin the bytes of a measurement dump,
 counts files (eigenstate with and without flip randomization, a Werner
 pair), estimate reports (with and without source-noise correction) and the
 summary lines each estimate prints to stdout, and reconstruction reports
-(from a counts file via ``--from-report`` and from a probability file).
+(from a counts file via ``--from-report`` and from a probability file),
+and the stdout of ``verify`` at its default sizes, whose printed worst
+deviations move with any change to the order of a floating-point sum.
 Manifests carry a timestamp and are left out.
 
 Re-record only when a change is meant to alter these bytes, and say so
@@ -55,6 +57,10 @@ COMMANDS = [
 # artifact -> fixture holding the stdout of the command that writes it
 STDOUT = {"estimate.report": "estimate.stdout", "corrected.report": "corrected.stdout"}
 
+# a command that writes no artifact, and the fixture holding its stdout
+VERIFY = ["verify", "--grid", "9", "--samples", "10000"]
+VERIFY_STDOUT = "verify.stdout"
+
 
 def write_probs(path):
     v = VisibilityTriple(*map(float, V))
@@ -76,6 +82,18 @@ def run_all(directory: Path) -> dict[str, str]:
         if artifact in STDOUT:
             stdout[STDOUT[artifact]] = captured.getvalue()
     return stdout
+
+
+def run_verify() -> str:
+    with contextlib.redirect_stdout(io.StringIO()) as captured:
+        code = cli.main(VERIFY)
+    if code != 0:
+        raise RuntimeError(f"{' '.join(VERIFY)} exited {code}")
+    return captured.getvalue()
+
+
+def test_verify_stdout_bytes():
+    assert run_verify().encode() == (GOLDEN / VERIFY_STDOUT).read_bytes()
 
 
 def test_probs_input_bytes(tmp_path):
@@ -107,4 +125,5 @@ if __name__ == "__main__":
             shutil.copy(artifact, GOLDEN / artifact)
     for fixture, text in stdout.items():
         (GOLDEN / fixture).write_bytes(text.encode())
-    print(f"recorded {len(COMMANDS) + len(STDOUT) + 1} fixtures in {GOLDEN}", file=sys.stderr)
+    (GOLDEN / VERIFY_STDOUT).write_bytes(run_verify().encode())
+    print(f"recorded {len(COMMANDS) + len(STDOUT) + 2} fixtures in {GOLDEN}", file=sys.stderr)

@@ -155,6 +155,32 @@ class TestHistogram:
         )
 
 
+def _same_state(a, b) -> bool:
+    """Equality of two bit-generator state dicts, whose counters and keys are arrays."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and np.array_equal(a, b)
+    return a == b
+
+
+class TestBlockRng:
+    """`block_rng` builds the counter directly; the stream is ``Philox(key=seed).jumped(i)``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 64 - 1), index=st.integers(0, 2 ** 64 - 1))
+    @example(seed=0, index=0)
+    @example(seed=2 ** 64 - 1, index=61)
+    @example(seed=7, index=2 ** 63)
+    def test_equals_jumped_generator(self, seed, index):
+        rng = block_rng(seed, index)
+        jumped = np.random.Generator(np.random.Philox(key=seed).jumped(index))
+        assert _same_state(rng.bit_generator.state, jumped.bit_generator.state)
+        assert np.array_equal(rng.random(9), jumped.random(9))
+        assert np.array_equal(rng.integers(0, 2 ** 62, size=5), jumped.integers(0, 2 ** 62, size=5))
+        assert _same_state(rng.bit_generator.state, jumped.bit_generator.state)
+
+
 def per_shot_eigenstate_counts(config, axis, value):
     """Reference sampler: one inverse-CDF index per shot, then a bincount."""
     povm = build_povm(config.visibilities)
