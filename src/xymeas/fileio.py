@@ -387,7 +387,7 @@ def read_counts_document(doc: Document) -> CountsArtifact:
         visibilities=visibilities,
         werner_p=werner_p,
         path=str(doc.path),
-        werner_p_line=doc.header_lines.get("werner_p") if werner_p is not None else None,
+        werner_p_line=doc.header_lines.get("werner_p"),
     )
 
 

@@ -52,8 +52,8 @@ def _columns(table) -> tuple[list, bool]:
     """The four last-axis columns of ``table`` as float64 or complex128 views.
 
     Also says whether that axis is the innermost in memory (every other axis
-    of length above 1 has a larger stride), which decides the order in which
-    ``np.sum`` adds a complex row (see `_sum4`).
+    of length above 1, broadcast ones aside, has a larger stride), which
+    decides the order in which ``np.sum`` adds a complex row (see `_sum4`).
     """
     t = np.asarray(table)
     t = t.astype(np.result_type(t.dtype, np.float64), copy=False)
