@@ -4,21 +4,20 @@
 Writes a tab-separated table of exact and Monte-Carlo values of c^2 and the
 classicality statistic S. The classical boundary sits at vz = 0: every
 nonzero vz pushes c^2 below zero, which no real non-negative error model
-can reproduce.
+can reproduce. Each point drives ``xymeas simulate --mode pair`` and
+``xymeas estimate --allow-partial`` in a temporary directory and reads the
+Monte-Carlo columns from the report.
 """
 
 import argparse
 import sys
+import tempfile
+from pathlib import Path
 
-from xymeas.analysis import (
-    classicality_statistic,
-    collapse_pair_counts,
-    csquared_from_patterns,
-    is_classical,
-)
-from xymeas.fileio import fmt_float
+from run_error_correlation_experiment import xymeas
+from xymeas.analysis import classicality_statistic
+from xymeas.fileio import fmt_float, read_document
 from xymeas.povm import VisibilityTriple, exact_pattern_probs
-from xymeas.simulate import ExperimentConfig, run_pair_experiment
 
 
 def main() -> None:
@@ -36,25 +35,26 @@ def main() -> None:
         "s_exact", "s_mc", "classical_verdict",
     ]
     print("\t".join(header), file=args.out)
-    for i in range(args.steps):
-        vz = vz_max * i / (args.steps - 1)
-        v = VisibilityTriple(args.vxy, args.vxy, vz)
-        exact = exact_pattern_probs(v)
-        counts = run_pair_experiment(
-            ExperimentConfig(visibilities=v, shots=args.shots, seed=args.seed + i)
-        )
-        stats = collapse_pair_counts(counts)
-        c2 = csquared_from_patterns(stats)
-        row = [
-            fmt_float(vz),
-            fmt_float(-(vz ** 2)),
-            fmt_float(c2.value),
-            fmt_float(c2.stderr),
-            fmt_float(classicality_statistic(exact)),
-            fmt_float(classicality_statistic(stats)),
-            "classical" if is_classical(c2) else "non-classical",
-        ]
-        print("\t".join(row), file=args.out)
+    with tempfile.TemporaryDirectory() as work:
+        pair, out = Path(work) / "pair", Path(work) / "estimate.report"
+        for i in range(args.steps):
+            vz = vz_max * i / (args.steps - 1)
+            v = VisibilityTriple(args.vxy, args.vxy, vz)
+            xymeas("simulate", "--mode", "pair", "--vx", v.vx, "--vy", v.vy, "--vz", v.vz,
+                   "--shots", args.shots, "--seed", args.seed + i, "--out", pair)
+            xymeas("estimate", pair, "--allow-partial", "--out", out)
+            report = read_document(out)
+            classical = report.section_value("csquared", "classical") == "true"
+            row = [
+                fmt_float(vz),
+                fmt_float(-(vz ** 2)),
+                report.section_value("csquared", "value"),
+                report.section_value("csquared", "stderr"),
+                fmt_float(classicality_statistic(exact_pattern_probs(v))),
+                report.section_value("classicality", "statistic"),
+                "classical" if classical else "non-classical",
+            ]
+            print("\t".join(row), file=args.out)
 
 
 if __name__ == "__main__":

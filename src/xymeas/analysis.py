@@ -46,9 +46,8 @@ from .povm import (
     PATTERNS,
     PatternStats,
     Table,
-    _columns,
+    _float_table,
     _hadamard,
-    _rows4,
     _sum4,
 )
 from .qubit import ATOL_ALGEBRA, ensure_axis
@@ -254,15 +253,16 @@ def eigenstate_probs_from_error_model(m: ErrorModel, axis: str) -> Table:
 def _self_convolution(w) -> np.ndarray:
     """``e[..., r] = (1/4) * sum_s w[..., s] * w[..., s xor r]`` over the last axis.
 
-    Bit for bit, and in the same memory layout, the ``np.sum`` over the
-    ``(..., 4, 4)`` table of products ``w(s) * w(s xor r)``, without building
-    it: each product keeps that operand order (a fused complex multiply is
-    not commutative to the bit) and each row is summed by `povm._sum4`.
+    Bit for bit the ``np.sum`` over the ``(..., 4, 4)`` table of products
+    ``w(s) * w(s xor r)``, without building it: each product keeps that
+    operand order (a fused complex multiply is not commutative to the bit)
+    and each row is added by `povm._sum4`.
     """
-    w, inner = _columns(w)
-    e, rows = _rows4(w[0], False)
-    for r, row in enumerate(rows):
-        _sum4(*(w[s] * w[s ^ r] for s in range(4)), inner, out=row)
+    w = _float_table(w)
+    cols = [w[..., s] for s in range(4)]
+    e = np.empty(w.shape, w.dtype)
+    for r in range(4):
+        _sum4(*(cols[s] * cols[s ^ r] for s in range(4)), out=e[..., r])
     e /= 4.0
     return e
 

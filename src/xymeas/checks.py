@@ -108,6 +108,13 @@ def check_povm_family(grid: int = 9) -> CheckResult:
     return CheckResult("povm_family", True, f"max deviation {worst:.3e}")
 
 
+def _hadamard_by_parts(e: np.ndarray) -> np.ndarray:
+    """`povm._hadamard` of the real and the imaginary part of ``e``, as one complex array."""
+    h = np.empty(e.shape, e.dtype)
+    h.real, h.imag = _hadamard(e.real), _hadamard(e.imag)
+    return h
+
+
 def check_fourier_identity(samples: int = 10_000, seed: int = 20240901) -> CheckResult:
     """Character identity of the XOR self-convolution on random complex models.
 
@@ -122,7 +129,9 @@ def check_fourier_identity(samples: int = 10_000, seed: int = 20240901) -> Check
         raw = rng.normal(size=(min(CHUNK, samples - start), 2, 4))
         w = raw[:, 0] + 1j * raw[:, 1]
         w = w + (1.0 - w.sum(axis=1, keepdims=True)) / 4.0
-        deviation = float(np.max(np.abs(4.0 * _hadamard(_self_convolution(w)) - _hadamard(w) ** 2)))
+        # by parts (exact, H being real) so rows add left to right, as in the golden verify output
+        lhs = 4.0 * _hadamard_by_parts(_self_convolution(w))
+        deviation = float(np.max(np.abs(lhs - _hadamard(w) ** 2)))
         if deviation > 1e-10:
             return CheckResult("fourier_identity", False, f"identity violated by {deviation:.3e}")
         worst = max(worst, deviation)

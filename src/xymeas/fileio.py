@@ -144,11 +144,19 @@ def write_document(path: str | Path, doc: Document) -> None:
 def read_document(path: str | Path) -> Document:
     """Parse the header and sections of an artifact file.
 
-    A malformed or repeated header key is rejected with its ``file:line``.
+    A non-ASCII byte and a malformed or repeated header key are rejected
+    with their ``file:line``.
     """
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        # lines are counted as the loop below counts them
+        lineno = len((data[: exc.start] + b".").decode("ascii").splitlines())
+        raise ValueError(f"{path}:{lineno}: non-ASCII byte 0x{data[exc.start]:02x}") from None
     doc = Document(path=path)
     current: list[tuple[str, ...]] | None = None
-    for lineno, raw in enumerate(Path(path).read_text(encoding="ascii").splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line:
             continue
@@ -309,6 +317,17 @@ def _finite(token: str) -> float:
     return value
 
 
+def _one_of(*choices: str):
+    """A token parser that accepts exactly one of ``choices``."""
+
+    def parse(token: str) -> str:
+        if token not in choices:
+            raise ValueError(f"expected one of {', '.join(choices)}, got {token!r}")
+        return token
+
+    return parse
+
+
 def _werner_p(token: str) -> float:
     value = _finite(token)
     if not 0.0 <= value <= 1.0:
@@ -347,15 +366,14 @@ def read_counts_document(doc: Document) -> CountsArtifact:
     """The counts artifact held in ``doc``, as parsed by `read_document`.
 
     A malformed, unknown, duplicated, missing or negative ``[counts]`` row,
-    a header number that does not parse, header visibilities outside the
-    measurement family, a ``werner_p`` header outside [0, 1], or a ``shots``
-    header that disagrees with the counts sum is rejected with its
-    ``file:line``.
+    a header number that does not parse, a ``mode`` other than
+    ``eigenstate``/``pair`` or an ``axis`` other than ``X``/``Y``, header
+    visibilities outside the measurement family, a ``werner_p`` header
+    outside [0, 1], or a ``shots`` header that disagrees with the counts sum
+    is rejected with its ``file:line``.
     """
     expect_schema(doc, SCHEMA_COUNTS)
-    mode = doc.require("mode")
-    if mode not in ("eigenstate", "pair"):
-        raise ValueError(f"{doc._where(doc.header_lines['mode'])}unknown counts mode {mode!r}")
+    mode = _header_value(doc, "mode", _one_of("eigenstate", "pair"))
     visibilities = None
     if all(k in doc.header for k in ("vx", "vy", "vz")):
         visibilities = _header_visibilities(doc)
@@ -371,7 +389,7 @@ def read_counts_document(doc: Document) -> CountsArtifact:
         eigenstate_counts = OutcomeCounts4(
             counts=counts,
             total=total,
-            input_axis=doc.require("axis"),
+            input_axis=_header_value(doc, "axis", _one_of("X", "Y")),
             input_value=_header_value(doc, "value", parse_sign),
         )
         pair_counts = None
@@ -404,9 +422,7 @@ def write_probs_file(
 ) -> None:
     header = {"schema": SCHEMA_PROBS}
     if state is not None:
-        if state not in STATE_LABELS:
-            raise ValueError(f"unknown state label {state!r}, expected one of {STATE_LABELS}")
-        header["state"] = state
+        header["state"] = _one_of(*STATE_LABELS)(state)
     rows = keyed_rows(OUTCOMES4, [fmt_float(probs[o]) for o in OUTCOMES4])
     write_document(path, Document(header=header, sections={"probs": rows}))
 
@@ -415,8 +431,9 @@ def read_probs_document(doc: Document) -> tuple[dict[tuple[int, int], float], st
     """The table and state label held in ``doc``, as parsed by `read_document`.
 
     Besides the row faults of `_parse_keyed`, an entry that is not finite is
-    located at its row, and a table that does not sum to 1 (within 1e-9, the
-    tolerance of every probability table) at the ``[probs]`` line.
+    located at its row, a table that does not sum to 1 (within 1e-9, the
+    tolerance of every probability table) at the ``[probs]`` line, and a
+    ``state`` header that is not one of ``STATE_LABELS`` at its line.
     """
     expect_schema(doc, SCHEMA_PROBS)
     probs = _parse_keyed(doc, "probs", OUTCOMES4, 1, _finite)
@@ -424,7 +441,8 @@ def read_probs_document(doc: Document) -> tuple[dict[tuple[int, int], float], st
     if abs(total - 1.0) > 1e-9:
         where = doc._where(doc.section_lines["probs"])
         raise ValueError(f"{where}[probs] entries sum to {total!r}, expected 1")
-    return dict(zip(OUTCOMES4, probs)), doc.header.get("state")
+    state = _header_value(doc, "state", _one_of(*STATE_LABELS)) if "state" in doc.header else None
+    return dict(zip(OUTCOMES4, probs)), state
 
 
 def read_probs_file(path: str | Path) -> tuple[dict[tuple[int, int], float], str | None]:

@@ -48,49 +48,28 @@ HADAMARD = np.kron([[1.0, 1.0], [1.0, -1.0]], [[1.0, 1.0], [1.0, -1.0]])
 _INDEX = {keys: {k: i for i, k in enumerate(keys)} for keys in (OUTCOMES4, OUTCOMES16, PATTERNS)}
 
 
-def _columns(table) -> tuple[list, bool]:
-    """The four last-axis columns of ``table`` as float64 or complex128 views.
-
-    Also says whether that axis is the innermost in memory (every other axis
-    of length above 1, broadcast ones aside, has a larger stride), which
-    decides the order in which ``np.sum`` adds a complex row (see `_sum4`).
-    """
+def _float_table(table) -> np.ndarray:
+    """``table`` as a float64 or complex128 array, without a copy when it already is one."""
     t = np.asarray(table)
-    t = t.astype(np.result_type(t.dtype, np.float64), copy=False)
-    step = abs(t.strides[-1])
-    inner = all(abs(s) > step for s, n in zip(t.strides[:-1], t.shape[:-1]) if n > 1 and s)
-    return [t[..., k] for k in range(4)], inner
+    return t.astype(np.result_type(t.dtype, np.float64), copy=False)
 
 
-def _rows4(like, inner: bool) -> tuple[np.ndarray, list]:
-    """An empty ``(..., 4)`` result with the shape and dtype of column ``like``, and its four rows.
+def _sum4(*terms, out=None):
+    """The sum of two or four terms in the order ``np.sum`` adds them, into ``out`` if given.
 
-    Laid out as ``np.sum`` lays out its result: row-major when the summed
-    axis was the innermost, with the new axis outermost in memory otherwise.
+    The order depends on the dtype only. Real terms, and two complex terms,
+    are added left to right, ``((0.0 + a) + b) + ...``. Four complex terms
+    are added pairwise, ``(0.0 + (a + b)) + (c + d)``.
     """
-    if inner:
-        out = np.empty(like.shape + (4,), like.dtype)
-    else:
-        out = np.empty((4,) + like.shape, like.dtype).transpose((*range(1, like.ndim + 1), 0))
-    return out, [out[..., k] for k in range(4)]
-
-
-def _sum4(p0, p1, p2, p3, inner: bool, out=None):
-    """``np.sum`` of the four terms, added as numpy adds a length-4 axis, into ``out`` if given.
-
-    Real terms go left to right, ``(((0.0 + p0) + p1) + p2) + p3``. Complex
-    terms go pairwise, ``(0.0 + (p0 + p1)) + (p2 + p3)``, when the summed
-    axis is the innermost in memory (``inner``) and left to right otherwise.
-    """
-    if inner and np.iscomplexobj(p0):
-        out = np.add(p0, p1, out=out)
+    if len(terms) == 4 and np.iscomplexobj(terms[0]):
+        a, b, c, d = terms
+        out = np.add(a, b, out=out)
         out += 0.0
-        out += p2 + p3
-    else:
-        out = np.add(p0, 0.0, out=out)
-        out += p1
-        out += p2
-        out += p3
+        out += c + d
+        return out
+    out = np.add(terms[0], 0.0, out=out)
+    for term in terms[1:]:
+        out += term
     return out
 
 
@@ -99,14 +78,15 @@ def _hadamard(table) -> np.ndarray:
 
     Bit for bit ``np.sum(HADAMARD * table[..., None, :], axis=-1)``, so
     report digits never depend on how a BLAS matrix-vector product
-    associates: a row ``(a, b, c, d)`` is ``(((0.0 + a) ± b) ± c) ± d``, or
-    ``(0.0 + (a ± b)) ± (c ± d)`` for complex rows stored innermost (see
-    `_sum4`). The rows are built in place from the four columns, sharing
-    partial sums, without a ``(..., 4, 4)`` temporary.
+    associates: each row is added in `_sum4`'s order. The rows are built in
+    place from the four columns, sharing partial sums, without a
+    ``(..., 4, 4)`` temporary.
     """
-    (a, b, c, d), inner = _columns(table)
-    h, (h0, h1, h2, h3) = _rows4(a, inner)
-    if inner and np.iscomplexobj(a):
+    t = _float_table(table)
+    a, b, c, d = (t[..., k] for k in range(4))
+    h = np.empty(t.shape, t.dtype)
+    h0, h1, h2, h3 = (h[..., k] for k in range(4))
+    if np.iscomplexobj(t):
         # h0, h1 hold 0.0 + (a ± b) until the halves c ± d are added
         np.add(a, b, out=h0)
         np.subtract(a, b, out=h1)

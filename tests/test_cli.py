@@ -565,6 +565,42 @@ class TestFileFormat:
         assert run_cli("estimate", *paths.values(), "--out", tmp_path / "r.txt") == 1
         assert f"error: {paths['ex']}:{k + 1}: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("axis", ["Q", "x", "Z"])
+    def test_bad_axis_header_located(self, tmp_path, capsys, axis):
+        # only X and Y eigenstate runs are written, and "x" is not the X run
+        paths = simulate_all(tmp_path, ("0.6", "0.8", "0"), 1000, base_seed=975)
+        lines = paths["ex"].read_text().splitlines()
+        lineno = lines.index("axis: X") + 1
+        lines[lineno - 1] = f"axis: {axis}"
+        paths["ex"].write_text("\n".join(lines) + "\n")
+        where = f"{paths['ex']}:{lineno}: header axis: expected one of X, Y, got {axis!r}"
+        with pytest.raises(ValueError, match=re.escape(where)):
+            read_counts_file(paths["ex"])
+        assert run_cli("estimate", *paths.values(), "--out", tmp_path / "r.txt") == 1
+        assert f"error: {where}" in capsys.readouterr().err
+
+    def test_bad_state_header_located(self, tmp_path, capsys):
+        path = tmp_path / "p.txt"
+        write_probs_file(path, {o: 0.25 for o in OUTCOMES4}, state="mixed")
+        text = path.read_text()
+        lineno = text.splitlines().index("state: mixed") + 1
+        path.write_text(text.replace("state: mixed", "state: Q+"))
+        code = run_cli(
+            "reconstruct", "--input", path, "--vx", 0.5, "--vy", 0.5, "--vz", 0.5,
+            "--out", tmp_path / "kd.txt",
+        )
+        assert code == 1
+        assert f"error: {path}:{lineno}: header state: expected one of Z+, " in capsys.readouterr().err
+
+    def test_non_ascii_byte_located(self, tmp_path, capsys):
+        paths = simulate_all(tmp_path, ("0.6", "0.8", "0"), 1000, base_seed=985)
+        data = paths["ex"].read_bytes()
+        # "\u00e9" is 0xc3 0xa9 in UTF-8
+        paths["ex"].write_bytes(data.replace(b"randomize_flips", "randomiz\u00e9_flips".encode()))
+        lineno = data[: data.index(b"randomize_flips")].count(b"\n") + 1
+        assert run_cli("estimate", *paths.values(), "--out", tmp_path / "r.txt") == 1
+        assert f"error: {paths['ex']}:{lineno}: non-ASCII byte 0xc3" in capsys.readouterr().err
+
     def test_missing_probs_row_located(self, tmp_path, capsys):
         path = tmp_path / "p.txt"
         write_probs_file(path, {o: 0.25 for o in OUTCOMES4}, state="mixed")

@@ -2,12 +2,10 @@
 
 `povm._hadamard` and `analysis._self_convolution` add the four columns of
 their input directly. The references below are the formulas they replace:
-a ``(..., 4, 4)`` product table reduced by ``np.sum`` over its last axis.
-numpy adds a complex row of that table pairwise when the row is the
-innermost axis in memory and left to right otherwise, so the inputs come in
-row-major, column-major and column-innermost layouts; the compositions pin
-the output layout as well, since the next transform's order depends on it.
-`kirkwood._kd_entries` likewise contracts its states term by term.
+a ``(..., 4, 4)`` product table reduced by ``np.sum`` over its last axis,
+whose order of addition `povm._sum4` states. `kirkwood._kd_entries`
+likewise contracts its states term by term, and the character identity of
+``verify`` transforms a self-convolution part by part.
 """
 
 import numpy as np
@@ -16,6 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from xymeas.analysis import _self_convolution
+from xymeas.checks import _hadamard_by_parts
 from xymeas.kirkwood import _kd_entries, _product_kets, _random_qubit_densities
 from xymeas.povm import HADAMARD, OUTCOMES4, OUTCOMES16, _hadamard
 from xymeas.qubit import density, eigenstate, singlet, tensor_state
@@ -49,12 +48,6 @@ shapes = st.one_of(
     st.integers(1, 40).map(lambda n: (n, 4)),
     st.tuples(st.integers(1, 4), st.integers(1, 12)).map(lambda kn: (*kn, 4)),
 )
-LAYOUTS = {
-    "row-major": np.ascontiguousarray,
-    "column-major": np.asfortranarray,
-    # the four columns stored one after another, as `_self_convolution` returns them
-    "columns-outer": lambda x: np.moveaxis(np.ascontiguousarray(np.moveaxis(x, -1, 0)), 0, -1),
-}
 
 
 @st.composite
@@ -63,14 +56,14 @@ def tables(draw):
     table = draw(hnp.arrays(np.float64, shape, elements=entries))
     if draw(st.booleans()):
         table = table + 1j * draw(hnp.arrays(np.float64, shape, elements=entries))
-    return LAYOUTS[draw(st.sampled_from(sorted(LAYOUTS)))](table)
+    return table
 
 
 @settings(max_examples=400, deadline=None)
 @given(t=tables())
 @example(t=np.array([-0.0, -0.0, -0.0, -0.0]))
 @example(t=np.array([-0.0, 0.0, -0.0, 0.0]) * (1 + 1j))
-@example(t=np.array([[1e16, 1.0, -1e16, 1.0]] * 3, dtype=complex).T.copy().T)
+@example(t=np.array([[1e16, 1.0, -1e16, 1.0]] * 3, dtype=complex))
 def test_transforms_match_np_sum_formulas(t):
     assert bits(_hadamard(t)) == bits(reference_hadamard(t))
     assert bits(_self_convolution(t)) == bits(reference_self_convolution(t))
@@ -79,11 +72,24 @@ def test_transforms_match_np_sum_formulas(t):
 @settings(max_examples=200, deadline=None)
 @given(t=tables())
 def test_compositions_match_np_sum_formulas(t):
-    # verify's character identity takes the transform of a self-convolution
-    assert bits(_hadamard(_self_convolution(t))) == bits(reference_hadamard(reference_self_convolution(t)))
     assert bits(_hadamard(_hadamard(t))) == bits(reference_hadamard(reference_hadamard(t)))
     assert bits(_self_convolution(_hadamard(t))) == bits(
         reference_self_convolution(reference_hadamard(t))
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    w=st.integers(2, 40).flatmap(
+        lambda n: hnp.arrays(np.float64, (n, 2, 4), elements=entries).map(lambda r: r[:, 0] + 1j * r[:, 1])
+    )
+)
+@example(w=np.array([[complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.0, 0.0), 0j]] * 2))
+@example(w=np.array([[1e16, 1.0, -1e16, 1.0]] * 3) * (1 + 1j))
+def test_fourier_check_transform_matches_np_sum_composition(w):
+    # the shape of verify's chunks: several complex models, one per row
+    assert bits(_hadamard_by_parts(_self_convolution(w))) == bits(
+        reference_hadamard(reference_self_convolution(w))
     )
 
 
