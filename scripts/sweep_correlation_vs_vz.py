@@ -10,6 +10,7 @@ Monte-Carlo columns from the report.
 """
 
 import argparse
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -28,8 +29,13 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--out", type=argparse.FileType("w"), default=sys.stdout)
     args = parser.parse_args()
+    if not 0.0 <= args.vxy <= math.sqrt(0.5):
+        parser.error(f"--vxy must lie in [0, 1/sqrt(2)], got {args.vxy}")
+    if args.steps < 2:
+        parser.error(f"--steps must be at least 2, got {args.steps}")
 
-    vz_max = (1.0 - 2.0 * args.vxy ** 2) ** 0.5
+    # clipped at 0, where vxy = 1/sqrt(2) rounds 2 * vxy^2 above 1
+    vz_max = math.sqrt(max(0.0, 1.0 - 2.0 * args.vxy ** 2))
     header = [
         "vz", "csquared_exact", "csquared_mc", "csquared_stderr",
         "s_exact", "s_mc", "classical_verdict",

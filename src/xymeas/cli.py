@@ -55,6 +55,7 @@ from .simulate import (
     BLOCK_SHOTS,
     RNG_ID,
     ExperimentConfig,
+    PairCounts16,
     run_eigenstate_experiment,
     run_pair_experiment,
 )
@@ -142,7 +143,7 @@ def build_parser() -> _Parser:
 def cmd_build_povm(args) -> int:
     v = VisibilityTriple(args.vx, args.vy, args.vz)
     povm = build_povm(v)
-    entries = [complex(e) for o in OUTCOMES4 for e in povm.elements[o].flat]
+    entries = povm.elements.ravel().tolist()
     real, imag = [fmt_float(e.real) for e in entries], [fmt_float(e.imag) for e in entries]
     sections = {"elements": keyed_rows(ELEMENT_KEYS, real, imag)}
     parameters = {"vx": fmt_float(v.vx), "vy": fmt_float(v.vy), "vz": fmt_float(v.vz)}
@@ -166,11 +167,7 @@ def cmd_simulate(args) -> int:
         raise UsageError(f"--workers must be at least 1, got {args.workers}")
 
     config = ExperimentConfig(
-        visibilities=VisibilityTriple(args.vx, args.vy, args.vz),
-        shots=args.shots,
-        seed=args.seed,
-        randomize_flips=args.randomize_flips,
-        werner_p=args.werner_p if args.werner_p is not None else 1.0,
+        visibilities=VisibilityTriple(args.vx, args.vy, args.vz), shots=args.shots, seed=args.seed
     )
     # the counts header and the manifest's [parameters], in one order
     parameters = {"mode": args.mode}
@@ -179,13 +176,16 @@ def cmd_simulate(args) -> int:
     v = config.visibilities
     parameters.update(
         vx=fmt_float(v.vx), vy=fmt_float(v.vy), vz=fmt_float(v.vz), shots=str(config.shots),
-        seed=str(config.seed), randomize_flips=fmt_bool(config.randomize_flips),
+        seed=str(config.seed), randomize_flips=fmt_bool(args.randomize_flips),
     )
     if args.mode == "eigenstate":
-        counts = run_eigenstate_experiment(config, args.axis, args.value, workers=args.workers)
+        counts = run_eigenstate_experiment(
+            config, args.axis, args.value, args.randomize_flips, workers=args.workers
+        )
     else:
-        parameters["werner_p"] = fmt_float(config.werner_p)
-        counts = run_pair_experiment(config, workers=args.workers)
+        werner_p = args.werner_p if args.werner_p is not None else 1.0
+        parameters["werner_p"] = fmt_float(werner_p)
+        counts = run_pair_experiment(config, werner_p, workers=args.workers)
     table = counts.counts
     sections = {"counts": keyed_rows(tuple(table), map(str, table.values()))}
     run = {"rng": RNG_ID, "block_shots": str(BLOCK_SHOTS), "workers": str(args.workers)}
@@ -200,10 +200,10 @@ def _classify_counts(paths) -> dict[str, CountsArtifact]:
         if not Path(path).exists():
             raise UsageError(f"counts file not found: {path}")
         artifact = read_counts_file(path)
-        if artifact.mode == "pair":
+        if isinstance(artifact.counts, PairCounts16):
             role = "pair"
         else:
-            role = f"eigenstate-{artifact.eigenstate_counts.input_axis}"
+            role = f"eigenstate-{artifact.counts.input_axis}"
         if role in roles:
             raise UsageError(f"duplicate {role} counts file: {path}")
         roles[role] = artifact
@@ -230,24 +230,24 @@ def cmd_estimate(args) -> int:
     for axis, estimate in (("x", estimate_vx), ("y", estimate_vy)):
         role = f"eigenstate-{axis.upper()}"
         if role in roles:
-            est = estimate(roles[role].eigenstate_counts)
+            est = estimate(roles[role].counts)
             figure = section(f"visibility_{axis}", est, ("source", "eigenstate-run"))
             summary.append(f"v{axis} = {figure}")
 
     if "pair" in roles:
         pair = roles["pair"]
-        stats = collapse_pair_counts(pair.pair_counts)
+        stats = collapse_pair_counts(pair.counts)
         corrected = False
         if args.correct_source_noise:
             if pair.werner_p is None:
-                raise UsageError("pair counts file does not record werner_p")
+                raise UsageError(f"{pair.path}: pair counts file does not record werner_p")
             if pair.werner_p == 0.0:
                 where = f"{pair.path}:{pair.werner_p_line}"
                 raise UsageError(f"{where}: werner_p 0 leaves no singlet signal to correct")
             stats = correct_for_source_noise(stats, pair.werner_p)
             corrected = True
         sections["pair_run"] = [
-            ("total_shots", str(pair.pair_counts.total)),
+            ("total_shots", str(pair.counts.total)),
             ("werner_p", fmt_float(pair.werner_p) if pair.werner_p is not None else "unknown"),
             ("source_noise_corrected", fmt_bool(corrected)),
         ]
@@ -321,10 +321,10 @@ def cmd_reconstruct(args) -> int:
     reference = None
     reference_label = None
     if schema == SCHEMA_COUNTS:
-        artifact = read_counts_document(doc)
-        if artifact.mode != "eigenstate":
-            raise UsageError("reconstruct needs a single-qubit table; pair counts cannot be used")
-        counts = artifact.eigenstate_counts
+        counts = read_counts_document(doc).counts
+        if isinstance(counts, PairCounts16):
+            where = f"{args.input}:{doc.header_lines['mode']}"
+            raise UsageError(f"{where}: reconstruct needs a single-qubit table; pair counts cannot be used")
         probs = counts.counts.array / counts.total
         reference_label = f"{counts.input_axis}{'+' if counts.input_value == +1 else '-'}"
         reference = named_state_density(reference_label)

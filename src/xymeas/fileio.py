@@ -43,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__ as _tool_version
-from .povm import OUTCOMES4, OUTCOMES16, VisibilityTriple
+from .povm import OUTCOMES4, OUTCOMES16, JointPovm, VisibilityTriple
 from .simulate import OutcomeCounts4, PairCounts16
 
 SCHEMA_COUNTS = "xymeas-counts/1"
@@ -67,11 +67,8 @@ def fmt_sign(v: int) -> str:
 
 
 def parse_sign(token: str) -> int:
-    if token in ("+1", "1"):
-        return +1
-    if token == "-1":
-        return -1
-    raise ValueError(f"expected +1 or -1, got {token!r}")
+    """A sign written exactly as `fmt_sign` writes it, ``+1`` or ``-1``."""
+    return int(_one_of("+1", "-1")(token))
 
 
 def fmt_bool(b: bool) -> str:
@@ -88,24 +85,22 @@ def _parsed(doc: Document, lineno: int, what: str, parse, *tokens):
 
 @dataclass
 class Document:
-    """Parsed or to-be-written artifact file.
+    """An artifact file as `read_document` parses it.
 
-    A parsed document also records the file it came from in ``path``, the
-    line number of each header key in ``header_lines``, of each section's
-    ``[name]`` line in ``section_lines`` and of each section row in
-    ``row_lines``; its errors start with ``path:`` or ``path:line:``.
+    Besides the header and the sections it records the file it came from in
+    ``path``, the line number of each header key in ``header_lines``, of
+    each section's ``[name]`` line in ``section_lines`` and of each section
+    row in ``row_lines``; its errors start with ``path:`` or ``path:line:``.
     """
 
+    path: str | Path
     header: dict[str, str] = field(default_factory=dict)
     sections: dict[str, list[tuple[str, ...]]] = field(default_factory=dict)
     header_lines: dict[str, int] = field(default_factory=dict)
     section_lines: dict[str, int] = field(default_factory=dict)
     row_lines: dict[str, list[int]] = field(default_factory=dict)
-    path: str | Path | None = None
 
     def _where(self, lineno: int | None = None) -> str:
-        if self.path is None:
-            return ""
         return f"{self.path}:{lineno}: " if lineno is not None else f"{self.path}: "
 
     def require(self, key: str) -> str:
@@ -133,9 +128,12 @@ class Document:
         raise ValueError(f"{where}missing entry {key!r} in section [{name}]")
 
 
-def write_document(path: str | Path, doc: Document) -> None:
-    lines = [f"{key}: {value}" for key, value in doc.header.items()]
-    for name, rows in doc.sections.items():
+def write_document(
+    path: str | Path, header: dict[str, str], sections: dict[str, list[tuple[str, ...]]]
+) -> None:
+    """Write ``header`` lines, then each section's ``[name]`` line and token rows."""
+    lines = [f"{key}: {value}" for key, value in header.items()]
+    for name, rows in sections.items():
         lines.append(f"[{name}]")
         lines.extend(" ".join(row) for row in rows)
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
@@ -206,22 +204,20 @@ def write_manifest(
     Every manifest records the numpy and Python versions, on which the
     sampled counts of a seed depend.
     """
-    doc = Document(
-        header={
-            "schema": SCHEMA_MANIFEST,
-            "command": command,
-            "timestamp_utc": str(int(time.time())),
-            "tool_version": _tool_version,
-            "numpy_version": np.__version__,
-            "python_version": platform.python_version(),
-            **(run or {}),
-        },
-        sections={
-            "artifacts": [(name,) for name in artifacts],
-            "parameters": [(key, value) for key, value in parameters.items()],
-        },
-    )
-    write_document(path, doc)
+    header = {
+        "schema": SCHEMA_MANIFEST,
+        "command": command,
+        "timestamp_utc": str(int(time.time())),
+        "tool_version": _tool_version,
+        "numpy_version": np.__version__,
+        "python_version": platform.python_version(),
+        **(run or {}),
+    }
+    sections = {
+        "artifacts": [(name,) for name in artifacts],
+        "parameters": [(key, value) for key, value in parameters.items()],
+    }
+    write_document(path, header, sections)
 
 
 def write_artifact(
@@ -243,7 +239,7 @@ def write_artifact(
     out = Path(out)
     manifest = out.name + ".manifest"
     header = {"schema": schema, "command": command, "manifest": manifest, **header}
-    write_document(out, Document(header=header, sections=sections))
+    write_document(out, header, sections)
     write_manifest(out.parent / manifest, command, parameters, [out.name], run=run)
     return manifest
 
@@ -350,11 +346,9 @@ def _header_visibilities(doc: Document) -> VisibilityTriple:
 
 @dataclass(frozen=True)
 class CountsArtifact:
-    """A counts file plus the run parameters recorded with it."""
+    """A counts file: the counts of its eigenstate or pair run plus the run parameters."""
 
-    mode: str  # "eigenstate" or "pair"
-    eigenstate_counts: OutcomeCounts4 | None
-    pair_counts: PairCounts16 | None
+    counts: OutcomeCounts4 | PairCounts16
     visibilities: VisibilityTriple | None
     werner_p: float | None
     path: str
@@ -367,10 +361,10 @@ def read_counts_document(doc: Document) -> CountsArtifact:
 
     A malformed, unknown, duplicated, missing or negative ``[counts]`` row,
     a header number that does not parse, a ``mode`` other than
-    ``eigenstate``/``pair`` or an ``axis`` other than ``X``/``Y``, header
-    visibilities outside the measurement family, a ``werner_p`` header
-    outside [0, 1], or a ``shots`` header that disagrees with the counts sum
-    is rejected with its ``file:line``.
+    ``eigenstate``/``pair``, an ``axis`` other than ``X``/``Y`` or a
+    ``value`` other than ``+1``/``-1``, header visibilities outside the
+    measurement family, a ``werner_p`` header outside [0, 1], or a ``shots``
+    header that disagrees with the counts sum is rejected with its ``file:line``.
     """
     expect_schema(doc, SCHEMA_COUNTS)
     mode = _header_value(doc, "mode", _one_of("eigenstate", "pair"))
@@ -385,23 +379,20 @@ def read_counts_document(doc: Document) -> CountsArtifact:
             f"{doc._where(doc.header_lines['shots'])}shots {doc.header['shots']} disagrees "
             f"with the counts sum {total}"
         )
+    werner_p = None
     if mode == "eigenstate":
-        eigenstate_counts = OutcomeCounts4(
+        counts = OutcomeCounts4(
             counts=counts,
             total=total,
             input_axis=_header_value(doc, "axis", _one_of("X", "Y")),
             input_value=_header_value(doc, "value", parse_sign),
         )
-        pair_counts = None
-        werner_p = None
     else:
-        eigenstate_counts = None
-        pair_counts = PairCounts16(counts=counts, total=total)
-        werner_p = _header_value(doc, "werner_p", _werner_p) if "werner_p" in doc.header else None
+        counts = PairCounts16(counts=counts, total=total)
+        if "werner_p" in doc.header:
+            werner_p = _header_value(doc, "werner_p", _werner_p)
     return CountsArtifact(
-        mode=mode,
-        eigenstate_counts=eigenstate_counts,
-        pair_counts=pair_counts,
+        counts=counts,
         visibilities=visibilities,
         werner_p=werner_p,
         path=str(doc.path),
@@ -424,7 +415,7 @@ def write_probs_file(
     if state is not None:
         header["state"] = _one_of(*STATE_LABELS)(state)
     rows = keyed_rows(OUTCOMES4, [fmt_float(probs[o]) for o in OUTCOMES4])
-    write_document(path, Document(header=header, sections={"probs": rows}))
+    write_document(path, header, {"probs": rows})
 
 
 def read_probs_document(doc: Document) -> tuple[dict[tuple[int, int], float], str | None]:
@@ -468,8 +459,8 @@ def _entry(real: str, imag: str) -> complex:
     return complex(float(real), float(imag))
 
 
-def read_povm_file(path: str | Path):
-    """Parse a measurement dump: visibilities and the four 2x2 operators.
+def read_povm_file(path: str | Path) -> JointPovm:
+    """Parse a measurement dump into the `JointPovm` of its visibilities and four operators.
 
     Each operator entry must have exactly one ``[elements]`` row; a
     malformed, unknown, duplicated or missing row, a header number that
@@ -480,4 +471,4 @@ def read_povm_file(path: str | Path):
     expect_schema(doc, SCHEMA_POVM)
     v = _header_visibilities(doc)
     entries = np.array(_parse_keyed(doc, "elements", ELEMENT_KEYS, 2, _entry)).reshape(4, 2, 2)
-    return v, dict(zip(OUTCOMES4, entries))
+    return JointPovm(visibilities=v, elements=entries)

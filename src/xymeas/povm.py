@@ -246,13 +246,24 @@ class PatternStats:
 
 @dataclass(frozen=True)
 class JointPovm:
-    """The four measurement operators keyed by outcome (x, y)."""
+    """The four measurement operators as one read-only complex (4, 2, 2) array.
+
+    ``elements[k]`` is the operator of outcome ``OUTCOMES4[k]``; the shape is
+    checked once, here, and ``element(x, y)`` picks one operator by outcome.
+    """
 
     visibilities: VisibilityTriple
-    elements: Mapping[tuple[int, int], np.ndarray]
+    elements: np.ndarray
+
+    def __post_init__(self) -> None:
+        elements = np.array(self.elements, dtype=complex)
+        if elements.shape != (4, 2, 2):
+            raise ValueError(f"measurement elements must be (4, 2, 2), got {elements.shape}")
+        elements.flags.writeable = False
+        object.__setattr__(self, "elements", elements)
 
     def element(self, x: int, y: int) -> np.ndarray:
-        return self.elements[(ensure_sign(x, "x"), ensure_sign(y, "y"))]
+        return self.elements[_INDEX[OUTCOMES4][(ensure_sign(x, "x"), ensure_sign(y, "y"))]]
 
 
 def build_povm(v: VisibilityTriple) -> JointPovm:
@@ -264,8 +275,7 @@ def build_povm(v: VisibilityTriple) -> JointPovm:
     """
     if not isinstance(v, VisibilityTriple):
         v = VisibilityTriple(*v)
-    stack = _family_elements([v.vx, v.vy, v.vz])
-    return JointPovm(visibilities=v, elements=dict(zip(OUTCOMES4, stack)))
+    return JointPovm(visibilities=v, elements=_family_elements([v.vx, v.vy, v.vz]))
 
 
 def _family_elements(v) -> np.ndarray:
@@ -287,18 +297,10 @@ def _real_probs(values, keys, what: str) -> Table:
     return Table(keys, values.real, low=-slack, high=1.0 + slack, total=1.0, tol=slack, what=what)
 
 
-def _stacked_elements(povm: JointPovm) -> np.ndarray:
-    """The four elements in ``OUTCOMES4`` order as one (4, 2, 2) complex array."""
-    stack = np.array([povm.elements[o] for o in OUTCOMES4], dtype=complex)
-    if stack.shape != (4, 2, 2):
-        raise ValueError(f"measurement elements must be 2x2, got shape {stack.shape[1:]}")
-    return stack
-
-
 def outcome_probs(povm: JointPovm, rho) -> Table:
     """Outcome probabilities ``Tr(element(x,y) @ rho)`` for a qubit state."""
     rho = ensure_density_matrix(rho, dim=2)
-    values = np.trace(_stacked_elements(povm) @ rho, axis1=1, axis2=2)
+    values = np.trace(povm.elements @ rho, axis1=1, axis2=2)
     return _real_probs(values, OUTCOMES4, "outcome probabilities")
 
 
@@ -313,7 +315,7 @@ def pair_outcome_probs(povm1: JointPovm, povm2: JointPovm, rho4) -> Table:
     identical.
     """
     rho4 = ensure_density_matrix(rho4, dim=4)
-    e1, e2 = _stacked_elements(povm1), _stacked_elements(povm2)
+    e1, e2 = povm1.elements, povm2.elements
     # axes (o1, o2, i1, i2, j1, j2): kron row i1*2+i2, column j1*2+j2, outcome o1*4+o2
     kron = (e1[:, None, :, None, :, None] * e2[None, :, None, :, None, :]).reshape(16, 4, 4)
     values = np.trace(kron @ rho4, axis1=1, axis2=2)

@@ -11,6 +11,9 @@ the same state without a jump. Block boundaries depend only on the shot
 count, never on the worker count, and block results are merged by addition,
 so serial and parallel executions produce identical counts.
 
+`ExperimentConfig` holds what both kinds of run share; ``randomize_flips``
+and ``werner_p`` are arguments of the one run function that reads each.
+
 Within a block the draw order is fixed: when flip randomization is active,
 first one uniform per shot for the flip coin, then one uniform per shot for
 the outcome; otherwise only the outcome uniforms. Outcomes are drawn by
@@ -46,27 +49,17 @@ RNG_ID = "numpy.random.Philox keyed with the seed; block i uses .jumped(i)"
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Parameters of one simulated run.
-
-    ``randomize_flips`` applies to eigenstate runs only: each shot flips the
-    input eigenvalue with probability 1/2 and the recorded outcome pair is
-    negated back, so counts are reported in the frame of the nominal input.
-    ``werner_p`` sets the pair source, ``p = 1`` being a perfect singlet.
-    """
+    """Parameters every run shares; ``randomize_flips`` and ``werner_p`` are run arguments."""
 
     visibilities: VisibilityTriple
     shots: int
     seed: int
-    randomize_flips: bool = False
-    werner_p: float = 1.0
 
     def __post_init__(self) -> None:
         if self.shots < 1:
             raise ValueError(f"shots must be >= 1, got {self.shots!r}")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        if not 0.0 <= self.werner_p <= 1.0:
-            raise ValueError(f"werner_p must lie in [0, 1], got {self.werner_p!r}")
 
 
 @dataclass(frozen=True)
@@ -167,14 +160,16 @@ def _accumulate_blocks(
 
 
 def run_eigenstate_experiment(
-    config: ExperimentConfig, axis: str, value: int, workers: int = 1
+    config: ExperimentConfig, axis: str, value: int, randomize_flips: bool = False,
+    workers: int = 1,
 ) -> OutcomeCounts4:
     """Simulate joint measurements on an X or Y eigenstate input.
 
-    With ``randomize_flips`` enabled, a shot that flips the input samples the
-    outcome for the negated eigenvalue and records the negation of both
-    outcome bits, which preserves the flip pattern relative to the input;
-    returned counts are therefore always in the nominal input frame.
+    With ``randomize_flips``, each shot flips the input eigenvalue with
+    probability 1/2; a flipped shot samples the outcome for the negated
+    eigenvalue and records the negation of both outcome bits, which
+    preserves the flip pattern relative to the input. Returned counts are
+    therefore always in the nominal input frame.
     """
     axis = ensure_axis(axis)
     value = ensure_sign(value)
@@ -183,11 +178,11 @@ def run_eigenstate_experiment(
 
     povm = build_povm(config.visibilities)
     cum_nominal = _cumulative(outcome_probs(povm, density(eigenstate(axis, value))).array)
-    if config.randomize_flips:
+    if randomize_flips:
         cum_flipped = _cumulative(outcome_probs(povm, density(eigenstate(axis, -value))).array)
 
     def block_sampler(rng: np.random.Generator, n: int) -> np.ndarray:
-        if not config.randomize_flips:
+        if not randomize_flips:
             return _histogram(cum_nominal, rng.random(n))
         # one draw of 2n is the stream of the flip coins, then the outcomes
         w = rng.random(2 * n)
@@ -201,10 +196,12 @@ def run_eigenstate_experiment(
     return OutcomeCounts4(counts=hist, total=config.shots, input_axis=axis, input_value=value)
 
 
-def run_pair_experiment(config: ExperimentConfig, workers: int = 1) -> PairCounts16:
-    """Simulate identical joint measurements on both halves of a pair source."""
+def run_pair_experiment(
+    config: ExperimentConfig, werner_p: float = 1.0, workers: int = 1
+) -> PairCounts16:
+    """Simulate identical joint measurements on both halves of a `werner_state` source."""
     povm = build_povm(config.visibilities)
-    cum = _cumulative(pair_outcome_probs(povm, povm, werner_state(config.werner_p)).array)
+    cum = _cumulative(pair_outcome_probs(povm, povm, werner_state(werner_p)).array)
 
     def block_sampler(rng: np.random.Generator, n: int) -> np.ndarray:
         return _histogram(cum, rng.random(n))

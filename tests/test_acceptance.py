@@ -64,11 +64,11 @@ def test_criterion_1_povm_structure():
     with criterion(1, "POVM completeness and closed-form positivity on the 9x9x9 grid"):
         for v in GRID:
             povm = build_povm(v)
-            total = sum(povm.elements[o] for o in OUTCOMES4)
+            total = sum(povm.element(*o) for o in OUTCOMES4)
             assert np.max(np.abs(total - identity(2))) <= 1e-12
             expected_min = (1.0 - np.sqrt(v.norm_squared)) / 4.0
             for o in OUTCOMES4:
-                lam = min_eigenvalue_hermitian(povm.elements[o])
+                lam = min_eigenvalue_hermitian(povm.element(*o))
                 assert abs(lam - expected_min) <= 1e-10
 
 

@@ -1,6 +1,7 @@
 """The array-native `verify` checks: agreement with one-at-a-time references, and failure injection."""
 
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from xymeas import checks, kirkwood
 from xymeas.analysis import classicality_statistic, pattern_of
 from xymeas.checks import (
     check_classicality_dichotomy,
+    check_fourier_identity,
     check_operator_identities,
     check_povm_family,
     run_all_checks,
@@ -66,6 +68,19 @@ def test_chunk_size_does_not_change_details(monkeypatch, grid, samples):
     assert all(result.passed for result in details[1024])
 
 
+def test_check_defaults_are_the_verify_defaults():
+    # each check called at its own defaults is the check `verify` runs at its defaults
+    results = [
+        check_operator_identities(),
+        check_povm_family(),
+        check_fourier_identity(),
+        check_classicality_dichotomy(),
+    ]
+    assert results == run_all_checks()
+    golden = Path(__file__).parent / "golden" / "verify.stdout"
+    assert [f"PASS {r.name}: {r.detail}" for r in results] == golden.read_text().splitlines()
+
+
 @pytest.mark.parametrize("n", [2, 3, 9])
 def test_grid_matches_triple_loop(n):
     xs, zs = np.linspace(0.0, 1.0, n), np.linspace(-1.0, 1.0, n)
@@ -77,9 +92,7 @@ class TestAgreementWithReferences:
     def test_family_elements_are_build_povm_bit_for_bit(self):
         stack = _family_elements(GRID)
         for v, elements in zip(TRIPLES, stack):
-            expected = build_povm(v).elements
-            for o, element in zip(OUTCOMES4, elements):
-                assert element.tobytes() == expected[o].tobytes()
+            assert elements.tobytes() == build_povm(v).elements.tobytes()
 
     def test_pair_tables_match_kronecker_traces(self):
         tables = checks._singlet_pair_tables(_family_elements(GRID))

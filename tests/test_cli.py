@@ -68,10 +68,10 @@ class TestBuildPovm:
     def test_writes_round_trippable_elements(self, tmp_path):
         out = tmp_path / "povm.txt"
         assert run_cli("build-povm", "--vx", SQ3_STR, "--vy", SQ3_STR, "--vz", SQ3_STR, "--out", out) == 0
-        v, elements = read_povm_file(out)
+        povm = read_povm_file(out)
         expected = build_povm(VisibilityTriple(SQ3, SQ3, SQ3))
-        for o in OUTCOMES4:
-            assert np.allclose(elements[o], expected.elements[o], atol=0)
+        assert povm.visibilities == expected.visibilities
+        assert np.array_equal(povm.elements, expected.elements)
         manifest = read_document(tmp_path / "povm.txt.manifest")
         assert manifest.header["command"] == "build-povm"
         assert ("povm.txt",) in manifest.section("artifacts")
@@ -117,8 +117,8 @@ class TestBuildPovm:
     def test_projective_x(self, tmp_path):
         out = tmp_path / "povm.txt"
         assert run_cli("build-povm", "--vx", 1, "--vy", 0, "--vz", 0, "--out", out) == 0
-        _, elements = read_povm_file(out)
-        assert np.allclose(elements[(+1, +1)], [[0.25, 0.25], [0.25, 0.25]], atol=1e-15)
+        povm = read_povm_file(out)
+        assert np.allclose(povm.element(+1, +1), [[0.25, 0.25], [0.25, 0.25]], atol=1e-15)
 
     def test_positivity_violation_exits_2(self, tmp_path, capsys):
         out = tmp_path / "povm.txt"
@@ -140,7 +140,7 @@ class TestSimulate:
         )
         assert code == 0
         artifact = read_counts_file(out)
-        counts = artifact.eigenstate_counts
+        counts = artifact.counts
         assert counts.total == 10_000
         assert counts.counts[(-1, +1)] == 0 and counts.counts[(-1, -1)] == 0
         assert artifact.visibilities == VisibilityTriple(1.0, 0.0, 0.0)
@@ -196,6 +196,13 @@ class TestSimulate:
         assert run_cli("simulate", "--mode", "eigenstate", "--axis", "X", "--value", "+1",
                        "--werner-p", 0.5, *base) == 1
         assert run_cli("simulate", "--mode", "pair", "--randomize-flips", *base) == 1
+
+    def test_value_must_be_a_written_sign(self, tmp_path):
+        # "1" is not coerced to +1
+        out = tmp_path / "c.txt"
+        argv = ["--vx", 0.5, "--vy", 0.5, "--vz", 0, "--shots", 10, "--seed", 1, "--out", out]
+        assert run_cli("simulate", "--mode", "eigenstate", "--axis", "X", "--value", "1", *argv) == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_below_one_exit_1(self, tmp_path, capsys, workers):
@@ -271,9 +278,9 @@ class TestEstimate:
         assert run_cli("estimate", *paths.values(), "--out", report_path) == 0
         report = read_document(report_path)
 
-        vx = estimate_vx(read_counts_file(paths["ex"]).eigenstate_counts)
-        vy = estimate_vy(read_counts_file(paths["ey"]).eigenstate_counts)
-        stats = collapse_pair_counts(read_counts_file(paths["pair"]).pair_counts)
+        vx = estimate_vx(read_counts_file(paths["ex"]).counts)
+        vy = estimate_vy(read_counts_file(paths["ey"]).counts)
+        stats = collapse_pair_counts(read_counts_file(paths["pair"]).counts)
         vx2, vy2 = vsquared_from_patterns(stats)
         corr = csquared_from_patterns(stats)
         assert float(report.section_value("visibility_x", "value")) == pytest.approx(vx.value, abs=1e-12)
@@ -406,16 +413,21 @@ class TestReconstruct:
         deviation = float(read_document(out).section_value("kd_reference_deviation", "max_abs"))
         assert deviation < 0.02
 
-    def test_pair_counts_rejected(self, tmp_path):
+    def test_pair_counts_rejected(self, tmp_path, capsys):
         out = tmp_path / "pair.txt"
         run_cli(
             "simulate", "--mode", "pair", "--vx", 0.5, "--vy", 0.5, "--vz", 0,
             "--shots", 100, "--seed", 1, "--out", out,
         )
+        capsys.readouterr()
         assert run_cli(
             "reconstruct", "--input", out, "--vx", 0.5, "--vy", 0.5, "--vz", 0.1,
             "--out", tmp_path / "kd.txt",
         ) == 1
+        # located at the mode header
+        lineno = out.read_text().splitlines().index("mode: pair") + 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: {out}:{lineno}: reconstruct needs a single-qubit table")
 
     def test_conflicting_visibility_sources_rejected(self, tmp_path):
         probs_path = tmp_path / "p.txt"
@@ -461,16 +473,14 @@ class TestFileFormat:
         assert state == "Y-"
 
     def test_counts_round_trip(self, tmp_path):
-        config = ExperimentConfig(
-            visibilities=VisibilityTriple(0.3, 0.4, 0.5), shots=5000, seed=77, werner_p=0.9
-        )
+        config = ExperimentConfig(visibilities=VisibilityTriple(0.3, 0.4, 0.5), shots=5000, seed=77)
         path = tmp_path / "c.txt"
         assert run_cli(
             "simulate", "--mode", "pair", "--vx", 0.3, "--vy", 0.4, "--vz", 0.5,
             "--shots", 5000, "--seed", 77, "--werner-p", 0.9, "--out", path,
         ) == 0
         artifact = read_counts_file(path)
-        assert artifact.pair_counts == run_pair_experiment(config)
+        assert artifact.counts == run_pair_experiment(config, werner_p=0.9)
         assert artifact.werner_p == 0.9
         assert artifact.visibilities == config.visibilities
 
@@ -484,7 +494,7 @@ class TestFileFormat:
             "--vx", 0.3, "--vy", 0.4, "--vz", 0.5, "--shots", 5000, "--seed", 78, "--out", path,
         ) == 0
         artifact = read_counts_file(path)
-        assert artifact.eigenstate_counts == run_eigenstate_experiment(config, "Y", -1)
+        assert artifact.counts == run_eigenstate_experiment(config, "Y", -1)
 
     @pytest.mark.parametrize(
         "argv",
@@ -574,6 +584,20 @@ class TestFileFormat:
         lines[lineno - 1] = f"axis: {axis}"
         paths["ex"].write_text("\n".join(lines) + "\n")
         where = f"{paths['ex']}:{lineno}: header axis: expected one of X, Y, got {axis!r}"
+        with pytest.raises(ValueError, match=re.escape(where)):
+            read_counts_file(paths["ex"])
+        assert run_cli("estimate", *paths.values(), "--out", tmp_path / "r.txt") == 1
+        assert f"error: {where}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["1", "+1.0", "-"])
+    def test_bad_value_header_located(self, tmp_path, capsys, value):
+        # a sign is read exactly as it is written, +1 or -1
+        paths = simulate_all(tmp_path, ("0.6", "0.8", "0"), 1000, base_seed=975)
+        lines = paths["ex"].read_text().splitlines()
+        lineno = lines.index("value: +1") + 1
+        lines[lineno - 1] = f"value: {value}"
+        paths["ex"].write_text("\n".join(lines) + "\n")
+        where = f"{paths['ex']}:{lineno}: header value: expected one of +1, -1, got {value!r}"
         with pytest.raises(ValueError, match=re.escape(where)):
             read_counts_file(paths["ex"])
         assert run_cli("estimate", *paths.values(), "--out", tmp_path / "r.txt") == 1
@@ -672,7 +696,7 @@ class TestFileFormat:
         assert f"error: {where}" in capsys.readouterr().err
 
     def test_zero_werner_p_read_but_not_corrected(self, tmp_path, capsys):
-        # ExperimentConfig accepts p = 0, so the reader does; dividing by it is refused
+        # werner_state accepts p = 0, so the reader does; dividing by it is refused
         paths, lineno = self.werner_counts(tmp_path, "0")
         assert read_counts_file(paths["pair"]).werner_p == 0.0
         report = tmp_path / "r.txt"
@@ -682,6 +706,18 @@ class TestFileFormat:
         assert code == 1
         err = capsys.readouterr().err
         assert f"usage error: {paths['pair']}:{lineno}: werner_p 0 leaves no singlet signal" in err
+
+    def test_unrecorded_werner_p_not_corrected(self, tmp_path, capsys):
+        paths, lineno = self.werner_counts(tmp_path, "0.9")
+        lines = paths["pair"].read_text().splitlines()
+        del lines[lineno - 1]
+        paths["pair"].write_text("\n".join(lines) + "\n")
+        assert read_counts_file(paths["pair"]).werner_p is None
+        report = tmp_path / "r.txt"
+        code = run_cli("estimate", *paths.values(), "--correct-source-noise", "--out", report)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"usage error: {paths['pair']}: pair counts file does not record werner_p" in err
 
     def test_out_of_family_header_visibilities_located(self, tmp_path, capsys):
         paths = simulate_all(tmp_path, ("0.5", "0.7", "0.3"), 1000, base_seed=980)

@@ -1,5 +1,7 @@
 """Construction and exact statistics of the joint X/Y measurement family."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -88,11 +90,11 @@ class TestBuildPovm:
     @pytest.mark.parametrize("v", list(valid_triples(step=0.5)))
     def test_completeness_and_min_eigenvalue(self, v):
         povm = build_povm(v)
-        total = sum(povm.elements[o] for o in OUTCOMES4)
+        total = sum(povm.element(*o) for o in OUTCOMES4)
         assert np.max(np.abs(total - identity(2))) <= ATOL_ALGEBRA
         expected_min = (1.0 - np.sqrt(v.norm_squared)) / 4.0
         for o in OUTCOMES4:
-            lam = min_eigenvalue_hermitian(povm.elements[o])
+            lam = min_eigenvalue_hermitian(povm.element(*o))
             assert lam == pytest.approx(expected_min, abs=ATOL_EIG)
             assert lam >= -ATOL_EIG
 
@@ -105,7 +107,7 @@ class TestBuildPovm:
 @given(v=visibility_triples)
 def test_povm_completeness_property(v):
     povm = build_povm(v)
-    total = sum(povm.elements[o] for o in OUTCOMES4)
+    total = sum(povm.element(*o) for o in OUTCOMES4)
     assert np.max(np.abs(total - identity(2))) <= ATOL_ALGEBRA
 
 
@@ -204,13 +206,20 @@ class TestPairOutcomeProbs:
 
 
     def test_non_2x2_elements_rejected(self):
+        # the shape is checked once, when the measurement is built
         v = VisibilityTriple(0.5, 0.5, 0.0)
-        povm = build_povm(v)
-        wide = JointPovm(visibilities=v, elements={o: identity(4) / 4.0 for o in OUTCOMES4})
-        with pytest.raises(ValueError, match="2x2"):
-            pair_outcome_probs(povm, wide, density(singlet()))
-        with pytest.raises(ValueError, match="2x2"):
-            outcome_probs(wide, identity(2) / 2.0)
+        wide = np.stack([identity(4) / 4.0] * 4)
+        with pytest.raises(ValueError, match=re.escape("be (4, 2, 2), got (4, 4, 4)")):
+            JointPovm(visibilities=v, elements=wide)
+        with pytest.raises(ValueError, match=re.escape("be (4, 2, 2), got (3, 2, 2)")):
+            JointPovm(visibilities=v, elements=build_povm(v).elements[:3])
+
+    def test_elements_are_one_read_only_stack(self):
+        povm = build_povm(VisibilityTriple(0.5, 0.4, 0.3))
+        assert povm.elements.shape == (4, 2, 2) and povm.elements.dtype == complex
+        assert not povm.elements.flags.writeable
+        for k, (x, y) in enumerate(OUTCOMES4):
+            assert np.array_equal(povm.element(x, y), povm.elements[k])
 
 
 def random_pair_density(seed: int) -> np.ndarray:
@@ -239,11 +248,11 @@ pair_states = st.one_of(
 def test_stacked_tables_equal_per_element_reference(v1, v2, rho, rho4):
     """One stacked product gives the per-element traces bit for bit."""
     povm1, povm2 = build_povm(v1), build_povm(v2)
-    single = [trace_product(povm1.elements[o], rho) for o in OUTCOMES4]
+    single = [trace_product(povm1.element(*o), rho) for o in OUTCOMES4]
     assert np.array_equal(outcome_probs(povm1, rho).array, np.real(single))
     for a, b in ((povm1, povm2), (povm2, povm1), (povm1, povm1)):
         pair = [
-            trace_product(tensor(a.elements[(x1, y1)], b.elements[(x2, y2)]), rho4)
+            trace_product(tensor(a.element(x1, y1), b.element(x2, y2)), rho4)
             for x1, y1, x2, y2 in OUTCOMES16
         ]
         assert np.array_equal(pair_outcome_probs(a, b, rho4).array, np.real(pair))

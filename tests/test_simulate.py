@@ -181,7 +181,7 @@ class TestBlockRng:
         assert _same_state(rng.bit_generator.state, jumped.bit_generator.state)
 
 
-def per_shot_eigenstate_counts(config, axis, value):
+def per_shot_eigenstate_counts(config, axis, value, randomize_flips):
     """Reference sampler: one inverse-CDF index per shot, then a bincount."""
     povm = build_povm(config.visibilities)
     cums = {
@@ -192,7 +192,7 @@ def per_shot_eigenstate_counts(config, axis, value):
     for index, start in enumerate(range(0, config.shots, BLOCK_SHOTS)):
         n = min(BLOCK_SHOTS, config.shots - start)
         rng = block_rng(config.seed, index)
-        flips = rng.random(n) < 0.5 if config.randomize_flips else np.zeros(n, dtype=bool)
+        flips = rng.random(n) < 0.5 if randomize_flips else np.zeros(n, dtype=bool)
         u = rng.random(n)
         nominal = np.searchsorted(cums[value], u, side="right")
         flipped = np.searchsorted(cums[-value], u, side="right") ^ 3
@@ -210,8 +210,9 @@ class TestConfig:
             ExperimentConfig(visibilities=v, shots=10, seed=-1)
         with pytest.raises(ValueError):
             ExperimentConfig(visibilities=v, shots=10, seed=2 ** 64)
-        with pytest.raises(ValueError):
-            ExperimentConfig(visibilities=v, shots=10, seed=1, werner_p=1.5)
+        # werner_p is an argument of the pair run, checked by werner_state
+        with pytest.raises(ValueError, match="werner parameter"):
+            run_pair_experiment(ExperimentConfig(visibilities=v, shots=10, seed=1), werner_p=1.5)
 
     def test_counts_validation(self):
         with pytest.raises(ValueError):
@@ -299,10 +300,9 @@ class TestEigenstateExperiment:
             visibilities=VisibilityTriple(0.6, 0.3, 0.2),
             shots=3 * BLOCK_SHOTS + 17,
             seed=99,
-            randomize_flips=True,
         )
-        a = run_eigenstate_experiment(config, "X", -1)
-        b = run_eigenstate_experiment(config, "X", -1)
+        a = run_eigenstate_experiment(config, "X", -1, randomize_flips=True)
+        b = run_eigenstate_experiment(config, "X", -1, randomize_flips=True)
         assert a == b
 
     def test_worker_count_does_not_change_counts(self):
@@ -321,10 +321,8 @@ class TestEigenstateExperiment:
         probs = outcome_probs(build_povm(v), density(eigenstate("X", +1)))
         expected = [probs[o] for o in OUTCOMES4]
         for seed, flips in ((21, True), (22, False)):
-            config = ExperimentConfig(
-                visibilities=v, shots=shots, seed=seed, randomize_flips=flips
-            )
-            counts = run_eigenstate_experiment(config, "X", +1)
+            config = ExperimentConfig(visibilities=v, shots=shots, seed=seed)
+            counts = run_eigenstate_experiment(config, "X", +1, randomize_flips=flips)
             observed = [counts.counts[o] for o in OUTCOMES4]
             assert chi_square(observed, expected, shots) < CHI2_CRIT_3DOF
 
@@ -334,11 +332,10 @@ class TestEigenstateExperiment:
             visibilities=VisibilityTriple(0.6, 0.3, 0.5),
             shots=2 * BLOCK_SHOTS + 17,
             seed=41,
-            randomize_flips=flips,
         )
-        counts = run_eigenstate_experiment(config, "Y", -1)
+        counts = run_eigenstate_experiment(config, "Y", -1, randomize_flips=flips)
         assert np.array_equal(
-            counts.counts.array, per_shot_eigenstate_counts(config, "Y", -1)
+            counts.counts.array, per_shot_eigenstate_counts(config, "Y", -1, flips)
         )
 
     def test_flipped_counts_recorded_in_nominal_frame(self):
@@ -347,9 +344,8 @@ class TestEigenstateExperiment:
             visibilities=VisibilityTriple(1.0, 0.0, 0.0),
             shots=50_000,
             seed=23,
-            randomize_flips=True,
         )
-        counts = run_eigenstate_experiment(config, "X", +1)
+        counts = run_eigenstate_experiment(config, "X", +1, randomize_flips=True)
         assert counts.counts[(-1, +1)] == 0
         assert counts.counts[(-1, -1)] == 0
 
@@ -357,16 +353,15 @@ class TestEigenstateExperiment:
 class TestWorkerThreads:
     def test_one_block_runs_serially(self, monkeypatch):
         config = ExperimentConfig(
-            visibilities=VisibilityTriple(0.4, 0.5, 0.3), shots=BLOCK_SHOTS, seed=43,
-            randomize_flips=True,
+            visibilities=VisibilityTriple(0.4, 0.5, 0.3), shots=BLOCK_SHOTS, seed=43
         )
-        serial = run_eigenstate_experiment(config, "X", +1, workers=1)
+        serial = run_eigenstate_experiment(config, "X", +1, randomize_flips=True, workers=1)
 
         def no_pool(*args, **kwargs):
             raise AssertionError("a one-block run started a thread pool")
 
         monkeypatch.setattr(simulate, "ThreadPoolExecutor", no_pool)
-        assert run_eigenstate_experiment(config, "X", +1, workers=4) == serial
+        assert run_eigenstate_experiment(config, "X", +1, randomize_flips=True, workers=4) == serial
 
     def test_several_blocks_use_the_pool(self, monkeypatch):
         pools = []
@@ -415,9 +410,9 @@ class TestPairExperiment:
 
     def test_five_sigma_against_exact(self):
         config = ExperimentConfig(
-            visibilities=VisibilityTriple(0.5, 0.4, 0.3), shots=1_000_000, seed=34, werner_p=0.9
+            visibilities=VisibilityTriple(0.5, 0.4, 0.3), shots=1_000_000, seed=34
         )
-        counts = run_pair_experiment(config)
+        counts = run_pair_experiment(config, werner_p=0.9)
         povm = build_povm(config.visibilities)
         probs = pair_outcome_probs(povm, povm, werner_state(0.9))
         for o in OUTCOMES16:
@@ -438,25 +433,24 @@ class TestPairExperiment:
 
     def test_counts_equal_per_shot_reference(self):
         v = VisibilityTriple(0.4, 0.5, 0.3)
-        config = ExperimentConfig(visibilities=v, shots=BLOCK_SHOTS + 9, seed=42, werner_p=0.7)
+        config = ExperimentConfig(visibilities=v, shots=BLOCK_SHOTS + 9, seed=42)
         povm = build_povm(v)
         cum = _cumulative(pair_outcome_probs(povm, povm, werner_state(0.7)).array)
         expected = np.zeros(16, dtype=np.int64)
         for index, n in enumerate((BLOCK_SHOTS, 9)):
             idx = np.searchsorted(cum, block_rng(42, index).random(n), side="right")
             expected += np.bincount(np.minimum(idx, 15), minlength=16)
-        assert np.array_equal(run_pair_experiment(config).counts.array, expected)
+        assert np.array_equal(run_pair_experiment(config, werner_p=0.7).counts.array, expected)
 
     def test_deterministic_and_chunking_invariant(self):
         config = ExperimentConfig(
             visibilities=VisibilityTriple(0.4, 0.4, 0.4),
             shots=2 * BLOCK_SHOTS + 123,
             seed=36,
-            werner_p=0.8,
         )
-        a = run_pair_experiment(config, workers=1)
-        b = run_pair_experiment(config, workers=3)
-        c = run_pair_experiment(config, workers=8)
+        a = run_pair_experiment(config, werner_p=0.8, workers=1)
+        b = run_pair_experiment(config, werner_p=0.8, workers=3)
+        c = run_pair_experiment(config, werner_p=0.8, workers=8)
         assert a == b == c
 
     def test_pattern_frequencies_near_exact(self):
