@@ -180,12 +180,13 @@ def cmd_simulate(args) -> int:
     )
     if args.mode == "eigenstate":
         counts = run_eigenstate_experiment(
-            config, args.axis, args.value, args.randomize_flips, workers=args.workers
+            config, args.axis, args.value, randomize_flips=args.randomize_flips,
+            workers=args.workers,
         )
     else:
         werner_p = args.werner_p if args.werner_p is not None else 1.0
         parameters["werner_p"] = fmt_float(werner_p)
-        counts = run_pair_experiment(config, werner_p, workers=args.workers)
+        counts = run_pair_experiment(config, werner_p=werner_p, workers=args.workers)
     table = counts.counts
     sections = {"counts": keyed_rows(tuple(table), map(str, table.values()))}
     run = {"rng": RNG_ID, "block_shots": str(BLOCK_SHOTS), "workers": str(args.workers)}

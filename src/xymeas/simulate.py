@@ -160,7 +160,7 @@ def _accumulate_blocks(
 
 
 def run_eigenstate_experiment(
-    config: ExperimentConfig, axis: str, value: int, randomize_flips: bool = False,
+    config: ExperimentConfig, axis: str, value: int, *, randomize_flips: bool = False,
     workers: int = 1,
 ) -> OutcomeCounts4:
     """Simulate joint measurements on an X or Y eigenstate input.
@@ -197,7 +197,7 @@ def run_eigenstate_experiment(
 
 
 def run_pair_experiment(
-    config: ExperimentConfig, werner_p: float = 1.0, workers: int = 1
+    config: ExperimentConfig, *, werner_p: float = 1.0, workers: int = 1
 ) -> PairCounts16:
     """Simulate identical joint measurements on both halves of a `werner_state` source."""
     povm = build_povm(config.visibilities)

@@ -434,13 +434,10 @@ def test_fourier_identity(raw):
             )
             / 4.0
         )
-    # both sides are quadratic in the weights, so their rounding error scales with
-    # (sum |w|)^2, which normalizing by a total near 1e-3 takes to ~1e6
-    scale = max(1.0, float(np.sum(np.abs(values))) ** 2)
     for chi in chars.values():
         lhs = 4.0 * sum(chi(r) * e[r] for r in PATTERNS)
         rhs = sum(chi(r) * complex(m.weights[r]) for r in PATTERNS) ** 2
-        assert abs(lhs - rhs) <= 1e-10 * scale
+        assert abs(lhs - rhs) <= 1e-10
 
 
 @settings(max_examples=200, deadline=None)

@@ -214,6 +214,14 @@ class TestConfig:
         with pytest.raises(ValueError, match="werner parameter"):
             run_pair_experiment(ExperimentConfig(visibilities=v, shots=10, seed=1), werner_p=1.5)
 
+    def test_run_options_are_keyword_only(self):
+        # a positional worker count must not land in randomize_flips or werner_p
+        config = ExperimentConfig(visibilities=VisibilityTriple(0.5, 0.5, 0.0), shots=10, seed=1)
+        with pytest.raises(TypeError):
+            run_eigenstate_experiment(config, "X", +1, 4)
+        with pytest.raises(TypeError):
+            run_pair_experiment(config, 0.9)
+
     def test_counts_validation(self):
         with pytest.raises(ValueError):
             OutcomeCounts4(
