@@ -15,16 +15,14 @@ from .analysis import (
     classicality_statistic,
     collapse_pair_counts,
     correct_for_source_noise,
-    csquared_from_patterns,
     eigenstate_probs_from_error_model,
     error_model_from_visibilities,
-    estimate_vx,
-    estimate_vy,
+    estimate_visibility,
     is_classical,
+    pattern_estimates,
     pattern_of,
     predicted_pattern_probs,
     visibilities_from_error_model,
-    vsquared_from_patterns,
 )
 from .kirkwood import (
     KDDistribution,

@@ -25,8 +25,11 @@ instead force ``c^2 >= 0``; equivalently, the statistic
 ``s = e(0,1) + e(1,0) - e(0,0) - e(1,1)`` is ``vz^2 / 4 >= 0`` for every
 quantum measurement and ``<= 0`` for every classical model.
 
-Each estimate (``vx``, ``vy``; ``vx^2``, ``vy^2``, ``c^2``) is one `Estimate`,
-value and standard error; `is_classical` is the one verdict on ``c^2``.
+Each kind of run has one estimator: `estimate_visibility` gives ``vx`` or
+``vy`` from an eigenstate run of that axis, and `pattern_estimates` gives
+``vx^2``, ``vy^2`` and ``c^2`` from the pattern probabilities of a pair run.
+Each estimate is one `Estimate`, value and standard error; `is_classical` is
+the one verdict on ``c^2``.
 
 Standard errors use plain binomial/multinomial propagation. Zero-count
 pattern cells get the rule-of-three upper bound ``3/N`` in place of an
@@ -93,31 +96,20 @@ class ErrorModel:
         object.__setattr__(self, "weights", weights)
 
 
-def _estimate_visibility(counts: OutcomeCounts4, axis: str) -> Estimate:
-    """``(correct count - wrong count) / total`` of the measured axis."""
-    name = f"estimate_v{axis.lower()}"
-    if ensure_axis(counts.input_axis) != axis:
-        raise ValueError(f"{name} needs an {axis}-eigenstate run, got axis {counts.input_axis!r}")
-    if counts.total < 1:
-        raise ValueError(f"{name} needs at least one shot")
-    # OUTCOMES4 order: rows x = +1, -1; columns y = +1, -1
-    marginal = counts.counts.array.reshape(2, 2).sum(axis=1 if axis == "X" else 0)
-    p = float(marginal[0 if counts.input_value == +1 else 1]) / counts.total
-    stderr = 2.0 * np.sqrt(max(p * (1.0 - p), 0.0) / counts.total)
-    return Estimate(value=2.0 * p - 1.0, stderr=stderr)
+def estimate_visibility(counts: OutcomeCounts4) -> Estimate:
+    """Resolution of the input axis from an X- or Y-eigenstate run.
 
-
-def estimate_vx(counts: OutcomeCounts4) -> Estimate:
-    """Resolution of the X outcome from an X-eigenstate run.
-
-    ``(correct-x count - wrong-x count) / total`` summed over both y outcomes.
+    ``(correct count - wrong count) / total`` of the outcome on the axis the
+    record names (``counts.input_axis``), summed over the other outcome.
     """
-    return _estimate_visibility(counts, "X")
-
-
-def estimate_vy(counts: OutcomeCounts4) -> Estimate:
-    """Mirror of `estimate_vx` for Y-eigenstate runs."""
-    return _estimate_visibility(counts, "Y")
+    total = counts.total
+    if total <= 0:
+        raise ValueError("estimate_visibility needs at least one shot")
+    # OUTCOMES4 order: rows x = +1, -1; columns y = +1, -1
+    marginal = counts.counts.array.reshape(2, 2).sum(axis=1 if counts.input_axis == "X" else 0)
+    p = float(marginal[0 if counts.input_value == +1 else 1]) / total
+    stderr = 2.0 * np.sqrt(max(p * (1.0 - p), 0.0) / total)
+    return Estimate(value=2.0 * p - 1.0, stderr=stderr)
 
 
 def pattern_of(x1: int, y1: int, x2: int, y2: int) -> tuple[int, int]:
@@ -138,42 +130,32 @@ def collapse_pair_counts(counts: PairCounts16) -> PatternStats:
     `povm.exact_pattern_probs` and comes back with ``total_shots = 0`` and
     zero standard errors.
     """
-    if counts.total <= 0:
+    total = counts.total
+    if total <= 0:
         raise ValueError("collapse_pair_counts needs at least one shot")
     table = counts.counts.array
     sampled = table.dtype.kind in "iu"
     class_counts = np.bincount(_PATTERN_INDEX16, weights=table, minlength=len(PATTERNS))
-    f = np.clip(class_counts / counts.total, 0.0, 1.0)
+    f = np.clip(class_counts / total, 0.0, 1.0)
     if sampled:
         # rule-of-three upper bound for an empty pattern class
-        stderr = np.where(f == 0.0, 3.0 / counts.total, np.sqrt(f * (1.0 - f) / counts.total)) / 4.0
+        stderr = np.where(f == 0.0, 3.0 / total, np.sqrt(f * (1.0 - f) / total)) / 4.0
     else:
         stderr = np.zeros(len(PATTERNS))
-    return PatternStats(e=f / 4.0, stderr=stderr, total_shots=int(counts.total) if sampled else 0)
+    return PatternStats(e=f / 4.0, stderr=stderr, total_shots=total if sampled else 0)
 
 
-def _pattern_sums(stats: PatternStats) -> tuple[list[float], float]:
-    """``4 * H e`` = (1, vy^2, vx^2, c^2) and the standard error each sum shares."""
-    sums = (4.0 * _hadamard(stats.e.array)).tolist()
-    return sums, 4.0 * float(np.sqrt(sum(s ** 2 for s in stats.stderr.values())))
+def pattern_estimates(stats: PatternStats) -> tuple[Estimate, Estimate, Estimate]:
+    """``vx^2``, ``vy^2`` and ``c^2`` from pattern probabilities, rows of ``4 * H e``.
 
-
-def vsquared_from_patterns(stats: PatternStats) -> tuple[Estimate, Estimate]:
-    """Squared visibilities from pattern probabilities, with propagated errors."""
-    (_, vy2, vx2, _), stderr = _pattern_sums(stats)
-    return Estimate(value=vx2, stderr=stderr), Estimate(value=vy2, stderr=stderr)
-
-
-def csquared_from_patterns(stats: PatternStats) -> Estimate:
-    """Squared error correlation ``c^2`` from pattern probabilities.
-
-    Every measurement in the positive family gives exactly ``-vz^2``; a
-    significantly negative estimate is the non-classical signature (see
-    `is_classical`). Only the square is observable, so no sign of the
-    correlation itself is ever reported.
+    The three sums share one standard error. Every measurement in the
+    positive family gives ``c^2 = -vz^2`` exactly; a significantly negative
+    estimate is the non-classical signature (see `is_classical`). Only the
+    square is observable, so no sign of the correlation itself is reported.
     """
-    (_, _, _, c2), stderr = _pattern_sums(stats)
-    return Estimate(value=c2, stderr=stderr)
+    _, vy2, vx2, c2 = (4.0 * _hadamard(stats.e.array)).tolist()
+    stderr = 4.0 * float(np.sqrt(sum(s ** 2 for s in stats.stderr.values())))
+    return Estimate(vx2, stderr), Estimate(vy2, stderr), Estimate(c2, stderr)
 
 
 def is_classical(c2: Estimate) -> bool:

@@ -22,11 +22,9 @@ from .analysis import (
     classicality_statistic,
     collapse_pair_counts,
     correct_for_source_noise,
-    csquared_from_patterns,
-    estimate_vx,
-    estimate_vy,
+    estimate_visibility,
     is_classical,
-    vsquared_from_patterns,
+    pattern_estimates,
 )
 from .checks import run_all_checks
 from .fileio import (
@@ -228,38 +226,38 @@ def cmd_estimate(args) -> int:
         sections[name] = [("value", fmt_float(est.value)), ("stderr", fmt_float(est.stderr)), *extra]
         return f"{est.value:.6f} +- {est.stderr:.2g}"
 
-    for axis, estimate in (("x", estimate_vx), ("y", estimate_vy)):
+    for axis in ("x", "y"):
         role = f"eigenstate-{axis.upper()}"
         if role in roles:
-            est = estimate(roles[role].counts)
+            est = estimate_visibility(roles[role].counts)
             figure = section(f"visibility_{axis}", est, ("source", "eigenstate-run"))
             summary.append(f"v{axis} = {figure}")
 
     if "pair" in roles:
         pair = roles["pair"]
         stats = collapse_pair_counts(pair.counts)
+        werner_p, werner_lineno = pair.werner_p or (None, None)
         corrected = False
         if args.correct_source_noise:
-            if pair.werner_p is None:
+            if werner_p is None:
                 raise UsageError(f"{pair.path}: pair counts file does not record werner_p")
-            if pair.werner_p == 0.0:
-                where = f"{pair.path}:{pair.werner_p_line}"
+            if werner_p == 0.0:
+                where = f"{pair.path}:{werner_lineno}"
                 raise UsageError(f"{where}: werner_p 0 leaves no singlet signal to correct")
-            stats = correct_for_source_noise(stats, pair.werner_p)
+            stats = correct_for_source_noise(stats, werner_p)
             corrected = True
         sections["pair_run"] = [
             ("total_shots", str(pair.counts.total)),
-            ("werner_p", fmt_float(pair.werner_p) if pair.werner_p is not None else "unknown"),
+            ("werner_p", fmt_float(werner_p) if werner_p is not None else "unknown"),
             ("source_noise_corrected", fmt_bool(corrected)),
         ]
         sections["patterns"] = [
             (str(rx), str(ry), fmt_float(stats.e[(rx, ry)]), fmt_float(stats.stderr[(rx, ry)]))
             for rx, ry in PATTERNS
         ]
-        vx2, vy2 = vsquared_from_patterns(stats)
+        vx2, vy2, c2 = pattern_estimates(stats)
         section("vx_squared_pair", vx2)
         section("vy_squared_pair", vy2)
-        c2 = csquared_from_patterns(stats)
         classical = is_classical(c2)
         vz = math.sqrt(max(-c2.value, 0.0))
         extra = ("vz_magnitude", fmt_float(vz)), ("classical", fmt_bool(classical))

@@ -346,14 +346,17 @@ def _header_visibilities(doc: Document) -> VisibilityTriple:
 
 @dataclass(frozen=True)
 class CountsArtifact:
-    """A counts file: the counts of its eigenstate or pair run plus the run parameters."""
+    """A counts file: the counts of its eigenstate or pair run plus the run parameters.
+
+    ``werner_p`` is the recorded Werner parameter of a pair file and the line
+    of its header, for errors a later check raises about it; None for an
+    eigenstate file and for a pair file that records none.
+    """
 
     counts: OutcomeCounts4 | PairCounts16
     visibilities: VisibilityTriple | None
-    werner_p: float | None
+    werner_p: tuple[float, int] | None
     path: str
-    # line of the ``werner_p`` header, for errors a later check raises about it
-    werner_p_line: int | None = None
 
 
 def read_counts_document(doc: Document) -> CountsArtifact:
@@ -364,7 +367,8 @@ def read_counts_document(doc: Document) -> CountsArtifact:
     ``eigenstate``/``pair``, an ``axis`` other than ``X``/``Y`` or a
     ``value`` other than ``+1``/``-1``, header visibilities outside the
     measurement family, a ``werner_p`` header outside [0, 1], or a ``shots``
-    header that disagrees with the counts sum is rejected with its ``file:line``.
+    header that disagrees with the counts sum is rejected with its
+    ``file:line``; a ``[counts]`` table that sums to 0 at its ``[counts]`` line.
     """
     expect_schema(doc, SCHEMA_COUNTS)
     mode = _header_value(doc, "mode", _one_of("eigenstate", "pair"))
@@ -374,6 +378,8 @@ def read_counts_document(doc: Document) -> CountsArtifact:
     keys = OUTCOMES4 if mode == "eigenstate" else OUTCOMES16
     counts = _parse_keyed(doc, "counts", keys, 1, _count)
     total = sum(counts)
+    if total == 0:
+        raise ValueError(f"{doc._where(doc.section_lines['counts'])}[counts] rows sum to 0 shots")
     if "shots" in doc.header and _header_value(doc, "shots", int) != total:
         raise ValueError(
             f"{doc._where(doc.header_lines['shots'])}shots {doc.header['shots']} disagrees "
@@ -383,20 +389,15 @@ def read_counts_document(doc: Document) -> CountsArtifact:
     if mode == "eigenstate":
         counts = OutcomeCounts4(
             counts=counts,
-            total=total,
             input_axis=_header_value(doc, "axis", _one_of("X", "Y")),
             input_value=_header_value(doc, "value", parse_sign),
         )
     else:
-        counts = PairCounts16(counts=counts, total=total)
+        counts = PairCounts16(counts=counts)
         if "werner_p" in doc.header:
-            werner_p = _header_value(doc, "werner_p", _werner_p)
+            werner_p = _header_value(doc, "werner_p", _werner_p), doc.header_lines["werner_p"]
     return CountsArtifact(
-        counts=counts,
-        visibilities=visibilities,
-        werner_p=werner_p,
-        path=str(doc.path),
-        werner_p_line=doc.header_lines.get("werner_p"),
+        counts=counts, visibilities=visibilities, werner_p=werner_p, path=str(doc.path)
     )
 
 

@@ -244,12 +244,13 @@ class PatternStats:
         object.__setattr__(self, "stderr", stderr)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointPovm:
     """The four measurement operators as one read-only complex (4, 2, 2) array.
 
     ``elements[k]`` is the operator of outcome ``OUTCOMES4[k]``; the shape is
     checked once, here, and ``element(x, y)`` picks one operator by outcome.
+    Instances compare and hash by identity; compare ``elements`` with numpy.
     """
 
     visibilities: VisibilityTriple

@@ -68,22 +68,25 @@ class OutcomeCounts4:
 
     ``counts`` becomes a `Table` in ``OUTCOMES4`` order whose dtype says what
     it holds: integers for a simulated run, floats for an exact probability
-    table riding through the same type with ``total = 1.0``.
+    table riding through the same type. ``input_axis`` is ``"X"`` or ``"Y"``;
+    ``total`` is the sum of the table.
     """
 
     counts: Mapping[tuple[int, int], float]
-    total: float
     input_axis: str
     input_value: int
 
     def __post_init__(self) -> None:
         # rounding dust below zero tolerated for exact tables
-        counts = Table(
-            OUTCOMES4, self.counts, dtype=None, low=-1e-12, total=self.total, what="counts"
-        )
+        counts = Table(OUTCOMES4, self.counts, dtype=None, low=-1e-12, what="counts")
         object.__setattr__(self, "counts", counts)
-        ensure_axis(self.input_axis)
+        if self.input_axis not in ("X", "Y"):
+            raise ValueError(f"input_axis must be 'X' or 'Y', got {self.input_axis!r}")
         ensure_sign(self.input_value, "input_value")
+
+    @property
+    def total(self) -> float:
+        return sum(self.counts.array.tolist())
 
 
 @dataclass(frozen=True)
@@ -91,17 +94,19 @@ class PairCounts16:
     """Outcome counts of a pair run, keyed by (x1, y1, x2, y2).
 
     ``counts`` becomes a `Table` in ``OUTCOMES16`` order; integers for a
-    simulated run, floats for an exact probability table with ``total = 1.0``.
+    simulated run, floats for an exact probability table. ``total`` is the
+    sum of the table.
     """
 
     counts: Mapping[tuple[int, int, int, int], float]
-    total: float
 
     def __post_init__(self) -> None:
-        counts = Table(
-            OUTCOMES16, self.counts, dtype=None, low=-1e-12, total=self.total, what="counts"
-        )
+        counts = Table(OUTCOMES16, self.counts, dtype=None, low=-1e-12, what="counts")
         object.__setattr__(self, "counts", counts)
+
+    @property
+    def total(self) -> float:
+        return sum(self.counts.array.tolist())
 
 
 def block_rng(seed: int, block_index: int) -> np.random.Generator:
@@ -193,7 +198,7 @@ def run_eigenstate_experiment(
         return _histogram(cum_nominal, u, ~flips) + flipped
 
     hist = _accumulate_blocks(config.shots, block_sampler, config.seed, workers)
-    return OutcomeCounts4(counts=hist, total=config.shots, input_axis=axis, input_value=value)
+    return OutcomeCounts4(counts=hist, input_axis=axis, input_value=value)
 
 
 def run_pair_experiment(
@@ -207,4 +212,4 @@ def run_pair_experiment(
         return _histogram(cum, rng.random(n))
 
     hist = _accumulate_blocks(config.shots, block_sampler, config.seed, workers)
-    return PairCounts16(counts=hist, total=config.shots)
+    return PairCounts16(counts=hist)

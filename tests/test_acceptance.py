@@ -14,13 +14,11 @@ from xymeas.analysis import (
     ErrorModel,
     classicality_statistic,
     collapse_pair_counts,
-    csquared_from_patterns,
-    estimate_vx,
-    estimate_vy,
+    estimate_visibility,
     is_classical,
+    pattern_estimates,
     pattern_quasiprobs,
     predicted_pattern_probs,
-    vsquared_from_patterns,
 )
 from xymeas.checks import visibility_grid
 from xymeas.kirkwood import kd_from_state, kd_pair_from_state, random_qubit_density, reconstruct_kd
@@ -92,13 +90,13 @@ def test_criterion_2_exact_pair_predictions():
 def test_criterion_3_negative_csquared():
     with criterion(3, "c^2 = -vz^2 exactly on the grid; Monte-Carlo hits -1/3 non-classically"):
         for v in GRID:
-            corr = csquared_from_patterns(exact_pattern_probs(v))
+            _, _, corr = pattern_estimates(exact_pattern_probs(v))
             assert abs(corr.value - (-(v.vz ** 2))) <= 1e-12
         config = ExperimentConfig(
             visibilities=VisibilityTriple(SQ3, SQ3, SQ3), shots=1_000_000, seed=20240910
         )
         counts = run_pair_experiment(config)
-        corr = csquared_from_patterns(collapse_pair_counts(counts))
+        _, _, corr = pattern_estimates(collapse_pair_counts(counts))
         assert abs(corr.value - (-1 / 3)) <= 0.01
         assert corr.value < -3.0 * corr.stderr
         assert is_classical(corr) is False
@@ -127,15 +125,15 @@ def test_criterion_5_visibility_recovery():
         counts_y = run_eigenstate_experiment(
             ExperimentConfig(visibilities=v, shots=shots, seed=20240913), "Y", +1
         )
-        vx_est = estimate_vx(counts_x)
-        vy_est = estimate_vy(counts_y)
+        vx_est = estimate_visibility(counts_x)
+        vy_est = estimate_visibility(counts_y)
         assert abs(vx_est.value - v.vx) <= 5.0 * vx_est.stderr
         assert abs(vy_est.value - v.vy) <= 5.0 * vy_est.stderr
 
         pair = run_pair_experiment(
             ExperimentConfig(visibilities=v, shots=shots, seed=20240914)
         )
-        vx2, vy2 = vsquared_from_patterns(collapse_pair_counts(pair))
+        vx2, vy2, _ = pattern_estimates(collapse_pair_counts(pair))
         for pair_est, eig_est in ((vx2, vx_est), (vy2, vy_est)):
             eig_sq = eig_est.value ** 2
             eig_sq_stderr = 2.0 * abs(eig_est.value) * eig_est.stderr

@@ -5,6 +5,7 @@ import platform
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -22,10 +23,8 @@ from xymeas.fileio import (
 from xymeas.analysis import (
     classicality_statistic,
     collapse_pair_counts,
-    csquared_from_patterns,
-    estimate_vx,
-    estimate_vy,
-    vsquared_from_patterns,
+    estimate_visibility,
+    pattern_estimates,
 )
 from xymeas.checks import CheckResult
 from xymeas.povm import OUTCOMES4, VisibilityTriple, build_povm, outcome_probs
@@ -278,11 +277,10 @@ class TestEstimate:
         assert run_cli("estimate", *paths.values(), "--out", report_path) == 0
         report = read_document(report_path)
 
-        vx = estimate_vx(read_counts_file(paths["ex"]).counts)
-        vy = estimate_vy(read_counts_file(paths["ey"]).counts)
+        vx = estimate_visibility(read_counts_file(paths["ex"]).counts)
+        vy = estimate_visibility(read_counts_file(paths["ey"]).counts)
         stats = collapse_pair_counts(read_counts_file(paths["pair"]).counts)
-        vx2, vy2 = vsquared_from_patterns(stats)
-        corr = csquared_from_patterns(stats)
+        vx2, vy2, corr = pattern_estimates(stats)
         assert float(report.section_value("visibility_x", "value")) == pytest.approx(vx.value, abs=1e-12)
         assert float(report.section_value("visibility_x", "stderr")) == pytest.approx(vx.stderr, abs=1e-12)
         assert float(report.section_value("visibility_y", "value")) == pytest.approx(vy.value, abs=1e-12)
@@ -481,7 +479,7 @@ class TestFileFormat:
         ) == 0
         artifact = read_counts_file(path)
         assert artifact.counts == run_pair_experiment(config, werner_p=0.9)
-        assert artifact.werner_p == 0.9
+        assert artifact.werner_p[0] == 0.9
         assert artifact.visibilities == config.visibilities
 
     def test_eigenstate_counts_round_trip(self, tmp_path):
@@ -698,7 +696,7 @@ class TestFileFormat:
     def test_zero_werner_p_read_but_not_corrected(self, tmp_path, capsys):
         # werner_state accepts p = 0, so the reader does; dividing by it is refused
         paths, lineno = self.werner_counts(tmp_path, "0")
-        assert read_counts_file(paths["pair"]).werner_p == 0.0
+        assert read_counts_file(paths["pair"]).werner_p == (0.0, lineno)
         report = tmp_path / "r.txt"
         assert run_cli("estimate", *paths.values(), "--out", report) == 0
         assert "werner_p 0" in report.read_text()
@@ -718,6 +716,33 @@ class TestFileFormat:
         assert code == 1
         err = capsys.readouterr().err
         assert f"usage error: {paths['pair']}: pair counts file does not record werner_p" in err
+
+    @pytest.mark.parametrize(
+        "role, command",
+        [("ex", "estimate"), ("pair", "estimate"), ("ex", "reconstruct")],
+        ids=["eigenstate-estimate", "pair-estimate", "eigenstate-reconstruct"],
+    )
+    def test_zero_count_table_located(self, tmp_path, capsys, role, command):
+        # simulate refuses --shots < 1, and the reader refuses a table that holds no shot
+        paths = simulate_all(tmp_path, ("0.5", "0.6", "0.4"), 1000, base_seed=1040)
+        path = paths[role]
+        lines = path.read_text().splitlines()
+        lineno = lines.index("[counts]") + 1
+        header = ["shots: 0" if line.startswith("shots: ") else line for line in lines[:lineno]]
+        rows = [" ".join(line.split()[:-1] + ["0"]) for line in lines[lineno:]]
+        path.write_text("\n".join(header + rows) + "\n")
+        message = f"{path}:{lineno}: [counts] rows sum to 0 shots"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_counts_file(path)
+        if command == "estimate":
+            argv = ("estimate", path, "--allow-partial")
+        else:
+            argv = ("reconstruct", "--input", path, "--vx", 0.5, "--vy", 0.6, "--vz", 0.4)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli(*argv, "--out", tmp_path / "r.txt") == 1
+        assert caught == []
+        assert f"error: {message}" in capsys.readouterr().err
 
     def test_out_of_family_header_visibilities_located(self, tmp_path, capsys):
         paths = simulate_all(tmp_path, ("0.5", "0.7", "0.3"), 1000, base_seed=980)

@@ -214,6 +214,12 @@ class TestPairOutcomeProbs:
         with pytest.raises(ValueError, match=re.escape("be (4, 2, 2), got (3, 2, 2)")):
             JointPovm(visibilities=v, elements=build_povm(v).elements[:3])
 
+    def test_compares_and_hashes_by_identity(self):
+        v = VisibilityTriple(0.5, 0.4, 0.3)
+        povm = build_povm(v)
+        assert povm == povm and povm != build_povm(v)
+        assert {povm: 1}[povm] == 1
+
     def test_elements_are_one_read_only_stack(self):
         povm = build_povm(VisibilityTriple(0.5, 0.4, 0.3))
         assert povm.elements.shape == (4, 2, 2) and povm.elements.dtype == complex

@@ -1,5 +1,6 @@
 """Seeded Monte-Carlo runs: determinism, statistics, flips, source noise."""
 
+import dataclasses
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -224,11 +225,21 @@ class TestConfig:
 
     def test_counts_validation(self):
         with pytest.raises(ValueError):
-            OutcomeCounts4(
-                counts={o: 1 for o in OUTCOMES4}, total=5, input_axis="X", input_value=+1
-            )
-        with pytest.raises(ValueError):
-            PairCounts16(counts={o: -1 for o in OUTCOMES16}, total=-16)
+            PairCounts16(counts={o: -1 for o in OUTCOMES16})
+
+    @pytest.mark.parametrize("axis", ["Z", "x"])
+    def test_input_axis_is_x_or_y(self, axis):
+        # the estimator reads the axis from the record, so it must be one it measures
+        with pytest.raises(ValueError, match="input_axis must be 'X' or 'Y'"):
+            OutcomeCounts4(counts={o: 1 for o in OUTCOMES4}, input_axis=axis, input_value=+1)
+
+    def test_total_is_derived_from_the_table(self):
+        eig = OutcomeCounts4(counts=[1, 2, 3, 4], input_axis="Y", input_value=-1)
+        pair = PairCounts16(counts=range(16))
+        assert [f.name for f in dataclasses.fields(eig)] == ["counts", "input_axis", "input_value"]
+        assert [f.name for f in dataclasses.fields(pair)] == ["counts"]
+        assert (eig.total, pair.total) == (10, 120)
+        assert type(eig.total) is int and type(pair.total) is int
 
 
 class TestWernerState:
