@@ -20,8 +20,9 @@ from .kirkwood import verify_operator_identities
 from .povm import VisibilityTriple, _exact_patterns, _family_elements, _hadamard
 from .qubit import ATOL_ALGEBRA, ATOL_EIG, _lowest_eigenvalues, density, identity, singlet
 
-# Cases are swept as arrays of this many at a time, which bounds memory
-# whatever the grid density or sample count.
+# Cases are swept as arrays of this many at a time. That bounds the memory
+# of the random-model sweeps whatever the sample count; `visibility_grid`
+# still builds all its rows at once, so grid memory grows as grid^3.
 CHUNK = 1024
 
 

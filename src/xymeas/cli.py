@@ -34,12 +34,12 @@ from .fileio import (
     SCHEMA_PROBS,
     SCHEMA_REPORT,
     CountsArtifact,
-    expect_schema,
     fmt_bool,
     fmt_float,
     fmt_sign,
     keyed_rows,
     named_state_density,
+    one_of,
     parse_sign,
     read_counts_document,
     read_counts_file,
@@ -217,6 +217,8 @@ def cmd_estimate(args) -> int:
         raise UsageError(
             "missing measurements: " + ", ".join(missing) + " (use --allow-partial to proceed)"
         )
+    if args.correct_source_noise and "pair" not in roles:
+        raise UsageError("--correct-source-noise applies to a pair counts file only")
 
     sections = {"inputs": [(role, str(artifact.path)) for role, artifact in sorted(roles.items())]}
     summary = []
@@ -298,7 +300,7 @@ def _reconstruction_visibilities(args) -> tuple[float, float, float]:
         if any(f is not None for f in flags):
             raise UsageError("give either --vx/--vy/--vz or --from-report, not both")
         report = read_document(args.from_report)
-        expect_schema(report, SCHEMA_REPORT)
+        report.header_value("schema", one_of(SCHEMA_REPORT))
         vx = report.section_value("visibility_x", "value", float)
         vy = report.section_value("visibility_y", "value", float)
         vz = report.section_value("csquared", "vz_magnitude", float)
@@ -316,7 +318,7 @@ def cmd_reconstruct(args) -> int:
     if not Path(args.input).exists():
         raise UsageError(f"input file not found: {args.input}")
     doc = read_document(args.input)
-    schema = doc.require("schema")
+    schema = doc.header_value("schema", one_of(SCHEMA_COUNTS, SCHEMA_PROBS))
     reference = None
     reference_label = None
     if schema == SCHEMA_COUNTS:
@@ -327,13 +329,11 @@ def cmd_reconstruct(args) -> int:
         probs = counts.counts.array / counts.total
         reference_label = f"{counts.input_axis}{'+' if counts.input_value == +1 else '-'}"
         reference = named_state_density(reference_label)
-    elif schema == SCHEMA_PROBS:
+    else:
         probs, state = read_probs_document(doc)
         if state is not None:
             reference_label = state
             reference = named_state_density(state)
-    else:
-        raise UsageError(f"{args.input}: unsupported input schema {schema}")
 
     vx, vy, vz = _reconstruction_visibilities(args)
     kd = reconstruct_kd(probs, vx, vy, 1j * vz)

@@ -68,7 +68,7 @@ def fmt_sign(v: int) -> str:
 
 def parse_sign(token: str) -> int:
     """A sign written exactly as `fmt_sign` writes it, ``+1`` or ``-1``."""
-    return int(_one_of("+1", "-1")(token))
+    return int(one_of("+1", "-1")(token))
 
 
 def fmt_bool(b: bool) -> str:
@@ -103,10 +103,11 @@ class Document:
     def _where(self, lineno: int | None = None) -> str:
         return f"{self.path}:{lineno}: " if lineno is not None else f"{self.path}: "
 
-    def require(self, key: str) -> str:
+    def header_value(self, key: str, parse=str):
+        """Header ``key`` through ``parse``; a value ``parse`` rejects is located at its line."""
         if key not in self.header:
             raise ValueError(f"{self._where()}missing header key {key!r}")
-        return self.header[key]
+        return _parsed(self, self.header_lines[key], f"header {key}", parse, self.header[key])
 
     def section(self, name: str) -> list[tuple[str, ...]]:
         if name not in self.sections:
@@ -183,41 +184,7 @@ def read_document(path: str | Path) -> Document:
     return doc
 
 
-def expect_schema(doc: Document, schema: str) -> None:
-    found = doc.require("schema")
-    if found != schema:
-        raise ValueError(f"{doc._where()}expected schema {schema}, found {found}")
-
-
 # -- writing -------------------------------------------------------------------
-
-
-def write_manifest(
-    path: str | Path,
-    command: str,
-    parameters: dict[str, str],
-    artifacts: list[str],
-    run: dict[str, str] | None = None,
-) -> None:
-    """Write a manifest; ``run`` adds header lines on how the artifacts were made.
-
-    Every manifest records the numpy and Python versions, on which the
-    sampled counts of a seed depend.
-    """
-    header = {
-        "schema": SCHEMA_MANIFEST,
-        "command": command,
-        "timestamp_utc": str(int(time.time())),
-        "tool_version": _tool_version,
-        "numpy_version": np.__version__,
-        "python_version": platform.python_version(),
-        **(run or {}),
-    }
-    sections = {
-        "artifacts": [(name,) for name in artifacts],
-        "parameters": [(key, value) for key, value in parameters.items()],
-    }
-    write_document(path, header, sections)
 
 
 def write_artifact(
@@ -232,15 +199,27 @@ def write_artifact(
     """Write the result ``out`` and its manifest next to it; return the manifest's name.
 
     The result's header is ``schema``, ``command`` and ``manifest``, then
-    ``header``. The manifest echoes ``parameters`` and adds ``run`` (see
-    `write_manifest`); a command whose header is its parameter echo passes
-    the same dict twice.
+    ``header``. The manifest records the command, a timestamp, the tool,
+    numpy and Python versions (the sampled counts of a seed depend on the
+    last two) and ``run``, header lines on how the result was made; then it
+    names ``out`` and echoes ``parameters``. A command whose header is its
+    parameter echo passes the same dict twice.
     """
     out = Path(out)
     manifest = out.name + ".manifest"
     header = {"schema": schema, "command": command, "manifest": manifest, **header}
     write_document(out, header, sections)
-    write_manifest(out.parent / manifest, command, parameters, [out.name], run=run)
+    manifest_header = {
+        "schema": SCHEMA_MANIFEST,
+        "command": command,
+        "timestamp_utc": str(int(time.time())),
+        "tool_version": _tool_version,
+        "numpy_version": np.__version__,
+        "python_version": platform.python_version(),
+        **(run or {}),
+    }
+    manifest_sections = {"artifacts": [(out.name,)], "parameters": list(parameters.items())}
+    write_document(out.parent / manifest, manifest_header, manifest_sections)
     return manifest
 
 
@@ -313,7 +292,7 @@ def _finite(token: str) -> float:
     return value
 
 
-def _one_of(*choices: str):
+def one_of(*choices: str):
     """A token parser that accepts exactly one of ``choices``."""
 
     def parse(token: str) -> str:
@@ -331,15 +310,9 @@ def _werner_p(token: str) -> float:
     return value
 
 
-def _header_value(doc: Document, key: str, parse=float):
-    """Header ``key`` of a parsed document, through ``parse``, located on a bad value."""
-    value = doc.require(key)
-    return _parsed(doc, doc.header_lines[key], f"header {key}", parse, value)
-
-
 def _header_visibilities(doc: Document) -> VisibilityTriple:
     """The ``vx``/``vy``/``vz`` headers; a triple outside the family is located at ``vx``."""
-    values = [_header_value(doc, k) for k in ("vx", "vy", "vz")]
+    values = [doc.header_value(k, float) for k in ("vx", "vy", "vz")]
     # also a PositivityError: a bad input file is a usage error, not a domain error
     return _parsed(doc, doc.header_lines["vx"], "visibilities", VisibilityTriple, *values)
 
@@ -370,8 +343,8 @@ def read_counts_document(doc: Document) -> CountsArtifact:
     header that disagrees with the counts sum is rejected with its
     ``file:line``; a ``[counts]`` table that sums to 0 at its ``[counts]`` line.
     """
-    expect_schema(doc, SCHEMA_COUNTS)
-    mode = _header_value(doc, "mode", _one_of("eigenstate", "pair"))
+    doc.header_value("schema", one_of(SCHEMA_COUNTS))
+    mode = doc.header_value("mode", one_of("eigenstate", "pair"))
     visibilities = None
     if all(k in doc.header for k in ("vx", "vy", "vz")):
         visibilities = _header_visibilities(doc)
@@ -380,7 +353,7 @@ def read_counts_document(doc: Document) -> CountsArtifact:
     total = sum(counts)
     if total == 0:
         raise ValueError(f"{doc._where(doc.section_lines['counts'])}[counts] rows sum to 0 shots")
-    if "shots" in doc.header and _header_value(doc, "shots", int) != total:
+    if "shots" in doc.header and doc.header_value("shots", int) != total:
         raise ValueError(
             f"{doc._where(doc.header_lines['shots'])}shots {doc.header['shots']} disagrees "
             f"with the counts sum {total}"
@@ -389,13 +362,13 @@ def read_counts_document(doc: Document) -> CountsArtifact:
     if mode == "eigenstate":
         counts = OutcomeCounts4(
             counts=counts,
-            input_axis=_header_value(doc, "axis", _one_of("X", "Y")),
-            input_value=_header_value(doc, "value", parse_sign),
+            input_axis=doc.header_value("axis", one_of("X", "Y")),
+            input_value=doc.header_value("value", parse_sign),
         )
     else:
         counts = PairCounts16(counts=counts)
         if "werner_p" in doc.header:
-            werner_p = _header_value(doc, "werner_p", _werner_p), doc.header_lines["werner_p"]
+            werner_p = doc.header_value("werner_p", _werner_p), doc.header_lines["werner_p"]
     return CountsArtifact(
         counts=counts, visibilities=visibilities, werner_p=werner_p, path=str(doc.path)
     )
@@ -414,7 +387,7 @@ def write_probs_file(
 ) -> None:
     header = {"schema": SCHEMA_PROBS}
     if state is not None:
-        header["state"] = _one_of(*STATE_LABELS)(state)
+        header["state"] = one_of(*STATE_LABELS)(state)
     rows = keyed_rows(OUTCOMES4, [fmt_float(probs[o]) for o in OUTCOMES4])
     write_document(path, header, {"probs": rows})
 
@@ -427,13 +400,13 @@ def read_probs_document(doc: Document) -> tuple[dict[tuple[int, int], float], st
     tolerance of every probability table) at the ``[probs]`` line, and a
     ``state`` header that is not one of ``STATE_LABELS`` at its line.
     """
-    expect_schema(doc, SCHEMA_PROBS)
+    doc.header_value("schema", one_of(SCHEMA_PROBS))
     probs = _parse_keyed(doc, "probs", OUTCOMES4, 1, _finite)
     total = sum(probs)
     if abs(total - 1.0) > 1e-9:
         where = doc._where(doc.section_lines["probs"])
         raise ValueError(f"{where}[probs] entries sum to {total!r}, expected 1")
-    state = _header_value(doc, "state", _one_of(*STATE_LABELS)) if "state" in doc.header else None
+    state = doc.header_value("state", one_of(*STATE_LABELS)) if "state" in doc.header else None
     return dict(zip(OUTCOMES4, probs)), state
 
 
@@ -469,7 +442,7 @@ def read_povm_file(path: str | Path) -> JointPovm:
     with its ``file:line`` (the ``[elements]`` line for a missing row).
     """
     doc = read_document(path)
-    expect_schema(doc, SCHEMA_POVM)
+    doc.header_value("schema", one_of(SCHEMA_POVM))
     v = _header_visibilities(doc)
     entries = np.array(_parse_keyed(doc, "elements", ELEMENT_KEYS, 2, _entry)).reshape(4, 2, 2)
     return JointPovm(visibilities=v, elements=entries)

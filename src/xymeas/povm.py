@@ -270,12 +270,11 @@ class JointPovm:
 def build_povm(v: VisibilityTriple) -> JointPovm:
     """Construct the four-outcome joint measurement for a visibility triple.
 
-    Raises ``PositivityError`` (via ``VisibilityTriple``) when
-    ``vx^2 + vy^2 + vz^2 > 1``; positivity is checked algebraically, each
-    element's smallest eigenvalue being ``(1 - sqrt(vx^2+vy^2+vz^2)) / 4``.
+    The triple is positive already: ``VisibilityTriple`` raises
+    ``PositivityError`` when ``vx^2 + vy^2 + vz^2 > 1``, checked
+    algebraically, each element's smallest eigenvalue being
+    ``(1 - sqrt(vx^2+vy^2+vz^2)) / 4``.
     """
-    if not isinstance(v, VisibilityTriple):
-        v = VisibilityTriple(*v)
     return JointPovm(visibilities=v, elements=_family_elements([v.vx, v.vy, v.vz]))
 
 
@@ -334,8 +333,6 @@ def exact_pattern_probs(v: VisibilityTriple) -> PatternStats:
         e(1,0) = (1 - vx^2 + vy^2 + vz^2) / 16
         e(1,1) = (1 - vx^2 - vy^2 - vz^2) / 16
     """
-    if not isinstance(v, VisibilityTriple):
-        v = VisibilityTriple(*v)
     e = _exact_patterns([v.vx, v.vy, v.vz])
     return PatternStats(e=e, stderr=np.zeros(4), total_shots=0)
 

@@ -39,6 +39,7 @@ from xymeas.simulate import (
 
 SQ3 = 1.0 / np.sqrt(3.0)
 SQ3_STR = fmt_float(SQ3)
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(*argv):
@@ -313,6 +314,16 @@ class TestEstimate:
     def test_nonexistent_file_exit_1(self, tmp_path):
         assert run_cli("estimate", tmp_path / "nope.txt", "--out", tmp_path / "r.txt") == 1
 
+    def test_source_noise_correction_needs_pair_file(self, tmp_path, capsys):
+        # without a pair run there is nothing to correct, so the flag is refused
+        out = tmp_path / "r.txt"
+        argv = ("estimate", GOLDEN / "x.counts", "--allow-partial", "--correct-source-noise")
+        assert run_cli(*argv, "--out", out) == 1
+        assert "usage error: --correct-source-noise applies to a pair counts file only" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
 
 class TestReconstruct:
     def test_exact_z_plus_table(self, tmp_path):
@@ -354,6 +365,20 @@ class TestReconstruct:
             "--out", tmp_path / "kd.txt",
         ) == 2
         assert "c" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "table, vx, vy, vz",
+        [("zplus.probs", 1e-5, 1e-5, 1e-5), ("x.counts", 2e-5, 0.5, 0.4)],
+        ids=["probs", "counts"],
+    )
+    def test_small_visibility_exits_2(self, tmp_path, capsys, table, vx, vy, vz):
+        # below kirkwood.SINGULAR_VISIBILITY, not an unlocated KD sum error
+        code = run_cli(
+            "reconstruct", "--input", GOLDEN / table, "--vx", vx, "--vy", vy, "--vz", vz,
+            "--out", tmp_path / "kd.txt",
+        )
+        assert code == 2
+        assert "domain error: visibility parameter vx = " in capsys.readouterr().err
 
     def test_counts_input_with_reference(self, tmp_path):
         code = run_cli(
@@ -838,6 +863,31 @@ class TestFileFormat:
         path.write_text("schema: other/9\n[counts]\n+1 +1 3\n")
         with pytest.raises(ValueError):
             read_counts_file(path)
+
+    @pytest.mark.parametrize(
+        "argv, wrong, expected",
+        [
+            (("estimate", GOLDEN / "zplus.probs"), "zplus.probs", "xymeas-counts/1"),
+            (
+                ("reconstruct", "--input", GOLDEN / "estimate.report", "--vx", 0.5, "--vy", 0.5, "--vz", 0.5),
+                "estimate.report",
+                "xymeas-counts/1, xymeas-probs/1",
+            ),
+            (
+                ("reconstruct", "--input", GOLDEN / "zplus.probs", "--from-report", GOLDEN / "x.counts"),
+                "x.counts",
+                "xymeas-report/1",
+            ),
+        ],
+        ids=["estimate", "reconstruct-input", "reconstruct-from-report"],
+    )
+    def test_wrong_schema_located(self, tmp_path, capsys, argv, wrong, expected):
+        assert run_cli(*argv, "--out", tmp_path / "r.txt") == 1
+        path = GOLDEN / wrong
+        found = read_document(path).header["schema"]
+        assert f"error: {path}:1: header schema: expected one of {expected}, got {found!r}" in (
+            capsys.readouterr().err
+        )
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -7,6 +7,7 @@ from xymeas import checks
 from xymeas.analysis import error_model_from_visibilities
 from xymeas.checks import CheckResult, check_operator_identities
 from xymeas.kirkwood import (
+    SINGULAR_VISIBILITY,
     KDDistribution,
     SingularInversionError,
     forward_map,
@@ -18,6 +19,7 @@ from xymeas.kirkwood import (
 )
 from xymeas.povm import OUTCOMES4, OUTCOMES16, VisibilityTriple, build_povm, outcome_probs
 from xymeas.qubit import (
+    ATOL_ALGEBRA,
     density,
     eigenstate,
     identity,
@@ -206,6 +208,32 @@ class TestReconstruct:
             reconstruct_kd(p, 0.0, 0.8, 0.5j)
         with pytest.raises(SingularInversionError, match="vy"):
             reconstruct_kd(p, 0.6, 1e-9, 0.5j)
+
+    def test_visibilities_from_floor_to_one_invert_random_tables(self):
+        # the inversion scales rounding by 1/|v|; at and above the floor the
+        # KD entries still sum to 1 within ATOL_ALGEBRA
+        rng = np.random.default_rng(61)
+        floor = SINGULAR_VISIBILITY
+        for k in range(2000):
+            p = dict(zip(OUTCOMES4, rng.dirichlet(np.ones(4)).tolist()))
+            if k % 2:
+                vx, vy, vz = floor * 10.0 ** rng.uniform(0.0, 3.0, size=3)
+            else:
+                vx = vy = vz = floor
+            kd = reconstruct_kd(p, vx, vy, 1j * vz)
+            assert abs(sum(complex(kd.entries[o]) for o in OUTCOMES4) - 1.0) <= ATOL_ALGEBRA
+
+    @pytest.mark.parametrize("magnitude", [1e-6, 1e-5, 1e-4, 2e-4, 9.99e-4])
+    def test_visibilities_below_floor_rejected_by_name(self, magnitude):
+        assert magnitude < SINGULAR_VISIBILITY
+        p = {o: 0.25 for o in OUTCOMES4}
+        for name, args in (
+            ("vx", (magnitude, 0.5, 0.5j)),
+            ("vy", (0.5, -magnitude, 0.5j)),
+            ("c", (0.5, 0.5, 1j * magnitude)),
+        ):
+            with pytest.raises(SingularInversionError, match=f"parameter {name} = "):
+                reconstruct_kd(p, *args)
 
     def test_invalid_table_rejected(self):
         with pytest.raises(ValueError):

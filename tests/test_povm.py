@@ -98,10 +98,6 @@ class TestBuildPovm:
             assert lam == pytest.approx(expected_min, abs=ATOL_EIG)
             assert lam >= -ATOL_EIG
 
-    def test_rejects_invalid_triple(self):
-        with pytest.raises(PositivityError):
-            build_povm((0.9, 0.9, 0.0))
-
 
 @settings(max_examples=80, deadline=None)
 @given(v=visibility_triples)
