@@ -311,7 +311,10 @@ def _reconstruction_visibilities(args) -> tuple[float, float, float]:
         return vx, vy, vz
     if any(f is None for f in flags):
         raise UsageError("reconstruct requires --vx, --vy and --vz (or --from-report)")
-    return args.vx, args.vy, args.vz
+    # explicit flags name a device, so they must lie in the family, as in build-povm;
+    # report values are noisy estimates that may sit just outside it
+    v = VisibilityTriple(args.vx, args.vy, args.vz)
+    return v.vx, v.vy, v.vz
 
 
 def cmd_reconstruct(args) -> int:
@@ -368,6 +371,9 @@ def cmd_verify(args) -> int:
         raise UsageError("--grid must be at least 2")
     if args.samples < 1:
         raise UsageError("--samples must be positive")
+    # the checks key Philox with seed, seed + 1 and seed + 2, as simulate keys it with seed
+    if not 0 <= args.seed < 2 ** 64:
+        raise UsageError(f"--seed must lie in [0, 2^64), got {args.seed}")
     results = run_all_checks(grid=args.grid, samples=args.samples, seed=args.seed)
     for result in results:
         print(f"{'PASS' if result.passed else 'FAIL'} {result.name}: {result.detail}")

@@ -24,7 +24,7 @@ below each cumulative edge, which gives the inverse-CDF histogram exactly.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import os
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -142,6 +142,13 @@ def werner_state(p: float) -> np.ndarray:
     return p * density(singlet()) + (1.0 - p) * identity(4) / 4.0
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS reports one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _accumulate_blocks(
     shots: int,
     block_sampler: Callable[[np.random.Generator, int], np.ndarray],
@@ -150,15 +157,20 @@ def _accumulate_blocks(
 ) -> np.ndarray:
     """Sum per-block histograms; identical for any worker count by construction.
 
-    At most one thread per block runs, and a single one runs serially.
+    At most ``min(workers, blocks, usable CPUs)`` threads run, and a single
+    one runs serially without a pool: on one CPU a second thread cannot run
+    in parallel and only adds its own block buffer.
     """
     sizes = [min(BLOCK_SHOTS, shots - start) for start in range(0, shots, BLOCK_SHOTS)]
 
     def one_block(index: int) -> np.ndarray:
         return block_sampler(block_rng(seed, index), sizes[index])
 
-    threads = min(workers, len(sizes))
+    threads = min(workers, len(sizes), _usable_cpus())
     if threads > 1:
+        # imported here so that processes which never start a pool do not load it
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as executor:
             return np.sum(list(executor.map(one_block, range(len(sizes)))), axis=0)
     return np.sum([one_block(index) for index in range(len(sizes))], axis=0)

@@ -452,6 +452,38 @@ class TestReconstruct:
         err = capsys.readouterr().err
         assert err.startswith(f"usage error: {out}:{lineno}: reconstruct needs a single-qubit table")
 
+    @pytest.mark.parametrize(
+        "vx, vy, vz, code, message",
+        [
+            (5, 0.5, 0.5, 1, "error: vx must lie in [0, 1], got 5.0"),
+            (-0.5, 0.5, 0.5, 1, "error: vx must lie in [0, 1], got -0.5"),
+            ("nan", 0.5, 0.5, 1, "error: vx must be finite, got nan"),
+            (0.5, 0.5, "inf", 1, "error: vz must be finite, got inf"),
+            (0.9, 0.9, 0.9, 2, "domain error: vx^2 + vy^2 + vz^2 = 2.43 exceeds 1"),
+        ],
+    )
+    def test_flags_outside_the_family_rejected(self, tmp_path, capsys, vx, vy, vz, code, message):
+        # as build-povm and simulate reject the same triples
+        out = tmp_path / "kd.txt"
+        assert run_cli(
+            "reconstruct", "--input", GOLDEN / "zplus.probs",
+            "--vx", vx, "--vy", vy, "--vz", vz, "--out", out,
+        ) == code
+        assert capsys.readouterr().err.startswith(message)
+        assert not out.exists()
+
+    def test_report_estimates_just_outside_the_family_accepted(self, tmp_path):
+        # estimates are noisy: a report whose norm exceeds 1 still reconstructs
+        text = (GOLDEN / "estimate.report").read_text()
+        assert "value 0.49886000000000008\n" in text
+        report = tmp_path / "r.txt"
+        report.write_text(text.replace("value 0.49886000000000008", "value 0.7", 1))
+        assert 0.7 ** 2 + 0.6014 ** 2 + 0.3926 ** 2 > 1
+        assert run_cli(
+            "reconstruct", "--input", GOLDEN / "x.counts", "--from-report", report,
+            "--out", tmp_path / "kd.txt",
+        ) == 0
+
     def test_conflicting_visibility_sources_rejected(self, tmp_path):
         probs_path = tmp_path / "p.txt"
         write_probs_file(probs_path, {o: 0.25 for o in OUTCOMES4})
@@ -479,6 +511,14 @@ class TestVerify:
     def test_bad_flags(self):
         assert run_cli("verify", "--grid", 1) == 1
         assert run_cli("verify", "--samples", 0) == 1
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_seed_outside_64_bits_exits_1(self, capsys, seed):
+        assert run_cli("verify", "--grid", 3, "--samples", 10, "--seed", seed) == 1
+        assert capsys.readouterr().err == f"usage error: --seed must lie in [0, 2^64), got {seed}\n"
+
+    def test_largest_seed_runs(self, capsys):
+        assert run_cli("verify", "--grid", 3, "--samples", 10, "--seed", 2 ** 64 - 1) == 0
 
 
 class TestFileFormat:

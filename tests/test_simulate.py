@@ -1,7 +1,11 @@
 """Seeded Monte-Carlo runs: determinism, statistics, flips, source noise."""
 
 import dataclasses
-from concurrent.futures import ThreadPoolExecutor
+import os
+import subprocess
+import sys
+from concurrent import futures
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -370,6 +374,19 @@ class TestEigenstateExperiment:
 
 
 class TestWorkerThreads:
+    @staticmethod
+    def recording_pool(monkeypatch):
+        """Patch the executor to record each pool's size; return the record."""
+        pools = []
+
+        class RecordingPool(futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(futures, "ThreadPoolExecutor", RecordingPool)
+        return pools
+
     def test_one_block_runs_serially(self, monkeypatch):
         config = ExperimentConfig(
             visibilities=VisibilityTriple(0.4, 0.5, 0.3), shots=BLOCK_SHOTS, seed=43
@@ -379,18 +396,13 @@ class TestWorkerThreads:
         def no_pool(*args, **kwargs):
             raise AssertionError("a one-block run started a thread pool")
 
-        monkeypatch.setattr(simulate, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(futures, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 8)
         assert run_eigenstate_experiment(config, "X", +1, randomize_flips=True, workers=4) == serial
 
     def test_several_blocks_use_the_pool(self, monkeypatch):
-        pools = []
-
-        class RecordingPool(ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-                super().__init__(max_workers=max_workers)
-
-        monkeypatch.setattr(simulate, "ThreadPoolExecutor", RecordingPool)
+        pools = self.recording_pool(monkeypatch)
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 8)
         config = ExperimentConfig(
             visibilities=VisibilityTriple(0.4, 0.5, 0.3), shots=2 * BLOCK_SHOTS + 1, seed=44
         )
@@ -400,6 +412,37 @@ class TestWorkerThreads:
         assert run_pair_experiment(config, workers=8) == serial
         # three blocks: never more threads than blocks
         assert pools == [2, 3]
+
+    def test_one_usable_cpu_runs_serially(self, monkeypatch):
+        config = ExperimentConfig(
+            visibilities=VisibilityTriple(0.4, 0.5, 0.3), shots=2 * BLOCK_SHOTS + 1, seed=45
+        )
+        serial = run_pair_experiment(config, workers=1)
+        pools = self.recording_pool(monkeypatch)
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 1)
+        assert run_pair_experiment(config, workers=8) == serial
+        assert pools == []
+
+    def test_never_more_threads_than_usable_cpus(self, monkeypatch):
+        config = ExperimentConfig(
+            visibilities=VisibilityTriple(0.4, 0.5, 0.3), shots=2 * BLOCK_SHOTS + 1, seed=46
+        )
+        serial = run_eigenstate_experiment(config, "Y", -1, randomize_flips=True, workers=1)
+        pools = self.recording_pool(monkeypatch)
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
+        assert run_eigenstate_experiment(config, "Y", -1, randomize_flips=True, workers=8) == serial
+        assert pools == [2]
+
+    def test_cli_import_leaves_the_thread_pool_out(self):
+        src = str(Path(simulate.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        code = "import sys, xymeas.cli; print('concurrent.futures' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestPairExperiment:
