@@ -16,7 +16,7 @@ import numpy as np
 
 from xymeas import cli
 from xymeas.fileio import fmt_float, named_state_density, write_probs_file
-from xymeas.povm import VisibilityTriple, build_povm, outcome_probs
+from xymeas.povm import OUTCOMES4, VisibilityTriple, build_povm, outcome_probs
 
 
 def main() -> int:
@@ -36,7 +36,7 @@ def main() -> int:
 
     print(f"exact outcome table for {args.state} under (vx, vy, vz) = "
           f"({v.vx:.6f}, {v.vy:.6f}, {v.vz:.6f}):")
-    for (x, y), p in probs.items():
+    for (x, y), p in zip(OUTCOMES4, probs.tolist()):
         print(f"  P({x:+d}, {y:+d}) = {p:.6f}")
     print()
 

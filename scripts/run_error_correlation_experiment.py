@@ -70,10 +70,10 @@ def main() -> None:
     for name, value, stderr, reference in rows:
         print(f"{name:<22}{value:>14.6f}{stderr:>12.2g}{reference:>14.6f}")
     print()
-    exact = exact_pattern_probs(v).e
-    for (_, _, e, stderr), r in zip(report.section("patterns"), PATTERNS):
+    exact = exact_pattern_probs(v).e.tolist()
+    for (_, _, e, stderr), r, e_exact in zip(report.section("patterns"), PATTERNS, exact):
         print(f"pattern e{r}: estimate {float(e):.6f} +- {float(stderr):.2g}, "
-              f"exact {p * exact[r] + (1 - p) / 16:.6f}")
+              f"exact {p * e_exact + (1 - p) / 16:.6f}")
     print()
     if report.section_value("csquared", "classical") == "true":
         print("verdict: consistent with a classical error model (c^2 >= 0 within 3 sigma)")

@@ -56,7 +56,7 @@ def main() -> None:
                 fmt_float(-(vz ** 2)),
                 report.section_value("csquared", "value"),
                 report.section_value("csquared", "stderr"),
-                fmt_float(classicality_statistic(exact_pattern_probs(v))),
+                fmt_float(classicality_statistic(exact_pattern_probs(v).e)),
                 report.section_value("classicality", "statistic"),
                 "classical" if classical else "non-classical",
             ]

@@ -39,8 +39,6 @@ estimated binomial spread.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
-
 import numpy as np
 
 from .povm import (
@@ -48,7 +46,7 @@ from .povm import (
     OUTCOMES16,
     PATTERNS,
     PatternStats,
-    Table,
+    _checked_table,
     _float_table,
     _hadamard,
     _sum4,
@@ -75,23 +73,25 @@ class Estimate:
             raise ValueError("stderr must be non-negative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ErrorModel:
     """Complex quasi-probability weights over the four flip patterns.
 
-    ``weights[(rx, ry)]`` is the (quasi-)probability that the measurement
-    flips the X outcome iff ``rx = 1`` and the Y outcome iff ``ry = 1``.
+    ``weights[i]`` is the (quasi-)probability that the measurement flips
+    the X outcome iff ``rx = 1`` and the Y outcome iff ``ry = 1``, where
+    ``PATTERNS[i] = (rx, ry)``; a read-only vector in ``PATTERNS`` order, so
+    instances compare by identity.
     Normalization to 1 is enforced; weights are complex because quantum
     measurements require an imaginary correlation part. Physical models have
     real signed sums for vx and vy, which the consumers below check where
     they rely on it.
     """
 
-    weights: Mapping[tuple[int, int], complex]
+    weights: np.ndarray
 
     def __post_init__(self) -> None:
-        weights = Table(
-            PATTERNS, self.weights, dtype=complex, total=1.0, tol=ATOL_ALGEBRA, what="error model"
+        weights = _checked_table(
+            self.weights, 4, dtype=complex, total=1.0, tol=ATOL_ALGEBRA, what="error model"
         )
         object.__setattr__(self, "weights", weights)
 
@@ -106,7 +106,7 @@ def estimate_visibility(counts: OutcomeCounts4) -> Estimate:
     if total <= 0:
         raise ValueError("estimate_visibility needs at least one shot")
     # OUTCOMES4 order: rows x = +1, -1; columns y = +1, -1
-    marginal = counts.counts.array.reshape(2, 2).sum(axis=1 if counts.input_axis == "X" else 0)
+    marginal = counts.counts.reshape(2, 2).sum(axis=1 if counts.input_axis == "X" else 0)
     p = float(marginal[0 if counts.input_value == +1 else 1]) / total
     stderr = 2.0 * np.sqrt(max(p * (1.0 - p), 0.0) / total)
     return Estimate(value=2.0 * p - 1.0, stderr=stderr)
@@ -133,7 +133,7 @@ def collapse_pair_counts(counts: PairCounts16) -> PatternStats:
     total = counts.total
     if total <= 0:
         raise ValueError("collapse_pair_counts needs at least one shot")
-    table = counts.counts.array
+    table = counts.counts
     sampled = table.dtype.kind in "iu"
     class_counts = np.bincount(_PATTERN_INDEX16, weights=table, minlength=len(PATTERNS))
     f = np.clip(class_counts / total, 0.0, 1.0)
@@ -153,8 +153,8 @@ def pattern_estimates(stats: PatternStats) -> tuple[Estimate, Estimate, Estimate
     estimate is the non-classical signature (see `is_classical`). Only the
     square is observable, so no sign of the correlation itself is reported.
     """
-    _, vy2, vx2, c2 = (4.0 * _hadamard(stats.e.array)).tolist()
-    stderr = 4.0 * float(np.sqrt(sum(s ** 2 for s in stats.stderr.values())))
+    _, vy2, vx2, c2 = (4.0 * _hadamard(stats.e)).tolist()
+    stderr = 4.0 * float(np.sqrt(sum(s ** 2 for s in stats.stderr.tolist())))
     return Estimate(vx2, stderr), Estimate(vy2, stderr), Estimate(c2, stderr)
 
 
@@ -166,9 +166,14 @@ def is_classical(c2: Estimate) -> bool:
     return bool(c2.value >= -(CLASSICAL_SIGMA * c2.stderr + ATOL_ALGEBRA))
 
 
-def classicality_statistic(stats: PatternStats) -> float:
-    """``e(0,1) + e(1,0) - e(0,0) - e(1,1)``; > 0 is impossible classically."""
-    return stats.e[(0, 1)] + stats.e[(1, 0)] - stats.e[(0, 0)] - stats.e[(1, 1)]
+def classicality_statistic(e) -> np.ndarray:
+    """``e(0,1) + e(1,0) - e(0,0) - e(1,1)`` over the last axis of a (..., 4) pattern table.
+
+    > 0 is impossible classically. The terms are added in this order for
+    every shape, so a report and a sweep agree to the bit.
+    """
+    e = np.asarray(e)
+    return e[..., 1] + e[..., 2] - e[..., 0] - e[..., 3]
 
 
 def correct_for_source_noise(stats: PatternStats, p: float) -> PatternStats:
@@ -184,8 +189,8 @@ def correct_for_source_noise(stats: PatternStats, p: float) -> PatternStats:
     if not 0.0 < p <= 1.0:
         raise ValueError(f"source parameter must lie in (0, 1], got {p!r}")
     return PatternStats(
-        e=(stats.e.array - (1.0 - p) / 16.0) / p,
-        stderr=stats.stderr.array / p,
+        e=(stats.e - (1.0 - p) / 16.0) / p,
+        stderr=stats.stderr / p,
         total_shots=stats.total_shots,
     )
 
@@ -202,12 +207,12 @@ def error_model_from_visibilities(vx: complex, vy: complex, c: complex) -> Error
 
 def visibilities_from_error_model(m: ErrorModel) -> tuple[complex, complex, complex]:
     """The three signed sums (vx, vy, c) of an error model's weights."""
-    _, vy, vx, c = _hadamard(m.weights.array).tolist()
+    _, vy, vx, c = _hadamard(m.weights).tolist()
     return complex(vx), complex(vy), complex(c)
 
 
-def eigenstate_probs_from_error_model(m: ErrorModel, axis: str) -> Table:
-    """Predicted outcome table for a +1 eigenstate input of the given axis.
+def eigenstate_probs_from_error_model(m: ErrorModel, axis: str) -> np.ndarray:
+    """Predicted outcome table, in ``OUTCOMES4`` order, for a +1 eigenstate input of the given axis.
 
     Only the no-flip/flip marginals ``(1 +- v) / 2`` of the measured axis
     enter, so the correlation part drops out. Complex or out-of-range
@@ -217,7 +222,7 @@ def eigenstate_probs_from_error_model(m: ErrorModel, axis: str) -> Table:
     axis = ensure_axis(axis)
     if axis not in ("X", "Y"):
         raise ValueError("eigenstate predictions exist for axis X or Y only")
-    total, vy, vx, _ = _hadamard(m.weights.array).tolist()
+    total, vy, vx, _ = _hadamard(m.weights).tolist()
     v = vx if axis == "X" else vy
     marginals = []
     for name, value in (("no-flip", (total + v) / 2.0), ("flip", (total - v) / 2.0)):
@@ -229,7 +234,7 @@ def eigenstate_probs_from_error_model(m: ErrorModel, axis: str) -> Table:
         marginals.append(min(max(value.real, 0.0), 1.0))
     keep_p, flip_p = marginals
     correct = [(x if axis == "X" else y) == +1 for x, y in OUTCOMES4]
-    return Table(OUTCOMES4, np.where(correct, keep_p, flip_p) / 2.0)
+    return _checked_table(np.where(correct, keep_p, flip_p) / 2.0, 4)
 
 
 def _self_convolution(w) -> np.ndarray:
@@ -249,13 +254,13 @@ def _self_convolution(w) -> np.ndarray:
     return e
 
 
-def pattern_quasiprobs(m: ErrorModel) -> Table:
-    """XOR self-convolution ``(1/4) * sum_s weights(s) * weights(s xor r)``.
+def pattern_quasiprobs(m: ErrorModel) -> np.ndarray:
+    """XOR self-convolution ``(1/4) * sum_s weights(s) * weights(s xor r)``, in ``PATTERNS`` order.
 
     For a normalized model these complex values satisfy, for each of the
     four sign characters chi, ``4 * sum_r chi(r) e(r) = (sum_s chi(s) w(s))^2``.
     """
-    return Table(PATTERNS, _self_convolution(m.weights.array), dtype=complex)
+    return _checked_table(_self_convolution(m.weights), 4, dtype=complex)
 
 
 def predicted_pattern_probs(m: ErrorModel) -> PatternStats:
@@ -266,7 +271,7 @@ def predicted_pattern_probs(m: ErrorModel) -> PatternStats:
     materially complex or negative entry marks the model as inconsistent
     with pair statistics.
     """
-    e = _self_convolution(m.weights.array)
+    e = _self_convolution(m.weights)
     for r, value in zip(PATTERNS, e.tolist()):
         if abs(value.imag) > 1e-10:
             raise ValueError(f"predicted pattern e{r} is complex: {value!r}")

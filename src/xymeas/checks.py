@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import _PATTERN_INDEX16, _self_convolution
+from .analysis import _PATTERN_INDEX16, _self_convolution, classicality_statistic
 from .kirkwood import verify_operator_identities
 from .povm import VisibilityTriple, _exact_patterns, _family_elements, _hadamard
 from .qubit import ATOL_ALGEBRA, ATOL_EIG, _lowest_eigenvalues, density, identity, singlet
@@ -147,9 +147,7 @@ def check_classicality_dichotomy(
     worst = 0.0
     for start in range(0, len(triples), CHUNK):
         v = triples[start:start + CHUNK]
-        e = _exact_patterns(v)
-        # `analysis.classicality_statistic`, term for term
-        s = e[:, 1] + e[:, 2] - e[:, 0] - e[:, 3]
+        s = classicality_statistic(_exact_patterns(v))
         # vz^2/4 >= 0, so an S below -ATOL_ALGEBRA also fails on its deviation
         deviation = np.abs(s - v[:, 2] ** 2 / 4.0)
         tests = [("quantum side violated by", deviation, ATOL_ALGEBRA)]
@@ -161,7 +159,7 @@ def check_classicality_dichotomy(
     max_s = -np.inf
     for start in range(0, samples, CHUNK):
         e = _self_convolution(rng.dirichlet(np.ones(4), size=min(CHUNK, samples - start)))
-        max_s = max(max_s, float(np.max(e[:, 1] + e[:, 2] - e[:, 0] - e[:, 3])))
+        max_s = max(max_s, float(np.max(classicality_statistic(e))))
         if max_s > 1e-10:
             return CheckResult(
                 "classicality_dichotomy", False, f"classical model with S = {max_s:.3e}"

@@ -42,13 +42,12 @@ from .fileio import (
     one_of,
     parse_sign,
     read_counts_document,
-    read_counts_file,
     read_document,
     read_probs_document,
     write_artifact,
 )
 from .kirkwood import SingularInversionError, kd_from_state, reconstruct_kd
-from .povm import OUTCOMES4, PATTERNS, PositivityError, VisibilityTriple, build_povm
+from .povm import OUTCOMES4, OUTCOMES16, PATTERNS, PositivityError, VisibilityTriple, build_povm
 from .simulate import (
     BLOCK_SHOTS,
     RNG_ID,
@@ -161,6 +160,12 @@ def cmd_simulate(args) -> int:
             raise UsageError("--axis/--value apply to eigenstate mode only")
         if args.randomize_flips:
             raise UsageError("--randomize-flips applies to eigenstate mode only")
+        if args.werner_p is not None and not 0.0 <= args.werner_p <= 1.0:
+            raise UsageError(f"--werner-p must lie in [0, 1], got {args.werner_p}")
+    if args.shots < 1:
+        raise UsageError(f"--shots must be at least 1, got {args.shots}")
+    if not 0 <= args.seed < 2 ** 64:
+        raise UsageError(f"--seed must lie in [0, 2^64), got {args.seed}")
     if args.workers < 1:
         raise UsageError(f"--workers must be at least 1, got {args.workers}")
 
@@ -185,8 +190,8 @@ def cmd_simulate(args) -> int:
         werner_p = args.werner_p if args.werner_p is not None else 1.0
         parameters["werner_p"] = fmt_float(werner_p)
         counts = run_pair_experiment(config, werner_p=werner_p, workers=args.workers)
-    table = counts.counts
-    sections = {"counts": keyed_rows(tuple(table), map(str, table.values()))}
+    keys = OUTCOMES4 if args.mode == "eigenstate" else OUTCOMES16
+    sections = {"counts": keyed_rows(keys, map(str, counts.counts.tolist()))}
     run = {"rng": RNG_ID, "block_shots": str(BLOCK_SHOTS), "workers": str(args.workers)}
     manifest = write_artifact(args.out, SCHEMA_COUNTS, "simulate", parameters, sections, parameters, run)
     _diag(f"simulated {config.shots} shots; wrote {args.out} and {manifest}")
@@ -198,7 +203,7 @@ def _classify_counts(paths) -> dict[str, CountsArtifact]:
     for path in paths:
         if not Path(path).exists():
             raise UsageError(f"counts file not found: {path}")
-        artifact = read_counts_file(path)
+        artifact = read_counts_document(read_document(path))
         if isinstance(artifact.counts, PairCounts16):
             role = "pair"
         else:
@@ -254,8 +259,8 @@ def cmd_estimate(args) -> int:
             ("source_noise_corrected", fmt_bool(corrected)),
         ]
         sections["patterns"] = [
-            (str(rx), str(ry), fmt_float(stats.e[(rx, ry)]), fmt_float(stats.stderr[(rx, ry)]))
-            for rx, ry in PATTERNS
+            (str(rx), str(ry), fmt_float(e), fmt_float(stderr))
+            for (rx, ry), e, stderr in zip(PATTERNS, stats.e.tolist(), stats.stderr.tolist())
         ]
         vx2, vy2, c2 = pattern_estimates(stats)
         section("vx_squared_pair", vx2)
@@ -264,7 +269,7 @@ def cmd_estimate(args) -> int:
         vz = math.sqrt(max(-c2.value, 0.0))
         extra = ("vz_magnitude", fmt_float(vz)), ("classical", fmt_bool(classical))
         figure = section("csquared", c2, *extra)
-        statistic = classicality_statistic(stats)
+        statistic = classicality_statistic(stats.e)
         sections["classicality"] = [("statistic", fmt_float(statistic))]
         verdict = "consistent with classical errors" if classical else "non-classical"
         summary.append(f"c^2 = {figure} ({verdict})")
@@ -329,7 +334,7 @@ def cmd_reconstruct(args) -> int:
         if isinstance(counts, PairCounts16):
             where = f"{args.input}:{doc.header_lines['mode']}"
             raise UsageError(f"{where}: reconstruct needs a single-qubit table; pair counts cannot be used")
-        probs = counts.counts.array / counts.total
+        probs = counts.counts / counts.total
         reference_label = f"{counts.input_axis}{'+' if counts.input_value == +1 else '-'}"
         reference = named_state_density(reference_label)
     else:
@@ -342,7 +347,7 @@ def cmd_reconstruct(args) -> int:
     kd = reconstruct_kd(probs, vx, vy, 1j * vz)
 
     parameters = {"vx": fmt_float(vx), "vy": fmt_float(vy), "vz": fmt_float(vz), "input": str(args.input)}
-    entries = [complex(kd.entries[o]) for o in OUTCOMES4]
+    entries = kd.entries.tolist()
     real, imag = [fmt_float(e.real) for e in entries], [fmt_float(e.imag) for e in entries]
     sections = {
         "parameters": list(parameters.items()),
@@ -352,7 +357,7 @@ def cmd_reconstruct(args) -> int:
     }
     if reference is not None:
         expected = kd_from_state(reference)
-        deviations = [abs(e - complex(expected.entries[o])) for e, o in zip(entries, OUTCOMES4)]
+        deviations = [abs(e - x) for e, x in zip(entries, expected.entries.tolist())]
         sections["kd_reference_deviation"] = [
             ("state", reference_label),
             *keyed_rows(OUTCOMES4, map(fmt_float, deviations)),

@@ -43,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__ as _tool_version
-from .povm import OUTCOMES4, OUTCOMES16, JointPovm, VisibilityTriple
+from .povm import OUTCOMES4, OUTCOMES16, JointPovm, VisibilityTriple, _checked_table
 from .simulate import OutcomeCounts4, PairCounts16
 
 SCHEMA_COUNTS = "xymeas-counts/1"
@@ -374,31 +374,26 @@ def read_counts_document(doc: Document) -> CountsArtifact:
     )
 
 
-def read_counts_file(path: str | Path) -> CountsArtifact:
-    """Parse a counts file; see `read_counts_document`."""
-    return read_counts_document(read_document(path))
-
-
 # -- exact probability tables --------------------------------------------------
 
 
-def write_probs_file(
-    path: str | Path, probs: dict[tuple[int, int], float], state: str | None = None
-) -> None:
+def write_probs_file(path: str | Path, probs, state: str | None = None) -> None:
+    """Write the outcome table ``probs``, four numbers in ``OUTCOMES4`` order."""
     header = {"schema": SCHEMA_PROBS}
     if state is not None:
         header["state"] = one_of(*STATE_LABELS)(state)
-    rows = keyed_rows(OUTCOMES4, [fmt_float(probs[o]) for o in OUTCOMES4])
+    rows = keyed_rows(OUTCOMES4, map(fmt_float, _checked_table(probs, 4, what="probs").tolist()))
     write_document(path, header, {"probs": rows})
 
 
-def read_probs_document(doc: Document) -> tuple[dict[tuple[int, int], float], str | None]:
-    """The table and state label held in ``doc``, as parsed by `read_document`.
+def read_probs_document(doc: Document) -> tuple[np.ndarray, str | None]:
+    """The outcome table and state label held in ``doc``, as parsed by `read_document`.
 
-    Besides the row faults of `_parse_keyed`, an entry that is not finite is
-    located at its row, a table that does not sum to 1 (within 1e-9, the
-    tolerance of every probability table) at the ``[probs]`` line, and a
-    ``state`` header that is not one of ``STATE_LABELS`` at its line.
+    The table is a read-only vector in ``OUTCOMES4`` order. Besides the row
+    faults of `_parse_keyed`, an entry that is not finite is located at its
+    row, a table that does not sum to 1 (within 1e-9, the tolerance of every
+    probability table) at the ``[probs]`` line, and a ``state`` header that
+    is not one of ``STATE_LABELS`` at its line.
     """
     doc.header_value("schema", one_of(SCHEMA_PROBS))
     probs = _parse_keyed(doc, "probs", OUTCOMES4, 1, _finite)
@@ -407,12 +402,7 @@ def read_probs_document(doc: Document) -> tuple[dict[tuple[int, int], float], st
         where = doc._where(doc.section_lines["probs"])
         raise ValueError(f"{where}[probs] entries sum to {total!r}, expected 1")
     state = doc.header_value("state", one_of(*STATE_LABELS)) if "state" in doc.header else None
-    return dict(zip(OUTCOMES4, probs)), state
-
-
-def read_probs_file(path: str | Path) -> tuple[dict[tuple[int, int], float], str | None]:
-    """Parse a probability file; see `read_probs_document`."""
-    return read_probs_document(read_document(path))
+    return _checked_table(probs, 4), state
 
 
 def named_state_density(label: str):

@@ -27,12 +27,11 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
 from .analysis import ErrorModel, visibilities_from_error_model
-from .povm import OUTCOMES4, OUTCOMES16, Table, _checked_table, _hadamard, _sum4, ideal_operator
+from .povm import OUTCOMES4, OUTCOMES16, _checked_table, _hadamard, _sum4, ideal_operator
 from .qubit import (
     ATOL_ALGEBRA,
     _bloch_operators,
@@ -61,31 +60,35 @@ class SingularInversionError(ValueError):
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KDDistribution:
     """Complex quasi-probability over joint outcomes (x, y), x, y in {+1, -1}.
 
-    Entries sum to 1 and both marginals are real.
+    ``entries`` becomes a read-only vector in ``OUTCOMES4`` order, so
+    instances compare by identity. Entries sum to 1 and both marginals are real.
     """
 
-    entries: Mapping[tuple[int, int], complex]
+    entries: np.ndarray
 
     def __post_init__(self) -> None:
-        entries = Table(
-            OUTCOMES4, self.entries, dtype=complex, total=1.0, tol=ATOL_ALGEBRA, what="KD"
+        entries = _checked_table(
+            self.entries, 4, dtype=complex, total=1.0, tol=ATOL_ALGEBRA, what="KD"
         )
         object.__setattr__(self, "entries", entries)
         # OUTCOMES4 order: rows x = +1, -1; columns y = +1, -1
         for name, axis in (("x", 1), ("y", 0)):
-            marginals = entries.array.reshape(2, 2).sum(axis=axis)
+            marginals = entries.reshape(2, 2).sum(axis=axis)
             if np.max(np.abs(marginals.imag)) > ATOL_ALGEBRA:
                 raise ValueError(f"{name} marginals are not real: {marginals!r}")
 
+    # two terms, a + b: a sum starting from 0.0 would turn a -0.0 marginal into 0.0
     def x_marginal(self, x: int) -> float:
-        return complex(self.entries[(x, +1)] + self.entries[(x, -1)]).real
+        k = OUTCOMES4.index((x, +1))
+        return complex(self.entries[k] + self.entries[k + 1]).real
 
     def y_marginal(self, y: int) -> float:
-        return complex(self.entries[(+1, y)] + self.entries[(-1, y)]).real
+        k = OUTCOMES4.index((+1, y))
+        return complex(self.entries[k] + self.entries[k + 2]).real
 
 
 def kd_from_state(rho) -> KDDistribution:
@@ -120,10 +123,10 @@ def _kd_entries(rho: np.ndarray, outcomes=OUTCOMES4) -> np.ndarray:
     return overlap * _sum4(*(ket_y[:, i].conj() * rho_x[i] for i in range(dim)))
 
 
-def kd_pair_from_state(rho4) -> Table:
+def kd_pair_from_state(rho4) -> np.ndarray:
     """Quasi-probability ``<x1,x2|y1,y2><y1,y2|rho4|x1,x2>`` of a two-qubit state over ``OUTCOMES16``."""
     entries = _kd_entries(ensure_density_matrix(rho4, dim=4), OUTCOMES16)
-    return Table(OUTCOMES16, entries, dtype=complex, total=1.0, tol=ATOL_ALGEBRA, what="pair KD")
+    return _checked_table(entries, 16, dtype=complex, total=1.0, tol=ATOL_ALGEBRA, what="pair KD")
 
 
 def _check_not_singular(name: str, value: complex) -> complex:
@@ -133,10 +136,8 @@ def _check_not_singular(name: str, value: complex) -> complex:
     return value
 
 
-def reconstruct_kd(
-    p: Mapping[tuple[int, int], float], vx: float, vy: float, c: complex
-) -> KDDistribution:
-    """Invert an outcome table of a joint measurement into a quasi-probability.
+def reconstruct_kd(p, vx: float, vy: float, c: complex) -> KDDistribution:
+    """Invert an outcome table of a joint measurement, in ``OUTCOMES4`` order, into a quasi-probability.
 
     ``kd(x, y) = (1/4) * sum_{x', y'} (1 + x*x'/vx + y*y'/vy - x*x'*y*y'/c) * p(x', y')``
 
@@ -149,7 +150,7 @@ def reconstruct_kd(
     offending parameter.
     """
     probs = _checked_table(
-        p, OUTCOMES4, low=-ATOL_ALGEBRA, high=1.0 + ATOL_ALGEBRA, total=1.0, what="probabilities"
+        p, 4, low=-ATOL_ALGEBRA, high=1.0 + ATOL_ALGEBRA, total=1.0, what="probabilities"
     ).tolist()
     vx = _check_not_singular("vx", vx)
     vy = _check_not_singular("vy", vy)
@@ -164,8 +165,8 @@ def reconstruct_kd(
     return KDDistribution(entries=entries)
 
 
-def forward_map(kd: KDDistribution, m: ErrorModel) -> Table:
-    """Outcome table produced by an error model acting on a quasi-probability.
+def forward_map(kd: KDDistribution, m: ErrorModel) -> np.ndarray:
+    """Outcome table, in ``OUTCOMES4`` order, produced by an error model acting on a quasi-probability.
 
     Exact inverse of `reconstruct_kd` at matching ``(vx, vy, c)``. The error
     weights couple to the quasi-probability through its four moments
@@ -176,7 +177,7 @@ def forward_map(kd: KDDistribution, m: ErrorModel) -> Table:
     rejected as an inconsistent pairing of quasi-probability and model.
     """
     vx, vy, c = visibilities_from_error_model(m)
-    moments = _hadamard(kd.entries.array) * np.array([1.0, vy, vx, -c])
+    moments = _hadamard(kd.entries) * np.array([1.0, vy, vx, -c])
     table = _hadamard(moments) / 4.0
     worst = int(np.argmax(np.abs(table.imag)))
     if abs(table[worst].imag) > 1e-10:
@@ -184,7 +185,7 @@ def forward_map(kd: KDDistribution, m: ErrorModel) -> Table:
             f"forward map produced a complex probability at {OUTCOMES4[worst]}: {table[worst]!r}; "
             "the quasi-probability and error model are inconsistent"
         )
-    return Table(OUTCOMES4, table.real)
+    return _checked_table(table.real, 4)
 
 
 def random_qubit_density(rng: np.random.Generator) -> np.ndarray:
@@ -215,7 +216,7 @@ def verify_operator_identities(samples: int = 1000, seed: int = 20240901) -> dic
       with ``vx = vy = 1`` and ``vz`` replaced by the imaginary unit;
     * the four ideal operators sum to the identity;
     * ``Tr(ideal_operator(x, y) @ rho)`` equals the quasi-probability entry
-      ``kd_from_state(rho)[(x, y)]`` for ``samples`` random states.
+      ``kd_from_state(rho).entries`` at ``(x, y)`` for ``samples`` random states.
 
     The states are drawn as one batch (`_random_qubit_densities`), validated
     as a stack, and both sides of the last identity are computed over it.

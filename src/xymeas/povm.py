@@ -17,7 +17,6 @@ from __future__ import annotations
 import cmath
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -44,8 +43,6 @@ PATTERNS: tuple[tuple[int, int], ...] = ((0, 0), (0, 1), (1, 0), (1, 1))
 # 4x4 Walsh-Hadamard transform, HADAMARD[k, i] = (-1)^popcount(k & i). Over
 # PATTERNS or OUTCOMES4 order its rows are the characters 1, y, x and x*y.
 HADAMARD = np.kron([[1.0, 1.0], [1.0, -1.0]], [[1.0, 1.0], [1.0, -1.0]])
-
-_INDEX = {keys: {k: i for i, k in enumerate(keys)} for keys in (OUTCOMES4, OUTCOMES16, PATTERNS)}
 
 
 def _float_table(table) -> np.ndarray:
@@ -116,7 +113,7 @@ def _hadamard(table) -> np.ndarray:
 
 def _checked_table(
     values,
-    keys=None,
+    size: int | None = None,
     *,
     dtype=float,
     low: float = -np.inf,
@@ -125,23 +122,18 @@ def _checked_table(
     tol: float = 1e-9,
     what: str = "table",
 ) -> np.ndarray:
-    """The one validator of every table; returns its entries as a new vector.
+    """The one validator of every table; returns its entries as a new read-only vector.
 
-    ``values`` is a mapping over exactly ``keys`` or a sequence in ``keys``
-    order (with ``keys`` None, any non-empty 1-D sequence). ``dtype=None``
-    keeps the element type, so integer counts stay integers. Entries must be
-    finite with real parts in ``[low, high]``; with ``total`` given they must
-    sum to it within ``tol``.
+    ``values`` is a sequence of ``size`` numbers in the table's key order
+    (``OUTCOMES4``, ``OUTCOMES16`` or ``PATTERNS``; with ``size`` None, any
+    non-empty 1-D sequence). ``dtype=None`` keeps the element type, so
+    integer counts stay integers. Entries must be finite with real parts in
+    ``[low, high]``; with ``total`` given they must sum to it within ``tol``.
     """
-    if not isinstance(values, np.ndarray) and isinstance(values, Mapping):
-        if keys is None or set(values) != set(keys):
-            raise ValueError(f"{what}: keys must be exactly {keys}")
-        values = values.array if isinstance(values, Table) else [values[k] for k in keys]
     vec = np.array(values, dtype=dtype)
-    size_ok = vec.ndim == 1 and vec.size > 0 and (keys is None or vec.size == len(keys))
+    size_ok = vec.ndim == 1 and vec.size > 0 and (size is None or vec.size == size)
     if not size_ok or vec.dtype.kind not in "iufc":
-        count = len(keys) if keys else "one or more"
-        raise ValueError(f"{what}: expected a 1-D table of {count} numbers")
+        raise ValueError(f"{what}: expected a 1-D table of {size or 'one or more'} numbers")
     # Plain Python on the few entries costs less than numpy's per-call overhead.
     vec_sum = sum(vec.tolist())
     # a NaN or infinite entry makes the sum non-finite
@@ -152,35 +144,8 @@ def _checked_table(
         raise ValueError(f"{what}: entry out of [{low}, {high}] in {vec.tolist()}")
     if total is not None and abs(vec_sum - total) > tol:
         raise ValueError(f"{what}: entries sum to {vec_sum!r}, expected {total!r}")
+    vec.flags.writeable = False
     return vec
-
-
-class Table(Mapping):
-    """Read-only mapping over a fixed key order, backed by one numpy vector.
-
-    ``keys`` is ``OUTCOMES4``, ``OUTCOMES16`` or ``PATTERNS``; ``array``
-    holds the entries in that order for vector code, and ``table[key]``
-    returns the same entry as a plain Python number. ``checks`` go to the
-    validator.
-    """
-
-    def __init__(self, keys, values, **checks):
-        self._index = _INDEX[keys]
-        self.array = _checked_table(values, keys, **checks)
-        self.array.flags.writeable = False
-        self._entries = self.array.tolist()
-
-    def __getitem__(self, key):
-        return self._entries[self._index[key]]
-
-    def __iter__(self) -> Iterator:
-        return iter(self._index)
-
-    def __len__(self) -> int:
-        return len(self._index)
-
-    def __repr__(self) -> str:
-        return f"Table({dict(self)!r})"
 
 
 class PositivityError(ValueError):
@@ -216,18 +181,19 @@ class VisibilityTriple:
         return self.vx ** 2 + self.vy ** 2 + self.vz ** 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PatternStats:
     """Per-outcome probabilities of the four pair flip patterns.
 
-    ``e[(rx, ry)]`` is the probability of one specific outcome combination
-    showing pattern ``(rx, ry)``; since four outcome combinations share each
-    pattern, the four entries sum to 1/4. ``total_shots`` is 0 for exact
-    tables, in which case every stderr is 0. Both fields become `Table`s.
+    ``e[i]`` is the probability of one specific outcome combination showing
+    pattern ``PATTERNS[i] = (rx, ry)``; since four outcome combinations share
+    each pattern, the four entries sum to 1/4. ``total_shots`` is 0 for exact
+    tables, in which case every stderr is 0. Both fields become read-only
+    vectors in ``PATTERNS`` order, so instances compare by identity.
     """
 
-    e: Mapping[tuple[int, int], float]
-    stderr: Mapping[tuple[int, int], float]
+    e: np.ndarray
+    stderr: np.ndarray
     total_shots: int
 
     def __post_init__(self) -> None:
@@ -236,11 +202,11 @@ class PatternStats:
         # Exact tables are nonnegative by construction; sampled tables may
         # dip below zero only through source-noise correction.
         floor = -ATOL_ALGEBRA if self.total_shots == 0 else -0.25
-        e = Table(
-            PATTERNS, self.e, low=floor, high=1.0 + ATOL_ALGEBRA, total=0.25, what="patterns"
+        e = _checked_table(
+            self.e, 4, low=floor, high=1.0 + ATOL_ALGEBRA, total=0.25, what="patterns"
         )
         object.__setattr__(self, "e", e)
-        stderr = Table(PATTERNS, self.stderr, low=0.0, what="pattern stderr")
+        stderr = _checked_table(self.stderr, 4, low=0.0, what="pattern stderr")
         object.__setattr__(self, "stderr", stderr)
 
 
@@ -264,7 +230,7 @@ class JointPovm:
         object.__setattr__(self, "elements", elements)
 
     def element(self, x: int, y: int) -> np.ndarray:
-        return self.elements[_INDEX[OUTCOMES4][(ensure_sign(x, "x"), ensure_sign(y, "y"))]]
+        return self.elements[OUTCOMES4.index((ensure_sign(x, "x"), ensure_sign(y, "y")))]
 
 
 def build_povm(v: VisibilityTriple) -> JointPovm:
@@ -288,24 +254,24 @@ def _family_elements(v) -> np.ndarray:
     return _bloch_operators(np.asarray(v, dtype=float)[..., None, :] * signs) / 4.0
 
 
-def _real_probs(values, keys, what: str) -> Table:
+def _real_probs(values, what: str) -> np.ndarray:
     values = np.array(values)
     worst = np.max(np.abs(values.imag))
     if worst > ATOL_ALGEBRA:
         raise ValueError(f"{what} have a non-negligible imaginary part: {worst!r}")
     slack = ATOL_ALGEBRA
-    return Table(keys, values.real, low=-slack, high=1.0 + slack, total=1.0, tol=slack, what=what)
+    return _checked_table(values.real, low=-slack, high=1.0 + slack, total=1.0, tol=slack, what=what)
 
 
-def outcome_probs(povm: JointPovm, rho) -> Table:
-    """Outcome probabilities ``Tr(element(x,y) @ rho)`` for a qubit state."""
+def outcome_probs(povm: JointPovm, rho) -> np.ndarray:
+    """Outcome probabilities ``Tr(element(x,y) @ rho)`` for a qubit state, in ``OUTCOMES4`` order."""
     rho = ensure_density_matrix(rho, dim=2)
     values = np.trace(povm.elements @ rho, axis1=1, axis2=2)
-    return _real_probs(values, OUTCOMES4, "outcome probabilities")
+    return _real_probs(values, "outcome probabilities")
 
 
-def pair_outcome_probs(povm1: JointPovm, povm2: JointPovm, rho4) -> Table:
-    """Joint outcome probabilities for independent measurements on a pair.
+def pair_outcome_probs(povm1: JointPovm, povm2: JointPovm, rho4) -> np.ndarray:
+    """Joint outcome probabilities for independent measurements on a pair, in ``OUTCOMES16`` order.
 
     Entry ``(x1, y1, x2, y2)`` is ``Tr((element1(x1,y1) (x) element2(x2,y2)) @ rho4)``.
     The 16 Kronecker products are one broadcast product, entry for entry
@@ -319,7 +285,7 @@ def pair_outcome_probs(povm1: JointPovm, povm2: JointPovm, rho4) -> Table:
     # axes (o1, o2, i1, i2, j1, j2): kron row i1*2+i2, column j1*2+j2, outcome o1*4+o2
     kron = (e1[:, None, :, None, :, None] * e2[None, :, None, :, None, :]).reshape(16, 4, 4)
     values = np.trace(kron @ rho4, axis1=1, axis2=2)
-    return _real_probs(values, OUTCOMES16, "pair probabilities")
+    return _real_probs(values, "pair probabilities")
 
 
 def exact_pattern_probs(v: VisibilityTriple) -> PatternStats:

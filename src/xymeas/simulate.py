@@ -26,14 +26,11 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
 from .povm import (
-    OUTCOMES4,
-    OUTCOMES16,
-    Table,
     VisibilityTriple,
     _checked_table,
     build_povm,
@@ -62,23 +59,24 @@ class ExperimentConfig:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OutcomeCounts4:
-    """Outcome counts of an eigenstate run, keyed by (x, y).
+    """Outcome counts of an eigenstate run over the outcomes (x, y).
 
-    ``counts`` becomes a `Table` in ``OUTCOMES4`` order whose dtype says what
-    it holds: integers for a simulated run, floats for an exact probability
-    table riding through the same type. ``input_axis`` is ``"X"`` or ``"Y"``;
-    ``total`` is the sum of the table.
+    ``counts`` becomes a read-only vector in ``OUTCOMES4`` order whose dtype
+    says what it holds: integers for a simulated run, floats for an exact
+    probability table riding through the same type. ``input_axis`` is
+    ``"X"`` or ``"Y"``; ``total`` is the sum of the table. Instances compare
+    by identity; compare ``counts`` with numpy.
     """
 
-    counts: Mapping[tuple[int, int], float]
+    counts: np.ndarray
     input_axis: str
     input_value: int
 
     def __post_init__(self) -> None:
         # rounding dust below zero tolerated for exact tables
-        counts = Table(OUTCOMES4, self.counts, dtype=None, low=-1e-12, what="counts")
+        counts = _checked_table(self.counts, 4, dtype=None, low=-1e-12, what="counts")
         object.__setattr__(self, "counts", counts)
         if self.input_axis not in ("X", "Y"):
             raise ValueError(f"input_axis must be 'X' or 'Y', got {self.input_axis!r}")
@@ -86,27 +84,27 @@ class OutcomeCounts4:
 
     @property
     def total(self) -> float:
-        return sum(self.counts.array.tolist())
+        return sum(self.counts.tolist())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairCounts16:
-    """Outcome counts of a pair run, keyed by (x1, y1, x2, y2).
+    """Outcome counts of a pair run over the outcomes (x1, y1, x2, y2).
 
-    ``counts`` becomes a `Table` in ``OUTCOMES16`` order; integers for a
-    simulated run, floats for an exact probability table. ``total`` is the
-    sum of the table.
+    ``counts`` becomes a read-only vector in ``OUTCOMES16`` order; integers
+    for a simulated run, floats for an exact probability table. ``total`` is
+    the sum of the table. Instances compare by identity.
     """
 
-    counts: Mapping[tuple[int, int, int, int], float]
+    counts: np.ndarray
 
     def __post_init__(self) -> None:
-        counts = Table(OUTCOMES16, self.counts, dtype=None, low=-1e-12, what="counts")
+        counts = _checked_table(self.counts, 16, dtype=None, low=-1e-12, what="counts")
         object.__setattr__(self, "counts", counts)
 
     @property
     def total(self) -> float:
-        return sum(self.counts.array.tolist())
+        return sum(self.counts.tolist())
 
 
 def block_rng(seed: int, block_index: int) -> np.random.Generator:
@@ -194,9 +192,9 @@ def run_eigenstate_experiment(
         raise ValueError("eigenstate runs accept axis X or Y only")
 
     povm = build_povm(config.visibilities)
-    cum_nominal = _cumulative(outcome_probs(povm, density(eigenstate(axis, value))).array)
+    cum_nominal = _cumulative(outcome_probs(povm, density(eigenstate(axis, value))))
     if randomize_flips:
-        cum_flipped = _cumulative(outcome_probs(povm, density(eigenstate(axis, -value))).array)
+        cum_flipped = _cumulative(outcome_probs(povm, density(eigenstate(axis, -value))))
 
     def block_sampler(rng: np.random.Generator, n: int) -> np.ndarray:
         if not randomize_flips:
@@ -218,7 +216,7 @@ def run_pair_experiment(
 ) -> PairCounts16:
     """Simulate identical joint measurements on both halves of a `werner_state` source."""
     povm = build_povm(config.visibilities)
-    cum = _cumulative(pair_outcome_probs(povm, povm, werner_state(werner_p)).array)
+    cum = _cumulative(pair_outcome_probs(povm, povm, werner_state(werner_p)))
 
     def block_sampler(rng: np.random.Generator, n: int) -> np.ndarray:
         return _histogram(cum, rng.random(n))

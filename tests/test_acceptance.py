@@ -77,14 +77,15 @@ def test_criterion_2_exact_pair_predictions():
             stats = exact_pattern_probs(v)
             povm = build_povm(v)
             probs = pair_outcome_probs(povm, povm, singlet_rho)
-            for x1, y1, x2, y2 in OUTCOMES16:
+            for (x1, y1, x2, y2), prob in zip(OUTCOMES16, probs):
                 r = (0 if x1 == -x2 else 1, 0 if y1 == -y2 else 1)
-                assert abs(probs[(x1, y1, x2, y2)] - stats.e[r]) <= 1e-12
+                assert abs(prob - stats.e[PATTERNS.index(r)]) <= 1e-12
         symmetric = exact_pattern_probs(VisibilityTriple(SQ3, SQ3, SQ3))
-        assert abs(symmetric.e[(0, 0)] - 1 / 12) <= 1e-12
-        assert abs(symmetric.e[(0, 1)] - 1 / 12) <= 1e-12
-        assert abs(symmetric.e[(1, 0)] - 1 / 12) <= 1e-12
-        assert abs(symmetric.e[(1, 1)]) <= 1e-12
+        # PATTERNS order: (0, 0), (0, 1), (1, 0), (1, 1)
+        assert abs(symmetric.e[0] - 1 / 12) <= 1e-12
+        assert abs(symmetric.e[1] - 1 / 12) <= 1e-12
+        assert abs(symmetric.e[2] - 1 / 12) <= 1e-12
+        assert abs(symmetric.e[3]) <= 1e-12
 
 
 def test_criterion_3_negative_csquared():
@@ -105,14 +106,14 @@ def test_criterion_3_negative_csquared():
 def test_criterion_4_classicality_dichotomy():
     with criterion(4, "S = vz^2/4 >= 0 on the grid; S <= 0 for 10^4 classical models"):
         for v in GRID:
-            s = classicality_statistic(exact_pattern_probs(v))
+            s = classicality_statistic(exact_pattern_probs(v).e)
             assert abs(s - v.vz ** 2 / 4.0) <= 1e-12
             assert s >= -1e-12
         rng = np.random.Generator(np.random.Philox(key=20240911))
         for _ in range(10_000):
             weights = rng.dirichlet(np.ones(4))
-            model = ErrorModel(weights={r: complex(weights[i]) for i, r in enumerate(PATTERNS)})
-            assert classicality_statistic(predicted_pattern_probs(model)) <= 1e-10
+            model = ErrorModel(weights=weights.astype(complex))
+            assert classicality_statistic(predicted_pattern_probs(model).e) <= 1e-10
 
 
 def test_criterion_5_visibility_recovery():
@@ -153,11 +154,12 @@ def test_criterion_6_fourier_identity():
         for _ in range(10_000):
             raw = rng.normal(size=4) + 1j * rng.normal(size=4)
             raw = raw + (1.0 - raw.sum()) / 4.0
-            model = ErrorModel(weights={r: raw[i] for i, r in enumerate(PATTERNS)})
-            e = pattern_quasiprobs(model)
+            model = ErrorModel(weights=raw)
+            e = pattern_quasiprobs(model).tolist()
+            weights = model.weights.tolist()
             for chi in characters:
-                lhs = 4.0 * sum(chi(r) * e[r] for r in PATTERNS)
-                rhs = sum(chi(r) * complex(model.weights[r]) for r in PATTERNS) ** 2
+                lhs = 4.0 * sum(chi(r) * e[k] for k, r in enumerate(PATTERNS))
+                rhs = sum(chi(r) * complex(weights[k]) for k, r in enumerate(PATTERNS)) ** 2
                 assert abs(lhs - rhs) <= 1e-10
 
 
@@ -175,16 +177,17 @@ def test_criterion_7_kd_round_trip():
             p = outcome_probs(build_povm(v), rho)
             kd = reconstruct_kd(p, v.vx, v.vy, 1j * v.vz)
             expected = kd_from_state(rho)
-            for o in OUTCOMES4:
-                assert abs(kd.entries[o] - expected.entries[o]) <= 1e-10
+            for k in range(4):
+                assert abs(kd.entries[k] - expected.entries[k]) <= 1e-10
 
         v = VisibilityTriple(SQ3, SQ3, SQ3)
         p = outcome_probs(build_povm(v), density(eigenstate("Z", +1)))
         kd = reconstruct_kd(p, v.vx, v.vy, 1j * v.vz)
-        assert abs(kd.entries[(+1, +1)] - (1 + 1j) / 4) <= 1e-10
-        assert abs(kd.entries[(+1, -1)] - (1 - 1j) / 4) <= 1e-10
-        assert abs(kd.entries[(-1, +1)] - (1 - 1j) / 4) <= 1e-10
-        assert abs(kd.entries[(-1, -1)] - (1 + 1j) / 4) <= 1e-10
+        # OUTCOMES4 order: (+1, +1), (+1, -1), (-1, +1), (-1, -1)
+        assert abs(kd.entries[0] - (1 + 1j) / 4) <= 1e-10
+        assert abs(kd.entries[1] - (1 - 1j) / 4) <= 1e-10
+        assert abs(kd.entries[2] - (1 - 1j) / 4) <= 1e-10
+        assert abs(kd.entries[3] - (1 + 1j) / 4) <= 1e-10
 
 
 def test_criterion_8_operator_identities():
@@ -198,16 +201,15 @@ def test_criterion_8_operator_identities():
         for _ in range(1000):
             rho = random_qubit_density(rng)
             kd = kd_from_state(rho)
-            for x, y in OUTCOMES4:
+            for (x, y), entry in zip(OUTCOMES4, kd.entries.tolist()):
                 value = trace_product(ideal_operator(x, y), rho)
-                assert abs(value - kd.entries[(x, y)]) <= 1e-12
+                assert abs(value - entry) <= 1e-12
 
 
 def test_criterion_9_singlet_pair_kd():
     with criterion(9, "singlet pair quasi-probability is the real quarter-delta table"):
         kd = kd_pair_from_state(density(singlet()))
-        for x1, y1, x2, y2 in OUTCOMES16:
-            entry = complex(kd[(x1, y1, x2, y2)])
+        for (x1, y1, x2, y2), entry in zip(OUTCOMES16, kd.tolist()):
             assert abs(entry.imag) <= 1e-12
             expected = 0.25 if (x2 == -x1 and y2 == -y1) else 0.0
             assert abs(entry.real - expected) <= 1e-12

@@ -20,7 +20,6 @@ from xymeas.analysis import (
     visibilities_from_error_model,
 )
 from xymeas.povm import (
-    OUTCOMES4,
     OUTCOMES16,
     PATTERNS,
     PatternStats,
@@ -38,7 +37,8 @@ SQ3 = 1.0 / np.sqrt(3.0)
 class TestVisibilityEstimates:
     def test_configured_value_recovered_exactly(self):
         counts = OutcomeCounts4(
-            counts={(+1, +1): 400_000, (+1, -1): 400_000, (-1, +1): 100_000, (-1, -1): 100_000},
+            # OUTCOMES4 order: (+1, +1), (+1, -1), (-1, +1), (-1, -1)
+            counts=[400_000, 400_000, 100_000, 100_000],
             input_axis="X",
             input_value=+1,
         )
@@ -48,12 +48,12 @@ class TestVisibilityEstimates:
 
     def test_perfect_and_uniform(self):
         perfect = OutcomeCounts4(
-            counts={(+1, +1): 60, (+1, -1): 40, (-1, +1): 0, (-1, -1): 0},
+            counts=[60, 40, 0, 0],
             input_axis="X",
             input_value=+1,
         )
         assert estimate_visibility(perfect).value == pytest.approx(1.0)
-        uniform = OutcomeCounts4(counts={o: 25 for o in OUTCOMES4}, input_axis="X", input_value=+1)
+        uniform = OutcomeCounts4(counts=[25] * 4, input_axis="X", input_value=+1)
         assert estimate_visibility(uniform).value == pytest.approx(0.0)
 
     def test_vy_mirror(self):
@@ -94,11 +94,11 @@ class TestVisibilityEstimates:
 
 class TestCollapsePairCounts:
     def test_single_anticorrelated_shot(self):
-        counts = {o: 0 for o in OUTCOMES16}
-        counts[(+1, +1, -1, -1)] = 1
+        counts = [0] * 16
+        counts[OUTCOMES16.index((+1, +1, -1, -1))] = 1
         stats = collapse_pair_counts(PairCounts16(counts=counts))
-        assert stats.e[(0, 0)] == pytest.approx(0.25)
-        assert stats.e[(0, 1)] == stats.e[(1, 0)] == stats.e[(1, 1)] == 0.0
+        assert stats.e[0] == pytest.approx(0.25)
+        assert stats.e[1] == stats.e[2] == stats.e[3] == 0.0
 
     def test_exact_probs_match_closed_form(self):
         v = VisibilityTriple(SQ3, SQ3, SQ3)
@@ -109,24 +109,24 @@ class TestCollapsePairCounts:
         probs = pair_outcome_probs(povm, povm, density(singlet()))
         stats = collapse_pair_counts(PairCounts16(counts=probs))
         exact = exact_pattern_probs(v)
-        for r in PATTERNS:
-            assert stats.e[r] == pytest.approx(exact.e[r], abs=1e-12)
+        for k in range(4):
+            assert stats.e[k] == pytest.approx(exact.e[k], abs=1e-12)
         # fractional counts mark an exact table: no shots, no spread
         assert stats.total_shots == 0
-        assert all(s == 0.0 for s in stats.stderr.values())
+        assert all(s == 0.0 for s in stats.stderr)
 
     def test_uniform_counts(self):
         stats = collapse_pair_counts(
-            PairCounts16(counts={o: 100 for o in OUTCOMES16})
+            PairCounts16(counts=[100] * 16)
         )
-        for r in PATTERNS:
-            assert stats.e[r] == pytest.approx(1 / 16, abs=1e-12)
+        for entry in stats.e:
+            assert entry == pytest.approx(1 / 16, abs=1e-12)
 
     def test_zero_count_pattern_gets_rule_of_three(self):
-        counts = {o: 0 for o in OUTCOMES16}
-        counts[(+1, +1, -1, -1)] = 1000
+        counts = [0] * 16
+        counts[OUTCOMES16.index((+1, +1, -1, -1))] = 1000
         stats = collapse_pair_counts(PairCounts16(counts=counts))
-        assert stats.stderr[(1, 1)] == pytest.approx((3 / 1000) / 4)
+        assert stats.stderr[3] == pytest.approx((3 / 1000) / 4)
 
     def test_pattern_of(self):
         assert pattern_of(+1, +1, -1, -1) == (0, 0)
@@ -155,7 +155,7 @@ class TestPatternSums:
 
     def test_uniform_patterns(self):
         stats = PatternStats(
-            e={r: 1 / 16 for r in PATTERNS}, stderr={r: 0.0 for r in PATTERNS}, total_shots=0
+            e=[1 / 16] * 4, stderr=[0.0] * 4, total_shots=0
         )
         vx2, vy2, _ = pattern_estimates(stats)
         assert vx2.value == pytest.approx(0.0, abs=1e-12)
@@ -163,14 +163,15 @@ class TestPatternSums:
 
     def test_ideal_classical_device(self):
         stats = PatternStats(
-            e={(0, 0): 0.25, (0, 1): 0.0, (1, 0): 0.0, (1, 1): 0.0},
-            stderr={r: 0.0 for r in PATTERNS},
+            # PATTERNS order: (0, 0), (0, 1), (1, 0), (1, 1)
+            e=[0.25, 0.0, 0.0, 0.0],
+            stderr=[0.0] * 4,
             total_shots=0,
         )
         _, _, corr = pattern_estimates(stats)
         assert corr.value == pytest.approx(1.0, abs=1e-12)
         assert is_classical(corr) is True
-        assert classicality_statistic(stats) == pytest.approx(-0.25, abs=1e-12)
+        assert classicality_statistic(stats.e) == pytest.approx(-0.25, abs=1e-12)
 
     @pytest.mark.parametrize(
         "v",
@@ -183,13 +184,13 @@ class TestPatternSums:
     )
     def test_quantum_statistic_is_vz_squared_over_four(self, v):
         stats = exact_pattern_probs(v)
-        assert classicality_statistic(stats) == pytest.approx(v.vz ** 2 / 4, abs=1e-12)
+        assert classicality_statistic(stats.e) == pytest.approx(v.vz ** 2 / 4, abs=1e-12)
         _, _, corr = pattern_estimates(stats)
         assert corr.value == pytest.approx(-v.vz ** 2, abs=1e-12)
 
     def test_boundary_vz_zero(self):
         stats = exact_pattern_probs(VisibilityTriple(0.7, 0.7, 0.0))
-        assert classicality_statistic(stats) == pytest.approx(0.0, abs=1e-12)
+        assert classicality_statistic(stats.e) == pytest.approx(0.0, abs=1e-12)
 
     def test_pair_patterns_reproduce_eigenstate_resolutions(self):
         # exact pattern sums must land on the same vx, vy that eigenstate
@@ -208,21 +209,21 @@ class TestSourceNoiseCorrection:
         pure = exact_pattern_probs(v)
         p = 0.8
         noisy = PatternStats(
-            e={r: p * pure.e[r] + (1 - p) / 16 for r in PATTERNS},
-            stderr={r: 0.0 for r in PATTERNS},
+            e=p * pure.e + (1 - p) / 16,
+            stderr=[0.0] * 4,
             total_shots=0,
         )
         corrected = correct_for_source_noise(noisy, p)
-        for r in PATTERNS:
-            assert corrected.e[r] == pytest.approx(pure.e[r], abs=1e-12)
+        for k in range(4):
+            assert corrected.e[k] == pytest.approx(pure.e[k], abs=1e-12)
 
     def test_contrasts_divide_by_p(self):
         v = VisibilityTriple(0.5, 0.4, 0.6)
         pure = exact_pattern_probs(v)
         p = 0.7
         noisy = PatternStats(
-            e={r: p * pure.e[r] + (1 - p) / 16 for r in PATTERNS},
-            stderr={r: 0.001 for r in PATTERNS},
+            e=p * pure.e + (1 - p) / 16,
+            stderr=[0.001] * 4,
             total_shots=1000,
         )
         _, _, raw = pattern_estimates(noisy)
@@ -240,21 +241,21 @@ class TestSourceNoiseCorrection:
 class TestErrorModelAlgebra:
     def test_ideal_classical_model(self):
         m = error_model_from_visibilities(1.0, 1.0, 1.0)
-        assert m.weights[(0, 0)] == pytest.approx(1.0)
-        for r in ((0, 1), (1, 0), (1, 1)):
-            assert m.weights[r] == pytest.approx(0.0)
+        assert m.weights[0] == pytest.approx(1.0)
+        for k in (1, 2, 3):
+            assert m.weights[k] == pytest.approx(0.0)
 
     def test_pure_imaginary_correlation(self):
         m = error_model_from_visibilities(0.0, 0.0, 1j)
-        assert m.weights[(0, 0)] == pytest.approx((1 + 1j) / 4)
-        assert m.weights[(0, 1)] == pytest.approx((1 - 1j) / 4)
-        assert m.weights[(1, 0)] == pytest.approx((1 - 1j) / 4)
-        assert m.weights[(1, 1)] == pytest.approx((1 + 1j) / 4)
+        assert m.weights[0] == pytest.approx((1 + 1j) / 4)
+        assert m.weights[1] == pytest.approx((1 - 1j) / 4)
+        assert m.weights[2] == pytest.approx((1 - 1j) / 4)
+        assert m.weights[3] == pytest.approx((1 + 1j) / 4)
 
     def test_fully_random_model(self):
         m = error_model_from_visibilities(0.0, 0.0, 0.0)
-        for r in PATTERNS:
-            assert m.weights[r] == pytest.approx(0.25)
+        for w in m.weights:
+            assert w == pytest.approx(0.25)
 
     @pytest.mark.parametrize(
         "vx,vy,c", [(1.0, 1.0, 1.0), (0.0, 0.0, 1j), (0.0, 0.0, 0.0), (0.6, 0.8, 0.5j)]
@@ -268,7 +269,7 @@ class TestErrorModelAlgebra:
 
     def test_unnormalized_weights_rejected(self):
         with pytest.raises(ValueError):
-            ErrorModel(weights={r: 0.3 for r in PATTERNS})
+            ErrorModel(weights=[0.3] * 4)
 
 
 class TestEigenstateProbsFromModel:
@@ -276,31 +277,31 @@ class TestEigenstateProbsFromModel:
         for c in (0.0, 0.4j, -0.2 + 0.0j):
             m = error_model_from_visibilities(0.6, 0.8, c)
             table = eigenstate_probs_from_error_model(m, "X")
-            assert table[(+1, +1)] == pytest.approx(0.4, abs=1e-12)
-            assert table[(+1, -1)] == pytest.approx(0.4, abs=1e-12)
-            assert table[(-1, +1)] == pytest.approx(0.1, abs=1e-12)
-            assert table[(-1, -1)] == pytest.approx(0.1, abs=1e-12)
+            assert table[0] == pytest.approx(0.4, abs=1e-12)
+            assert table[1] == pytest.approx(0.4, abs=1e-12)
+            assert table[2] == pytest.approx(0.1, abs=1e-12)
+            assert table[3] == pytest.approx(0.1, abs=1e-12)
 
     def test_matches_measurement_on_eigenstate(self):
         v = VisibilityTriple(0.5, 0.7, 0.3)
         m = error_model_from_visibilities(v.vx, v.vy, 1j * v.vz)
         predicted = eigenstate_probs_from_error_model(m, "Y")
         actual = outcome_probs(build_povm(v), density(eigenstate("Y", +1)))
-        for o in OUTCOMES4:
-            assert predicted[o] == pytest.approx(actual[o], abs=1e-12)
+        for k in range(4):
+            assert predicted[k] == pytest.approx(actual[k], abs=1e-12)
 
     def test_ideal_classical(self):
         m = error_model_from_visibilities(1.0, 1.0, 1.0)
         table = eigenstate_probs_from_error_model(m, "X")
-        assert table[(+1, +1)] == pytest.approx(0.5)
-        assert table[(+1, -1)] == pytest.approx(0.5)
-        assert table[(-1, +1)] == table[(-1, -1)] == 0.0
+        assert table[0] == pytest.approx(0.5)
+        assert table[1] == pytest.approx(0.5)
+        assert table[2] == table[3] == 0.0
 
     def test_uniform_model(self):
         m = error_model_from_visibilities(0.0, 0.0, 0.0)
         table = eigenstate_probs_from_error_model(m, "Y")
-        for o in OUTCOMES4:
-            assert table[o] == pytest.approx(0.25)
+        for entry in table:
+            assert entry == pytest.approx(0.25)
 
     def test_complex_marginal_rejected(self):
         m = error_model_from_visibilities(0.5 + 0.2j, 0.0, 0.0)
@@ -323,27 +324,23 @@ class TestPredictedPatternProbs:
         m = error_model_from_visibilities(SQ3, SQ3, 1j * SQ3)
         stats = predicted_pattern_probs(m)
         exact = exact_pattern_probs(VisibilityTriple(SQ3, SQ3, SQ3))
-        for r in PATTERNS:
-            assert stats.e[r] == pytest.approx(exact.e[r], abs=1e-12)
+        for k in range(4):
+            assert stats.e[k] == pytest.approx(exact.e[k], abs=1e-12)
 
     def test_ideal_classical(self):
         stats = predicted_pattern_probs(error_model_from_visibilities(1.0, 1.0, 1.0))
-        assert stats.e[(0, 0)] == pytest.approx(0.25)
-        for r in ((0, 1), (1, 0), (1, 1)):
-            assert stats.e[r] == pytest.approx(0.0)
+        assert stats.e[0] == pytest.approx(0.25)
+        for k in (1, 2, 3):
+            assert stats.e[k] == pytest.approx(0.0)
 
     def test_uniform(self):
         stats = predicted_pattern_probs(error_model_from_visibilities(0.0, 0.0, 0.0))
-        for r in PATTERNS:
-            assert stats.e[r] == pytest.approx(1 / 16)
+        for entry in stats.e:
+            assert entry == pytest.approx(1 / 16)
 
     def test_inconsistent_model_rejected(self):
-        weights = {
-            (0, 0): 0.5 + 0.2j,
-            (0, 1): 0.3 + 0.0j,
-            (1, 0): 0.2 - 0.2j,
-            (1, 1): 0.0 + 0.0j,
-        }
+        # PATTERNS order: (0, 0), (0, 1), (1, 0), (1, 1)
+        weights = [0.5 + 0.2j, 0.3 + 0.0j, 0.2 - 0.2j, 0.0 + 0.0j]
         with pytest.raises(ValueError, match="complex"):
             predicted_pattern_probs(ErrorModel(weights=weights))
 
@@ -359,8 +356,8 @@ class TestPredictedPatternProbs:
         m = error_model_from_visibilities(v.vx, v.vy, 1j * v.vz)
         stats = predicted_pattern_probs(m)
         exact = exact_pattern_probs(v)
-        for r in PATTERNS:
-            assert stats.e[r] == pytest.approx(exact.e[r], abs=1e-12)
+        for k in range(4):
+            assert stats.e[k] == pytest.approx(exact.e[k], abs=1e-12)
 
 
 complex_weights = st.tuples(
@@ -384,25 +381,26 @@ def test_fourier_identity(raw):
     # normalise by an additive shift, which keeps the weights of order 1; dividing by
     # the drawn total cannot when that total is small
     values = values + (1.0 - values.sum()) / 4.0
-    m = ErrorModel(weights={r: values[i] for i, r in enumerate(PATTERNS)})
+    m = ErrorModel(weights=values)
     chars = {
         (0, 0): lambda r: 1.0,
         (1, 0): lambda r: (-1.0) ** r[0],
         (0, 1): lambda r: (-1.0) ** r[1],
         (1, 1): lambda r: (-1.0) ** (r[0] + r[1]),
     }
+    weights = dict(zip(PATTERNS, m.weights.tolist()))
     e = {}
     for rx, ry in PATTERNS:
         e[(rx, ry)] = (
             sum(
-                complex(m.weights[(sx, sy)]) * complex(m.weights[(sx ^ rx, sy ^ ry)])
+                complex(weights[(sx, sy)]) * complex(weights[(sx ^ rx, sy ^ ry)])
                 for sx, sy in PATTERNS
             )
             / 4.0
         )
     for chi in chars.values():
         lhs = 4.0 * sum(chi(r) * e[r] for r in PATTERNS)
-        rhs = sum(chi(r) * complex(m.weights[r]) for r in PATTERNS) ** 2
+        rhs = sum(chi(r) * complex(weights[r]) for r in PATTERNS) ** 2
         assert abs(lhs - rhs) <= 1e-10
 
 
@@ -414,6 +412,6 @@ def test_fourier_identity(raw):
 )
 def test_classical_models_never_look_quantum(raw):
     values = np.array(raw) / sum(raw)
-    m = ErrorModel(weights={r: complex(values[i]) for i, r in enumerate(PATTERNS)})
+    m = ErrorModel(weights=values.astype(complex))
     stats = predicted_pattern_probs(m)
-    assert classicality_statistic(stats) <= 1e-10
+    assert classicality_statistic(stats.e) <= 1e-10

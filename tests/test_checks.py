@@ -99,7 +99,7 @@ class TestAgreementWithReferences:
         rho = density(singlet())
         for v, table in zip(TRIPLES[::7], tables[::7]):
             povm = build_povm(v)
-            expected = pair_outcome_probs(povm, povm, rho).array
+            expected = pair_outcome_probs(povm, povm, rho)
             assert np.max(np.abs(table - expected)) <= 1e-15
 
     def test_exact_patterns_match_closed_form_and_statistic(self):
@@ -109,8 +109,8 @@ class TestAgreementWithReferences:
             closed = [1 + vx2 + vy2 - vz2, 1 + vx2 - vy2 + vz2, 1 - vx2 + vy2 + vz2, 1 - vx2 - vy2 - vz2]
             assert np.max(np.abs(row - np.array(closed) / 16.0)) <= 1e-16
             stats = exact_pattern_probs(v)
-            assert row.tobytes() == stats.e.array.tobytes()
-            assert row[1] + row[2] - row[0] - row[3] == classicality_statistic(stats)
+            assert row.tobytes() == stats.e.tobytes()
+            assert row[1] + row[2] - row[0] - row[3] == classicality_statistic(stats.e)
 
     def test_pattern_index_follows_pattern_of(self):
         from xymeas.analysis import _PATTERN_INDEX16
@@ -122,7 +122,7 @@ class TestAgreementWithReferences:
         rho = _random_qubit_densities(np.random.Generator(np.random.Philox(key=3)), 50)
         stacked = _kd_entries(rho)
         for state, row in zip(rho, stacked):
-            assert row.tobytes() == kd_from_state(state).entries.array.tobytes()
+            assert row.tobytes() == kd_from_state(state).entries.tobytes()
 
     def test_kd_entries_match_vdot_loop(self):
         from xymeas.qubit import eigenstate

@@ -14,10 +14,10 @@ import pytest
 from xymeas import cli, fileio
 from xymeas.fileio import (
     fmt_float,
-    read_counts_file,
+    read_counts_document,
     read_document,
     read_povm_file,
-    read_probs_file,
+    read_probs_document,
     write_probs_file,
 )
 from xymeas.analysis import (
@@ -27,7 +27,7 @@ from xymeas.analysis import (
     pattern_estimates,
 )
 from xymeas.checks import CheckResult
-from xymeas.povm import OUTCOMES4, VisibilityTriple, build_povm, outcome_probs
+from xymeas.povm import VisibilityTriple, build_povm, outcome_probs
 from xymeas.qubit import density, eigenstate
 from xymeas.simulate import (
     BLOCK_SHOTS,
@@ -139,10 +139,11 @@ class TestSimulate:
             "--shots", 10_000, "--seed", 7, "--out", out,
         )
         assert code == 0
-        artifact = read_counts_file(out)
+        artifact = read_counts_document(read_document(out))
         counts = artifact.counts
         assert counts.total == 10_000
-        assert counts.counts[(-1, +1)] == 0 and counts.counts[(-1, -1)] == 0
+        # OUTCOMES4 order: (+1, +1), (+1, -1), (-1, +1), (-1, -1)
+        assert counts.counts[2] == 0 and counts.counts[3] == 0
         assert artifact.visibilities == VisibilityTriple(1.0, 0.0, 0.0)
 
     def test_byte_identical_reruns(self, tmp_path):
@@ -215,6 +216,24 @@ class TestSimulate:
         assert "--workers" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--seed", -1], "--seed must lie in [0, 2^64), got -1"),
+            (["--seed", 2 ** 64], f"--seed must lie in [0, 2^64), got {2 ** 64}"),
+            (["--shots", 0], "--shots must be at least 1, got 0"),
+            (["--werner-p", 1.5], "--werner-p must lie in [0, 1], got 1.5"),
+            (["--werner-p", "nan"], "--werner-p must lie in [0, 1], got nan"),
+        ],
+    )
+    def test_bad_run_flags_name_the_flag(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "c.txt"
+        base = ["--vx", 0.5, "--vy", 0.5, "--vz", 0, "--shots", 10, "--seed", 1, "--out", out]
+        # the last of a repeated flag wins
+        assert run_cli("simulate", "--mode", "pair", *base, *flags) == 1
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+        assert not out.exists()
+
     def test_flips_flag_recorded(self, tmp_path):
         out = tmp_path / "c.txt"
         code = run_cli(
@@ -278,9 +297,9 @@ class TestEstimate:
         assert run_cli("estimate", *paths.values(), "--out", report_path) == 0
         report = read_document(report_path)
 
-        vx = estimate_visibility(read_counts_file(paths["ex"]).counts)
-        vy = estimate_visibility(read_counts_file(paths["ey"]).counts)
-        stats = collapse_pair_counts(read_counts_file(paths["pair"]).counts)
+        vx = estimate_visibility(read_counts_document(read_document(paths["ex"])).counts)
+        vy = estimate_visibility(read_counts_document(read_document(paths["ey"])).counts)
+        stats = collapse_pair_counts(read_counts_document(read_document(paths["pair"])).counts)
         vx2, vy2, corr = pattern_estimates(stats)
         assert float(report.section_value("visibility_x", "value")) == pytest.approx(vx.value, abs=1e-12)
         assert float(report.section_value("visibility_x", "stderr")) == pytest.approx(vx.stderr, abs=1e-12)
@@ -289,7 +308,7 @@ class TestEstimate:
         assert float(report.section_value("vy_squared_pair", "value")) == pytest.approx(vy2.value, abs=1e-12)
         assert float(report.section_value("csquared", "value")) == pytest.approx(corr.value, abs=1e-12)
         assert float(report.section_value("classicality", "statistic")) == pytest.approx(
-            classicality_statistic(stats), abs=1e-12
+            classicality_statistic(stats.e), abs=1e-12
         )
 
     def test_source_noise_correction(self, tmp_path):
@@ -347,7 +366,7 @@ class TestReconstruct:
 
     def test_uniform_input(self, tmp_path):
         probs_path = tmp_path / "mixed.txt"
-        write_probs_file(probs_path, {o: 0.25 for o in OUTCOMES4}, state="mixed")
+        write_probs_file(probs_path, [0.25] * 4, state="mixed")
         out = tmp_path / "kd.txt"
         assert run_cli(
             "reconstruct", "--input", probs_path, "--vx", 0.7, "--vy", 0.5, "--vz", 0.3, "--out", out
@@ -359,7 +378,7 @@ class TestReconstruct:
 
     def test_zero_vz_exits_2(self, tmp_path, capsys):
         probs_path = tmp_path / "p.txt"
-        write_probs_file(probs_path, {o: 0.25 for o in OUTCOMES4})
+        write_probs_file(probs_path, [0.25] * 4)
         assert run_cli(
             "reconstruct", "--input", probs_path, "--vx", 0.6, "--vy", 0.8, "--vz", 0,
             "--out", tmp_path / "kd.txt",
@@ -405,7 +424,7 @@ class TestReconstruct:
                 "--vx", 0.6, "--vy", 0.7, "--vz", 0.3, "--shots", 1000, "--seed", 30, "--out", path,
             ) == 0
         else:
-            write_probs_file(path, {o: 0.25 for o in OUTCOMES4}, state="mixed")
+            write_probs_file(path, [0.25] * 4, state="mixed")
         reads = []
 
         def counting(p):
@@ -486,7 +505,7 @@ class TestReconstruct:
 
     def test_conflicting_visibility_sources_rejected(self, tmp_path):
         probs_path = tmp_path / "p.txt"
-        write_probs_file(probs_path, {o: 0.25 for o in OUTCOMES4})
+        write_probs_file(probs_path, [0.25] * 4)
         assert run_cli(
             "reconstruct", "--input", probs_path, "--vx", 0.5, "--vy", 0.5, "--vz", 0.5,
             "--from-report", tmp_path / "r.txt", "--out", tmp_path / "kd.txt",
@@ -528,11 +547,11 @@ class TestFileFormat:
             assert float(fmt_float(x)) == x
 
     def test_probs_round_trip(self, tmp_path):
-        probs = {(1, 1): 0.1, (1, -1): 0.2, (-1, 1): 0.3, (-1, -1): 0.4}
+        probs = [0.1, 0.2, 0.3, 0.4]
         path = tmp_path / "p.txt"
         write_probs_file(path, probs, state="Y-")
-        loaded, state = read_probs_file(path)
-        assert loaded == probs
+        loaded, state = read_probs_document(read_document(path))
+        assert loaded.tolist() == probs
         assert state == "Y-"
 
     def test_counts_round_trip(self, tmp_path):
@@ -542,8 +561,8 @@ class TestFileFormat:
             "simulate", "--mode", "pair", "--vx", 0.3, "--vy", 0.4, "--vz", 0.5,
             "--shots", 5000, "--seed", 77, "--werner-p", 0.9, "--out", path,
         ) == 0
-        artifact = read_counts_file(path)
-        assert artifact.counts == run_pair_experiment(config, werner_p=0.9)
+        artifact = read_counts_document(read_document(path))
+        assert np.array_equal(artifact.counts.counts, run_pair_experiment(config, werner_p=0.9).counts)
         assert artifact.werner_p[0] == 0.9
         assert artifact.visibilities == config.visibilities
 
@@ -556,8 +575,10 @@ class TestFileFormat:
             "simulate", "--mode", "eigenstate", "--axis", "Y", "--value", "-1",
             "--vx", 0.3, "--vy", 0.4, "--vz", 0.5, "--shots", 5000, "--seed", 78, "--out", path,
         ) == 0
-        artifact = read_counts_file(path)
-        assert artifact.counts == run_eigenstate_experiment(config, "Y", -1)
+        counts = read_counts_document(read_document(path)).counts
+        expected = run_eigenstate_experiment(config, "Y", -1)
+        assert np.array_equal(counts.counts, expected.counts)
+        assert (counts.input_axis, counts.input_value) == (expected.input_axis, expected.input_value)
 
     @pytest.mark.parametrize(
         "argv",
@@ -585,7 +606,7 @@ class TestFileFormat:
         paths["ex"].write_text("\n".join(lines + ["+1 +1 999999"]) + "\n")
         where = f"{paths['ex']}:{len(lines) + 1}:"
         with pytest.raises(ValueError, match="duplicate"):
-            read_counts_file(paths["ex"])
+            read_counts_document(read_document(paths["ex"]))
         assert run_cli("estimate", *paths.values(), "--out", tmp_path / "r.txt") == 1
         assert where in capsys.readouterr().err
 
@@ -596,7 +617,7 @@ class TestFileFormat:
         lines[lineno - 1] = "shots: 5"
         paths["pair"].write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="shots"):
-            read_counts_file(paths["pair"])
+            read_counts_document(read_document(paths["pair"]))
         assert run_cli("estimate", *paths.values(), "--out", tmp_path / "r.txt") == 1
         assert f"{paths['pair']}:{lineno}:" in capsys.readouterr().err
 
@@ -607,7 +628,7 @@ class TestFileFormat:
         lines.insert(lineno - 1, "axis: Y")
         paths["ex"].write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=f"{paths['ex']}:{lineno}: duplicate header key 'axis'"):
-            read_counts_file(paths["ex"])
+            read_counts_document(read_document(paths["ex"]))
         assert run_cli("estimate", *paths.values(), "--out", tmp_path / "r.txt") == 1
         assert f"{paths['ex']}:{lineno}:" in capsys.readouterr().err
 
@@ -648,7 +669,7 @@ class TestFileFormat:
         paths["ex"].write_text("\n".join(lines) + "\n")
         where = f"{paths['ex']}:{lineno}: header axis: expected one of X, Y, got {axis!r}"
         with pytest.raises(ValueError, match=re.escape(where)):
-            read_counts_file(paths["ex"])
+            read_counts_document(read_document(paths["ex"]))
         assert run_cli("estimate", *paths.values(), "--out", tmp_path / "r.txt") == 1
         assert f"error: {where}" in capsys.readouterr().err
 
@@ -662,13 +683,13 @@ class TestFileFormat:
         paths["ex"].write_text("\n".join(lines) + "\n")
         where = f"{paths['ex']}:{lineno}: header value: expected one of +1, -1, got {value!r}"
         with pytest.raises(ValueError, match=re.escape(where)):
-            read_counts_file(paths["ex"])
+            read_counts_document(read_document(paths["ex"]))
         assert run_cli("estimate", *paths.values(), "--out", tmp_path / "r.txt") == 1
         assert f"error: {where}" in capsys.readouterr().err
 
     def test_bad_state_header_located(self, tmp_path, capsys):
         path = tmp_path / "p.txt"
-        write_probs_file(path, {o: 0.25 for o in OUTCOMES4}, state="mixed")
+        write_probs_file(path, [0.25] * 4, state="mixed")
         text = path.read_text()
         lineno = text.splitlines().index("state: mixed") + 1
         path.write_text(text.replace("state: mixed", "state: Q+"))
@@ -690,7 +711,7 @@ class TestFileFormat:
 
     def test_missing_probs_row_located(self, tmp_path, capsys):
         path = tmp_path / "p.txt"
-        write_probs_file(path, {o: 0.25 for o in OUTCOMES4}, state="mixed")
+        write_probs_file(path, [0.25] * 4, state="mixed")
         lines = path.read_text().splitlines()
         section = lines.index("[probs]") + 1
         del lines[section]
@@ -714,7 +735,7 @@ class TestFileFormat:
     )
     def test_bad_probs_table_located(self, tmp_path, capsys, old, new, message):
         path = tmp_path / "p.txt"
-        write_probs_file(path, {o: 0.25 for o in OUTCOMES4}, state="mixed")
+        write_probs_file(path, [0.25] * 4, state="mixed")
         lines = path.read_text().splitlines()
         k = next(i for i, line in enumerate(lines) if line.startswith(old))
         lines[k] = new
@@ -722,7 +743,7 @@ class TestFileFormat:
         # an entry is located at its row, a bad sum at the [probs] line
         lineno = lines.index("[probs]") + 1 if "sum" in message else k + 1
         with pytest.raises(ValueError, match=re.escape(f"{path}:{lineno}: {message}")):
-            read_probs_file(path)
+            read_probs_document(read_document(path))
         code = run_cli(
             "reconstruct", "--input", path, "--vx", 0.5, "--vy", 0.5, "--vz", 0.5,
             "--out", tmp_path / "kd.txt",
@@ -732,8 +753,8 @@ class TestFileFormat:
 
     def test_probs_sum_within_tolerance_accepted(self, tmp_path):
         path = tmp_path / "p.txt"
-        write_probs_file(path, {(1, 1): 0.25 + 5e-10, (1, -1): 0.25, (-1, 1): 0.25, (-1, -1): 0.25})
-        assert read_probs_file(path)[0][(1, 1)] == 0.25 + 5e-10
+        write_probs_file(path, [0.25 + 5e-10, 0.25, 0.25, 0.25])
+        assert read_probs_document(read_document(path))[0][0] == 0.25 + 5e-10
 
     def werner_counts(self, tmp_path, value):
         """A pair counts file written with ``--werner-p 0.9``, then its header set to ``value``."""
@@ -753,7 +774,7 @@ class TestFileFormat:
         paths, lineno = self.werner_counts(tmp_path, value)
         where = f"{paths['pair']}:{lineno}: header werner_p: "
         with pytest.raises(ValueError, match=re.escape(where)):
-            read_counts_file(paths["pair"])
+            read_counts_document(read_document(paths["pair"]))
         argv = ("estimate", paths["pair"], "--allow-partial", "--out", tmp_path / "r.txt")
         assert run_cli(*argv) == 1
         assert f"error: {where}" in capsys.readouterr().err
@@ -761,7 +782,7 @@ class TestFileFormat:
     def test_zero_werner_p_read_but_not_corrected(self, tmp_path, capsys):
         # werner_state accepts p = 0, so the reader does; dividing by it is refused
         paths, lineno = self.werner_counts(tmp_path, "0")
-        assert read_counts_file(paths["pair"]).werner_p == (0.0, lineno)
+        assert read_counts_document(read_document(paths["pair"])).werner_p == (0.0, lineno)
         report = tmp_path / "r.txt"
         assert run_cli("estimate", *paths.values(), "--out", report) == 0
         assert "werner_p 0" in report.read_text()
@@ -775,7 +796,7 @@ class TestFileFormat:
         lines = paths["pair"].read_text().splitlines()
         del lines[lineno - 1]
         paths["pair"].write_text("\n".join(lines) + "\n")
-        assert read_counts_file(paths["pair"]).werner_p is None
+        assert read_counts_document(read_document(paths["pair"])).werner_p is None
         report = tmp_path / "r.txt"
         code = run_cli("estimate", *paths.values(), "--correct-source-noise", "--out", report)
         assert code == 1
@@ -798,7 +819,7 @@ class TestFileFormat:
         path.write_text("\n".join(header + rows) + "\n")
         message = f"{path}:{lineno}: [counts] rows sum to 0 shots"
         with pytest.raises(ValueError, match=re.escape(message)):
-            read_counts_file(path)
+            read_counts_document(read_document(path))
         if command == "estimate":
             argv = ("estimate", path, "--allow-partial")
         else:
@@ -817,7 +838,7 @@ class TestFileFormat:
         paths["ex"].write_text("\n".join(lines) + "\n")
         where = f"{paths['ex']}:{lineno}: visibilities: vx^2 + vy^2 + vz^2 = 1.39"
         with pytest.raises(ValueError, match=re.escape(where)):
-            read_counts_file(paths["ex"])
+            read_counts_document(read_document(paths["ex"]))
         # a malformed input file is a usage error (1), not a domain error (2)
         assert run_cli("estimate", *paths.values(), "--out", tmp_path / "r.txt") == 1
         assert f"error: {where}" in capsys.readouterr().err
@@ -892,17 +913,17 @@ class TestFileFormat:
 
     def test_duplicate_probs_row_rejected(self, tmp_path):
         path = tmp_path / "p.txt"
-        write_probs_file(path, {o: 0.25 for o in OUTCOMES4})
+        write_probs_file(path, [0.25] * 4)
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines + ["+1 +1 0.25"]) + "\n")
         with pytest.raises(ValueError, match=f"{path}:{len(lines) + 1}: duplicate"):
-            read_probs_file(path)
+            read_probs_document(read_document(path))
 
     def test_unknown_schema_rejected(self, tmp_path):
         path = tmp_path / "x.txt"
         path.write_text("schema: other/9\n[counts]\n+1 +1 3\n")
         with pytest.raises(ValueError):
-            read_counts_file(path)
+            read_counts_document(read_document(path))
 
     @pytest.mark.parametrize(
         "argv, wrong, expected",

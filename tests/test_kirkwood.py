@@ -37,21 +37,21 @@ SQ3 = 1.0 / np.sqrt(3.0)
 class TestKDFromState:
     def test_z_plus_entries(self):
         kd = kd_from_state(density(eigenstate("Z", +1)))
-        assert kd.entries[(+1, +1)] == pytest.approx((1 + 1j) / 4, abs=1e-12)
-        assert kd.entries[(+1, -1)] == pytest.approx((1 - 1j) / 4, abs=1e-12)
-        assert kd.entries[(-1, +1)] == pytest.approx((1 - 1j) / 4, abs=1e-12)
-        assert kd.entries[(-1, -1)] == pytest.approx((1 + 1j) / 4, abs=1e-12)
+        # OUTCOMES4 order: (+1, +1), (+1, -1), (-1, +1), (-1, -1)
+        assert kd.entries[0] == pytest.approx((1 + 1j) / 4, abs=1e-12)
+        assert kd.entries[1] == pytest.approx((1 - 1j) / 4, abs=1e-12)
+        assert kd.entries[2] == pytest.approx((1 - 1j) / 4, abs=1e-12)
+        assert kd.entries[3] == pytest.approx((1 + 1j) / 4, abs=1e-12)
 
     def test_maximally_mixed_uniform(self):
         kd = kd_from_state(identity(2) / 2)
-        for o in OUTCOMES4:
-            assert kd.entries[o] == pytest.approx(0.25, abs=1e-12)
+        for entry in kd.entries:
+            assert entry == pytest.approx(0.25, abs=1e-12)
 
     @pytest.mark.parametrize("axis,value", [("X", +1), ("X", -1), ("Y", +1), ("Y", -1)])
     def test_eigenstate_kd_is_real_and_concentrated(self, axis, value):
         kd = kd_from_state(density(eigenstate(axis, value)))
-        for x, y in OUTCOMES4:
-            entry = complex(kd.entries[(x, y)])
+        for (x, y), entry in zip(OUTCOMES4, kd.entries.tolist()):
             assert abs(entry.imag) <= 1e-12
             outcome = x if axis == "X" else y
             if outcome == value:
@@ -65,7 +65,7 @@ class TestKDFromState:
         for _ in range(25):
             rho = random_qubit_density(rng)
             kd = kd_from_state(rho)
-            moment = sum(x * y * kd.entries[(x, y)] for x, y in OUTCOMES4)
+            moment = sum(x * y * entry for (x, y), entry in zip(OUTCOMES4, kd.entries))
             mean_z = trace_product(pauli("Z"), rho).real
             assert complex(moment) == pytest.approx(1j * mean_z, abs=1e-12)
 
@@ -89,23 +89,26 @@ class TestKDFromState:
         mixture = kd_from_state(lam * rho1 + (1 - lam) * rho2)
         kd1 = kd_from_state(rho1)
         kd2 = kd_from_state(rho2)
-        for o in OUTCOMES4:
-            expected = lam * kd1.entries[o] + (1 - lam) * kd2.entries[o]
-            assert mixture.entries[o] == pytest.approx(expected, abs=1e-12)
+        for k in range(4):
+            expected = lam * kd1.entries[k] + (1 - lam) * kd2.entries[k]
+            assert mixture.entries[k] == pytest.approx(expected, abs=1e-12)
 
     def test_invalid_state_rejected(self):
         with pytest.raises(ValueError):
             kd_from_state(np.diag([0.5, 0.6]))
 
 
-def kd_pair_reference(rho4) -> dict:
-    """``<x1,x2|y1,y2><y1,y2|rho4|x1,x2>`` one outcome at a time, by `vdot` of product kets."""
-    entries = {}
+def kd_pair_reference(rho4) -> list:
+    """``<x1,x2|y1,y2><y1,y2|rho4|x1,x2>`` in ``OUTCOMES16`` order, one outcome at a time.
+
+    Each entry is a `vdot` of product kets.
+    """
+    entries = []
     for x1, y1, x2, y2 in OUTCOMES16:
         ket_x = tensor_state(eigenstate("X", x1), eigenstate("X", x2))
         ket_y = tensor_state(eigenstate("Y", y1), eigenstate("Y", y2))
         overlap = complex(np.vdot(ket_x, ket_y))
-        entries[(x1, y1, x2, y2)] = overlap * complex(np.vdot(ket_y, rho4 @ ket_x))
+        entries.append(overlap * complex(np.vdot(ket_y, rho4 @ ket_x)))
     return entries
 
 
@@ -122,13 +125,12 @@ class TestPairKD:
             for rho4 in (lam * werner_state(rng.random()) + (1 - lam) * product, generic / np.trace(generic).real):
                 pair = kd_pair_from_state(rho4)
                 reference = kd_pair_reference(rho4)
-                for o in OUTCOMES16:
-                    assert abs(pair[o] - reference[o]) <= 1e-15, o
+                for k, o in enumerate(OUTCOMES16):
+                    assert abs(pair[k] - reference[k]) <= 1e-15, o
 
     def test_singlet_is_quarter_delta(self):
         kd = kd_pair_from_state(density(singlet()))
-        for x1, y1, x2, y2 in OUTCOMES16:
-            entry = complex(kd[(x1, y1, x2, y2)])
+        for (x1, y1, x2, y2), entry in zip(OUTCOMES16, kd.tolist()):
             assert abs(entry.imag) <= 1e-12
             if x2 == -x1 and y2 == -y1:
                 assert entry.real == pytest.approx(0.25, abs=1e-12)
@@ -137,8 +139,8 @@ class TestPairKD:
 
     def test_maximally_mixed_uniform(self):
         kd = kd_pair_from_state(identity(4) / 4)
-        for o in OUTCOMES16:
-            assert kd[o] == pytest.approx(1 / 16, abs=1e-12)
+        for entry in kd:
+            assert entry == pytest.approx(1 / 16, abs=1e-12)
 
     def test_product_state_factorizes(self):
         rng = np.random.default_rng(54)
@@ -147,9 +149,9 @@ class TestPairKD:
         pair = kd_pair_from_state(tensor(rho_a, rho_b))
         kd_a = kd_from_state(rho_a)
         kd_b = kd_from_state(rho_b)
-        for x1, y1, x2, y2 in OUTCOMES16:
-            expected = kd_a.entries[(x1, y1)] * kd_b.entries[(x2, y2)]
-            assert pair[(x1, y1, x2, y2)] == pytest.approx(expected, abs=1e-12)
+        for (x1, y1, x2, y2), entry in zip(OUTCOMES16, pair):
+            expected = kd_a.entries[OUTCOMES4.index((x1, y1))] * kd_b.entries[OUTCOMES4.index((x2, y2))]
+            assert entry == pytest.approx(expected, abs=1e-12)
 
     def test_wing_marginals_reproduce_x_statistics(self):
         rng = np.random.default_rng(55)
@@ -158,7 +160,7 @@ class TestPairKD:
         pair = kd_pair_from_state(tensor(rho_a, rho_b))
         for x1 in (+1, -1):
             marginal = sum(
-                pair[(x1, y1, x2, y2)]
+                pair[OUTCOMES16.index((x1, y1, x2, y2))]
                 for y1 in (+1, -1)
                 for x2 in (+1, -1)
                 for y2 in (+1, -1)
@@ -173,16 +175,17 @@ class TestReconstruct:
         rho = density(eigenstate("Z", +1))
         p = outcome_probs(build_povm(v), rho)
         kd = reconstruct_kd(p, v.vx, v.vy, 1j * v.vz)
-        assert kd.entries[(+1, +1)] == pytest.approx((1 + 1j) / 4, abs=1e-10)
-        assert kd.entries[(+1, -1)] == pytest.approx((1 - 1j) / 4, abs=1e-10)
-        assert kd.entries[(-1, +1)] == pytest.approx((1 - 1j) / 4, abs=1e-10)
-        assert kd.entries[(-1, -1)] == pytest.approx((1 + 1j) / 4, abs=1e-10)
+        # OUTCOMES4 order: (+1, +1), (+1, -1), (-1, +1), (-1, -1)
+        assert kd.entries[0] == pytest.approx((1 + 1j) / 4, abs=1e-10)
+        assert kd.entries[1] == pytest.approx((1 - 1j) / 4, abs=1e-10)
+        assert kd.entries[2] == pytest.approx((1 - 1j) / 4, abs=1e-10)
+        assert kd.entries[3] == pytest.approx((1 + 1j) / 4, abs=1e-10)
 
     def test_uniform_table_gives_uniform_kd(self):
-        p = {o: 0.25 for o in OUTCOMES4}
+        p = [0.25] * 4
         kd = reconstruct_kd(p, 0.7, 0.6, 0.2 + 0.1j)
-        for o in OUTCOMES4:
-            assert kd.entries[o] == pytest.approx(0.25, abs=1e-12)
+        for entry in kd.entries:
+            assert entry == pytest.approx(0.25, abs=1e-12)
 
     def test_round_trip_over_random_states_and_devices(self):
         rng = np.random.default_rng(56)
@@ -197,8 +200,8 @@ class TestReconstruct:
             p = outcome_probs(build_povm(v), rho)
             kd = reconstruct_kd(p, v.vx, v.vy, 1j * v.vz)
             expected = kd_from_state(rho)
-            for o in OUTCOMES4:
-                assert abs(kd.entries[o] - expected.entries[o]) <= 1e-10
+            for k in range(4):
+                assert abs(kd.entries[k] - expected.entries[k]) <= 1e-10
 
     def test_singular_parameters_rejected_by_name(self):
         p = outcome_probs(build_povm(VisibilityTriple(0.6, 0.8, 0.0)), identity(2) / 2)
@@ -215,18 +218,18 @@ class TestReconstruct:
         rng = np.random.default_rng(61)
         floor = SINGULAR_VISIBILITY
         for k in range(2000):
-            p = dict(zip(OUTCOMES4, rng.dirichlet(np.ones(4)).tolist()))
+            p = rng.dirichlet(np.ones(4)).tolist()
             if k % 2:
                 vx, vy, vz = floor * 10.0 ** rng.uniform(0.0, 3.0, size=3)
             else:
                 vx = vy = vz = floor
             kd = reconstruct_kd(p, vx, vy, 1j * vz)
-            assert abs(sum(complex(kd.entries[o]) for o in OUTCOMES4) - 1.0) <= ATOL_ALGEBRA
+            assert abs(sum(kd.entries.tolist()) - 1.0) <= ATOL_ALGEBRA
 
     @pytest.mark.parametrize("magnitude", [1e-6, 1e-5, 1e-4, 2e-4, 9.99e-4])
     def test_visibilities_below_floor_rejected_by_name(self, magnitude):
         assert magnitude < SINGULAR_VISIBILITY
-        p = {o: 0.25 for o in OUTCOMES4}
+        p = [0.25] * 4
         for name, args in (
             ("vx", (magnitude, 0.5, 0.5j)),
             ("vy", (0.5, -magnitude, 0.5j)),
@@ -237,14 +240,14 @@ class TestReconstruct:
 
     def test_invalid_table_rejected(self):
         with pytest.raises(ValueError):
-            reconstruct_kd({o: 0.3 for o in OUTCOMES4}, 0.5, 0.5, 0.5j)
+            reconstruct_kd([0.3] * 4, 0.5, 0.5, 0.5j)
 
     def test_statistical_round_trip_within_five_sigma(self):
         v = VisibilityTriple(0.6, 0.7, 0.3)
         shots = 1_000_000
         config = ExperimentConfig(visibilities=v, shots=shots, seed=57)
         counts = run_eigenstate_experiment(config, "X", +1)
-        p_hat = {o: counts.counts[o] / shots for o in OUTCOMES4}
+        p_hat = counts.counts / shots
         kd_hat = reconstruct_kd(p_hat, v.vx, v.vy, 1j * v.vz)
         expected = kd_from_state(density(eigenstate("X", +1)))
         p_true = outcome_probs(build_povm(v), density(eigenstate("X", +1)))
@@ -257,10 +260,11 @@ class TestReconstruct:
                 for xp, yp in OUTCOMES4
             }
             # multinomial variance of the complex linear estimator
-            mean = sum(coeffs[o] * p_true[o] for o in OUTCOMES4)
-            second = sum(abs(coeffs[o]) ** 2 * p_true[o] for o in OUTCOMES4)
+            mean = sum(coeffs[o] * p_true[k] for k, o in enumerate(OUTCOMES4))
+            second = sum(abs(coeffs[o]) ** 2 * p_true[k] for k, o in enumerate(OUTCOMES4))
             sigma = np.sqrt(max(second - abs(mean) ** 2, 0.0) / shots)
-            assert abs(kd_hat.entries[(x, y)] - expected.entries[(x, y)]) <= 5 * sigma
+            k = OUTCOMES4.index((x, y))
+            assert abs(kd_hat.entries[k] - expected.entries[k]) <= 5 * sigma
 
 
 class TestForwardMap:
@@ -268,22 +272,22 @@ class TestForwardMap:
         kd = kd_from_state(density(eigenstate("Z", +1)))
         m = error_model_from_visibilities(SQ3, SQ3, 1j * SQ3)
         table = forward_map(kd, m)
-        for x, y in OUTCOMES4:
-            assert table[(x, y)] == pytest.approx((1 + x * y * SQ3) / 4, abs=1e-12)
+        for (x, y), entry in zip(OUTCOMES4, table):
+            assert entry == pytest.approx((1 + x * y * SQ3) / 4, abs=1e-12)
 
     def test_uniform_kd_maps_to_uniform_table(self):
-        kd = KDDistribution(entries={o: 0.25 + 0.0j for o in OUTCOMES4})
+        kd = KDDistribution(entries=[0.25 + 0.0j] * 4)
         m = error_model_from_visibilities(0.9, 0.2, 0.1 + 0.3j)
         table = forward_map(kd, m)
-        for o in OUTCOMES4:
-            assert table[o] == pytest.approx(0.25, abs=1e-12)
+        for entry in table:
+            assert entry == pytest.approx(0.25, abs=1e-12)
 
     def test_ideal_classical_model_is_identity_on_eigenstate_kd(self):
         kd = kd_from_state(density(eigenstate("X", +1)))
         m = error_model_from_visibilities(1.0, 1.0, 1.0)
         table = forward_map(kd, m)
-        for o in OUTCOMES4:
-            assert table[o] == pytest.approx(complex(kd.entries[o]).real, abs=1e-12)
+        for k in range(4):
+            assert table[k] == pytest.approx(complex(kd.entries[k]).real, abs=1e-12)
 
     def test_matches_measurement_probabilities(self):
         rng = np.random.default_rng(58)
@@ -298,8 +302,8 @@ class TestForwardMap:
             m = error_model_from_visibilities(v.vx, v.vy, 1j * v.vz)
             table = forward_map(kd_from_state(rho), m)
             expected = outcome_probs(build_povm(v), rho)
-            for o in OUTCOMES4:
-                assert table[o] == pytest.approx(expected[o], abs=1e-10)
+            for k in range(4):
+                assert table[k] == pytest.approx(expected[k], abs=1e-10)
 
     def test_reconstruct_then_forward_returns_table_for_generic_c(self):
         # reconstruct then forward returns the original table for any
@@ -308,14 +312,14 @@ class TestForwardMap:
         for _ in range(20):
             raw = rng.uniform(0.05, 1.0, size=4)
             raw /= raw.sum()
-            p = {o: float(raw[i]) for i, o in enumerate(OUTCOMES4)}
+            p = raw.tolist()
             vx, vy = rng.uniform(0.3, 1.0, size=2)
             c = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.2, 0.8))
             kd = reconstruct_kd(p, vx, vy, c)
             m = error_model_from_visibilities(vx, vy, c)
             table = forward_map(kd, m)
-            for o in OUTCOMES4:
-                assert table[o] == pytest.approx(p[o], abs=1e-10)
+            for k in range(4):
+                assert table[k] == pytest.approx(p[k], abs=1e-10)
 
     def test_inverse_of_reconstruct_for_physical_devices(self):
         rng = np.random.default_rng(60)
@@ -330,8 +334,8 @@ class TestForwardMap:
             m = error_model_from_visibilities(vx, vy, 1j * vz)
             table = forward_map(kd, m)
             back = reconstruct_kd(table, vx, vy, 1j * vz)
-            for o in OUTCOMES4:
-                assert abs(back.entries[o] - kd.entries[o]) <= 1e-10
+            for k in range(4):
+                assert abs(back.entries[k] - kd.entries[k]) <= 1e-10
 
     def test_inconsistent_pair_rejected(self):
         # real correlation weight against an imaginary correlation moment
@@ -344,15 +348,11 @@ class TestForwardMap:
 class TestKDValidation:
     def test_sum_must_be_one(self):
         with pytest.raises(ValueError):
-            KDDistribution(entries={o: 0.3 + 0.0j for o in OUTCOMES4})
+            KDDistribution(entries=[0.3 + 0.0j] * 4)
 
     def test_marginals_must_be_real(self):
-        entries = {
-            (+1, +1): 0.25 + 0.1j,
-            (+1, -1): 0.25 + 0.1j,
-            (-1, +1): 0.25 - 0.1j,
-            (-1, -1): 0.25 - 0.1j,
-        }
+        # OUTCOMES4 order: (+1, +1), (+1, -1), (-1, +1), (-1, -1)
+        entries = [0.25 + 0.1j, 0.25 + 0.1j, 0.25 - 0.1j, 0.25 - 0.1j]
         with pytest.raises(ValueError, match="marginal"):
             KDDistribution(entries=entries)
 

@@ -111,22 +111,23 @@ class TestOutcomeProbs:
     def test_x_plus_input(self):
         povm = build_povm(VisibilityTriple(0.6, 0.8, 0.0))
         p = outcome_probs(povm, density(eigenstate("X", +1)))
-        assert p[(+1, +1)] == pytest.approx(0.4, abs=ATOL_ALGEBRA)
-        assert p[(+1, -1)] == pytest.approx(0.4, abs=ATOL_ALGEBRA)
-        assert p[(-1, +1)] == pytest.approx(0.1, abs=ATOL_ALGEBRA)
-        assert p[(-1, -1)] == pytest.approx(0.1, abs=ATOL_ALGEBRA)
+        # OUTCOMES4 order: (+1, +1), (+1, -1), (-1, +1), (-1, -1)
+        assert p[0] == pytest.approx(0.4, abs=ATOL_ALGEBRA)
+        assert p[1] == pytest.approx(0.4, abs=ATOL_ALGEBRA)
+        assert p[2] == pytest.approx(0.1, abs=ATOL_ALGEBRA)
+        assert p[3] == pytest.approx(0.1, abs=ATOL_ALGEBRA)
 
     def test_maximally_mixed_is_uniform(self):
         povm = build_povm(VisibilityTriple(0.5, 0.5, 0.5))
         p = outcome_probs(povm, identity(2) / 2.0)
-        for o in OUTCOMES4:
-            assert p[o] == pytest.approx(0.25, abs=ATOL_ALGEBRA)
+        for entry in p:
+            assert entry == pytest.approx(0.25, abs=ATOL_ALGEBRA)
 
     def test_z_plus_sees_only_the_correlation(self):
         povm = build_povm(VisibilityTriple(SQ3, SQ3, SQ3))
         p = outcome_probs(povm, density(eigenstate("Z", +1)))
-        for x, y in OUTCOMES4:
-            assert p[(x, y)] == pytest.approx((1 + x * y * SQ3) / 4.0, abs=ATOL_ALGEBRA)
+        for (x, y), entry in zip(OUTCOMES4, p):
+            assert entry == pytest.approx((1 + x * y * SQ3) / 4.0, abs=ATOL_ALGEBRA)
 
     def test_marginals_reduce_to_binary_visibility(self):
         rng = np.random.default_rng(23)
@@ -138,10 +139,10 @@ class TestOutcomeProbs:
             mean_x = trace_product(pauli("X"), rho).real
             mean_y = trace_product(pauli("Y"), rho).real
             for x in (+1, -1):
-                marginal = p[(x, +1)] + p[(x, -1)]
+                marginal = p[OUTCOMES4.index((x, +1))] + p[OUTCOMES4.index((x, -1))]
                 assert marginal == pytest.approx((1 + x * 0.7 * mean_x) / 2, abs=1e-10)
             for y in (+1, -1):
-                marginal = p[(+1, y)] + p[(-1, y)]
+                marginal = p[OUTCOMES4.index((+1, y))] + p[OUTCOMES4.index((-1, y))]
                 assert marginal == pytest.approx((1 + y * 0.5 * mean_y) / 2, abs=1e-10)
 
     def test_invalid_state_rejected(self):
@@ -157,34 +158,34 @@ class TestPairOutcomeProbs:
     def test_singlet_closed_form(self, v):
         povm = build_povm(v)
         p = pair_outcome_probs(povm, povm, density(singlet()))
-        for x1, y1, x2, y2 in OUTCOMES16:
+        for (x1, y1, x2, y2), entry in zip(OUTCOMES16, p):
             expected = (
                 1.0
                 - x1 * x2 * v.vx ** 2
                 - y1 * y2 * v.vy ** 2
                 - x1 * x2 * y1 * y2 * v.vz ** 2
             ) / 16.0
-            assert p[(x1, y1, x2, y2)] == pytest.approx(expected, abs=ATOL_ALGEBRA)
+            assert entry == pytest.approx(expected, abs=ATOL_ALGEBRA)
 
     def test_blind_device_is_uniform(self):
         povm = build_povm(VisibilityTriple(0.0, 0.0, 0.0))
         p = pair_outcome_probs(povm, povm, werner_state(0.37))
-        for o in OUTCOMES16:
-            assert p[o] == pytest.approx(1.0 / 16.0, abs=ATOL_ALGEBRA)
+        for entry in p:
+            assert entry == pytest.approx(1.0 / 16.0, abs=ATOL_ALGEBRA)
 
     def test_symmetric_point_kills_repeated_outcomes(self):
         povm = build_povm(VisibilityTriple(SQ3, SQ3, SQ3))
         p = pair_outcome_probs(povm, povm, density(singlet()))
         for x, y in OUTCOMES4:
-            assert p[(x, y, x, y)] == pytest.approx(0.0, abs=ATOL_ALGEBRA)
+            assert p[OUTCOMES16.index((x, y, x, y))] == pytest.approx(0.0, abs=ATOL_ALGEBRA)
 
     def test_outcome_depends_only_on_pattern_class(self):
         povm = build_povm(VisibilityTriple(0.5, 0.4, 0.6))
         p = pair_outcome_probs(povm, povm, density(singlet()))
         by_pattern = {}
-        for x1, y1, x2, y2 in OUTCOMES16:
+        for (x1, y1, x2, y2), entry in zip(OUTCOMES16, p):
             r = (0 if x1 == -x2 else 1, 0 if y1 == -y2 else 1)
-            by_pattern.setdefault(r, []).append(p[(x1, y1, x2, y2)])
+            by_pattern.setdefault(r, []).append(entry)
         for r, values in by_pattern.items():
             assert len(values) == 4
             assert max(values) - min(values) <= ATOL_ALGEBRA
@@ -193,7 +194,7 @@ class TestPairOutcomeProbs:
         povm1 = build_povm(VisibilityTriple(0.9, 0.1, 0.0))
         povm2 = build_povm(VisibilityTriple(0.1, 0.9, 0.0))
         p = pair_outcome_probs(povm1, povm2, density(singlet()))
-        assert sum(p.values()) == pytest.approx(1.0, abs=ATOL_ALGEBRA)
+        assert sum(p) == pytest.approx(1.0, abs=ATOL_ALGEBRA)
 
     def test_invalid_pair_state_rejected(self):
         povm = build_povm(VisibilityTriple(0.5, 0.5, 0.0))
@@ -251,60 +252,61 @@ def test_stacked_tables_equal_per_element_reference(v1, v2, rho, rho4):
     """One stacked product gives the per-element traces bit for bit."""
     povm1, povm2 = build_povm(v1), build_povm(v2)
     single = [trace_product(povm1.element(*o), rho) for o in OUTCOMES4]
-    assert np.array_equal(outcome_probs(povm1, rho).array, np.real(single))
+    assert np.array_equal(outcome_probs(povm1, rho), np.real(single))
     for a, b in ((povm1, povm2), (povm2, povm1), (povm1, povm1)):
         pair = [
             trace_product(tensor(a.element(x1, y1), b.element(x2, y2)), rho4)
             for x1, y1, x2, y2 in OUTCOMES16
         ]
-        assert np.array_equal(pair_outcome_probs(a, b, rho4).array, np.real(pair))
+        assert np.array_equal(pair_outcome_probs(a, b, rho4), np.real(pair))
 
 
 class TestExactPatternProbs:
     def test_symmetric_point(self):
         stats = exact_pattern_probs(VisibilityTriple(SQ3, SQ3, SQ3))
-        assert stats.e[(0, 0)] == pytest.approx(1.0 / 12.0, abs=ATOL_ALGEBRA)
-        assert stats.e[(0, 1)] == pytest.approx(1.0 / 12.0, abs=ATOL_ALGEBRA)
-        assert stats.e[(1, 0)] == pytest.approx(1.0 / 12.0, abs=ATOL_ALGEBRA)
-        assert stats.e[(1, 1)] == pytest.approx(0.0, abs=ATOL_ALGEBRA)
+        # PATTERNS order: (0, 0), (0, 1), (1, 0), (1, 1)
+        assert stats.e[0] == pytest.approx(1.0 / 12.0, abs=ATOL_ALGEBRA)
+        assert stats.e[1] == pytest.approx(1.0 / 12.0, abs=ATOL_ALGEBRA)
+        assert stats.e[2] == pytest.approx(1.0 / 12.0, abs=ATOL_ALGEBRA)
+        assert stats.e[3] == pytest.approx(0.0, abs=ATOL_ALGEBRA)
 
     def test_z_blind_device(self):
         stats = exact_pattern_probs(VisibilityTriple(0.6, 0.8, 0.0))
-        assert stats.e[(0, 0)] == pytest.approx(0.125, abs=ATOL_ALGEBRA)
-        assert stats.e[(0, 1)] == pytest.approx(0.045, abs=ATOL_ALGEBRA)
-        assert stats.e[(1, 0)] == pytest.approx(0.08, abs=ATOL_ALGEBRA)
-        assert stats.e[(1, 1)] == pytest.approx(0.0, abs=ATOL_ALGEBRA)
+        assert stats.e[0] == pytest.approx(0.125, abs=ATOL_ALGEBRA)
+        assert stats.e[1] == pytest.approx(0.045, abs=ATOL_ALGEBRA)
+        assert stats.e[2] == pytest.approx(0.08, abs=ATOL_ALGEBRA)
+        assert stats.e[3] == pytest.approx(0.0, abs=ATOL_ALGEBRA)
 
     def test_fully_random_device(self):
         stats = exact_pattern_probs(VisibilityTriple(0.0, 0.0, 0.0))
-        for r in PATTERNS:
-            assert stats.e[r] == pytest.approx(1.0 / 16.0, abs=ATOL_ALGEBRA)
+        for entry in stats.e:
+            assert entry == pytest.approx(1.0 / 16.0, abs=ATOL_ALGEBRA)
 
     @pytest.mark.parametrize("v", list(valid_triples(step=0.5)))
     def test_matches_pair_probabilities(self, v):
         stats = exact_pattern_probs(v)
         povm = build_povm(v)
         p = pair_outcome_probs(povm, povm, density(singlet()))
-        for x1, y1, x2, y2 in OUTCOMES16:
+        for (x1, y1, x2, y2), entry in zip(OUTCOMES16, p):
             r = (0 if x1 == -x2 else 1, 0 if y1 == -y2 else 1)
-            assert p[(x1, y1, x2, y2)] == pytest.approx(stats.e[r], abs=ATOL_ALGEBRA)
+            assert entry == pytest.approx(stats.e[PATTERNS.index(r)], abs=ATOL_ALGEBRA)
 
     @pytest.mark.parametrize("v", list(valid_triples(step=0.5)))
     def test_normalization(self, v):
         stats = exact_pattern_probs(v)
-        assert 4.0 * sum(stats.e.values()) == pytest.approx(1.0, abs=ATOL_ALGEBRA)
+        assert 4.0 * sum(stats.e) == pytest.approx(1.0, abs=ATOL_ALGEBRA)
 
 
 class TestPatternStats:
     def test_rejects_bad_sum(self):
-        e = {r: 0.1 for r in PATTERNS}
+        e = [0.1] * 4
         with pytest.raises(ValueError):
-            PatternStats(e=e, stderr={r: 0.0 for r in PATTERNS}, total_shots=0)
+            PatternStats(e=e, stderr=[0.0] * 4, total_shots=0)
 
     def test_rejects_negative_exact_entry(self):
-        e = {(0, 0): 0.26, (0, 1): 0.0, (1, 0): 0.0, (1, 1): -0.01}
+        e = [0.26, 0.0, 0.0, -0.01]
         with pytest.raises(ValueError):
-            PatternStats(e=e, stderr={r: 0.0 for r in PATTERNS}, total_shots=0)
+            PatternStats(e=e, stderr=[0.0] * 4, total_shots=0)
 
 
 class TestIdealOperator:

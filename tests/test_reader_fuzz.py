@@ -12,14 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xymeas.fileio import read_counts_file, read_povm_file, read_probs_file
+from xymeas.fileio import read_counts_document, read_document, read_povm_file, read_probs_document
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 READERS = {
-    "x.counts": read_counts_file,
-    "pair.counts": read_counts_file,
-    "zplus.probs": read_probs_file,
+    "x.counts": lambda path: read_counts_document(read_document(path)),
+    "pair.counts": lambda path: read_counts_document(read_document(path)),
+    "zplus.probs": lambda path: read_probs_document(read_document(path)),
     "povm.txt": read_povm_file,
 }
 

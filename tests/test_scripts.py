@@ -1,21 +1,38 @@
-"""Smoke tests of the experiment scripts under ``scripts/``, each run as a subprocess at small sizes."""
+"""Tests of the experiment scripts under ``scripts/``, each run as a subprocess at small sizes.
+
+The stdout of each script at the sizes in `GOLDEN_STDOUT` is pinned byte
+for byte in ``tests/golden/``. Re-record only when a change is meant to
+alter these bytes, and say so with the change:
+
+    PYTHONPATH=src python tests/test_scripts.py
+"""
 
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
+
+# (fixture, script, arguments); each runs in an empty working directory, so
+# the demo writes under its default relative --workdir and prints that path
+GOLDEN_STDOUT = [
+    ("error_correlation.stdout", "run_error_correlation_experiment.py", ("--shots", 20000)),
+    ("sweep.stdout", "sweep_correlation_vs_vz.py", ("--steps", 3, "--shots", 20000)),
+    ("kd_demo.stdout", "kd_reconstruction_demo.py", ()),
+]
 
 
-def run_script(name, *args, cwd, returncode=0):
+def run_script(name, *args, cwd, returncode=0, text=True):
     """The script's stdout, or its stderr when it is expected to fail."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     result = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *map(str, args)],
-        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+        cwd=cwd, env=env, capture_output=True, text=text, timeout=120,
     )
     assert result.returncode == returncode, result.stderr
     return result.stdout if returncode == 0 else result.stderr
@@ -55,3 +72,16 @@ def test_sweep_rejects_bad_flags_as_usage_errors(tmp_path, args, message):
 def test_kd_reconstruction_demo(tmp_path):
     out = run_script("kd_reconstruction_demo.py", "--workdir", tmp_path / "kd", cwd=tmp_path)
     assert "kd(+1, +1) = +0.250000 +0.250000i" in out.splitlines()
+
+
+@pytest.mark.parametrize("fixture, name, args", GOLDEN_STDOUT)
+def test_stdout_bytes(tmp_path, fixture, name, args):
+    out = run_script(name, *args, cwd=tmp_path, text=False)
+    assert out == (GOLDEN / fixture).read_bytes()
+
+
+if __name__ == "__main__":
+    for fixture, name, args in GOLDEN_STDOUT:
+        with tempfile.TemporaryDirectory() as work:
+            (GOLDEN / fixture).write_bytes(run_script(name, *args, cwd=work, text=False))
+    print(f"recorded {len(GOLDEN_STDOUT)} fixtures in {GOLDEN}", file=sys.stderr)
