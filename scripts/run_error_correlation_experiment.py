@@ -63,17 +63,18 @@ def main() -> None:
         ("vy (eigenstate run)", "visibility_y", v.vy),
         ("vx^2 (pair run)", "vx_squared_pair", p * v.vx ** 2),
         ("vy^2 (pair run)", "vy_squared_pair", p * v.vy ** 2),
-        ("c^2 (pair run)", "csquared", -p * v.vz ** 2),
+        ("c^2 (pair run)", "csquared", 0.0 - p * v.vz ** 2),  # no -0.0 at vz = 0
     ]
     rows = [(name, number(s), number(s, "stderr"), reference) for name, s, reference in rows]
     rows.append(("S statistic", number("classicality", "statistic"), 0.0, p * v.vz ** 2 / 4))
     for name, value, stderr, reference in rows:
         print(f"{name:<22}{value:>14.6f}{stderr:>12.2g}{reference:>14.6f}")
     print()
+    # clipped at 0: on the family's boundary rounding leaves e.g. -2e-17, printed -0.000000
     exact = exact_pattern_probs(v).e.tolist()
     for (_, _, e, stderr), r, e_exact in zip(report.section("patterns"), PATTERNS, exact):
         print(f"pattern e{r}: estimate {float(e):.6f} +- {float(stderr):.2g}, "
-              f"exact {p * e_exact + (1 - p) / 16:.6f}")
+              f"exact {max(p * e_exact + (1 - p) / 16, 0.0):.6f}")
     print()
     if report.section_value("csquared", "classical") == "true":
         print("verdict: consistent with a classical error model (c^2 >= 0 within 3 sigma)")

@@ -53,7 +53,7 @@ def main() -> None:
             classical = report.section_value("csquared", "classical") == "true"
             row = [
                 fmt_float(vz),
-                fmt_float(-(vz ** 2)),
+                fmt_float(0.0 - vz ** 2),  # 0, not -0, at vz = 0
                 report.section_value("csquared", "value"),
                 report.section_value("csquared", "stderr"),
                 fmt_float(classicality_statistic(exact_pattern_probs(v).e)),

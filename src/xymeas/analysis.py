@@ -41,17 +41,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .povm import (
-    OUTCOMES4,
-    OUTCOMES16,
-    PATTERNS,
-    PatternStats,
-    _checked_table,
-    _float_table,
-    _hadamard,
-    _sum4,
-)
-from .qubit import ATOL_ALGEBRA, ensure_axis
+from .povm import OUTCOMES16, PATTERNS, PatternStats, _float_table, _hadamard, _sum4
+from .qubit import ATOL_ALGEBRA
 from .simulate import OutcomeCounts4, PairCounts16
 
 # Verdict threshold: an estimate within 3 standard errors of the classical
@@ -71,29 +62,6 @@ class Estimate:
             raise ValueError("estimate must be finite")
         if self.stderr < 0.0:
             raise ValueError("stderr must be non-negative")
-
-
-@dataclass(frozen=True, eq=False)
-class ErrorModel:
-    """Complex quasi-probability weights over the four flip patterns.
-
-    ``weights[i]`` is the (quasi-)probability that the measurement flips
-    the X outcome iff ``rx = 1`` and the Y outcome iff ``ry = 1``, where
-    ``PATTERNS[i] = (rx, ry)``; a read-only vector in ``PATTERNS`` order, so
-    instances compare by identity.
-    Normalization to 1 is enforced; weights are complex because quantum
-    measurements require an imaginary correlation part. Physical models have
-    real signed sums for vx and vy, which the consumers below check where
-    they rely on it.
-    """
-
-    weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        weights = _checked_table(
-            self.weights, 4, dtype=complex, total=1.0, tol=ATOL_ALGEBRA, what="error model"
-        )
-        object.__setattr__(self, "weights", weights)
 
 
 def estimate_visibility(counts: OutcomeCounts4) -> Estimate:
@@ -195,48 +163,6 @@ def correct_for_source_noise(stats: PatternStats, p: float) -> PatternStats:
     )
 
 
-def error_model_from_visibilities(vx: complex, vy: complex, c: complex) -> ErrorModel:
-    """Flip-pattern weights with the given signed sums.
-
-    ``weights = H @ (1, vy, vx, c) / 4``, i.e.
-    ``weights(rx, ry) = (1 + (-1)^rx * vx + (-1)^ry * vy + (-1)^(rx+ry) * c) / 4``.
-    Exact inverse of `visibilities_from_error_model` (``H @ H = 4``).
-    """
-    return ErrorModel(weights=_hadamard([1.0, vy, vx, c]) / 4.0)
-
-
-def visibilities_from_error_model(m: ErrorModel) -> tuple[complex, complex, complex]:
-    """The three signed sums (vx, vy, c) of an error model's weights."""
-    _, vy, vx, c = _hadamard(m.weights).tolist()
-    return complex(vx), complex(vy), complex(c)
-
-
-def eigenstate_probs_from_error_model(m: ErrorModel, axis: str) -> np.ndarray:
-    """Predicted outcome table, in ``OUTCOMES4`` order, for a +1 eigenstate input of the given axis.
-
-    Only the no-flip/flip marginals ``(1 +- v) / 2`` of the measured axis
-    enter, so the correlation part drops out. Complex or out-of-range
-    marginals signal a model that is unphysical for this use and are
-    rejected.
-    """
-    axis = ensure_axis(axis)
-    if axis not in ("X", "Y"):
-        raise ValueError("eigenstate predictions exist for axis X or Y only")
-    total, vy, vx, _ = _hadamard(m.weights).tolist()
-    v = vx if axis == "X" else vy
-    marginals = []
-    for name, value in (("no-flip", (total + v) / 2.0), ("flip", (total - v) / 2.0)):
-        value = complex(value)
-        if abs(value.imag) > 1e-10:
-            raise ValueError(f"{name} marginal is complex: {value!r}")
-        if not -ATOL_ALGEBRA <= value.real <= 1.0 + ATOL_ALGEBRA:
-            raise ValueError(f"{name} marginal out of [0, 1]: {value.real!r}")
-        marginals.append(min(max(value.real, 0.0), 1.0))
-    keep_p, flip_p = marginals
-    correct = [(x if axis == "X" else y) == +1 for x, y in OUTCOMES4]
-    return _checked_table(np.where(correct, keep_p, flip_p) / 2.0, 4)
-
-
 def _self_convolution(w) -> np.ndarray:
     """``e[..., r] = (1/4) * sum_s w[..., s] * w[..., s xor r]`` over the last axis.
 
@@ -252,29 +178,3 @@ def _self_convolution(w) -> np.ndarray:
         _sum4(*(cols[s] * cols[s ^ r] for s in range(4)), out=e[..., r])
     e /= 4.0
     return e
-
-
-def pattern_quasiprobs(m: ErrorModel) -> np.ndarray:
-    """XOR self-convolution ``(1/4) * sum_s weights(s) * weights(s xor r)``, in ``PATTERNS`` order.
-
-    For a normalized model these complex values satisfy, for each of the
-    four sign characters chi, ``4 * sum_r chi(r) e(r) = (sum_s chi(s) w(s))^2``.
-    """
-    return _checked_table(_self_convolution(m.weights), 4, dtype=complex)
-
-
-def predicted_pattern_probs(m: ErrorModel) -> PatternStats:
-    """Pattern probabilities predicted for identical measurements on a singlet pair.
-
-    The XOR self-convolution of `pattern_quasiprobs`, with entries required
-    to come out real and non-negative (within 1e-10, then clamped); a
-    materially complex or negative entry marks the model as inconsistent
-    with pair statistics.
-    """
-    e = _self_convolution(m.weights)
-    for r, value in zip(PATTERNS, e.tolist()):
-        if abs(value.imag) > 1e-10:
-            raise ValueError(f"predicted pattern e{r} is complex: {value!r}")
-        if value.real < -1e-10:
-            raise ValueError(f"predicted pattern e{r} is negative: {value.real!r}")
-    return PatternStats(e=np.maximum(e.real, 0.0), stderr=np.zeros(len(PATTERNS)), total_shots=0)

@@ -284,7 +284,7 @@ def cmd_estimate(args) -> int:
             ("vz", fmt_float(v.vz)),
             ("vx_squared", fmt_float(v.vx ** 2)),
             ("vy_squared", fmt_float(v.vy ** 2)),
-            ("csquared", fmt_float(-(v.vz ** 2))),
+            ("csquared", fmt_float(0.0 - v.vz ** 2)),  # 0.0, not -0.0, at vz = 0
             ("classicality_statistic", fmt_float(v.vz ** 2 / 4.0)),
         ]
 

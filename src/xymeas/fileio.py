@@ -117,16 +117,23 @@ class Document:
     def section_value(self, name: str, key: str, parse=str):
         """The value of row ``key`` in section ``name`` of a parsed document, through ``parse``.
 
-        A row of other than two tokens and a value ``parse`` rejects are
-        located at the row, a missing row at the ``[name]`` line.
+        A row of other than two tokens, a repeated row and a value ``parse``
+        rejects are located at the row, a missing row at the ``[name]`` line.
         """
+        found = None
         for row, lineno in zip(self.section(name), self.row_lines[name]):
             if row and row[0] == key:
                 if len(row) != 2:
                     raise ValueError(f"{self._where(lineno)}malformed [{name}] row {row!r}")
-                return _parsed(self, lineno, f"[{name}] {key}", parse, row[1])
-        where = self._where(self.section_lines[name])
-        raise ValueError(f"{where}missing entry {key!r} in section [{name}]")
+                if found is not None:
+                    raise ValueError(
+                        f"{self._where(lineno)}duplicate [{name}] row {key!r} (first on line {found[0]})"
+                    )
+                found = lineno, row[1]
+        if found is None:
+            where = self._where(self.section_lines[name])
+            raise ValueError(f"{where}missing entry {key!r} in section [{name}]")
+        return _parsed(self, found[0], f"[{name}] {key}", parse, found[1])
 
 
 def write_document(
@@ -143,8 +150,8 @@ def write_document(
 def read_document(path: str | Path) -> Document:
     """Parse the header and sections of an artifact file.
 
-    A non-ASCII byte and a malformed or repeated header key are rejected
-    with their ``file:line``.
+    A non-ASCII byte, a malformed or repeated header key and a repeated
+    ``[section]`` heading are rejected with their ``file:line``.
     """
     data = Path(path).read_bytes()
     try:
@@ -161,9 +168,13 @@ def read_document(path: str | Path) -> Document:
             continue
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1]
-            current = doc.sections.setdefault(name, [])
-            current_lines = doc.row_lines.setdefault(name, [])
-            doc.section_lines.setdefault(name, lineno)
+            if name in doc.sections:
+                raise ValueError(
+                    f"{path}:{lineno}: duplicate section [{name}] (first on line {doc.section_lines[name]})"
+                )
+            current = doc.sections[name] = []
+            current_lines = doc.row_lines[name] = []
+            doc.section_lines[name] = lineno
         elif current is None:
             key, sep, value = line.partition(":")
             key = key.strip()

@@ -14,13 +14,12 @@ Sign convention for the correlation parameter
 The error correlation of a measurement with visibilities ``(vx, vy, vz)``
 is reported as ``c = i*vz`` (so ``c^2 = -vz^2``). Because the correlation
 moment of the quasi-probability is ``i*<Z>`` while the measurement couples
-to ``vz*<Z>``, the linear maps between quasi-probabilities and outcome
-tables must pair that moment with ``-c``: only then does
+to ``vz*<Z>``, the linear map from outcome tables to quasi-probabilities
+must pair that moment with ``-c``: only then does
 ``reconstruct_kd(outcome_probs(...), vx, vy, i*vz)`` return
-``kd_from_state(rho)``. Both `forward_map` and `reconstruct_kd` use this
-pairing, which keeps them exact mutual inverses for every nonzero complex
-``c``. (The opposite pairing would correspond to the transposed projector
-order, which conjugates every quasi-probability entry.)
+``kd_from_state(rho)``. `reconstruct_kd` uses this pairing for every
+nonzero complex ``c``. (The opposite pairing would correspond to the
+transposed projector order, which conjugates every quasi-probability entry.)
 """
 
 from __future__ import annotations
@@ -30,8 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import ErrorModel, visibilities_from_error_model
-from .povm import OUTCOMES4, OUTCOMES16, _checked_table, _hadamard, _sum4, ideal_operator
+from .povm import OUTCOMES4, _checked_table, _sum4, ideal_operator
 from .qubit import (
     ATOL_ALGEBRA,
     _bloch_operators,
@@ -123,12 +121,6 @@ def _kd_entries(rho: np.ndarray, outcomes=OUTCOMES4) -> np.ndarray:
     return overlap * _sum4(*(ket_y[:, i].conj() * rho_x[i] for i in range(dim)))
 
 
-def kd_pair_from_state(rho4) -> np.ndarray:
-    """Quasi-probability ``<x1,x2|y1,y2><y1,y2|rho4|x1,x2>`` of a two-qubit state over ``OUTCOMES16``."""
-    entries = _kd_entries(ensure_density_matrix(rho4, dim=4), OUTCOMES16)
-    return _checked_table(entries, 16, dtype=complex, total=1.0, tol=ATOL_ALGEBRA, what="pair KD")
-
-
 def _check_not_singular(name: str, value: complex) -> complex:
     value = complex(value)
     if abs(value) < SINGULAR_VISIBILITY:
@@ -165,39 +157,12 @@ def reconstruct_kd(p, vx: float, vy: float, c: complex) -> KDDistribution:
     return KDDistribution(entries=entries)
 
 
-def forward_map(kd: KDDistribution, m: ErrorModel) -> np.ndarray:
-    """Outcome table, in ``OUTCOMES4`` order, produced by an error model acting on a quasi-probability.
-
-    Exact inverse of `reconstruct_kd` at matching ``(vx, vy, c)``. The error
-    weights couple to the quasi-probability through its four moments
-    ``H @ kd`` = (total, y, x, x*y), with the correlation moment paired with
-    ``-c`` (module docstring); for the physical model of a measurement with
-    visibilities (vx, vy, vz), i.e. ``c = i*vz``, this reproduces the
-    measurement's outcome probabilities. Materially complex outputs are
-    rejected as an inconsistent pairing of quasi-probability and model.
-    """
-    vx, vy, c = visibilities_from_error_model(m)
-    moments = _hadamard(kd.entries) * np.array([1.0, vy, vx, -c])
-    table = _hadamard(moments) / 4.0
-    worst = int(np.argmax(np.abs(table.imag)))
-    if abs(table[worst].imag) > 1e-10:
-        raise ValueError(
-            f"forward map produced a complex probability at {OUTCOMES4[worst]}: {table[worst]!r}; "
-            "the quasi-probability and error model are inconsistent"
-        )
-    return _checked_table(table.real, 4)
-
-
-def random_qubit_density(rng: np.random.Generator) -> np.ndarray:
-    """Density matrix with Bloch vector drawn uniformly from the unit ball."""
-    return _random_qubit_densities(rng, 1)[0]
-
-
 def _random_qubit_densities(rng: np.random.Generator, n: int) -> np.ndarray:
-    """``n`` states as (n, 2, 2): one batch of ``n`` directions, then one of ``n`` radii.
+    """``n`` states as (n, 2, 2), Bloch vectors uniform in the unit ball.
 
-    So for ``n > 1`` the states differ from ``n`` calls of
-    `random_qubit_density`, which interleave the two draws.
+    One batch of ``n`` directions is drawn, then one of ``n`` radii. So for
+    ``n > 1`` the states differ from ``n`` calls with ``n = 1``, which
+    interleave the two draws.
     """
     direction = rng.normal(size=(n, 3))
     direction /= np.linalg.norm(direction, axis=1, keepdims=True)

@@ -215,8 +215,8 @@ class JointPovm:
     """The four measurement operators as one read-only complex (4, 2, 2) array.
 
     ``elements[k]`` is the operator of outcome ``OUTCOMES4[k]``; the shape is
-    checked once, here, and ``element(x, y)`` picks one operator by outcome.
-    Instances compare and hash by identity; compare ``elements`` with numpy.
+    checked once, here. Instances compare and hash by identity; compare
+    ``elements`` with numpy.
     """
 
     visibilities: VisibilityTriple
@@ -228,9 +228,6 @@ class JointPovm:
             raise ValueError(f"measurement elements must be (4, 2, 2), got {elements.shape}")
         elements.flags.writeable = False
         object.__setattr__(self, "elements", elements)
-
-    def element(self, x: int, y: int) -> np.ndarray:
-        return self.elements[OUTCOMES4.index((ensure_sign(x, "x"), ensure_sign(y, "y")))]
 
 
 def build_povm(v: VisibilityTriple) -> JointPovm:
@@ -276,9 +273,9 @@ def pair_outcome_probs(povm1: JointPovm, povm2: JointPovm, rho4) -> np.ndarray:
     Entry ``(x1, y1, x2, y2)`` is ``Tr((element1(x1,y1) (x) element2(x2,y2)) @ rho4)``.
     The 16 Kronecker products are one broadcast product, entry for entry
     what ``np.kron`` computes, so the table equals the per-element
-    ``trace_product(tensor(...), rho4)`` bit for bit. The two measurements
-    may differ; the pattern-based estimators in `analysis` assume they are
-    identical.
+    ``np.trace(np.kron(element1, element2) @ rho4)`` bit for bit. The two
+    measurements may differ; the pattern-based estimators in `analysis`
+    assume they are identical.
     """
     rho4 = ensure_density_matrix(rho4, dim=4)
     e1, e2 = povm1.elements, povm2.elements

@@ -60,20 +60,6 @@ def _as_complex_array(a, what: str) -> np.ndarray:
     return arr
 
 
-def _ensure_operator(m, what: str = "operator", stack: bool = False) -> np.ndarray:
-    """A 2x2 or 4x4 complex matrix; with ``stack``, any number of them over leading axes."""
-    arr = _as_complex_array(m, what)
-    if arr.ndim < 2 or (arr.ndim > 2 and not stack) or arr.shape[-2:] not in ((2, 2), (4, 4)):
-        raise ValueError(f"{what} must be a 2x2 or 4x4 matrix, got shape {arr.shape}")
-    return arr
-
-
-def is_hermitian(m, atol: float = ATOL_ALGEBRA) -> bool:
-    """Whether a matrix, or every matrix of a (..., d, d) stack, is Hermitian within ``atol``."""
-    arr = _ensure_operator(m, stack=True)
-    return bool(np.max(np.abs(arr - arr.conj().swapaxes(-1, -2))) <= atol)
-
-
 def identity(dim: int = 2) -> np.ndarray:
     if dim not in (2, 4):
         raise ValueError(f"dimension must be 2 or 4, got {dim}")
@@ -116,7 +102,9 @@ def ensure_density_matrix(rho, dim: int | None = None, what: str = "density matr
 
     A stack is rejected as a whole, its message quoting the worst trace.
     """
-    arr = _ensure_operator(rho, what, stack=True)
+    arr = _as_complex_array(rho, what)
+    if arr.ndim < 2 or arr.shape[-2:] not in ((2, 2), (4, 4)):
+        raise ValueError(f"{what} must be a 2x2 or 4x4 matrix, got shape {arr.shape}")
     if dim is not None and arr.shape[-1] != dim:
         raise ValueError(f"{what} must be {dim}x{dim}, got shape {arr.shape}")
     if np.max(np.abs(arr - arr.conj().swapaxes(-1, -2)), initial=0.0) > ATOL_EIG:
@@ -131,15 +119,6 @@ def ensure_density_matrix(rho, dim: int | None = None, what: str = "density matr
     return arr
 
 
-def tensor(a, b) -> np.ndarray:
-    """Kronecker product of two single-qubit operators (2x2 inputs only)."""
-    ma = _as_complex_array(a, "left factor")
-    mb = _as_complex_array(b, "right factor")
-    if ma.shape != (2, 2) or mb.shape != (2, 2):
-        raise ValueError(f"tensor expects 2x2 factors, got shapes {ma.shape} and {mb.shape}")
-    return np.kron(ma, mb)
-
-
 def tensor_state(psi_a, psi_b) -> np.ndarray:
     """Kronecker product of two single-qubit state vectors."""
     va = _as_complex_array(psi_a, "left state")
@@ -149,31 +128,12 @@ def tensor_state(psi_a, psi_b) -> np.ndarray:
     return np.kron(va, vb)
 
 
-def trace_product(m, rho) -> complex:
-    """``Tr(m @ rho)`` for equally sized operators."""
-    ma = _ensure_operator(m, "first operator")
-    mb = _ensure_operator(rho, "second operator")
-    if ma.shape != mb.shape:
-        raise ValueError(f"dimension mismatch: {ma.shape} vs {mb.shape}")
-    return complex(np.trace(ma @ mb))
-
-
-def min_eigenvalue_hermitian(m):
-    """Smallest eigenvalue of a Hermitian operator, or of each of a (..., d, d) stack.
+def _lowest_eigenvalues(arr: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of each Hermitian matrix of a (..., d, d) stack, unchecked.
 
     The 2x2 case uses the closed form ``(a+d)/2 - sqrt(((a-d)/2)^2 + |b|^2)``;
-    the 4x4 case falls back to a dense Hermitian eigensolve. A single matrix
-    gives a float, a stack an array over its leading axes.
+    the 4x4 case a dense Hermitian eigensolve.
     """
-    arr = _ensure_operator(m, stack=True)
-    if not is_hermitian(arr, atol=ATOL_EIG):
-        raise ValueError("min_eigenvalue_hermitian requires a Hermitian input")
-    lowest = _lowest_eigenvalues(arr)
-    return float(lowest) if arr.ndim == 2 else lowest
-
-
-def _lowest_eigenvalues(arr: np.ndarray) -> np.ndarray:
-    """`min_eigenvalue_hermitian` of each matrix of a (..., d, d) stack, unchecked."""
     if arr.shape[-1] == 2:
         a = arr[..., 0, 0].real
         d = arr[..., 1, 1].real

@@ -9,19 +9,26 @@ import contextlib
 import numpy as np
 
 from conftest import record_acceptance
+from oracles import (
+    ErrorModel,
+    element,
+    kd_pair_from_state,
+    min_eigenvalue_hermitian,
+    pattern_quasiprobs,
+    predicted_pattern_probs,
+    random_qubit_density,
+    trace_product,
+)
 from xymeas import cli
 from xymeas.analysis import (
-    ErrorModel,
     classicality_statistic,
     collapse_pair_counts,
     estimate_visibility,
     is_classical,
     pattern_estimates,
-    pattern_quasiprobs,
-    predicted_pattern_probs,
 )
 from xymeas.checks import visibility_grid
-from xymeas.kirkwood import kd_from_state, kd_pair_from_state, random_qubit_density, reconstruct_kd
+from xymeas.kirkwood import kd_from_state, reconstruct_kd
 from xymeas.povm import (
     OUTCOMES4,
     OUTCOMES16,
@@ -33,15 +40,7 @@ from xymeas.povm import (
     outcome_probs,
     pair_outcome_probs,
 )
-from xymeas.qubit import (
-    density,
-    eigenstate,
-    identity,
-    min_eigenvalue_hermitian,
-    pauli,
-    singlet,
-    trace_product,
-)
+from xymeas.qubit import density, eigenstate, identity, pauli, singlet
 from xymeas.simulate import ExperimentConfig, run_eigenstate_experiment, run_pair_experiment
 
 SQ3 = 1.0 / np.sqrt(3.0)
@@ -62,11 +61,11 @@ def test_criterion_1_povm_structure():
     with criterion(1, "POVM completeness and closed-form positivity on the 9x9x9 grid"):
         for v in GRID:
             povm = build_povm(v)
-            total = sum(povm.element(*o) for o in OUTCOMES4)
+            total = sum(element(povm, *o) for o in OUTCOMES4)
             assert np.max(np.abs(total - identity(2))) <= 1e-12
             expected_min = (1.0 - np.sqrt(v.norm_squared)) / 4.0
             for o in OUTCOMES4:
-                lam = min_eigenvalue_hermitian(povm.element(*o))
+                lam = min_eigenvalue_hermitian(element(povm, *o))
                 assert abs(lam - expected_min) <= 1e-10
 
 

@@ -5,19 +5,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from xymeas.analysis import (
+from oracles import (
     ErrorModel,
+    eigenstate_probs_from_error_model,
+    error_model_from_visibilities,
+    predicted_pattern_probs,
+    visibilities_from_error_model,
+)
+from xymeas.analysis import (
     classicality_statistic,
     collapse_pair_counts,
     correct_for_source_noise,
-    eigenstate_probs_from_error_model,
-    error_model_from_visibilities,
     estimate_visibility,
     is_classical,
     pattern_estimates,
     pattern_of,
-    predicted_pattern_probs,
-    visibilities_from_error_model,
 )
 from xymeas.povm import (
     OUTCOMES16,

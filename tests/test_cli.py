@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import element
 from xymeas import cli, fileio
 from xymeas.fileio import (
     fmt_float,
@@ -118,7 +119,7 @@ class TestBuildPovm:
         out = tmp_path / "povm.txt"
         assert run_cli("build-povm", "--vx", 1, "--vy", 0, "--vz", 0, "--out", out) == 0
         povm = read_povm_file(out)
-        assert np.allclose(povm.element(+1, +1), [[0.25, 0.25], [0.25, 0.25]], atol=1e-15)
+        assert np.allclose(element(povm, +1, +1), [[0.25, 0.25], [0.25, 0.25]], atol=1e-15)
 
     def test_positivity_violation_exits_2(self, tmp_path, capsys):
         out = tmp_path / "povm.txt"
@@ -269,6 +270,12 @@ class TestEstimate:
         report = read_document(report_path)
         assert report.section_value("csquared", "classical") == "true"
         assert float(report.section_value("csquared", "value")) == pytest.approx(0.0, abs=0.01)
+
+    def test_exact_reference_at_zero_vz_has_no_negative_zero(self, tmp_path):
+        paths = simulate_all(tmp_path, ("0.6", "0.8", "0"), 1000, base_seed=250)
+        report_path = tmp_path / "report.txt"
+        assert run_cli("estimate", *paths.values(), "--out", report_path) == 0
+        assert read_document(report_path).section_value("exact_reference", "csquared") == "0"
 
     def test_missing_pair_file_listed(self, tmp_path, capsys):
         paths = simulate_all(tmp_path, ("0.6", "0.8", "0"), 1000, base_seed=300)
@@ -632,6 +639,20 @@ class TestFileFormat:
         assert run_cli("estimate", *paths.values(), "--out", tmp_path / "r.txt") == 1
         assert f"{paths['ex']}:{lineno}:" in capsys.readouterr().err
 
+    def test_repeated_section_heading_rejected(self, tmp_path, capsys):
+        paths = simulate_all(tmp_path, ("0.6", "0.8", "0"), 1000, base_seed=955)
+        lines = paths["ex"].read_text().splitlines()
+        first = lines.index("[counts]") + 1
+        # a second heading between the second and third of the four rows
+        lineno = first + 3
+        lines.insert(lineno - 1, "[counts]")
+        paths["ex"].write_text("\n".join(lines) + "\n")
+        message = f"{paths['ex']}:{lineno}: duplicate section [counts] (first on line {first})"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_document(paths["ex"])
+        assert run_cli("estimate", paths["ex"], "--allow-partial", "--out", tmp_path / "r.txt") == 1
+        assert f"error: {message}" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "prefix, replacement, message",
         [
@@ -899,6 +920,14 @@ class TestFileFormat:
         for parse in (str, float):
             with pytest.raises(ValueError, match=re.escape(f"{path}:3: malformed [csquared] row")):
                 doc.section_value("csquared", "value", parse)
+
+    def test_section_value_rejects_repeated_row(self, tmp_path):
+        path = tmp_path / "r.txt"
+        path.write_text("schema: xymeas-report/1\n[visibility_x]\nvalue 0.5\nvalue 0.9\n")
+        doc = read_document(path)
+        message = f"{path}:4: duplicate [visibility_x] row 'value' (first on line 3)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            doc.section_value("visibility_x", "value", float)
 
     def test_missing_report_section_names_file(self, tmp_path, capsys):
         paths = simulate_all(tmp_path, ("0.5", "0.6", "0.4"), 1000, base_seed=1010)

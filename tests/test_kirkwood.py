@@ -3,32 +3,26 @@
 import numpy as np
 import pytest
 
+from oracles import (
+    error_model_from_visibilities,
+    forward_map,
+    kd_pair_from_state,
+    random_qubit_density,
+    tensor,
+    trace_product,
+)
 from xymeas import checks
-from xymeas.analysis import error_model_from_visibilities
 from xymeas.checks import CheckResult, check_operator_identities
 from xymeas.kirkwood import (
     SINGULAR_VISIBILITY,
     KDDistribution,
     SingularInversionError,
-    forward_map,
     kd_from_state,
-    kd_pair_from_state,
-    random_qubit_density,
     reconstruct_kd,
     verify_operator_identities,
 )
 from xymeas.povm import OUTCOMES4, OUTCOMES16, VisibilityTriple, build_povm, outcome_probs
-from xymeas.qubit import (
-    ATOL_ALGEBRA,
-    density,
-    eigenstate,
-    identity,
-    pauli,
-    singlet,
-    tensor,
-    tensor_state,
-    trace_product,
-)
+from xymeas.qubit import ATOL_ALGEBRA, density, eigenstate, identity, pauli, singlet, tensor_state
 from xymeas.simulate import ExperimentConfig, run_eigenstate_experiment, werner_state
 
 SQ3 = 1.0 / np.sqrt(3.0)

@@ -1,0 +1,42 @@
+"""The package ships one path per computation; per-record forms live in ``tests/oracles.py``."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from xymeas import analysis, kirkwood, povm, qubit
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# each name `oracles` holds, by the module or class it was once defined in
+MOVED = {
+    analysis: (
+        "ErrorModel",
+        "error_model_from_visibilities",
+        "visibilities_from_error_model",
+        "eigenstate_probs_from_error_model",
+        "pattern_quasiprobs",
+        "predicted_pattern_probs",
+    ),
+    kirkwood: ("forward_map", "kd_pair_from_state", "random_qubit_density"),
+    qubit: ("trace_product", "tensor", "min_eigenvalue_hermitian", "is_hermitian"),
+    povm.JointPovm: ("element",),
+}
+
+
+def test_oracle_names_are_not_in_the_package():
+    left = [
+        f"{owner.__name__}.{name}" for owner, names in MOVED.items() for name in names if hasattr(owner, name)
+    ]
+    assert left == []
+
+
+def test_kirkwood_does_not_import_analysis():
+    code = "import sys, xymeas.kirkwood; print('xymeas.analysis' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xymeas.kirkwood import random_qubit_density
+from oracles import element, min_eigenvalue_hermitian, random_qubit_density, tensor, trace_product
 from xymeas.povm import (
     OUTCOMES4,
     OUTCOMES16,
@@ -22,18 +22,7 @@ from xymeas.povm import (
     outcome_probs,
     pair_outcome_probs,
 )
-from xymeas.qubit import (
-    ATOL_ALGEBRA,
-    ATOL_EIG,
-    density,
-    eigenstate,
-    identity,
-    min_eigenvalue_hermitian,
-    pauli,
-    singlet,
-    tensor,
-    trace_product,
-)
+from xymeas.qubit import ATOL_ALGEBRA, ATOL_EIG, density, eigenstate, identity, pauli, singlet
 from xymeas.simulate import werner_state
 
 SQ3 = 1.0 / np.sqrt(3.0)
@@ -77,12 +66,12 @@ class TestBuildPovm:
         povm = build_povm(VisibilityTriple(1.0, 0.0, 0.0))
         for x, y in OUTCOMES4:
             expected = (identity(2) + x * pauli("X")) / 4.0
-            assert np.allclose(povm.element(x, y), expected, atol=ATOL_ALGEBRA)
+            assert np.allclose(element(povm, x, y), expected, atol=ATOL_ALGEBRA)
 
     def test_symmetric_point_elements_are_half_projectors(self):
         povm = build_povm(VisibilityTriple(SQ3, SQ3, SQ3))
         for x, y in OUTCOMES4:
-            el = povm.element(x, y)
+            el = element(povm, x, y)
             # eigenvalues (1 +- 1)/4, so 2*el is a rank-1 projector
             assert min_eigenvalue_hermitian(el) == pytest.approx(0.0, abs=ATOL_EIG)
             assert np.allclose((2 * el) @ (2 * el), 2 * el, atol=1e-10)
@@ -90,11 +79,11 @@ class TestBuildPovm:
     @pytest.mark.parametrize("v", list(valid_triples(step=0.5)))
     def test_completeness_and_min_eigenvalue(self, v):
         povm = build_povm(v)
-        total = sum(povm.element(*o) for o in OUTCOMES4)
+        total = sum(element(povm, *o) for o in OUTCOMES4)
         assert np.max(np.abs(total - identity(2))) <= ATOL_ALGEBRA
         expected_min = (1.0 - np.sqrt(v.norm_squared)) / 4.0
         for o in OUTCOMES4:
-            lam = min_eigenvalue_hermitian(povm.element(*o))
+            lam = min_eigenvalue_hermitian(element(povm, *o))
             assert lam == pytest.approx(expected_min, abs=ATOL_EIG)
             assert lam >= -ATOL_EIG
 
@@ -103,7 +92,7 @@ class TestBuildPovm:
 @given(v=visibility_triples)
 def test_povm_completeness_property(v):
     povm = build_povm(v)
-    total = sum(povm.element(*o) for o in OUTCOMES4)
+    total = sum(element(povm, *o) for o in OUTCOMES4)
     assert np.max(np.abs(total - identity(2))) <= ATOL_ALGEBRA
 
 
@@ -222,7 +211,7 @@ class TestPairOutcomeProbs:
         assert povm.elements.shape == (4, 2, 2) and povm.elements.dtype == complex
         assert not povm.elements.flags.writeable
         for k, (x, y) in enumerate(OUTCOMES4):
-            assert np.array_equal(povm.element(x, y), povm.elements[k])
+            assert np.array_equal(element(povm, x, y), povm.elements[k])
 
 
 def random_pair_density(seed: int) -> np.ndarray:
@@ -251,11 +240,11 @@ pair_states = st.one_of(
 def test_stacked_tables_equal_per_element_reference(v1, v2, rho, rho4):
     """One stacked product gives the per-element traces bit for bit."""
     povm1, povm2 = build_povm(v1), build_povm(v2)
-    single = [trace_product(povm1.element(*o), rho) for o in OUTCOMES4]
+    single = [trace_product(element(povm1, *o), rho) for o in OUTCOMES4]
     assert np.array_equal(outcome_probs(povm1, rho), np.real(single))
     for a, b in ((povm1, povm2), (povm2, povm1), (povm1, povm1)):
         pair = [
-            trace_product(tensor(a.element(x1, y1), b.element(x2, y2)), rho4)
+            trace_product(tensor(element(a, x1, y1), element(b, x2, y2)), rho4)
             for x1, y1, x2, y2 in OUTCOMES16
         ]
         assert np.array_equal(pair_outcome_probs(a, b, rho4), np.real(pair))

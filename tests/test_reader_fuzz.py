@@ -12,15 +12,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xymeas.fileio import read_counts_document, read_document, read_povm_file, read_probs_document
+from xymeas.fileio import (
+    SCHEMA_REPORT,
+    one_of,
+    read_counts_document,
+    read_document,
+    read_povm_file,
+    read_probs_document,
+)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def read_report_visibilities(path):
+    """The three rows ``reconstruct --from-report`` reads from an estimate report."""
+    doc = read_document(path)
+    doc.header_value("schema", one_of(SCHEMA_REPORT))
+    rows = (("visibility_x", "value"), ("visibility_y", "value"), ("csquared", "vz_magnitude"))
+    return [doc.section_value(name, key, float) for name, key in rows]
+
 
 READERS = {
     "x.counts": lambda path: read_counts_document(read_document(path)),
     "pair.counts": lambda path: read_counts_document(read_document(path)),
     "zplus.probs": lambda path: read_probs_document(read_document(path)),
     "povm.txt": read_povm_file,
+    "estimate.report": read_report_visibilities,
 }
 
 

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import tensor, trace_product
 from xymeas import simulate
 from xymeas.povm import (
     OUTCOMES4,
@@ -23,7 +24,7 @@ from xymeas.povm import (
     outcome_probs,
     pair_outcome_probs,
 )
-from xymeas.qubit import density, eigenstate, identity, pauli, singlet, tensor, trace_product
+from xymeas.qubit import density, eigenstate, identity, pauli, singlet
 from xymeas.simulate import (
     BLOCK_SHOTS,
     ExperimentConfig,

@@ -8,14 +8,16 @@ table gives such a vector, and no record or reader takes a mapping.
 import numpy as np
 import pytest
 
-from xymeas.analysis import (
+from oracles import (
     ErrorModel,
     eigenstate_probs_from_error_model,
     error_model_from_visibilities,
+    forward_map,
+    kd_pair_from_state,
     pattern_quasiprobs,
 )
 from xymeas.fileio import read_document, read_probs_document, write_probs_file
-from xymeas.kirkwood import KDDistribution, forward_map, kd_from_state, kd_pair_from_state, reconstruct_kd
+from xymeas.kirkwood import KDDistribution, kd_from_state, reconstruct_kd
 from xymeas.povm import (
     OUTCOMES4,
     OUTCOMES16,
