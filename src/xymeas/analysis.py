@@ -76,7 +76,7 @@ def estimate_visibility(counts: OutcomeCounts4) -> Estimate:
     # OUTCOMES4 order: rows x = +1, -1; columns y = +1, -1
     marginal = counts.counts.reshape(2, 2).sum(axis=1 if counts.input_axis == "X" else 0)
     p = float(marginal[0 if counts.input_value == +1 else 1]) / total
-    stderr = 2.0 * np.sqrt(max(p * (1.0 - p), 0.0) / total)
+    stderr = 2.0 * np.sqrt(p * (1.0 - p) / total)
     return Estimate(value=2.0 * p - 1.0, stderr=stderr)
 
 
@@ -93,24 +93,16 @@ def collapse_pair_counts(counts: PairCounts16) -> PatternStats:
     """Reduce 16 pair-outcome counts to the four per-outcome pattern probabilities.
 
     Four outcome combinations share each pattern, so ``e(r)`` is the pattern
-    class count divided by ``4 * total``. Integer counts are a sampled run;
-    a float table (total 1, e.g. exact probabilities) lines up with
-    `povm.exact_pattern_probs` and comes back with ``total_shots = 0`` and
-    zero standard errors.
+    class count divided by ``4 * total``.
     """
     total = counts.total
     if total <= 0:
         raise ValueError("collapse_pair_counts needs at least one shot")
-    table = counts.counts
-    sampled = table.dtype.kind in "iu"
-    class_counts = np.bincount(_PATTERN_INDEX16, weights=table, minlength=len(PATTERNS))
-    f = np.clip(class_counts / total, 0.0, 1.0)
-    if sampled:
-        # rule-of-three upper bound for an empty pattern class
-        stderr = np.where(f == 0.0, 3.0 / total, np.sqrt(f * (1.0 - f) / total)) / 4.0
-    else:
-        stderr = np.zeros(len(PATTERNS))
-    return PatternStats(e=f / 4.0, stderr=stderr, total_shots=total if sampled else 0)
+    class_counts = np.bincount(_PATTERN_INDEX16, weights=counts.counts, minlength=len(PATTERNS))
+    f = class_counts / total
+    # rule-of-three upper bound for an empty pattern class
+    stderr = np.where(f == 0.0, 3.0 / total, np.sqrt(f * (1.0 - f) / total)) / 4.0
+    return PatternStats(e=f / 4.0, stderr=stderr)
 
 
 def pattern_estimates(stats: PatternStats) -> tuple[Estimate, Estimate, Estimate]:
@@ -151,16 +143,12 @@ def correct_for_source_noise(stats: PatternStats, p: float) -> PatternStats:
     the uniform 1/16 background: ``e_noisy = p * e_pure + (1 - p) / 16``.
     Inverting divides every pattern contrast by ``p`` and scales standard
     errors by ``1/p``. Model-dependent: valid only for isotropic noise with a
-    correctly known ``p``. Corrected sampled entries may be slightly
-    negative where the true probability is near zero.
+    correctly known ``p``. Corrected sampled entries may fall below 0 or
+    above 1/4 where the true probability is near either end.
     """
     if not 0.0 < p <= 1.0:
         raise ValueError(f"source parameter must lie in (0, 1], got {p!r}")
-    return PatternStats(
-        e=(stats.e - (1.0 - p) / 16.0) / p,
-        stderr=stats.stderr / p,
-        total_shots=stats.total_shots,
-    )
+    return PatternStats(e=(stats.e - (1.0 - p) / 16.0) / p, stderr=stats.stderr / p)
 
 
 def _self_convolution(w) -> np.ndarray:

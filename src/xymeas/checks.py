@@ -16,9 +16,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import _PATTERN_INDEX16, _self_convolution, classicality_statistic
-from .kirkwood import verify_operator_identities
-from .povm import VisibilityTriple, _exact_patterns, _family_elements, _hadamard
-from .qubit import ATOL_ALGEBRA, ATOL_EIG, _lowest_eigenvalues, density, identity, singlet
+from .kirkwood import _kd_entries
+from .povm import OUTCOMES4, VisibilityTriple, _exact_patterns, _family_elements, _hadamard, ideal_operator
+from .qubit import (
+    ATOL_ALGEBRA,
+    ATOL_EIG,
+    _bloch_operators,
+    _lowest_eigenvalues,
+    density,
+    ensure_density_matrix,
+    identity,
+    pauli,
+    singlet,
+)
 
 # Cases are swept as arrays of this many at a time. That bounds the memory
 # of the random-model sweeps whatever the sample count; `visibility_grid`
@@ -171,9 +181,45 @@ def check_classicality_dichotomy(
     )
 
 
+def _random_qubit_densities(rng: np.random.Generator, n: int) -> np.ndarray:
+    """``n`` states as (n, 2, 2), Bloch vectors uniform in the unit ball.
+
+    One batch of ``n`` directions is drawn, then one of ``n`` radii. So for
+    ``n > 1`` the states differ from ``n`` calls with ``n = 1``, which
+    interleave the two draws.
+    """
+    direction = rng.normal(size=(n, 3))
+    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    radius = rng.random(n) ** (1.0 / 3.0)
+    return _bloch_operators(radius[:, None] * direction) / 2.0
+
+
 def check_operator_identities(samples: int = 1000, seed: int = 20240901) -> CheckResult:
-    """Every operator identity of `kirkwood.verify_operator_identities` to ``ATOL_ALGEBRA``."""
-    deviations = verify_operator_identities(samples=samples, seed=seed)
+    """The operator identities behind the imaginary error correlation, each to ``ATOL_ALGEBRA``.
+
+    A failure names each identity that fails, in this order:
+
+    * ``X @ Y = i*Z``;
+    * ``ideal_operator(sx, sy)`` equals the measurement-family expression
+      with ``vx = vy = 1`` and ``vz`` replaced by the imaginary unit;
+    * the four ideal operators sum to the identity;
+    * ``Tr(ideal_operator(x, y) @ rho)`` equals the quasi-probability entry
+      ``kirkwood._kd_entries(rho)`` at ``(x, y)`` for ``samples`` random states.
+
+    The states are drawn as one batch (`_random_qubit_densities`), validated
+    as a stack, and both sides of the last identity are computed over it.
+    """
+    ideal = np.array([ideal_operator(sx, sy) for sx, sy in OUTCOMES4])
+    family = _bloch_operators([(sx, sy, sx * sy * 1j) for sx, sy in OUTCOMES4]) / 4.0
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    rho = ensure_density_matrix(_random_qubit_densities(rng, samples), dim=2)
+    traces = np.einsum("oij,nji->no", ideal, rho)
+    deviations = {
+        "x_times_y_equals_i_z": np.max(np.abs(pauli("X") @ pauli("Y") - 1j * pauli("Z"))),
+        "ideal_operator_is_family_at_vz_i": np.max(np.abs(ideal - family)),
+        "ideal_operators_sum_to_identity": np.max(np.abs(np.sum(ideal, axis=0) - identity(2))),
+        "ideal_traces_equal_kd_entries": np.max(np.abs(traces - _kd_entries(rho)), initial=0.0),
+    }
     # "not <=" also fails a NaN deviation
     failed = [name for name, dev in deviations.items() if not dev <= ATOL_ALGEBRA]
     if failed:

@@ -44,6 +44,7 @@ import numpy as np
 
 from . import __version__ as _tool_version
 from .povm import OUTCOMES4, OUTCOMES16, JointPovm, VisibilityTriple, _checked_table
+from .qubit import ATOL_ALGEBRA
 from .simulate import OutcomeCounts4, PairCounts16
 
 SCHEMA_COUNTS = "xymeas-counts/1"
@@ -303,6 +304,14 @@ def _finite(token: str) -> float:
     return value
 
 
+def _probability(token: str) -> float:
+    """A finite table entry within the bounds `kirkwood.reconstruct_kd` applies."""
+    value = _finite(token)
+    if not -ATOL_ALGEBRA <= value <= 1.0 + ATOL_ALGEBRA:
+        raise ValueError(f"{token!r} is not in [{-ATOL_ALGEBRA}, {1.0 + ATOL_ALGEBRA}]")
+    return value
+
+
 def one_of(*choices: str):
     """A token parser that accepts exactly one of ``choices``."""
 
@@ -351,20 +360,22 @@ def read_counts_document(doc: Document) -> CountsArtifact:
     ``eigenstate``/``pair``, an ``axis`` other than ``X``/``Y`` or a
     ``value`` other than ``+1``/``-1``, header visibilities outside the
     measurement family, a ``werner_p`` header outside [0, 1], or a ``shots``
-    header that disagrees with the counts sum is rejected with its
-    ``file:line``; a ``[counts]`` table that sums to 0 at its ``[counts]`` line.
+    header not written as a count or that disagrees with the counts sum is
+    rejected with its ``file:line``; a ``[counts]`` table that sums to 0 at
+    its ``[counts]`` line. The ``vx``/``vy``/``vz`` headers are optional
+    together: with any one present, a missing one is named.
     """
     doc.header_value("schema", one_of(SCHEMA_COUNTS))
     mode = doc.header_value("mode", one_of("eigenstate", "pair"))
     visibilities = None
-    if all(k in doc.header for k in ("vx", "vy", "vz")):
+    if any(k in doc.header for k in ("vx", "vy", "vz")):
         visibilities = _header_visibilities(doc)
     keys = OUTCOMES4 if mode == "eigenstate" else OUTCOMES16
     counts = _parse_keyed(doc, "counts", keys, 1, _count)
     total = sum(counts)
     if total == 0:
         raise ValueError(f"{doc._where(doc.section_lines['counts'])}[counts] rows sum to 0 shots")
-    if "shots" in doc.header and doc.header_value("shots", int) != total:
+    if "shots" in doc.header and doc.header_value("shots", _count) != total:
         raise ValueError(
             f"{doc._where(doc.header_lines['shots'])}shots {doc.header['shots']} disagrees "
             f"with the counts sum {total}"
@@ -401,13 +412,14 @@ def read_probs_document(doc: Document) -> tuple[np.ndarray, str | None]:
     """The outcome table and state label held in ``doc``, as parsed by `read_document`.
 
     The table is a read-only vector in ``OUTCOMES4`` order. Besides the row
-    faults of `_parse_keyed`, an entry that is not finite is located at its
-    row, a table that does not sum to 1 (within 1e-9, the tolerance of every
-    probability table) at the ``[probs]`` line, and a ``state`` header that
-    is not one of ``STATE_LABELS`` at its line.
+    faults of `_parse_keyed`, an entry that is not finite or lies outside
+    ``[-ATOL_ALGEBRA, 1 + ATOL_ALGEBRA]`` is located at its row, a table that
+    does not sum to 1 (within 1e-9, the tolerance of every probability
+    table) at the ``[probs]`` line, and a ``state`` header that is not one
+    of ``STATE_LABELS`` at its line.
     """
     doc.header_value("schema", one_of(SCHEMA_PROBS))
-    probs = _parse_keyed(doc, "probs", OUTCOMES4, 1, _finite)
+    probs = _parse_keyed(doc, "probs", OUTCOMES4, 1, _probability)
     total = sum(probs)
     if abs(total - 1.0) > 1e-9:
         where = doc._where(doc.section_lines["probs"])

@@ -29,16 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .povm import OUTCOMES4, _checked_table, _sum4, ideal_operator
-from .qubit import (
-    ATOL_ALGEBRA,
-    _bloch_operators,
-    ensure_density_matrix,
-    eigenstate,
-    identity,
-    pauli,
-    tensor_state,
-)
+from .povm import OUTCOMES4, _checked_table, _sum4
+from .qubit import ATOL_ALGEBRA, ensure_density_matrix, eigenstate, tensor_state
 
 # Visibilities below this magnitude are rejected rather than regularized.
 # The inversion scales rounding by 1/|v|: with all three |v| equal, random
@@ -104,12 +96,13 @@ def _product_kets(outcomes, axis: str) -> np.ndarray:
 def _kd_entries(rho: np.ndarray, outcomes=OUTCOMES4) -> np.ndarray:
     """``<x|y><y|rho|x>`` in ``outcomes`` order for each state of a (..., d, d) stack, as (..., k).
 
-    ``outcomes`` is ``OUTCOMES4`` for a qubit, ``OUTCOMES16`` for a pair
-    (`_product_kets`). For a row-major stack the entries are bit for bit the
-    ``np.sum`` contractions of the (..., k, d, d) products
-    ``rho[..., i, j] * ket_x[o, j]`` over ``j`` and then of
-    ``conj(ket_y[o, i]) * rho_x[..., o, i]`` over ``i``, added by `povm._sum4`
-    without building either product.
+    ``outcomes`` is ``OUTCOMES4`` for a qubit, as every command uses it, or
+    ``OUTCOMES16`` for a pair (`_product_kets`), which serves acceptance
+    criterion 9 through ``tests/oracles.kd_pair_from_state``. For a
+    row-major stack the entries are bit for bit the ``np.sum`` contractions
+    of the (..., k, d, d) products ``rho[..., i, j] * ket_x[o, j]`` over
+    ``j`` and then of ``conj(ket_y[o, i]) * rho_x[..., o, i]`` over ``i``,
+    added by `povm._sum4` without building either product.
     """
     ket_x = _product_kets(outcomes, "X")
     ket_y = _product_kets(outcomes, "Y")
@@ -155,55 +148,3 @@ def reconstruct_kd(p, vx: float, vy: float, c: complex) -> KDDistribution:
             acc += coeff * prob
         entries.append(acc / 4.0)
     return KDDistribution(entries=entries)
-
-
-def _random_qubit_densities(rng: np.random.Generator, n: int) -> np.ndarray:
-    """``n`` states as (n, 2, 2), Bloch vectors uniform in the unit ball.
-
-    One batch of ``n`` directions is drawn, then one of ``n`` radii. So for
-    ``n > 1`` the states differ from ``n`` calls with ``n = 1``, which
-    interleave the two draws.
-    """
-    direction = rng.normal(size=(n, 3))
-    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
-    radius = rng.random(n) ** (1.0 / 3.0)
-    return _bloch_operators(radius[:, None] * direction) / 2.0
-
-
-def verify_operator_identities(samples: int = 1000, seed: int = 20240901) -> dict[str, float]:
-    """Worst deviation from each operator identity behind the imaginary error correlation.
-
-    Keyed by identity name, in this order; `checks.check_operator_identities`
-    judges them against ``ATOL_ALGEBRA``:
-
-    * ``X @ Y = i*Z``;
-    * ``ideal_operator(sx, sy)`` equals the measurement-family expression
-      with ``vx = vy = 1`` and ``vz`` replaced by the imaginary unit;
-    * the four ideal operators sum to the identity;
-    * ``Tr(ideal_operator(x, y) @ rho)`` equals the quasi-probability entry
-      ``kd_from_state(rho).entries`` at ``(x, y)`` for ``samples`` random states.
-
-    The states are drawn as one batch (`_random_qubit_densities`), validated
-    as a stack, and both sides of the last identity are computed over it.
-    """
-    deviations = {}
-
-    deviations["x_times_y_equals_i_z"] = float(
-        np.max(np.abs(pauli("X") @ pauli("Y") - 1j * pauli("Z")))
-    )
-
-    ideal = np.array([ideal_operator(sx, sy) for sx, sy in OUTCOMES4])
-    family = _bloch_operators([(sx, sy, sx * sy * 1j) for sx, sy in OUTCOMES4]) / 4.0
-    deviations["ideal_operator_is_family_at_vz_i"] = float(np.max(np.abs(ideal - family)))
-
-    total = np.sum(ideal, axis=0)
-    deviations["ideal_operators_sum_to_identity"] = float(np.max(np.abs(total - identity(2))))
-
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    rho = ensure_density_matrix(_random_qubit_densities(rng, samples), dim=2)
-    traces = np.einsum("oij,nji->no", ideal, rho)
-    deviations["ideal_traces_equal_kd_entries"] = float(
-        np.max(np.abs(traces - _kd_entries(rho)), initial=0.0)
-    )
-
-    return deviations

@@ -187,24 +187,17 @@ class PatternStats:
 
     ``e[i]`` is the probability of one specific outcome combination showing
     pattern ``PATTERNS[i] = (rx, ry)``; since four outcome combinations share
-    each pattern, the four entries sum to 1/4. ``total_shots`` is 0 for exact
-    tables, in which case every stderr is 0. Both fields become read-only
+    each pattern, the four entries sum to 1/4. Entries are not bounded
+    otherwise: a source-noise corrected table may go below 0 or above 1/4.
+    An exact table has zero standard errors. Both fields become read-only
     vectors in ``PATTERNS`` order, so instances compare by identity.
     """
 
     e: np.ndarray
     stderr: np.ndarray
-    total_shots: int
 
     def __post_init__(self) -> None:
-        if self.total_shots < 0:
-            raise ValueError("total_shots must be non-negative")
-        # Exact tables are nonnegative by construction; sampled tables may
-        # dip below zero only through source-noise correction.
-        floor = -ATOL_ALGEBRA if self.total_shots == 0 else -0.25
-        e = _checked_table(
-            self.e, 4, low=floor, high=1.0 + ATOL_ALGEBRA, total=0.25, what="patterns"
-        )
+        e = _checked_table(self.e, 4, total=0.25, what="patterns")
         object.__setattr__(self, "e", e)
         stderr = _checked_table(self.stderr, 4, low=0.0, what="pattern stderr")
         object.__setattr__(self, "stderr", stderr)
@@ -297,7 +290,7 @@ def exact_pattern_probs(v: VisibilityTriple) -> PatternStats:
         e(1,1) = (1 - vx^2 - vy^2 - vz^2) / 16
     """
     e = _exact_patterns([v.vx, v.vy, v.vz])
-    return PatternStats(e=e, stderr=np.zeros(4), total_shots=0)
+    return PatternStats(e=e, stderr=np.zeros(4))
 
 
 def _exact_patterns(v) -> np.ndarray:

@@ -59,15 +59,21 @@ class ExperimentConfig:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
 
 
+def _shot_counts(values, size: int) -> np.ndarray:
+    """``size`` non-negative integer shot counts as a read-only vector; a float table is rejected."""
+    counts = _checked_table(values, size, dtype=None, low=0, what="counts")
+    if counts.dtype.kind not in "iu":
+        raise ValueError(f"counts: expected integer shot counts, got {counts.dtype} {counts.tolist()}")
+    return counts
+
+
 @dataclass(frozen=True, eq=False)
 class OutcomeCounts4:
-    """Outcome counts of an eigenstate run over the outcomes (x, y).
+    """Shot counts of an eigenstate run over the outcomes (x, y).
 
-    ``counts`` becomes a read-only vector in ``OUTCOMES4`` order whose dtype
-    says what it holds: integers for a simulated run, floats for an exact
-    probability table riding through the same type. ``input_axis`` is
-    ``"X"`` or ``"Y"``; ``total`` is the sum of the table. Instances compare
-    by identity; compare ``counts`` with numpy.
+    ``counts`` becomes a read-only integer vector in ``OUTCOMES4`` order.
+    ``input_axis`` is ``"X"`` or ``"Y"``; ``total`` is the sum of the table.
+    Instances compare by identity; compare ``counts`` with numpy.
     """
 
     counts: np.ndarray
@@ -75,35 +81,31 @@ class OutcomeCounts4:
     input_value: int
 
     def __post_init__(self) -> None:
-        # rounding dust below zero tolerated for exact tables
-        counts = _checked_table(self.counts, 4, dtype=None, low=-1e-12, what="counts")
-        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "counts", _shot_counts(self.counts, 4))
         if self.input_axis not in ("X", "Y"):
             raise ValueError(f"input_axis must be 'X' or 'Y', got {self.input_axis!r}")
         ensure_sign(self.input_value, "input_value")
 
     @property
-    def total(self) -> float:
+    def total(self) -> int:
         return sum(self.counts.tolist())
 
 
 @dataclass(frozen=True, eq=False)
 class PairCounts16:
-    """Outcome counts of a pair run over the outcomes (x1, y1, x2, y2).
+    """Shot counts of a pair run over the outcomes (x1, y1, x2, y2).
 
-    ``counts`` becomes a read-only vector in ``OUTCOMES16`` order; integers
-    for a simulated run, floats for an exact probability table. ``total`` is
-    the sum of the table. Instances compare by identity.
+    ``counts`` becomes a read-only integer vector in ``OUTCOMES16`` order;
+    ``total`` is the sum of the table. Instances compare by identity.
     """
 
     counts: np.ndarray
 
     def __post_init__(self) -> None:
-        counts = _checked_table(self.counts, 16, dtype=None, low=-1e-12, what="counts")
-        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "counts", _shot_counts(self.counts, 16))
 
     @property
-    def total(self) -> float:
+    def total(self) -> int:
         return sum(self.counts.tolist())
 
 

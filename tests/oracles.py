@@ -3,7 +3,7 @@
 The commands work on whole tables and stacks; these are the one-record
 forms the tests state identities with. Each wraps the library's own
 arithmetic (`povm._hadamard`, `analysis._self_convolution`,
-`kirkwood._kd_entries`, `kirkwood._random_qubit_densities`,
+`kirkwood._kd_entries`, `checks._random_qubit_densities`,
 `qubit._lowest_eigenvalues`, `povm._checked_table`) or plain numpy
 (``np.kron``, ``np.trace``), and never adds up a sum of its own that the
 library also computes, so a test through an oracle still tests the sums the
@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from xymeas.analysis import _self_convolution
-from xymeas.kirkwood import KDDistribution, _kd_entries, _random_qubit_densities
+from xymeas.checks import _random_qubit_densities
+from xymeas.kirkwood import KDDistribution, _kd_entries
 from xymeas.povm import (
     OUTCOMES4,
     OUTCOMES16,
@@ -131,7 +132,7 @@ def predicted_pattern_probs(m: ErrorModel) -> PatternStats:
     for r, value in zip(PATTERNS, e.tolist()):
         if abs(value.imag) > 1e-10:
             raise ValueError(f"predicted pattern e{r} is complex: {value!r}")
-    return PatternStats(e=np.maximum(e.real, 0.0), stderr=np.zeros(len(PATTERNS)), total_shots=0)
+    return PatternStats(e=np.maximum(e.real, 0.0), stderr=np.zeros(len(PATTERNS)))
 
 
 # -- quasi-probabilities -------------------------------------------------------

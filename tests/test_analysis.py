@@ -36,6 +36,11 @@ from xymeas.simulate import ExperimentConfig, OutcomeCounts4, PairCounts16, run_
 SQ3 = 1.0 / np.sqrt(3.0)
 
 
+def shot_counts(probs, shots=1_000_000):
+    """An outcome table as the integer counts of ``shots`` shots, exact where each entry is a multiple of 1/shots."""
+    return np.rint(np.asarray(probs) * shots).astype(int)
+
+
 class TestVisibilityEstimates:
     def test_configured_value_recovered_exactly(self):
         counts = OutcomeCounts4(
@@ -62,7 +67,7 @@ class TestVisibilityEstimates:
         probs = outcome_probs(
             build_povm(VisibilityTriple(0.6, 0.8, 0.0)), density(eigenstate("Y", +1))
         )
-        counts = OutcomeCounts4(counts=probs, input_axis="Y", input_value=+1)
+        counts = OutcomeCounts4(counts=shot_counts(probs), input_axis="Y", input_value=+1)
         est = estimate_visibility(counts)
         assert est.value == pytest.approx(0.8, abs=1e-12)
 
@@ -70,7 +75,7 @@ class TestVisibilityEstimates:
         probs = outcome_probs(
             build_povm(VisibilityTriple(0.7, 0.2, 0.0)), density(eigenstate("X", -1))
         )
-        counts = OutcomeCounts4(counts=probs, input_axis="X", input_value=-1)
+        counts = OutcomeCounts4(counts=shot_counts(probs), input_axis="X", input_value=-1)
         assert estimate_visibility(counts).value == pytest.approx(0.7, abs=1e-12)
 
     @pytest.mark.parametrize("vx,vy", [(0.3, 0.9), (0.6, 0.8), (1.0, 0.0)])
@@ -79,7 +84,7 @@ class TestVisibilityEstimates:
         for value in (+1, -1):
             for axis, v in (("X", vx), ("Y", vy)):
                 probs = outcome_probs(povm, density(eigenstate(axis, value)))
-                counts = OutcomeCounts4(counts=probs, input_axis=axis, input_value=value)
+                counts = OutcomeCounts4(counts=shot_counts(probs), input_axis=axis, input_value=value)
                 assert estimate_visibility(counts).value == pytest.approx(v, abs=1e-12)
 
     def test_stderr_scales_with_shots(self):
@@ -108,14 +113,15 @@ class TestCollapsePairCounts:
         from xymeas.povm import pair_outcome_probs
         from xymeas.qubit import singlet
 
+        # at the symmetric point each pair outcome has probability 1/12 or 0
         probs = pair_outcome_probs(povm, povm, density(singlet()))
-        stats = collapse_pair_counts(PairCounts16(counts=probs))
+        stats = collapse_pair_counts(PairCounts16(counts=shot_counts(probs, 1200)))
         exact = exact_pattern_probs(v)
         for k in range(4):
             assert stats.e[k] == pytest.approx(exact.e[k], abs=1e-12)
-        # fractional counts mark an exact table: no shots, no spread
-        assert stats.total_shots == 0
-        assert all(s == 0.0 for s in stats.stderr)
+        # binomial spread of a 1/3 class; rule of three for the empty (1, 1) class
+        binomial = np.sqrt((1 / 3) * (2 / 3) / 1200) / 4
+        assert stats.stderr.tolist() == pytest.approx([binomial] * 3 + [(3 / 1200) / 4], rel=1e-12)
 
     def test_uniform_counts(self):
         stats = collapse_pair_counts(
@@ -156,9 +162,7 @@ class TestPatternSums:
         assert is_classical(corr) is True
 
     def test_uniform_patterns(self):
-        stats = PatternStats(
-            e=[1 / 16] * 4, stderr=[0.0] * 4, total_shots=0
-        )
+        stats = PatternStats(e=[1 / 16] * 4, stderr=[0.0] * 4)
         vx2, vy2, _ = pattern_estimates(stats)
         assert vx2.value == pytest.approx(0.0, abs=1e-12)
         assert vy2.value == pytest.approx(0.0, abs=1e-12)
@@ -168,7 +172,6 @@ class TestPatternSums:
             # PATTERNS order: (0, 0), (0, 1), (1, 0), (1, 1)
             e=[0.25, 0.0, 0.0, 0.0],
             stderr=[0.0] * 4,
-            total_shots=0,
         )
         _, _, corr = pattern_estimates(stats)
         assert corr.value == pytest.approx(1.0, abs=1e-12)
@@ -210,11 +213,7 @@ class TestSourceNoiseCorrection:
         v = VisibilityTriple(0.5, 0.4, 0.6)
         pure = exact_pattern_probs(v)
         p = 0.8
-        noisy = PatternStats(
-            e=p * pure.e + (1 - p) / 16,
-            stderr=[0.0] * 4,
-            total_shots=0,
-        )
+        noisy = PatternStats(e=p * pure.e + (1 - p) / 16, stderr=[0.0] * 4)
         corrected = correct_for_source_noise(noisy, p)
         for k in range(4):
             assert corrected.e[k] == pytest.approx(pure.e[k], abs=1e-12)
@@ -223,11 +222,7 @@ class TestSourceNoiseCorrection:
         v = VisibilityTriple(0.5, 0.4, 0.6)
         pure = exact_pattern_probs(v)
         p = 0.7
-        noisy = PatternStats(
-            e=p * pure.e + (1 - p) / 16,
-            stderr=[0.001] * 4,
-            total_shots=1000,
-        )
+        noisy = PatternStats(e=p * pure.e + (1 - p) / 16, stderr=[0.001] * 4)
         _, _, raw = pattern_estimates(noisy)
         assert raw.value == pytest.approx(-p * v.vz ** 2, abs=1e-12)
         _, _, corrected = pattern_estimates(correct_for_source_noise(noisy, p))

@@ -337,6 +337,21 @@ class TestEstimate:
         assert c2_plain == pytest.approx(-0.8 * v.vz ** 2, abs=0.01)
         assert c2_corr == pytest.approx(-v.vz ** 2, abs=0.01)
 
+    @pytest.mark.parametrize("werner_p", [0.1, 0.15])
+    def test_corrected_patterns_may_leave_the_unit_range(self, tmp_path, werner_p):
+        # 20 shots at strong noise: dividing by p takes entries below 0 and above 1/4
+        out = tmp_path / "pair.txt"
+        assert run_cli(
+            "simulate", "--mode", "pair", "--vx", 0.5, "--vy", 0.5, "--vz", 0.5,
+            "--shots", 20, "--seed", 3, "--werner-p", werner_p, "--out", out,
+        ) == 0
+        report = tmp_path / "r.txt"
+        argv = ("estimate", out, "--allow-partial", "--correct-source-noise", "--out", report)
+        assert run_cli(*argv) == 0
+        e = [float(row[2]) for row in read_document(report).section("patterns")]
+        assert min(e) < 0.0 and max(e) > 0.25
+        assert sum(e) == pytest.approx(0.25, abs=1e-12)
+
     def test_nonexistent_file_exit_1(self, tmp_path):
         assert run_cli("estimate", tmp_path / "nope.txt", "--out", tmp_path / "r.txt") == 1
 
@@ -772,6 +787,33 @@ class TestFileFormat:
         assert code == 1
         assert f"error: {path}:{lineno}: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "table, key, token",
+        [
+            ([1.25, -0.25, 0.0, 0.0], "+1 +1", "1.25"),
+            ([0.5, 0.5, 0.25, -0.25], "-1 -1", "-0.25"),
+        ],
+        ids=["above-1", "below-0"],
+    )
+    def test_probs_entry_outside_unit_range_located(self, tmp_path, capsys, table, key, token):
+        path = tmp_path / "p.txt"
+        write_probs_file(path, table)
+        lineno = next(i for i, line in enumerate(path.read_text().splitlines(), 1) if line.startswith(key))
+        message = f"{path}:{lineno}: [probs] row: '{token}' is not in [-1e-12, 1.000000000001]"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_probs_document(read_document(path))
+        code = run_cli(
+            "reconstruct", "--input", path, "--vx", 0.5, "--vy", 0.5, "--vz", 0.5,
+            "--out", tmp_path / "kd.txt",
+        )
+        assert code == 1
+        assert f"error: {message}" in capsys.readouterr().err
+
+    def test_probs_entries_within_tolerance_of_the_range_accepted(self, tmp_path):
+        path = tmp_path / "p.txt"
+        write_probs_file(path, [1.0 + 5e-13, -5e-13, 0.0, 0.0])
+        assert read_probs_document(read_document(path))[0].tolist() == [1.0 + 5e-13, -5e-13, 0.0, 0.0]
+
     def test_probs_sum_within_tolerance_accepted(self, tmp_path):
         path = tmp_path / "p.txt"
         write_probs_file(path, [0.25 + 5e-10, 0.25, 0.25, 0.25])
@@ -849,6 +891,32 @@ class TestFileFormat:
             warnings.simplefilter("always")
             assert run_cli(*argv, "--out", tmp_path / "r.txt") == 1
         assert caught == []
+        assert f"error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["vx", "vy", "vz"])
+    def test_partial_header_visibilities_name_the_missing_key(self, tmp_path, capsys, key):
+        # a file with some visibility headers must hold all three, or the reference is lost
+        paths = simulate_all(tmp_path, ("0.5", "0.7", "0.3"), 1000, base_seed=990)
+        lines = paths["pair"].read_text().splitlines()
+        lines = [line for line in lines if not line.startswith(f"{key}: ")]
+        paths["pair"].write_text("\n".join(lines) + "\n")
+        message = f"{paths['pair']}: missing header key {key!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_counts_document(read_document(paths["pair"]))
+        assert run_cli("estimate", *paths.values(), "--out", tmp_path / "r.txt") == 1
+        assert f"error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("token", ["1_000", "+1000", "01000"])
+    def test_shots_header_not_written_as_a_count_located(self, tmp_path, capsys, token):
+        paths = simulate_all(tmp_path, ("0.6", "0.8", "0"), 1000, base_seed=910)
+        lines = paths["ex"].read_text().splitlines()
+        lineno = lines.index("shots: 1000") + 1
+        lines[lineno - 1] = f"shots: {token}"
+        paths["ex"].write_text("\n".join(lines) + "\n")
+        message = f"{paths['ex']}:{lineno}: header shots: count {token!r} is not written as 1000"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_counts_document(read_document(paths["ex"]))
+        assert run_cli("estimate", *paths.values(), "--out", tmp_path / "r.txt") == 1
         assert f"error: {message}" in capsys.readouterr().err
 
     def test_out_of_family_header_visibilities_located(self, tmp_path, capsys):

@@ -19,7 +19,6 @@ from xymeas.kirkwood import (
     SingularInversionError,
     kd_from_state,
     reconstruct_kd,
-    verify_operator_identities,
 )
 from xymeas.povm import OUTCOMES4, OUTCOMES16, VisibilityTriple, build_povm, outcome_probs
 from xymeas.qubit import ATOL_ALGEBRA, density, eigenstate, identity, pauli, singlet, tensor_state
@@ -352,31 +351,28 @@ class TestKDValidation:
 
 
 class TestOperatorIdentities:
-    def test_all_checks_pass(self):
-        deviations = verify_operator_identities(samples=200)
-        assert list(deviations) == [
-            "x_times_y_equals_i_z",
-            "ideal_operator_is_family_at_vz_i",
-            "ideal_operators_sum_to_identity",
-            "ideal_traces_equal_kd_entries",
-        ]
+    def test_all_checks_pass(self, monkeypatch):
+        result = check_operator_identities(samples=200, seed=20240901)
+        assert result.passed and result.detail.startswith("max deviation ")
+        # with no tolerance left every identity fails, named in check order
+        monkeypatch.setattr(checks, "ATOL_ALGEBRA", -1.0)
         assert check_operator_identities(samples=200, seed=20240901) == CheckResult(
-            "operator_identities", True, f"max deviation {max(deviations.values()):.3e}"
+            "operator_identities",
+            False,
+            "failed: x_times_y_equals_i_z, ideal_operator_is_family_at_vz_i, "
+            "ideal_operators_sum_to_identity, ideal_traces_equal_kd_entries",
         )
 
     def test_summary_lines(self, monkeypatch):
         result = check_operator_identities(samples=10)
         assert result.passed and result.detail.startswith("max deviation ")
 
-        def broken(samples, seed):
-            return {"x_times_y_equals_i_z": 0.0, "ideal_traces_equal_kd_entries": float("nan")}
-
-        monkeypatch.setattr(checks, "verify_operator_identities", broken)
+        monkeypatch.setattr(checks, "_kd_entries", lambda rho: np.full((len(rho), 4), np.nan))
         result = check_operator_identities(samples=10)
         assert not result.passed
         assert result.detail == "failed: ideal_traces_equal_kd_entries"
 
     def test_deterministic_given_seed(self):
-        a = verify_operator_identities(samples=50, seed=5)
-        b = verify_operator_identities(samples=50, seed=5)
+        a = check_operator_identities(samples=50, seed=5)
+        b = check_operator_identities(samples=50, seed=5)
         assert a == b

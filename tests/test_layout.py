@@ -5,7 +5,11 @@ import subprocess
 import sys
 from pathlib import Path
 
-from xymeas import analysis, kirkwood, povm, qubit
+import numpy as np
+import pytest
+
+from xymeas import analysis, checks, kirkwood, povm, qubit
+from xymeas.simulate import OutcomeCounts4, PairCounts16
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -40,3 +44,23 @@ def test_kirkwood_does_not_import_analysis():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "False\n"
+
+
+def test_kirkwood_holds_no_self_check():
+    # the operator-identity check and its state sampler live in `checks` with the other three
+    assert not hasattr(kirkwood, "verify_operator_identities")
+    assert not hasattr(kirkwood, "_random_qubit_densities")
+    assert hasattr(checks, "_random_qubit_densities")
+
+
+@pytest.mark.parametrize(
+    "build, size",
+    [(lambda t: OutcomeCounts4(t, "X", +1), 4), (PairCounts16, 16)],
+    ids=["OutcomeCounts4", "PairCounts16"],
+)
+@pytest.mark.parametrize("kind", ["probabilities", "whole-floats"])
+def test_count_records_reject_a_float_table(build, size, kind):
+    table = [1.0 / size] * size if kind == "probabilities" else [3.0] * size
+    with pytest.raises(ValueError, match="integer shot counts"):
+        build(table)
+    assert build(np.full(size, 3)).counts.dtype.kind == "i"

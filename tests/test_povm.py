@@ -1,5 +1,6 @@
 """Construction and exact statistics of the joint X/Y measurement family."""
 
+import dataclasses
 import re
 
 import numpy as np
@@ -290,12 +291,24 @@ class TestPatternStats:
     def test_rejects_bad_sum(self):
         e = [0.1] * 4
         with pytest.raises(ValueError):
-            PatternStats(e=e, stderr=[0.0] * 4, total_shots=0)
+            PatternStats(e=e, stderr=[0.0] * 4)
 
-    def test_rejects_negative_exact_entry(self):
-        e = [0.26, 0.0, 0.0, -0.01]
-        with pytest.raises(ValueError):
-            PatternStats(e=e, stderr=[0.0] * 4, total_shots=0)
+    def test_fields_are_the_table_and_its_stderr(self):
+        assert [f.name for f in dataclasses.fields(PatternStats)] == ["e", "stderr"]
+
+    def test_corrected_entries_outside_unit_range_accepted(self):
+        # a source-noise corrected table of few shots may leave [0, 1] on both sides
+        stats = PatternStats(e=[1.9375, -0.5625, -0.5625, -0.5625], stderr=[0.1] * 4)
+        assert stats.e.tolist() == [1.9375, -0.5625, -0.5625, -0.5625]
+
+    @pytest.mark.parametrize("bad", [[0.25, 0, 0, np.nan], [np.inf, 0, 0, 0]])
+    def test_rejects_non_finite_entry(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            PatternStats(e=bad, stderr=[0.0] * 4)
+
+    def test_rejects_negative_stderr(self):
+        with pytest.raises(ValueError, match="pattern stderr"):
+            PatternStats(e=[0.25, 0, 0, 0], stderr=[0.0, 0.0, 0.0, -0.01])
 
 
 class TestIdealOperator:

@@ -49,7 +49,7 @@ TABLES = [
     ("OutcomeCounts4.counts", OUTCOMES4, lambda _: OutcomeCounts4([1, 2, 3, 4], "X", +1).counts),
     ("PairCounts16.counts", OUTCOMES16, lambda _: PairCounts16(range(16)).counts),
     ("PatternStats.e", PATTERNS, lambda _: exact_pattern_probs(VisibilityTriple(0.5, 0.4, 0.3)).e),
-    ("PatternStats.stderr", PATTERNS, lambda _: PatternStats([0.25, 0, 0, 0], [0.01] * 4, 100).stderr),
+    ("PatternStats.stderr", PATTERNS, lambda _: PatternStats([0.25, 0, 0, 0], [0.01] * 4).stderr),
     ("ErrorModel.weights", PATTERNS, lambda _: MODEL.weights),
     ("KDDistribution.entries", OUTCOMES4, lambda _: kd_from_state(ZPLUS).entries),
     ("outcome_probs", OUTCOMES4, lambda _: outcome_probs(POVM, ZPLUS)),
@@ -75,7 +75,7 @@ def test_table_is_a_read_only_vector_in_key_order(tmp_path, keys, build):
     [
         lambda m: OutcomeCounts4(m(OUTCOMES4), "X", +1),
         lambda m: PairCounts16(m(OUTCOMES16)),
-        lambda m: PatternStats(m(PATTERNS), [0.0] * 4, 0),
+        lambda m: PatternStats(m(PATTERNS), [0.0] * 4),
         lambda m: ErrorModel(m(PATTERNS)),
         lambda m: KDDistribution(m(OUTCOMES4)),
         lambda m: reconstruct_kd(m(OUTCOMES4), 0.5, 0.4, 0.3j),

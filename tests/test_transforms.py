@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from xymeas.analysis import _self_convolution
-from xymeas.checks import _hadamard_by_parts
-from xymeas.kirkwood import _kd_entries, _product_kets, _random_qubit_densities
+from xymeas.checks import _hadamard_by_parts, _random_qubit_densities
+from xymeas.kirkwood import _kd_entries, _product_kets
 from xymeas.povm import HADAMARD, OUTCOMES4, OUTCOMES16, _hadamard
 from xymeas.qubit import density, eigenstate, singlet, tensor_state
 
