@@ -49,6 +49,12 @@ from .simulate import OutcomeCounts4, PairCounts16
 # region counts as consistent with a classical error model.
 CLASSICAL_SIGMA = 3.0
 
+# The smallest Werner parameter a source-noise correction divides by. The
+# corrected table's sum carries the input's rounding (a few ulp of 1/4)
+# divided by p, which must stay inside the 1e-9 sum tolerance of a
+# PatternStats: a 1000-shot pair table broke it at p = 1e-9.
+MIN_WERNER_P = 1e-6
+
 
 @dataclass(frozen=True)
 class Estimate:
@@ -143,11 +149,12 @@ def correct_for_source_noise(stats: PatternStats, p: float) -> PatternStats:
     the uniform 1/16 background: ``e_noisy = p * e_pure + (1 - p) / 16``.
     Inverting divides every pattern contrast by ``p`` and scales standard
     errors by ``1/p``. Model-dependent: valid only for isotropic noise with a
-    correctly known ``p``. Corrected sampled entries may fall below 0 or
-    above 1/4 where the true probability is near either end.
+    correctly known ``p``, at least ``MIN_WERNER_P``. Corrected sampled
+    entries may fall below 0 or above 1/4 where the true probability is near
+    either end.
     """
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"source parameter must lie in (0, 1], got {p!r}")
+    if not MIN_WERNER_P <= p <= 1.0:
+        raise ValueError(f"source parameter must lie in [{MIN_WERNER_P}, 1], got {p!r}")
     return PatternStats(e=(stats.e - (1.0 - p) / 16.0) / p, stderr=stats.stderr / p)
 
 

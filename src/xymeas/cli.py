@@ -18,6 +18,7 @@ from pathlib import Path
 
 from . import __version__
 from .analysis import (
+    MIN_WERNER_P,
     Estimate,
     classicality_statistic,
     collapse_pair_counts,
@@ -248,9 +249,12 @@ def cmd_estimate(args) -> int:
         if args.correct_source_noise:
             if werner_p is None:
                 raise UsageError(f"{pair.path}: pair counts file does not record werner_p")
-            if werner_p == 0.0:
+            if werner_p < MIN_WERNER_P:
                 where = f"{pair.path}:{werner_lineno}"
-                raise UsageError(f"{where}: werner_p 0 leaves no singlet signal to correct")
+                raise UsageError(
+                    f"{where}: werner_p {werner_p:g} leaves no singlet signal to correct "
+                    f"(below {MIN_WERNER_P:g})"
+                )
             stats = correct_for_source_noise(stats, werner_p)
             corrected = True
         sections["pair_run"] = [

@@ -17,7 +17,8 @@ losslessly; outcome signs are written ``+1`` / ``-1``. Schema identifiers:
 * ``xymeas-counts/1``: eigenstate or pair run counts plus the run parameters.
 * ``xymeas-probs/1``: exact single-qubit outcome probability table, with an
   optional ``state`` label naming the input.
-* ``xymeas-povm/1``: visibilities plus the four operators entry by entry.
+* ``xymeas-povm/1``: visibilities plus the four operators entry by entry,
+  written by ``build-povm`` for inspection; no command reads it.
 * ``xymeas-report/1``: estimation or reconstruction results.
 * ``xymeas-manifest/1``: command, timestamp, tool version, artifact names,
   and the full parameter echo of the run that produced them.
@@ -27,8 +28,8 @@ the manifest, written next to each result file, carries the timestamp and
 is referenced from the result's ``manifest`` header key. `write_artifact`
 is the one writer of a result and its manifest. Keyed tables (the
 ``[counts]``, ``[probs]`` and ``[elements]`` rows) are written by
-`keyed_rows` and read back by one row parser, `_parse_keyed`, which locates
-every fault with ``file:line``.
+`keyed_rows`; the ``[counts]`` and ``[probs]`` rows are read back by one
+row parser, `_parse_keyed`, which locates every fault with ``file:line``.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__ as _tool_version
-from .povm import OUTCOMES4, OUTCOMES16, JointPovm, VisibilityTriple, _checked_table
+from .povm import OUTCOMES4, OUTCOMES16, VisibilityTriple, _checked_table
 from .qubit import ATOL_ALGEBRA
 from .simulate import OutcomeCounts4, PairCounts16
 
@@ -257,13 +258,13 @@ def keyed_rows(keys: tuple, *columns) -> list[tuple[str, ...]]:
 # -- reading -------------------------------------------------------------------
 
 
-def _parse_keyed(doc: Document, name: str, keys: tuple, width: int, parse) -> list:
+def _parse_keyed(doc: Document, name: str, keys: tuple, parse) -> list:
     """The values of section ``name``, one row per key of ``keys``, in ``keys`` order.
 
-    A row holds a key's tokens (as `keyed_rows` writes them) and then
-    ``width`` value tokens, the arguments of ``parse``. A row of another
-    length, an unknown or repeated key, and a value ``parse`` rejects are
-    located at the row; a missing key at the ``[name]`` line.
+    A row holds a key's tokens (as `keyed_rows` writes them) and then one
+    value token, the argument of ``parse``. A row of another length, an
+    unknown or repeated key, and a value ``parse`` rejects are located at
+    the row; a missing key at the ``[name]`` line.
     """
     index = _key_tokens(keys)
     n = len(keys[0])
@@ -272,7 +273,7 @@ def _parse_keyed(doc: Document, name: str, keys: tuple, width: int, parse) -> li
     what = f"[{name}] row"
     for row, lineno in zip(doc.section(name), doc.row_lines[name]):
         key = row[:n]
-        if len(row) != n + width:
+        if len(row) != n + 1:
             raise ValueError(f"{doc._where(lineno)}malformed {what} {row!r}")
         if key not in index:
             raise ValueError(f"{doc._where(lineno)}{what}: unknown key {' '.join(key)}")
@@ -281,7 +282,7 @@ def _parse_keyed(doc: Document, name: str, keys: tuple, width: int, parse) -> li
                 f"{doc._where(lineno)}duplicate {what} {' '.join(key)} (first on line {first[key]})"
             )
         first[key] = lineno
-        values[index[key]] = _parsed(doc, lineno, what, parse, *row[n:])
+        values[index[key]] = _parsed(doc, lineno, what, parse, row[n])
     if len(first) < len(keys):
         missing = next(key for key in index if key not in first)
         raise ValueError(f"{doc._where(doc.section_lines[name])}no {what} for {' '.join(missing)}")
@@ -371,7 +372,7 @@ def read_counts_document(doc: Document) -> CountsArtifact:
     if any(k in doc.header for k in ("vx", "vy", "vz")):
         visibilities = _header_visibilities(doc)
     keys = OUTCOMES4 if mode == "eigenstate" else OUTCOMES16
-    counts = _parse_keyed(doc, "counts", keys, 1, _count)
+    counts = _parse_keyed(doc, "counts", keys, _count)
     total = sum(counts)
     if total == 0:
         raise ValueError(f"{doc._where(doc.section_lines['counts'])}[counts] rows sum to 0 shots")
@@ -400,11 +401,17 @@ def read_counts_document(doc: Document) -> CountsArtifact:
 
 
 def write_probs_file(path: str | Path, probs, state: str | None = None) -> None:
-    """Write the outcome table ``probs``, four numbers in ``OUTCOMES4`` order."""
+    """Write the outcome table ``probs``, four numbers in ``OUTCOMES4`` order.
+
+    A table `read_probs_document` would reject is refused with the reader's
+    own bounds: an entry outside ``[-ATOL_ALGEBRA, 1 + ATOL_ALGEBRA]`` or a
+    sum more than 1e-9 from 1.
+    """
     header = {"schema": SCHEMA_PROBS}
     if state is not None:
         header["state"] = one_of(*STATE_LABELS)(state)
-    rows = keyed_rows(OUTCOMES4, map(fmt_float, _checked_table(probs, 4, what="probs").tolist()))
+    probs = _checked_table(probs, 4, low=-ATOL_ALGEBRA, high=1.0 + ATOL_ALGEBRA, total=1.0, what="probs")
+    rows = keyed_rows(OUTCOMES4, map(fmt_float, probs.tolist()))
     write_document(path, header, {"probs": rows})
 
 
@@ -419,7 +426,7 @@ def read_probs_document(doc: Document) -> tuple[np.ndarray, str | None]:
     of ``STATE_LABELS`` at its line.
     """
     doc.header_value("schema", one_of(SCHEMA_PROBS))
-    probs = _parse_keyed(doc, "probs", OUTCOMES4, 1, _probability)
+    probs = _parse_keyed(doc, "probs", OUTCOMES4, _probability)
     total = sum(probs)
     if abs(total - 1.0) > 1e-9:
         where = doc._where(doc.section_lines["probs"])
@@ -437,25 +444,3 @@ def named_state_density(label: str):
     if label in STATE_LABELS:
         return density(eigenstate(label[0], +1 if label[1] == "+" else -1))
     raise ValueError(f"unknown state label {label!r}")
-
-
-# -- measurement dumps ---------------------------------------------------------
-
-
-def _entry(real: str, imag: str) -> complex:
-    return complex(float(real), float(imag))
-
-
-def read_povm_file(path: str | Path) -> JointPovm:
-    """Parse a measurement dump into the `JointPovm` of its visibilities and four operators.
-
-    Each operator entry must have exactly one ``[elements]`` row; a
-    malformed, unknown, duplicated or missing row, a header number that
-    does not parse, or header visibilities outside the family, is rejected
-    with its ``file:line`` (the ``[elements]`` line for a missing row).
-    """
-    doc = read_document(path)
-    doc.header_value("schema", one_of(SCHEMA_POVM))
-    v = _header_visibilities(doc)
-    entries = np.array(_parse_keyed(doc, "elements", ELEMENT_KEYS, 2, _entry)).reshape(4, 2, 2)
-    return JointPovm(visibilities=v, elements=entries)

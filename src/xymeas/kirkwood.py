@@ -24,13 +24,12 @@ transposed projector order, which conjugates every quasi-probability entry.)
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .povm import OUTCOMES4, _checked_table, _sum4
-from .qubit import ATOL_ALGEBRA, ensure_density_matrix, eigenstate, tensor_state
+from .qubit import ATOL_ALGEBRA, ensure_density_matrix, eigenstate
 
 # Visibilities below this magnitude are rejected rather than regularized.
 # The inversion scales rounding by 1/|v|: with all three |v| equal, random
@@ -86,32 +85,24 @@ def kd_from_state(rho) -> KDDistribution:
     return KDDistribution(entries=_kd_entries(ensure_density_matrix(rho, dim=2)))
 
 
-def _product_kets(outcomes, axis: str) -> np.ndarray:
-    """``|a1> (x) |a2> (x) ...`` for each outcome ``(x1, y1, x2, y2, ...)``, ``a`` the ``axis`` signs."""
-    first = "XY".index(axis)
-    kets = ([eigenstate(axis, s) for s in o[first::2]] for o in outcomes)
-    return np.array([functools.reduce(tensor_state, k) for k in kets])
+# |x> and |y> of each outcome (x, y), in OUTCOMES4 order
+_KET_X = np.array([eigenstate("X", x) for x, _ in OUTCOMES4])
+_KET_Y = np.array([eigenstate("Y", y) for _, y in OUTCOMES4])
 
 
-def _kd_entries(rho: np.ndarray, outcomes=OUTCOMES4) -> np.ndarray:
-    """``<x|y><y|rho|x>`` in ``outcomes`` order for each state of a (..., d, d) stack, as (..., k).
+def _kd_entries(rho: np.ndarray) -> np.ndarray:
+    """``<x|y><y|rho|x>`` in ``OUTCOMES4`` order for each qubit state of a (..., 2, 2) stack, as (..., 4).
 
-    ``outcomes`` is ``OUTCOMES4`` for a qubit, as every command uses it, or
-    ``OUTCOMES16`` for a pair (`_product_kets`), which serves acceptance
-    criterion 9 through ``tests/oracles.kd_pair_from_state``. For a
-    row-major stack the entries are bit for bit the ``np.sum`` contractions
-    of the (..., k, d, d) products ``rho[..., i, j] * ket_x[o, j]`` over
-    ``j`` and then of ``conj(ket_y[o, i]) * rho_x[..., o, i]`` over ``i``,
-    added by `povm._sum4` without building either product.
+    For a row-major stack the entries are bit for bit the ``np.sum``
+    contractions of the (..., 4, 2, 2) products ``rho[..., i, j] *
+    ket_x[o, j]`` over ``j`` and then of ``conj(ket_y[o, i]) * rho_x[..., o,
+    i]`` over ``i``, added by `povm._sum4` without building either product.
     """
-    ket_x = _product_kets(outcomes, "X")
-    ket_y = _product_kets(outcomes, "Y")
-    overlap = np.sum(ket_x.conj() * ket_y, axis=-1)
+    overlap = np.sum(_KET_X.conj() * _KET_Y, axis=-1)
     rho = np.asarray(rho)
-    dim = ket_x.shape[-1]
     # rho_x[i][..., o] = sum_j rho[..., i, j] * ket_x[o, j]
-    rho_x = [_sum4(*(rho[..., i, j, None] * ket_x[:, j] for j in range(dim))) for i in range(dim)]
-    return overlap * _sum4(*(ket_y[:, i].conj() * rho_x[i] for i in range(dim)))
+    rho_x = [_sum4(*(rho[..., i, j, None] * _KET_X[:, j] for j in range(2))) for i in range(2)]
+    return overlap * _sum4(*(_KET_Y[:, i].conj() * rho_x[i] for i in range(2)))
 
 
 def _check_not_singular(name: str, value: complex) -> complex:

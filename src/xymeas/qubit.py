@@ -81,13 +81,13 @@ def singlet() -> np.ndarray:
     return np.array([0, 1, -1, 0], dtype=complex) / _SQRT2
 
 
-def ensure_state_vector(psi, what: str = "state") -> np.ndarray:
-    arr = _as_complex_array(psi, what)
+def ensure_state_vector(psi) -> np.ndarray:
+    arr = _as_complex_array(psi, "state")
     if arr.ndim != 1 or arr.shape[0] not in (2, 4):
-        raise ValueError(f"{what} must be a length-2 or length-4 vector, got shape {arr.shape}")
+        raise ValueError(f"state must be a length-2 or length-4 vector, got shape {arr.shape}")
     norm_sq = float(np.vdot(arr, arr).real)
     if abs(norm_sq - 1.0) > ATOL_ALGEBRA:
-        raise ValueError(f"{what} is not normalized: |psi|^2 = {norm_sq!r}")
+        raise ValueError(f"state is not normalized: |psi|^2 = {norm_sq!r}")
     return arr
 
 
@@ -97,35 +97,26 @@ def density(psi) -> np.ndarray:
     return np.outer(arr, arr.conj())
 
 
-def ensure_density_matrix(rho, dim: int | None = None, what: str = "density matrix") -> np.ndarray:
+def ensure_density_matrix(rho, dim: int | None = None) -> np.ndarray:
     """Validate a density matrix, or each of a (..., d, d) stack: Hermitian, unit trace, PSD.
 
     A stack is rejected as a whole, its message quoting the worst trace.
     """
-    arr = _as_complex_array(rho, what)
+    arr = _as_complex_array(rho, "density matrix")
     if arr.ndim < 2 or arr.shape[-2:] not in ((2, 2), (4, 4)):
-        raise ValueError(f"{what} must be a 2x2 or 4x4 matrix, got shape {arr.shape}")
+        raise ValueError(f"density matrix must be a 2x2 or 4x4 matrix, got shape {arr.shape}")
     if dim is not None and arr.shape[-1] != dim:
-        raise ValueError(f"{what} must be {dim}x{dim}, got shape {arr.shape}")
+        raise ValueError(f"density matrix must be {dim}x{dim}, got shape {arr.shape}")
     if np.max(np.abs(arr - arr.conj().swapaxes(-1, -2)), initial=0.0) > ATOL_EIG:
-        raise ValueError(f"{what} is not Hermitian")
+        raise ValueError("density matrix is not Hermitian")
     tr = np.trace(arr, axis1=-2, axis2=-1)
     off = np.abs(tr - 1.0)
     if np.max(off, initial=0.0) > ATOL_EIG:
         worst = complex(np.ravel(tr)[np.argmax(off)])
-        raise ValueError(f"{what} does not have unit trace: trace = {worst!r}")
+        raise ValueError(f"density matrix does not have unit trace: trace = {worst!r}")
     if np.min(_lowest_eigenvalues(arr), initial=0.0) < -ATOL_EIG:
-        raise ValueError(f"{what} is not positive semidefinite")
+        raise ValueError("density matrix is not positive semidefinite")
     return arr
-
-
-def tensor_state(psi_a, psi_b) -> np.ndarray:
-    """Kronecker product of two single-qubit state vectors."""
-    va = _as_complex_array(psi_a, "left state")
-    vb = _as_complex_array(psi_b, "right state")
-    if va.shape != (2,) or vb.shape != (2,):
-        raise ValueError("tensor_state expects length-2 vectors")
-    return np.kron(va, vb)
 
 
 def _lowest_eigenvalues(arr: np.ndarray) -> np.ndarray:

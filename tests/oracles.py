@@ -3,11 +3,12 @@
 The commands work on whole tables and stacks; these are the one-record
 forms the tests state identities with. Each wraps the library's own
 arithmetic (`povm._hadamard`, `analysis._self_convolution`,
-`kirkwood._kd_entries`, `checks._random_qubit_densities`,
-`qubit._lowest_eigenvalues`, `povm._checked_table`) or plain numpy
-(``np.kron``, ``np.trace``), and never adds up a sum of its own that the
-library also computes, so a test through an oracle still tests the sums the
-commands run. Each keeps only the validation some test checks.
+`checks._random_qubit_densities`, `qubit._lowest_eigenvalues`,
+`povm._checked_table`) or plain numpy (``np.kron``, ``np.trace``), and
+never adds up a sum of its own that the library also computes, so a test
+through an oracle still tests the sums the commands run. The pair
+quasi-probability, which no command computes, is plain numpy over
+``np.kron`` product kets. Each keeps only the validation some test checks.
 """
 
 from dataclasses import dataclass
@@ -16,7 +17,7 @@ import numpy as np
 
 from xymeas.analysis import _self_convolution
 from xymeas.checks import _random_qubit_densities
-from xymeas.kirkwood import KDDistribution, _kd_entries
+from xymeas.kirkwood import KDDistribution
 from xymeas.povm import (
     OUTCOMES4,
     OUTCOMES16,
@@ -26,7 +27,7 @@ from xymeas.povm import (
     _checked_table,
     _hadamard,
 )
-from xymeas.qubit import ATOL_ALGEBRA, ATOL_EIG, _lowest_eigenvalues
+from xymeas.qubit import ATOL_ALGEBRA, ATOL_EIG, _lowest_eigenvalues, eigenstate
 
 # -- qubit operators -----------------------------------------------------------
 
@@ -156,7 +157,10 @@ def forward_map(kd: KDDistribution, m: ErrorModel) -> np.ndarray:
 
 def kd_pair_from_state(rho4) -> np.ndarray:
     """``<x1,x2|y1,y2><y1,y2|rho4|x1,x2>`` of a two-qubit state, in ``OUTCOMES16`` order."""
-    entries = _kd_entries(np.asarray(rho4, dtype=complex), OUTCOMES16)
+    ket_x = np.array([np.kron(eigenstate("X", x1), eigenstate("X", x2)) for x1, _, x2, _ in OUTCOMES16])
+    ket_y = np.array([np.kron(eigenstate("Y", y1), eigenstate("Y", y2)) for _, y1, _, y2 in OUTCOMES16])
+    rho_x = ket_x @ np.asarray(rho4, dtype=complex).T  # rho_x[o] = rho4 @ ket_x[o]
+    entries = np.sum(ket_x.conj() * ket_y, axis=-1) * np.sum(ket_y.conj() * rho_x, axis=-1)
     return _checked_table(entries, 16, dtype=complex)
 
 

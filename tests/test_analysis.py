@@ -1,5 +1,7 @@
 """Visibility and correlation estimators, error-model algebra, classicality."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -13,6 +15,7 @@ from oracles import (
     visibilities_from_error_model,
 )
 from xymeas.analysis import (
+    MIN_WERNER_P,
     classicality_statistic,
     collapse_pair_counts,
     correct_for_source_noise,
@@ -233,6 +236,12 @@ class TestSourceNoiseCorrection:
         stats = exact_pattern_probs(VisibilityTriple(0.5, 0.4, 0.6))
         with pytest.raises(ValueError):
             correct_for_source_noise(stats, 0.0)
+
+    def test_parameter_floor(self):
+        stats = exact_pattern_probs(VisibilityTriple(0.5, 0.4, 0.6))
+        with pytest.raises(ValueError, match=re.escape("must lie in [1e-06, 1]")):
+            correct_for_source_noise(stats, MIN_WERNER_P / 2)
+        assert correct_for_source_noise(stats, MIN_WERNER_P).e.sum() == pytest.approx(0.25, abs=1e-9)
 
 
 class TestErrorModelAlgebra:

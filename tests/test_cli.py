@@ -5,19 +5,23 @@ import platform
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracles import element
 from xymeas import cli, fileio
 from xymeas.fileio import (
+    ELEMENT_KEYS,
     fmt_float,
+    fmt_sign,
     read_counts_document,
     read_document,
-    read_povm_file,
     read_probs_document,
     write_probs_file,
 )
@@ -28,7 +32,7 @@ from xymeas.analysis import (
     pattern_estimates,
 )
 from xymeas.checks import CheckResult
-from xymeas.povm import VisibilityTriple, build_povm, outcome_probs
+from xymeas.povm import OUTCOMES4, JointPovm, VisibilityTriple, build_povm, outcome_probs
 from xymeas.qubit import density, eigenstate
 from xymeas.simulate import (
     BLOCK_SHOTS,
@@ -65,11 +69,43 @@ def simulate_all(tmp_path, v_str, shots, base_seed=100):
     return paths
 
 
+def read_povm_dump(path) -> JointPovm:
+    """The visibilities and operators of a ``build-povm`` dump; no command reads one back."""
+    doc = read_document(path)
+    assert doc.header["schema"] == "xymeas-povm/1"
+    v = VisibilityTriple(*(float(doc.header[key]) for key in ("vx", "vy", "vz")))
+    rows = doc.section("elements")
+    # one row per operator entry, in ELEMENT_KEYS order: x y i j real imag
+    assert [tuple(map(int, row[:4])) for row in rows] == list(ELEMENT_KEYS)
+    entries = [complex(float(row[4]), float(row[5])) for row in rows]
+    return JointPovm(visibilities=v, elements=np.array(entries).reshape(4, 2, 2))
+
+
+def write_probs_rows(path, table):
+    """A probs file holding ``table`` as written, bypassing `write_probs_file`'s checks."""
+    rows = [f"{fmt_sign(x)} {fmt_sign(y)} {fmt_float(p)}" for (x, y), p in zip(OUTCOMES4, table)]
+    path.write_text("\n".join(["schema: xymeas-probs/1", "[probs]", *rows]) + "\n")
+
+
+@st.composite
+def probs_tables(draw):
+    """Four floats, most near a unit-sum table on the edges of the reader's bounds."""
+    entry = st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, 0.25, -1e-12, -2e-12, 1.0 + 1e-12, 1.0 + 3e-12]),
+        st.floats(0.0, 1.0),
+        st.floats(),
+    )
+    head = draw(st.lists(entry, min_size=3, max_size=3))
+    offset = draw(st.sampled_from([0.0, -0.0, 5e-10, -5e-10, 2e-9, -2e-9]))
+    last = draw(st.one_of(st.just(1.0 - sum(head) + offset), entry))
+    return [*head, last]
+
+
 class TestBuildPovm:
     def test_writes_round_trippable_elements(self, tmp_path):
         out = tmp_path / "povm.txt"
         assert run_cli("build-povm", "--vx", SQ3_STR, "--vy", SQ3_STR, "--vz", SQ3_STR, "--out", out) == 0
-        povm = read_povm_file(out)
+        povm = read_povm_dump(out)
         expected = build_povm(VisibilityTriple(SQ3, SQ3, SQ3))
         assert povm.visibilities == expected.visibilities
         assert np.array_equal(povm.elements, expected.elements)
@@ -77,48 +113,10 @@ class TestBuildPovm:
         assert manifest.header["command"] == "build-povm"
         assert ("povm.txt",) in manifest.section("artifacts")
 
-    @pytest.mark.parametrize(
-        "mutate, message",
-        [
-            (lambda lines, k: lines[:k] + lines[k + 1:], "no [elements] row for +1 +1 0 0"),
-            (lambda lines, k: lines + [lines[k]], "duplicate [elements] row +1 +1 0 0"),
-        ],
-        ids=["missing", "duplicated"],
-    )
-    def test_element_row_cover_checked(self, tmp_path, mutate, message):
-        out = tmp_path / "povm.txt"
-        assert run_cli("build-povm", "--vx", 0.5, "--vy", 0.6, "--vz", 0.4, "--out", out) == 0
-        lines = out.read_text().splitlines()
-        first = lines.index("[elements]") + 1
-        mutated = mutate(lines, first)
-        out.write_text("\n".join(mutated) + "\n")
-        # a missing row is reported at [elements], a duplicate at its own line
-        lineno = first if message.startswith("no ") else len(mutated)
-        with pytest.raises(ValueError, match=re.escape(f"{out}:{lineno}: {message}")):
-            read_povm_file(out)
-
-    @pytest.mark.parametrize(
-        "column, token, message",
-        [(0, "+2", "unknown key +2 +1 0 0"), (5, "i", "could not convert")],
-        ids=["sign", "entry"],
-    )
-    def test_bad_element_token_located(self, tmp_path, column, token, message):
-        out = tmp_path / "povm.txt"
-        assert run_cli("build-povm", "--vx", 0.5, "--vy", 0.6, "--vz", 0.4, "--out", out) == 0
-        lines = out.read_text().splitlines()
-        k = lines.index("[elements]") + 1
-        row = lines[k].split()
-        row[column] = token
-        lines[k] = " ".join(row)
-        out.write_text("\n".join(lines) + "\n")
-        # no command reads povm files; the CLI maps this ValueError to exit 1
-        with pytest.raises(ValueError, match=re.escape(f"{out}:{k + 1}: [elements] row: {message}")):
-            read_povm_file(out)
-
     def test_projective_x(self, tmp_path):
         out = tmp_path / "povm.txt"
         assert run_cli("build-povm", "--vx", 1, "--vy", 0, "--vz", 0, "--out", out) == 0
-        povm = read_povm_file(out)
+        povm = read_povm_dump(out)
         assert np.allclose(element(povm, +1, +1), [[0.25, 0.25], [0.25, 0.25]], atol=1e-15)
 
     def test_positivity_violation_exits_2(self, tmp_path, capsys):
@@ -676,10 +674,14 @@ class TestFileFormat:
             ("+1 +1 ", "+1 +1 -368", "[counts] row: negative count -368"),
             ("+1 +1 ", "+1 +1 3_68", "[counts] row: count '3_68' is not written as 368"),
             ("+1 -1 ", None, "no [counts] row for +1 -1"),
+            ("+1 -1 ", "+1 -1 12 5", "malformed [counts] row ('+1', '-1', '12', '5')"),
             ("vx: ", "vx: 0.6x", "header vx: could not convert string to float: '0.6x'"),
             ("shots: ", "shots: 1e3", "header shots: invalid literal for int()"),
         ],
-        ids=["sign", "count", "negative-count", "spelled-count", "missing-row", "header-float", "header-shots"],
+        ids=[
+            "sign", "count", "negative-count", "spelled-count", "missing-row", "malformed-row",
+            "header-float", "header-shots",
+        ],
     )
     def test_bad_token_located(self, tmp_path, capsys, prefix, replacement, message):
         paths = simulate_all(tmp_path, ("0.6", "0.8", "0"), 1000, base_seed=970)
@@ -797,7 +799,7 @@ class TestFileFormat:
     )
     def test_probs_entry_outside_unit_range_located(self, tmp_path, capsys, table, key, token):
         path = tmp_path / "p.txt"
-        write_probs_file(path, table)
+        write_probs_rows(path, table)
         lineno = next(i for i, line in enumerate(path.read_text().splitlines(), 1) if line.startswith(key))
         message = f"{path}:{lineno}: [probs] row: '{token}' is not in [-1e-12, 1.000000000001]"
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -818,6 +820,39 @@ class TestFileFormat:
         path = tmp_path / "p.txt"
         write_probs_file(path, [0.25 + 5e-10, 0.25, 0.25, 0.25])
         assert read_probs_document(read_document(path))[0][0] == 0.25 + 5e-10
+
+    @pytest.mark.parametrize(
+        "table, message",
+        [
+            ([1.25, -0.25, 0.0, 0.0], "probs: entry out of [-1e-12, 1.000000000001]"),
+            ([0.5] * 4, "probs: entries sum to 2.0, expected 1.0"),
+        ],
+        ids=["outside-unit-range", "sum-not-1"],
+    )
+    def test_writer_refuses_a_table_the_reader_rejects(self, tmp_path, table, message):
+        path = tmp_path / "p.txt"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            write_probs_file(path, table)
+        assert not path.exists()
+
+    @settings(max_examples=300, deadline=None)
+    @given(table=probs_tables())
+    @example(table=[1.0 + 1e-12, -1e-12, 0.0, -0.0])
+    @example(table=[0.25 + 5e-10, 0.25, 0.25, 0.25 + 5e-10])
+    def test_writer_accepts_exactly_what_the_reader_reads_back(self, table):
+        with tempfile.TemporaryDirectory() as work:
+            path = Path(work) / "p.txt"
+            try:
+                write_probs_file(path, table)
+            except ValueError:
+                # the same rows written past the writer's checks are rejected too
+                write_probs_rows(path, table)
+                with pytest.raises(ValueError):
+                    read_probs_document(read_document(path))
+                return
+            read = read_probs_document(read_document(path))[0]
+        # bit for bit, so a signed zero must come back with its sign
+        assert read.view(np.uint64).tolist() == np.array(table, dtype=float).view(np.uint64).tolist()
 
     def werner_counts(self, tmp_path, value):
         """A pair counts file written with ``--werner-p 0.9``, then its header set to ``value``."""
@@ -853,6 +888,31 @@ class TestFileFormat:
         assert code == 1
         err = capsys.readouterr().err
         assert f"usage error: {paths['pair']}:{lineno}: werner_p 0 leaves no singlet signal" in err
+
+    def small_werner_estimate(self, tmp_path, werner_p):
+        """Exit code of a corrected estimate of a 1000-shot pair run at ``werner_p``, and the header line."""
+        pair = tmp_path / "pair.counts"
+        assert run_cli(
+            "simulate", "--mode", "pair", "--vx", 0.5, "--vy", 0.5, "--vz", 0.5,
+            "--shots", 1000, "--seed", 3, "--werner-p", werner_p, "--out", pair,
+        ) == 0
+        lines = pair.read_text().splitlines()
+        lineno = next(i for i, line in enumerate(lines, 1) if line.startswith("werner_p: "))
+        argv = ("estimate", pair, "--allow-partial", "--correct-source-noise", "--out", tmp_path / "r.txt")
+        return run_cli(*argv), f"{pair}:{lineno}"
+
+    @pytest.mark.parametrize("werner_p", ["1e-9", "1e-12"])
+    def test_werner_p_below_the_floor_refused_at_its_line(self, tmp_path, capsys, werner_p):
+        # dividing by it would push the corrected table's rounding past the sum tolerance
+        code, where = self.small_werner_estimate(tmp_path, werner_p)
+        assert code == 1
+        message = f"usage error: {where}: werner_p {float(werner_p):g} leaves no singlet signal"
+        assert message in capsys.readouterr().err
+
+    def test_werner_p_at_the_floor_corrected(self, tmp_path):
+        code, _ = self.small_werner_estimate(tmp_path, "1e-6")
+        assert code == 0
+        assert ("source_noise_corrected", "true") in read_document(tmp_path / "r.txt").section("pair_run")
 
     def test_unrecorded_werner_p_not_corrected(self, tmp_path, capsys):
         paths, lineno = self.werner_counts(tmp_path, "0.9")
@@ -931,16 +991,6 @@ class TestFileFormat:
         # a malformed input file is a usage error (1), not a domain error (2)
         assert run_cli("estimate", *paths.values(), "--out", tmp_path / "r.txt") == 1
         assert f"error: {where}" in capsys.readouterr().err
-
-    def test_out_of_family_povm_header_located(self, tmp_path):
-        out = tmp_path / "povm.txt"
-        assert run_cli("build-povm", "--vx", 0.5, "--vy", 0.7, "--vz", 0.3, "--out", out) == 0
-        lines = out.read_text().splitlines()
-        lineno = lines.index("vx: 0.5") + 1
-        lines[lineno - 1] = "vx: 0.9"
-        out.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match=re.escape(f"{out}:{lineno}: visibilities: vx^2")):
-            read_povm_file(out)
 
     @pytest.mark.parametrize(
         "section, old, new, message",

@@ -21,7 +21,7 @@ from xymeas.kirkwood import (
     reconstruct_kd,
 )
 from xymeas.povm import OUTCOMES4, OUTCOMES16, VisibilityTriple, build_povm, outcome_probs
-from xymeas.qubit import ATOL_ALGEBRA, density, eigenstate, identity, pauli, singlet, tensor_state
+from xymeas.qubit import ATOL_ALGEBRA, density, eigenstate, identity, pauli, singlet
 from xymeas.simulate import ExperimentConfig, run_eigenstate_experiment, werner_state
 
 SQ3 = 1.0 / np.sqrt(3.0)
@@ -98,8 +98,8 @@ def kd_pair_reference(rho4) -> list:
     """
     entries = []
     for x1, y1, x2, y2 in OUTCOMES16:
-        ket_x = tensor_state(eigenstate("X", x1), eigenstate("X", x2))
-        ket_y = tensor_state(eigenstate("Y", y1), eigenstate("Y", y2))
+        ket_x = np.kron(eigenstate("X", x1), eigenstate("X", x2))
+        ket_y = np.kron(eigenstate("Y", y1), eigenstate("Y", y2))
         overlap = complex(np.vdot(ket_x, ket_y))
         entries.append(overlap * complex(np.vdot(ket_y, rho4 @ ket_x)))
     return entries

@@ -1,5 +1,6 @@
 """The package ships one path per computation; per-record forms live in ``tests/oracles.py``."""
 
+import inspect
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from xymeas import analysis, checks, kirkwood, povm, qubit
+from xymeas import analysis, checks, fileio, kirkwood, povm, qubit
 from xymeas.simulate import OutcomeCounts4, PairCounts16
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -34,6 +35,31 @@ def test_oracle_names_are_not_in_the_package():
         f"{owner.__name__}.{name}" for owner, names in MOVED.items() for name in names if hasattr(owner, name)
     ]
     assert left == []
+
+
+# capability no command used: the measurement-dump reader and the two-qubit KD path
+REMOVED = {
+    fileio: ("read_povm_file", "_entry"),
+    qubit: ("tensor_state",),
+    kirkwood: ("_product_kets",),
+}
+
+
+def test_removed_names_stay_removed():
+    left = [
+        f"{owner.__name__}.{name}" for owner, names in REMOVED.items() for name in names if hasattr(owner, name)
+    ]
+    assert left == []
+
+
+@pytest.mark.parametrize(
+    "function, parameter",
+    [(kirkwood._kd_entries, "outcomes"), (fileio._parse_keyed, "width")],
+    ids=["_kd_entries", "_parse_keyed"],
+)
+def test_one_shape_parameters_are_gone(function, parameter):
+    # _kd_entries serves qubit states only, _parse_keyed one value per row
+    assert parameter not in inspect.signature(function).parameters
 
 
 def test_kirkwood_does_not_import_analysis():

@@ -17,7 +17,6 @@ from xymeas.qubit import (
     identity,
     pauli,
     singlet,
-    tensor_state,
 )
 
 AXES = ("X", "Y", "Z")
@@ -114,7 +113,7 @@ class TestSinglet:
 
     def test_equal_precise_outcomes_never_coincide(self):
         # oracle: amplitude of |x+, x+> in the singlet
-        both_plus = tensor_state(eigenstate("X", +1), eigenstate("X", +1))
+        both_plus = np.kron(eigenstate("X", +1), eigenstate("X", +1))
         assert abs(np.vdot(both_plus, singlet())) ** 2 <= ATOL_ALGEBRA
 
     def test_invariant_under_common_unitary(self):

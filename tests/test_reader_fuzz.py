@@ -17,7 +17,6 @@ from xymeas.fileio import (
     one_of,
     read_counts_document,
     read_document,
-    read_povm_file,
     read_probs_document,
 )
 
@@ -36,7 +35,6 @@ READERS = {
     "x.counts": lambda path: read_counts_document(read_document(path)),
     "pair.counts": lambda path: read_counts_document(read_document(path)),
     "zplus.probs": lambda path: read_probs_document(read_document(path)),
-    "povm.txt": read_povm_file,
     "estimate.report": read_report_visibilities,
 }
 
