@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .povm import OUTCOMES16, PATTERNS, PatternStats, _float_table, _hadamard, _sum4
+from .povm import OUTCOMES16, PATTERNS, PatternStats, _float_table, _hadamard
 from .qubit import ATOL_ALGEBRA
 from .simulate import OutcomeCounts4, PairCounts16
 
@@ -161,15 +161,15 @@ def correct_for_source_noise(stats: PatternStats, p: float) -> PatternStats:
 def _self_convolution(w) -> np.ndarray:
     """``e[..., r] = (1/4) * sum_s w[..., s] * w[..., s xor r]`` over the last axis.
 
-    Bit for bit the ``np.sum`` over the ``(..., 4, 4)`` table of products
-    ``w(s) * w(s xor r)``, without building it: each product keeps that
-    operand order (a fused complex multiply is not commutative to the bit)
-    and each row is added by `povm._sum4`.
+    Each product keeps the operand order ``w(s) * w(s xor r)`` (a fused
+    complex multiply is not commutative to the bit), and each row adds its
+    four products left to right from +0.0, the order of `povm._hadamard`,
+    without building the ``(..., 4, 4)`` product table.
     """
     w = _float_table(w)
     cols = [w[..., s] for s in range(4)]
     e = np.empty(w.shape, w.dtype)
     for r in range(4):
-        _sum4(*(cols[s] * cols[s ^ r] for s in range(4)), out=e[..., r])
+        e[..., r] = sum((cols[s] * cols[s ^ r] for s in range(4)), 0.0)
     e /= 4.0
     return e

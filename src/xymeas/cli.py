@@ -35,6 +35,8 @@ from .fileio import (
     SCHEMA_PROBS,
     SCHEMA_REPORT,
     CountsArtifact,
+    _finite,
+    _magnitude,
     fmt_bool,
     fmt_float,
     fmt_sign,
@@ -140,8 +142,7 @@ def build_parser() -> _Parser:
 
 def cmd_build_povm(args) -> int:
     v = VisibilityTriple(args.vx, args.vy, args.vz)
-    povm = build_povm(v)
-    entries = povm.elements.ravel().tolist()
+    entries = build_povm(v).ravel().tolist()
     real, imag = [fmt_float(e.real) for e in entries], [fmt_float(e.imag) for e in entries]
     sections = {"elements": keyed_rows(ELEMENT_KEYS, real, imag)}
     parameters = {"vx": fmt_float(v.vx), "vy": fmt_float(v.vy), "vz": fmt_float(v.vz)}
@@ -310,9 +311,9 @@ def _reconstruction_visibilities(args) -> tuple[float, float, float]:
             raise UsageError("give either --vx/--vy/--vz or --from-report, not both")
         report = read_document(args.from_report)
         report.header_value("schema", one_of(SCHEMA_REPORT))
-        vx = report.section_value("visibility_x", "value", float)
-        vy = report.section_value("visibility_y", "value", float)
-        vz = report.section_value("csquared", "vz_magnitude", float)
+        vx = report.section_value("visibility_x", "value", _finite)
+        vy = report.section_value("visibility_y", "value", _finite)
+        vz = report.section_value("csquared", "vz_magnitude", _magnitude)
         _diag(
             "note: pair statistics determine only |vz|; using the positive sign, "
             "which conjugates the result if the device's vz is negative"

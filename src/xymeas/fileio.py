@@ -37,6 +37,7 @@ from __future__ import annotations
 import functools
 import math
 import platform
+import re
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -152,19 +153,21 @@ def write_document(
 def read_document(path: str | Path) -> Document:
     """Parse the header and sections of an artifact file.
 
-    A non-ASCII byte, a malformed or repeated header key and a repeated
-    ``[section]`` heading are rejected with their ``file:line``.
+    Lines end at a line feed only. Any other byte outside printable ASCII (a
+    control byte, carriage return included, or a non-ASCII byte), a malformed
+    or repeated header key and a repeated ``[section]`` heading are rejected
+    with their ``file:line``.
     """
     data = Path(path).read_bytes()
-    try:
-        text = data.decode("ascii")
-    except UnicodeDecodeError as exc:
-        # lines are counted as the loop below counts them
-        lineno = len((data[: exc.start] + b".").decode("ascii").splitlines())
-        raise ValueError(f"{path}:{lineno}: non-ASCII byte 0x{data[exc.start]:02x}") from None
+    bad = re.search(rb"[^ -~\n]", data)  # neither printable ASCII nor a line feed
+    if bad is not None:
+        i = bad.start()
+        lineno = data.count(b"\n", 0, i) + 1
+        kind = "non-ASCII" if data[i] >= 0x80 else "control"
+        raise ValueError(f"{path}:{lineno}: {kind} byte 0x{data[i]:02x}")
     doc = Document(path=path)
     current: list[tuple[str, ...]] | None = None
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(data.decode("ascii").split("\n"), 1):
         line = raw.strip()
         if not line:
             continue
@@ -302,6 +305,13 @@ def _finite(token: str) -> float:
     value = float(token)
     if not math.isfinite(value):
         raise ValueError(f"{token!r} is not finite")
+    return value
+
+
+def _magnitude(token: str) -> float:
+    value = _finite(token)
+    if value < 0.0:
+        raise ValueError(f"{token!r} is negative")
     return value
 
 

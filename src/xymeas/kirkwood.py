@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .povm import OUTCOMES4, _checked_table, _sum4
+from .povm import OUTCOMES4, _checked_table
 from .qubit import ATOL_ALGEBRA, ensure_density_matrix, eigenstate
 
 # Visibilities below this magnitude are rejected rather than regularized.
@@ -88,21 +88,22 @@ def kd_from_state(rho) -> KDDistribution:
 # |x> and |y> of each outcome (x, y), in OUTCOMES4 order
 _KET_X = np.array([eigenstate("X", x) for x, _ in OUTCOMES4])
 _KET_Y = np.array([eigenstate("Y", y) for _, y in OUTCOMES4])
+# <x|y> of each outcome
+_OVERLAP = sum((_KET_X[:, j].conj() * _KET_Y[:, j] for j in range(2)), 0.0)
 
 
 def _kd_entries(rho: np.ndarray) -> np.ndarray:
     """``<x|y><y|rho|x>`` in ``OUTCOMES4`` order for each qubit state of a (..., 2, 2) stack, as (..., 4).
 
-    For a row-major stack the entries are bit for bit the ``np.sum``
-    contractions of the (..., 4, 2, 2) products ``rho[..., i, j] *
-    ket_x[o, j]`` over ``j`` and then of ``conj(ket_y[o, i]) * rho_x[..., o,
-    i]`` over ``i``, added by `povm._sum4` without building either product.
+    The products ``rho[..., i, j] * ket_x[o, j]`` are contracted over ``j``,
+    then ``conj(ket_y[o, i]) * rho_x[..., o, i]`` over ``i``, each sum added
+    left to right from +0.0 as every table sum is, without building either
+    (..., 4, 2, 2) product.
     """
-    overlap = np.sum(_KET_X.conj() * _KET_Y, axis=-1)
     rho = np.asarray(rho)
     # rho_x[i][..., o] = sum_j rho[..., i, j] * ket_x[o, j]
-    rho_x = [_sum4(*(rho[..., i, j, None] * _KET_X[:, j] for j in range(2))) for i in range(2)]
-    return overlap * _sum4(*(_KET_Y[:, i].conj() * rho_x[i] for i in range(2)))
+    rho_x = [sum((rho[..., i, j, None] * _KET_X[:, j] for j in range(2)), 0.0) for i in range(2)]
+    return _OVERLAP * sum((_KET_Y[:, i].conj() * rho_x[i] for i in range(2)), 0.0)
 
 
 def _check_not_singular(name: str, value: complex) -> complex:

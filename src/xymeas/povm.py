@@ -51,63 +51,31 @@ def _float_table(table) -> np.ndarray:
     return t.astype(np.result_type(t.dtype, np.float64), copy=False)
 
 
-def _sum4(*terms, out=None):
-    """The sum of two or four terms in the order ``np.sum`` adds them, into ``out`` if given.
-
-    The order depends on the dtype only. Real terms, and two complex terms,
-    are added left to right, ``((0.0 + a) + b) + ...``. Four complex terms
-    are added pairwise, ``(0.0 + (a + b)) + (c + d)``.
-    """
-    if len(terms) == 4 and np.iscomplexobj(terms[0]):
-        a, b, c, d = terms
-        out = np.add(a, b, out=out)
-        out += 0.0
-        out += c + d
-        return out
-    out = np.add(terms[0], 0.0, out=out)
-    for term in terms[1:]:
-        out += term
-    return out
-
-
 def _hadamard(table) -> np.ndarray:
     """``HADAMARD @ table`` over the last axis: (total, y, x, x*y) signed sums.
 
-    Bit for bit ``np.sum(HADAMARD * table[..., None, :], axis=-1)``, so
-    report digits never depend on how a BLAS matrix-vector product
-    associates: each row is added in `_sum4`'s order. The rows are built in
-    place from the four columns, sharing partial sums, without a
-    ``(..., 4, 4)`` temporary.
+    Each row is added left to right from +0.0, ``(((0.0 + a) ± b) ± c) ± d``,
+    the order of every table sum, so digits depend on neither BLAS nor numpy's
+    reduction order, and a complex table transforms part by part. The rows are
+    built in place from the four columns, sharing partial sums.
     """
     t = _float_table(table)
     a, b, c, d = (t[..., k] for k in range(4))
     h = np.empty(t.shape, t.dtype)
     h0, h1, h2, h3 = (h[..., k] for k in range(4))
-    if np.iscomplexobj(t):
-        # h0, h1 hold 0.0 + (a ± b) until the halves c ± d are added
-        np.add(a, b, out=h0)
-        np.subtract(a, b, out=h1)
-        h0 += 0.0
-        h1 += 0.0
-        cd, c_d = c + d, c - d
-        np.subtract(h0, cd, out=h2)
-        np.subtract(h1, c_d, out=h3)
-        h0 += cd
-        h1 += c_d
-    else:
-        # h0, h1 hold (0.0 + a) ± b until c and d are added
-        np.add(a, 0.0, out=h0)
-        np.add(a, 0.0, out=h1)
-        h0 += b
-        h1 -= b
-        np.subtract(h0, c, out=h2)
-        np.subtract(h1, c, out=h3)
-        h2 -= d
-        h3 += d
-        h0 += c
-        h0 += d
-        h1 += c
-        h1 -= d
+    # h0, h1 hold (0.0 + a) ± b until c and d are added
+    np.add(a, 0.0, out=h0)
+    np.add(a, 0.0, out=h1)
+    h0 += b
+    h1 -= b
+    np.subtract(h0, c, out=h2)
+    np.subtract(h1, c, out=h3)
+    h2 -= d
+    h3 += d
+    h0 += c
+    h0 += d
+    h1 += c
+    h1 -= d
     return h
 
 
@@ -203,35 +171,17 @@ class PatternStats:
         object.__setattr__(self, "stderr", stderr)
 
 
-@dataclass(frozen=True, eq=False)
-class JointPovm:
-    """The four measurement operators as one read-only complex (4, 2, 2) array.
+def build_povm(v: VisibilityTriple) -> np.ndarray:
+    """The four-outcome joint measurement of a visibility triple, as a read-only complex (4, 2, 2) array.
 
-    ``elements[k]`` is the operator of outcome ``OUTCOMES4[k]``; the shape is
-    checked once, here. Instances compare and hash by identity; compare
-    ``elements`` with numpy.
+    Element ``k`` is the operator of outcome ``OUTCOMES4[k]``. The triple is
+    positive already: ``VisibilityTriple`` raises ``PositivityError`` when
+    ``vx^2 + vy^2 + vz^2 > 1``, checked algebraically, each element's
+    smallest eigenvalue being ``(1 - sqrt(vx^2+vy^2+vz^2)) / 4``.
     """
-
-    visibilities: VisibilityTriple
-    elements: np.ndarray
-
-    def __post_init__(self) -> None:
-        elements = np.array(self.elements, dtype=complex)
-        if elements.shape != (4, 2, 2):
-            raise ValueError(f"measurement elements must be (4, 2, 2), got {elements.shape}")
-        elements.flags.writeable = False
-        object.__setattr__(self, "elements", elements)
-
-
-def build_povm(v: VisibilityTriple) -> JointPovm:
-    """Construct the four-outcome joint measurement for a visibility triple.
-
-    The triple is positive already: ``VisibilityTriple`` raises
-    ``PositivityError`` when ``vx^2 + vy^2 + vz^2 > 1``, checked
-    algebraically, each element's smallest eigenvalue being
-    ``(1 - sqrt(vx^2+vy^2+vz^2)) / 4``.
-    """
-    return JointPovm(visibilities=v, elements=_family_elements([v.vx, v.vy, v.vz]))
+    elements = _family_elements([v.vx, v.vy, v.vz])
+    elements.flags.writeable = False
+    return elements
 
 
 def _family_elements(v) -> np.ndarray:
@@ -253,25 +203,30 @@ def _real_probs(values, what: str) -> np.ndarray:
     return _checked_table(values.real, low=-slack, high=1.0 + slack, total=1.0, tol=slack, what=what)
 
 
-def outcome_probs(povm: JointPovm, rho) -> np.ndarray:
-    """Outcome probabilities ``Tr(element(x,y) @ rho)`` for a qubit state, in ``OUTCOMES4`` order."""
+def outcome_probs(elements: np.ndarray, rho) -> np.ndarray:
+    """Outcome probabilities ``Tr(element(x,y) @ rho)`` for a qubit state, in ``OUTCOMES4`` order.
+
+    ``elements`` is a (4, 2, 2) element array in ``OUTCOMES4`` order, as
+    `build_povm` returns it.
+    """
     rho = ensure_density_matrix(rho, dim=2)
-    values = np.trace(povm.elements @ rho, axis1=1, axis2=2)
+    values = np.trace(elements @ rho, axis1=1, axis2=2)
     return _real_probs(values, "outcome probabilities")
 
 
-def pair_outcome_probs(povm1: JointPovm, povm2: JointPovm, rho4) -> np.ndarray:
+def pair_outcome_probs(e1: np.ndarray, e2: np.ndarray, rho4) -> np.ndarray:
     """Joint outcome probabilities for independent measurements on a pair, in ``OUTCOMES16`` order.
 
-    Entry ``(x1, y1, x2, y2)`` is ``Tr((element1(x1,y1) (x) element2(x2,y2)) @ rho4)``.
+    ``e1`` and ``e2`` are (4, 2, 2) element arrays as `build_povm` returns
+    them; entry ``(x1, y1, x2, y2)`` is ``Tr((e1[k1] (x) e2[k2]) @ rho4)``
+    with ``k1``, ``k2`` the ``OUTCOMES4`` indices of ``(x1, y1)`` and ``(x2, y2)``.
     The 16 Kronecker products are one broadcast product, entry for entry
     what ``np.kron`` computes, so the table equals the per-element
-    ``np.trace(np.kron(element1, element2) @ rho4)`` bit for bit. The two
+    ``np.trace(np.kron(e1[k1], e2[k2]) @ rho4)`` bit for bit. The two
     measurements may differ; the pattern-based estimators in `analysis`
     assume they are identical.
     """
     rho4 = ensure_density_matrix(rho4, dim=4)
-    e1, e2 = povm1.elements, povm2.elements
     # axes (o1, o2, i1, i2, j1, j2): kron row i1*2+i2, column j1*2+j2, outcome o1*4+o2
     kron = (e1[:, None, :, None, :, None] * e2[None, :, None, :, None, :]).reshape(16, 4, 4)
     values = np.trace(kron @ rho4, axis1=1, axis2=2)

@@ -6,9 +6,11 @@ arithmetic (`povm._hadamard`, `analysis._self_convolution`,
 `checks._random_qubit_densities`, `qubit._lowest_eigenvalues`,
 `povm._checked_table`) or plain numpy (``np.kron``, ``np.trace``), and
 never adds up a sum of its own that the library also computes, so a test
-through an oracle still tests the sums the commands run. The pair
-quasi-probability, which no command computes, is plain numpy over
-``np.kron`` product kets. Each keeps only the validation some test checks.
+through an oracle still tests the sums the commands run, each added left
+to right from +0.0. `element` picks one operator out of the element array
+`povm.build_povm` returns. The pair quasi-probability, which no command
+computes, is plain numpy over ``np.kron`` product kets. Each keeps only
+the validation some test checks.
 """
 
 from dataclasses import dataclass
@@ -22,7 +24,6 @@ from xymeas.povm import (
     OUTCOMES4,
     OUTCOMES16,
     PATTERNS,
-    JointPovm,
     PatternStats,
     _checked_table,
     _hadamard,
@@ -62,9 +63,9 @@ def min_eigenvalue_hermitian(m):
     return float(lowest) if arr.ndim == 2 else lowest
 
 
-def element(povm: JointPovm, x: int, y: int) -> np.ndarray:
-    """The operator of outcome ``(x, y)`` among ``povm.elements``."""
-    return povm.elements[OUTCOMES4.index((x, y))]
+def element(elements: np.ndarray, x: int, y: int) -> np.ndarray:
+    """The operator of outcome ``(x, y)`` in a (4, 2, 2) element array such as `build_povm` returns."""
+    return elements[OUTCOMES4.index((x, y))]
 
 
 # -- error models --------------------------------------------------------------

@@ -93,7 +93,7 @@ class TestAgreementWithReferences:
     def test_family_elements_are_build_povm_bit_for_bit(self):
         stack = _family_elements(GRID)
         for v, elements in zip(TRIPLES, stack):
-            assert elements.tobytes() == build_povm(v).elements.tobytes()
+            assert elements.tobytes() == build_povm(v).tobytes()
 
     def test_pair_tables_match_kronecker_traces(self):
         tables = checks._singlet_pair_tables(_family_elements(GRID))

@@ -32,7 +32,7 @@ from xymeas.analysis import (
     pattern_estimates,
 )
 from xymeas.checks import CheckResult
-from xymeas.povm import OUTCOMES4, JointPovm, VisibilityTriple, build_povm, outcome_probs
+from xymeas.povm import OUTCOMES4, VisibilityTriple, build_povm, outcome_probs
 from xymeas.qubit import density, eigenstate
 from xymeas.simulate import (
     BLOCK_SHOTS,
@@ -69,7 +69,7 @@ def simulate_all(tmp_path, v_str, shots, base_seed=100):
     return paths
 
 
-def read_povm_dump(path) -> JointPovm:
+def read_povm_dump(path) -> tuple[VisibilityTriple, np.ndarray]:
     """The visibilities and operators of a ``build-povm`` dump; no command reads one back."""
     doc = read_document(path)
     assert doc.header["schema"] == "xymeas-povm/1"
@@ -78,7 +78,7 @@ def read_povm_dump(path) -> JointPovm:
     # one row per operator entry, in ELEMENT_KEYS order: x y i j real imag
     assert [tuple(map(int, row[:4])) for row in rows] == list(ELEMENT_KEYS)
     entries = [complex(float(row[4]), float(row[5])) for row in rows]
-    return JointPovm(visibilities=v, elements=np.array(entries).reshape(4, 2, 2))
+    return v, np.array(entries).reshape(4, 2, 2)
 
 
 def write_probs_rows(path, table):
@@ -105,10 +105,9 @@ class TestBuildPovm:
     def test_writes_round_trippable_elements(self, tmp_path):
         out = tmp_path / "povm.txt"
         assert run_cli("build-povm", "--vx", SQ3_STR, "--vy", SQ3_STR, "--vz", SQ3_STR, "--out", out) == 0
-        povm = read_povm_dump(out)
-        expected = build_povm(VisibilityTriple(SQ3, SQ3, SQ3))
-        assert povm.visibilities == expected.visibilities
-        assert np.array_equal(povm.elements, expected.elements)
+        v, elements = read_povm_dump(out)
+        assert v == VisibilityTriple(SQ3, SQ3, SQ3)
+        assert np.array_equal(elements, build_povm(v))
         manifest = read_document(tmp_path / "povm.txt.manifest")
         assert manifest.header["command"] == "build-povm"
         assert ("povm.txt",) in manifest.section("artifacts")
@@ -116,8 +115,8 @@ class TestBuildPovm:
     def test_projective_x(self, tmp_path):
         out = tmp_path / "povm.txt"
         assert run_cli("build-povm", "--vx", 1, "--vy", 0, "--vz", 0, "--out", out) == 0
-        povm = read_povm_dump(out)
-        assert np.allclose(element(povm, +1, +1), [[0.25, 0.25], [0.25, 0.25]], atol=1e-15)
+        _, elements = read_povm_dump(out)
+        assert np.allclose(element(elements, +1, +1), [[0.25, 0.25], [0.25, 0.25]], atol=1e-15)
 
     def test_positivity_violation_exits_2(self, tmp_path, capsys):
         out = tmp_path / "povm.txt"
@@ -747,6 +746,20 @@ class TestFileFormat:
         assert run_cli("estimate", *paths.values(), "--out", tmp_path / "r.txt") == 1
         assert f"error: {paths['ex']}:{lineno}: non-ASCII byte 0xc3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "byte", [0x0D, 0x0B, 0x0C, 0x1C, 0x1D, 0x1E], ids=["CR", "VT", "FF", "FS", "GS", "RS"]
+    )
+    def test_control_byte_located_at_its_own_line(self, tmp_path, byte):
+        # each of these also ends a line for str.splitlines, which would shift the line count
+        lines = (GOLDEN / "x.counts").read_bytes().split(b"\n")
+        path = tmp_path / "x.counts"
+        for lineno in (1, 5, 8, 15):
+            mutated = list(lines)
+            mutated[lineno - 1] = mutated[lineno - 1][:3] + bytes([byte]) + mutated[lineno - 1][3:]
+            path.write_bytes(b"\n".join(mutated))
+            with pytest.raises(ValueError, match=re.escape(f"{path}:{lineno}: control byte 0x{byte:02x}")):
+                read_document(path)
+
     def test_missing_probs_row_located(self, tmp_path, capsys):
         path = tmp_path / "p.txt"
         write_probs_file(path, [0.25] * 4, state="mixed")
@@ -999,8 +1012,11 @@ class TestFileFormat:
             ("[visibility_y]", "value ", "value 0.6 0.7", "malformed [visibility_y] row ('value', '0.6', '0.7')"),
             ("[visibility_x]", "value ", "value -0.3 0.7", "malformed [visibility_x] row ('value', '-0.3', '0.7')"),
             ("[csquared]", "vz_magnitude ", None, "missing entry 'vz_magnitude' in section [csquared]"),
+            ("[visibility_x]", "value ", "value nan", "[visibility_x] value: 'nan' is not finite"),
+            ("[csquared]", "vz_magnitude ", "vz_magnitude inf", "[csquared] vz_magnitude: 'inf' is not finite"),
+            ("[csquared]", "vz_magnitude ", "vz_magnitude -0.5", "[csquared] vz_magnitude: '-0.5' is negative"),
         ],
-        ids=["bad-float", "extra-token", "two-values", "missing"],
+        ids=["bad-float", "extra-token", "two-values", "missing", "nan", "inf", "negative-magnitude"],
     )
     def test_from_report_values_located(self, tmp_path, capsys, section, old, new, message):
         paths = simulate_all(tmp_path, ("0.5", "0.6", "0.4"), 1000, base_seed=990)

@@ -26,7 +26,6 @@ MOVED = {
     ),
     kirkwood: ("forward_map", "kd_pair_from_state", "random_qubit_density"),
     qubit: ("trace_product", "tensor", "min_eigenvalue_hermitian", "is_hermitian"),
-    povm.JointPovm: ("element",),
 }
 
 
@@ -37,11 +36,14 @@ def test_oracle_names_are_not_in_the_package():
     assert left == []
 
 
-# capability no command used: the measurement-dump reader and the two-qubit KD path
+# capability no command used: the measurement-dump reader and the two-qubit KD path;
+# and the second summation order with the wrapper around the element array
 REMOVED = {
     fileio: ("read_povm_file", "_entry"),
     qubit: ("tensor_state",),
     kirkwood: ("_product_kets",),
+    povm: ("_sum4", "JointPovm"),
+    checks: ("_hadamard_by_parts",),
 }
 
 

@@ -1,11 +1,12 @@
-"""Column-form sums equal the ``np.sum`` formulas they replace, bit for bit.
+"""Column-form sums equal the product-table formulas they replace, bit for bit.
 
 `povm._hadamard` and `analysis._self_convolution` add the four columns of
 their input directly. The references below are the formulas they replace:
-a ``(..., 4, 4)`` product table reduced by ``np.sum`` over its last axis,
-whose order of addition `povm._sum4` states. `kirkwood._kd_entries`
-likewise contracts its states term by term, and the character identity of
-``verify`` transforms a self-convolution part by part.
+a ``(..., 4, 4)`` product table ``P`` whose rows are added left to right
+from +0.0, ``sum((P[..., k] for k in range(4)), 0.0)``, the one order of
+every table sum. `kirkwood._kd_entries` likewise contracts its states term
+by term in that order. Complex entries add part by part, so a complex
+table transforms as its real and imaginary parts do.
 """
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from xymeas.analysis import _self_convolution
-from xymeas.checks import _hadamard_by_parts, _random_qubit_densities
+from xymeas.checks import _random_qubit_densities
 from xymeas.kirkwood import _kd_entries
 from xymeas.povm import HADAMARD, OUTCOMES4, _hadamard
 from xymeas.qubit import density, eigenstate
@@ -22,13 +23,18 @@ from xymeas.qubit import density, eigenstate
 _XOR = np.bitwise_xor.outer(np.arange(4), np.arange(4))
 
 
+def added(products):
+    """The terms on the last axis of ``products`` added left to right from +0.0."""
+    return sum((products[..., k] for k in range(products.shape[-1])), 0.0)
+
+
 def reference_hadamard(table):
-    return np.sum(HADAMARD * np.asarray(table)[..., None, :], axis=-1)
+    return added(HADAMARD * np.asarray(table)[..., None, :])
 
 
 def reference_self_convolution(w):
     w = np.asarray(w)
-    return np.sum(w[..., None, :] * w[..., _XOR], axis=-1) / 4.0
+    return added(w[..., None, :] * w[..., _XOR]) / 4.0
 
 
 def bits(x):
@@ -59,38 +65,48 @@ def tables(draw):
     return table
 
 
+# several complex models, one per row: the shape of verify's Fourier-check chunks
+CANCELLING_MODELS = np.array([[1e16, 1.0, -1e16, 1.0]] * 3) * (1 + 1j)
+SIGNED_ZERO_MODELS = np.array([[complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.0, 0.0), 0j]] * 2)
+
+
 @settings(max_examples=400, deadline=None)
 @given(t=tables())
 @example(t=np.array([-0.0, -0.0, -0.0, -0.0]))
 @example(t=np.array([-0.0, 0.0, -0.0, 0.0]) * (1 + 1j))
 @example(t=np.array([[1e16, 1.0, -1e16, 1.0]] * 3, dtype=complex))
-def test_transforms_match_np_sum_formulas(t):
+@example(t=CANCELLING_MODELS)
+@example(t=SIGNED_ZERO_MODELS)
+def test_transforms_add_rows_left_to_right(t):
     assert bits(_hadamard(t)) == bits(reference_hadamard(t))
     assert bits(_self_convolution(t)) == bits(reference_self_convolution(t))
 
 
 @settings(max_examples=200, deadline=None)
 @given(t=tables())
-def test_compositions_match_np_sum_formulas(t):
+@example(t=CANCELLING_MODELS)
+@example(t=SIGNED_ZERO_MODELS)
+def test_compositions_add_rows_left_to_right(t):
     assert bits(_hadamard(_hadamard(t))) == bits(reference_hadamard(reference_hadamard(t)))
     assert bits(_self_convolution(_hadamard(t))) == bits(
         reference_self_convolution(reference_hadamard(t))
     )
+    # the transform of verify's character identity, 4 H e = (H w)^2
+    assert bits(_hadamard(_self_convolution(t))) == bits(
+        reference_hadamard(reference_self_convolution(t))
+    )
 
 
 @settings(max_examples=200, deadline=None)
-@given(
-    w=st.integers(2, 40).flatmap(
-        lambda n: hnp.arrays(np.float64, (n, 2, 4), elements=entries).map(lambda r: r[:, 0] + 1j * r[:, 1])
-    )
-)
-@example(w=np.array([[complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.0, 0.0), 0j]] * 2))
-@example(w=np.array([[1e16, 1.0, -1e16, 1.0]] * 3) * (1 + 1j))
-def test_fourier_check_transform_matches_np_sum_composition(w):
-    # the shape of verify's chunks: several complex models, one per row
-    assert bits(_hadamard_by_parts(_self_convolution(w))) == bits(
-        reference_hadamard(reference_self_convolution(w))
-    )
+@given(t=tables().filter(np.iscomplexobj))
+@example(t=CANCELLING_MODELS)
+@example(t=SIGNED_ZERO_MODELS)
+@example(t=np.array([1e16, 1.0, -1e16, 1.0]) * (1 + 1j))
+def test_complex_transform_is_the_transform_of_its_parts(t):
+    by_parts = np.empty(t.shape, t.dtype)
+    by_parts.real = _hadamard(t.real)
+    by_parts.imag = _hadamard(t.imag)
+    assert bits(_hadamard(t)) == bits(by_parts)
 
 
 def test_list_and_integer_inputs_promote_like_the_reference():
@@ -102,18 +118,18 @@ def test_list_and_integer_inputs_promote_like_the_reference():
 def reference_kd_entries(rho):
     ket_x = np.array([eigenstate("X", x) for x, _ in OUTCOMES4])
     ket_y = np.array([eigenstate("Y", y) for _, y in OUTCOMES4])
-    overlap = np.sum(ket_x.conj() * ket_y, axis=-1)
-    rho_x = np.sum(np.asarray(rho)[..., None, :, :] * ket_x[:, None, :], axis=-1)
-    return overlap * np.sum(ket_y.conj() * rho_x, axis=-1)
+    overlap = added(ket_x.conj() * ket_y)
+    rho_x = added(np.asarray(rho)[..., None, :, :] * ket_x[:, None, :])
+    return overlap * added(ket_y.conj() * rho_x)
 
 
-def test_kd_entries_match_np_sum_formula():
+def test_kd_entries_add_left_to_right():
     rng = np.random.Generator(np.random.Philox(key=11))
     stack = _random_qubit_densities(rng, 500)
     assert bits(_kd_entries(stack)) == bits(reference_kd_entries(stack))
     # eigenstates have exact zeros, whose signs the report digits show
     kets = [eigenstate(axis, value) for axis in "XYZ" for value in (+1, -1)]
-    # and states of negative zeros, since np.sum starts every sum from +0.0
+    # and states of negative zeros, since every sum starts from +0.0
     negative_zeros = [np.full((2, 2), z) for z in (complex(-0.0, 0.0), complex(-0.0, -0.0))]
     for rho in [*map(density, kets), *negative_zeros]:
         assert bits(_kd_entries(rho)) == bits(reference_kd_entries(rho))
