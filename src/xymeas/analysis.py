@@ -25,9 +25,9 @@ instead force ``c^2 >= 0``; equivalently, the statistic
 ``s = e(0,1) + e(1,0) - e(0,0) - e(1,1)`` is ``vz^2 / 4 >= 0`` for every
 quantum measurement and ``<= 0`` for every classical model.
 
-Each kind of run has one estimator: `estimate_visibility` gives ``vx`` or
-``vy`` from an eigenstate run of that axis, and `pattern_estimates` gives
-``vx^2``, ``vy^2`` and ``c^2`` from the pattern probabilities of a pair run.
+Each kind of run has one estimator, rows of ``H``: `estimate_visibility`
+gives ``vx`` or ``vy`` from an eigenstate run of that axis, and
+`pattern_estimates` ``vx^2``, ``vy^2`` and ``c^2`` from a pair run's patterns.
 Each estimate is one `Estimate`, value and standard error; `is_classical` is
 the one verdict on ``c^2``.
 
@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .povm import OUTCOMES16, PATTERNS, PatternStats, _float_table, _hadamard
+from .povm import PATTERNS, PatternStats, _float_table, _hadamard
 from .qubit import ATOL_ALGEBRA
 from .simulate import OutcomeCounts4, PairCounts16
 
@@ -73,26 +73,22 @@ class Estimate:
 def estimate_visibility(counts: OutcomeCounts4) -> Estimate:
     """Resolution of the input axis from an X- or Y-eigenstate run.
 
-    ``(correct count - wrong count) / total`` of the outcome on the axis the
-    record names (``counts.input_axis``), summed over the other outcome.
+    ``input_value * (n(+1) - n(-1)) / total`` on the axis the record names
+    (``counts.input_axis``): the x or y row of ``H @ counts`` over the shot
+    count. Its binomial standard error is ``sqrt((1 - v^2) / total)``.
     """
     total = counts.total
     if total <= 0:
         raise ValueError("estimate_visibility needs at least one shot")
-    # OUTCOMES4 order: rows x = +1, -1; columns y = +1, -1
-    marginal = counts.counts.reshape(2, 2).sum(axis=1 if counts.input_axis == "X" else 0)
-    p = float(marginal[0 if counts.input_value == +1 else 1]) / total
-    stderr = 2.0 * np.sqrt(p * (1.0 - p) / total)
-    return Estimate(value=2.0 * p - 1.0, stderr=stderr)
+    _, y, x, _ = _hadamard(counts.counts).tolist()
+    # an integer contrast, so a balanced run at input -1 reads 0.0, not -0.0
+    v = counts.input_value * int(x if counts.input_axis == "X" else y) / total
+    return Estimate(value=v, stderr=np.sqrt((1.0 - v ** 2) / total))
 
 
-def pattern_of(x1: int, y1: int, x2: int, y2: int) -> tuple[int, int]:
-    """Flip pattern of a pair outcome: 0 where the singlet anti-correlation holds."""
-    return (0 if x1 == -x2 else 1, 0 if y1 == -y2 else 1)
-
-
-# Pattern index of each entry of an OUTCOMES16 table.
-_PATTERN_INDEX16 = np.array([PATTERNS.index(pattern_of(*o)) for o in OUTCOMES16])
+# Pattern index of each OUTCOMES16 entry k, the pair of OUTCOMES4 outcomes k >> 2 and
+# k & 3: an OUTCOMES4 index has one bit per sign, and a pattern bit is 0 where they differ.
+_PATTERN_INDEX16 = np.array([(k >> 2) ^ (k & 3) ^ 3 for k in range(16)])
 
 
 def collapse_pair_counts(counts: PairCounts16) -> PatternStats:

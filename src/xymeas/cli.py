@@ -35,8 +35,6 @@ from .fileio import (
     SCHEMA_PROBS,
     SCHEMA_REPORT,
     CountsArtifact,
-    _finite,
-    _magnitude,
     fmt_bool,
     fmt_float,
     fmt_sign,
@@ -47,6 +45,7 @@ from .fileio import (
     read_counts_document,
     read_document,
     read_probs_document,
+    read_report_visibilities,
     write_artifact,
 )
 from .kirkwood import SingularInversionError, kd_from_state, reconstruct_kd
@@ -246,7 +245,6 @@ def cmd_estimate(args) -> int:
         pair = roles["pair"]
         stats = collapse_pair_counts(pair.counts)
         werner_p, werner_lineno = pair.werner_p or (None, None)
-        corrected = False
         if args.correct_source_noise:
             if werner_p is None:
                 raise UsageError(f"{pair.path}: pair counts file does not record werner_p")
@@ -257,11 +255,10 @@ def cmd_estimate(args) -> int:
                     f"(below {MIN_WERNER_P:g})"
                 )
             stats = correct_for_source_noise(stats, werner_p)
-            corrected = True
         sections["pair_run"] = [
             ("total_shots", str(pair.counts.total)),
             ("werner_p", fmt_float(werner_p) if werner_p is not None else "unknown"),
-            ("source_noise_corrected", fmt_bool(corrected)),
+            ("source_noise_corrected", fmt_bool(args.correct_source_noise)),
         ]
         sections["patterns"] = [
             (str(rx), str(ry), fmt_float(e), fmt_float(stderr))
@@ -271,7 +268,7 @@ def cmd_estimate(args) -> int:
         section("vx_squared_pair", vx2)
         section("vy_squared_pair", vy2)
         classical = is_classical(c2)
-        vz = math.sqrt(max(-c2.value, 0.0))
+        vz = math.sqrt(max(0.0, -c2.value))
         extra = ("vz_magnitude", fmt_float(vz)), ("classical", fmt_bool(classical))
         figure = section("csquared", c2, *extra)
         statistic = classicality_statistic(stats.e)
@@ -309,11 +306,7 @@ def _reconstruction_visibilities(args) -> tuple[float, float, float]:
     if args.from_report is not None:
         if any(f is not None for f in flags):
             raise UsageError("give either --vx/--vy/--vz or --from-report, not both")
-        report = read_document(args.from_report)
-        report.header_value("schema", one_of(SCHEMA_REPORT))
-        vx = report.section_value("visibility_x", "value", _finite)
-        vy = report.section_value("visibility_y", "value", _finite)
-        vz = report.section_value("csquared", "vz_magnitude", _magnitude)
+        vx, vy, vz = read_report_visibilities(read_document(args.from_report))
         _diag(
             "note: pair statistics determine only |vz|; using the positive sign, "
             "which conjugates the result if the device's vz is negative"

@@ -407,6 +407,15 @@ def read_counts_document(doc: Document) -> CountsArtifact:
     )
 
 
+def read_report_visibilities(doc: Document) -> tuple[float, float, float]:
+    """``vx``, ``vy`` and ``|vz|`` of an estimate report, each located at its row when it is bad."""
+    doc.header_value("schema", one_of(SCHEMA_REPORT))
+    vx = doc.section_value("visibility_x", "value", _finite)
+    vy = doc.section_value("visibility_y", "value", _finite)
+    vz = doc.section_value("csquared", "vz_magnitude", _magnitude)
+    return vx, vy, vz
+
+
 # -- exact probability tables --------------------------------------------------
 
 

@@ -12,14 +12,15 @@ imaginary, ``sum_{x,y} x*y*kd(x,y) = i*<Z>``.
 Sign convention for the correlation parameter
 ---------------------------------------------
 The error correlation of a measurement with visibilities ``(vx, vy, vz)``
-is reported as ``c = i*vz`` (so ``c^2 = -vz^2``). Because the correlation
-moment of the quasi-probability is ``i*<Z>`` while the measurement couples
-to ``vz*<Z>``, the linear map from outcome tables to quasi-probabilities
-must pair that moment with ``-c``: only then does
-``reconstruct_kd(outcome_probs(...), vx, vy, i*vz)`` return
-``kd_from_state(rho)``. `reconstruct_kd` uses this pairing for every
-nonzero complex ``c``. (The opposite pairing would correspond to the
-transposed projector order, which conjugates every quasi-probability entry.)
+is reported as ``c = i*vz`` (so ``c^2 = -vz^2``). Over the rows (total, y,
+x, x*y) of the Walsh-Hadamard transform ``H = povm.HADAMARD``, the
+quasi-probability has moments ``H kd = (1, <Y>, <X>, i*<Z>)`` and the
+measurement's table ``H p = (1, vy*<Y>, vx*<X>, vz*<Z>)``. So
+`reconstruct_kd` divides the correlation moment by ``-c``, for every
+nonzero complex ``c``: only then does ``reconstruct_kd(outcome_probs(...),
+vx, vy, i*vz)`` return ``kd_from_state(rho)``. (Dividing by ``c`` would
+correspond to the transposed projector order, which conjugates every
+quasi-probability entry.)
 """
 
 from __future__ import annotations
@@ -28,25 +29,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .povm import OUTCOMES4, _checked_table
+from .povm import OUTCOMES4, _checked_table, _hadamard
 from .qubit import ATOL_ALGEBRA, ensure_density_matrix, eigenstate
 
 # Visibilities below this magnitude are rejected rather than regularized.
 # The inversion scales rounding by 1/|v|: with all three |v| equal, random
 # tables pushed the KD entries' sum past ATOL_ALGEBRA, the KDDistribution
-# tolerance, at 1e-4 and 2e-4, and never at 3e-4 and above.
+# tolerance, at 3e-5 and below, and never at 5e-5 and above.
 SINGULAR_VISIBILITY = 1e-3
 
 
 class SingularInversionError(ValueError):
     """Reconstruction requested with a vanishing visibility parameter."""
-
-    def __init__(self, parameter: str, value: complex):
-        self.parameter = parameter
-        super().__init__(
-            f"visibility parameter {parameter} = {value!r} is too small to invert "
-            f"(threshold {SINGULAR_VISIBILITY})"
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,34 +103,32 @@ def _kd_entries(rho: np.ndarray) -> np.ndarray:
 def _check_not_singular(name: str, value: complex) -> complex:
     value = complex(value)
     if abs(value) < SINGULAR_VISIBILITY:
-        raise SingularInversionError(name, value)
+        raise SingularInversionError(
+            f"visibility parameter {name} = {value!r} is too small to invert "
+            f"(threshold {SINGULAR_VISIBILITY})"
+        )
     return value
 
 
 def reconstruct_kd(p, vx: float, vy: float, c: complex) -> KDDistribution:
     """Invert an outcome table of a joint measurement, in ``OUTCOMES4`` order, into a quasi-probability.
 
-    ``kd(x, y) = (1/4) * sum_{x', y'} (1 + x*x'/vx + y*y'/vy - x*x'*y*y'/c) * p(x', y')``
+    ``kd = H (d * H p) / 4`` with ``d = (1, 1/vy, 1/vx, -1/c)``: the table's
+    moments ``H p`` (`povm._hadamard`), each divided by the visibility that
+    scaled it, are those of the quasi-probability, and ``H / 4`` inverts ``H``.
 
     For a table produced by the measurement with visibilities (vx, vy, vz)
-    on a state ``rho``, passing ``c = i*vz`` returns ``kd_from_state(rho)``;
-    see the module docstring for why the ``1/c`` term carries the minus
-    sign. Any nonzero complex ``c`` is accepted so that hypothetical real
-    error models can be inverted as well. Visibilities smaller in magnitude
-    than ``SINGULAR_VISIBILITY`` raise `SingularInversionError` naming the
-    offending parameter.
+    on a state ``rho``, ``c = i*vz`` returns ``kd_from_state(rho)`` (see the
+    module docstring for the sign); any nonzero complex ``c`` is accepted, so
+    hypothetical real error models invert too. Visibilities smaller in
+    magnitude than ``SINGULAR_VISIBILITY`` raise `SingularInversionError`
+    naming the offending parameter.
     """
     probs = _checked_table(
         p, 4, low=-ATOL_ALGEBRA, high=1.0 + ATOL_ALGEBRA, total=1.0, what="probabilities"
-    ).tolist()
+    )
     vx = _check_not_singular("vx", vx)
     vy = _check_not_singular("vy", vy)
     c = _check_not_singular("c", c)
-    entries = []
-    for x, y in OUTCOMES4:
-        acc = 0.0 + 0.0j
-        for (xp, yp), prob in zip(OUTCOMES4, probs):
-            coeff = 1.0 + (x * xp) / vx + (y * yp) / vy - (x * xp * y * yp) / c
-            acc += coeff * prob
-        entries.append(acc / 4.0)
-    return KDDistribution(entries=entries)
+    d = np.array([1.0, 1 / vy, 1 / vx, -1 / c])
+    return KDDistribution(entries=_hadamard(_hadamard(probs) * d) / 4.0)

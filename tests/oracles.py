@@ -9,7 +9,9 @@ never adds up a sum of its own that the library also computes, so a test
 through an oracle still tests the sums the commands run, each added left
 to right from +0.0. `element` picks one operator out of the element array
 `povm.build_povm` returns. The pair quasi-probability, which no command
-computes, is plain numpy over ``np.kron`` product kets. Each keeps only
+computes, is plain numpy over ``np.kron`` product kets. `pattern_of`
+states a pair outcome's flip pattern from its four signs, the rule the
+bit arithmetic of `analysis._PATTERN_INDEX16` encodes. Each keeps only
 the validation some test checks.
 """
 
@@ -135,6 +137,11 @@ def predicted_pattern_probs(m: ErrorModel) -> PatternStats:
         if abs(value.imag) > 1e-10:
             raise ValueError(f"predicted pattern e{r} is complex: {value!r}")
     return PatternStats(e=np.maximum(e.real, 0.0), stderr=np.zeros(len(PATTERNS)))
+
+
+def pattern_of(x1: int, y1: int, x2: int, y2: int) -> tuple[int, int]:
+    """Flip pattern of a pair outcome: 0 where the singlet anti-correlation holds."""
+    return (0 if x1 == -x2 else 1, 0 if y1 == -y2 else 1)
 
 
 # -- quasi-probabilities -------------------------------------------------------

@@ -1,6 +1,7 @@
 """Visibility and correlation estimators, error-model algebra, classicality."""
 
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from oracles import (
     ErrorModel,
     eigenstate_probs_from_error_model,
     error_model_from_visibilities,
+    pattern_of,
     predicted_pattern_probs,
     visibilities_from_error_model,
 )
@@ -22,9 +24,10 @@ from xymeas.analysis import (
     estimate_visibility,
     is_classical,
     pattern_estimates,
-    pattern_of,
 )
+from xymeas.fileio import read_counts_document, read_document
 from xymeas.povm import (
+    OUTCOMES4,
     OUTCOMES16,
     PATTERNS,
     PatternStats,
@@ -37,6 +40,7 @@ from xymeas.qubit import density, eigenstate
 from xymeas.simulate import ExperimentConfig, OutcomeCounts4, PairCounts16, run_eigenstate_experiment
 
 SQ3 = 1.0 / np.sqrt(3.0)
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def shot_counts(probs, shots=1_000_000):
@@ -89,6 +93,21 @@ class TestVisibilityEstimates:
                 probs = outcome_probs(povm, density(eigenstate(axis, value)))
                 counts = OutcomeCounts4(counts=shot_counts(probs), input_axis=axis, input_value=value)
                 assert estimate_visibility(counts).value == pytest.approx(v, abs=1e-12)
+
+    @pytest.mark.parametrize("source", ["x.counts", "y.counts", "balanced"])
+    def test_value_is_the_correctly_rounded_count_contrast(self, source):
+        # (n_correct - n_wrong) / N in one rounding, as Python divides two ints;
+        # str() also tells 0.0 from -0.0
+        if source == "balanced":
+            table = [30, 20, 20, 30]
+        else:
+            table = read_counts_document(read_document(GOLDEN / source)).counts.counts.tolist()
+        for axis, k in (("X", 0), ("Y", 1)):
+            for value in (+1, -1):
+                counts = OutcomeCounts4(counts=table, input_axis=axis, input_value=value)
+                correct = sum(n for o, n in zip(OUTCOMES4, table) if o[k] == value)
+                wrong = sum(table) - correct
+                assert str(estimate_visibility(counts).value) == str((correct - wrong) / sum(table))
 
     def test_stderr_scales_with_shots(self):
         v = VisibilityTriple(0.6, 0.8, 0.0)

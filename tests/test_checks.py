@@ -6,8 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import pattern_of
 from xymeas import checks
-from xymeas.analysis import classicality_statistic, pattern_of
+from xymeas.analysis import classicality_statistic
 from xymeas.checks import (
     check_classicality_dichotomy,
     check_fourier_identity,

@@ -32,7 +32,7 @@ from xymeas.analysis import (
     pattern_estimates,
 )
 from xymeas.checks import CheckResult
-from xymeas.povm import OUTCOMES4, VisibilityTriple, build_povm, outcome_probs
+from xymeas.povm import OUTCOMES4, OUTCOMES16, VisibilityTriple, build_povm, outcome_probs
 from xymeas.qubit import density, eigenstate
 from xymeas.simulate import (
     BLOCK_SHOTS,
@@ -274,6 +274,18 @@ class TestEstimate:
         assert run_cli("estimate", *paths.values(), "--out", report_path) == 0
         assert read_document(report_path).section_value("exact_reference", "csquared") == "0"
 
+    def test_zero_csquared_gives_unsigned_vz_magnitude(self, tmp_path, capsys):
+        # one shot per pattern class: c^2 is exactly 0.0, whose negation is -0.0
+        rows = "".join(f"{' '.join(map(fmt_sign, o))} {int(o[0] == o[1] == +1)}\n" for o in OUTCOMES16)
+        counts = tmp_path / "pair.counts"
+        counts.write_text("schema: xymeas-counts/1\nmode: pair\n[counts]\n" + rows)
+        report = tmp_path / "r.txt"
+        assert run_cli("estimate", counts, "--allow-partial", "--out", report) == 0
+        doc = read_document(report)
+        assert doc.section_value("csquared", "value") == "0"
+        assert doc.section_value("csquared", "vz_magnitude") == "0"
+        assert "|vz| = 0.000000," in capsys.readouterr().out
+
     def test_missing_pair_file_listed(self, tmp_path, capsys):
         paths = simulate_all(tmp_path, ("0.6", "0.8", "0"), 1000, base_seed=300)
         assert run_cli("estimate", paths["ex"], paths["ey"], "--out", tmp_path / "r.txt") == 1
@@ -513,9 +525,9 @@ class TestReconstruct:
     def test_report_estimates_just_outside_the_family_accepted(self, tmp_path):
         # estimates are noisy: a report whose norm exceeds 1 still reconstructs
         text = (GOLDEN / "estimate.report").read_text()
-        assert "value 0.49886000000000008\n" in text
+        assert "value 0.49886000000000003\n" in text
         report = tmp_path / "r.txt"
-        report.write_text(text.replace("value 0.49886000000000008", "value 0.7", 1))
+        report.write_text(text.replace("value 0.49886000000000003", "value 0.7", 1))
         assert 0.7 ** 2 + 0.6014 ** 2 + 0.3926 ** 2 > 1
         assert run_cli(
             "reconstruct", "--input", GOLDEN / "x.counts", "--from-report", report,

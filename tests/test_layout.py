@@ -23,6 +23,7 @@ MOVED = {
         "eigenstate_probs_from_error_model",
         "pattern_quasiprobs",
         "predicted_pattern_probs",
+        "pattern_of",
     ),
     kirkwood: ("forward_map", "kd_pair_from_state", "random_qubit_density"),
     qubit: ("trace_product", "tensor", "min_eigenvalue_hermitian", "is_hermitian"),

@@ -15,35 +15,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xymeas.fileio import (
-    SCHEMA_REPORT,
-    _finite,
-    _magnitude,
-    one_of,
     read_counts_document,
     read_document,
     read_probs_document,
+    read_report_visibilities,
 )
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-
-
-def read_report_visibilities(path):
-    """The three rows ``reconstruct --from-report`` reads from an estimate report."""
-    doc = read_document(path)
-    doc.header_value("schema", one_of(SCHEMA_REPORT))
-    rows = (
-        ("visibility_x", "value", _finite),
-        ("visibility_y", "value", _finite),
-        ("csquared", "vz_magnitude", _magnitude),
-    )
-    return [doc.section_value(name, key, parse) for name, key, parse in rows]
-
 
 READERS = {
     "x.counts": lambda path: read_counts_document(read_document(path)),
     "pair.counts": lambda path: read_counts_document(read_document(path)),
     "zplus.probs": lambda path: read_probs_document(read_document(path)),
-    "estimate.report": read_report_visibilities,
+    "estimate.report": lambda path: read_report_visibilities(read_document(path)),
 }
 
 

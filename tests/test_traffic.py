@@ -33,7 +33,6 @@ SCRIPTS_DIR = ROOT / "scripts"
 ALLOWED = {
     "cli._Parser.error",
     "fileio.Document._where",
-    "kirkwood.SingularInversionError.__init__",
 }
 
 # after the test_golden commands

@@ -5,8 +5,9 @@ their input directly. The references below are the formulas they replace:
 a ``(..., 4, 4)`` product table ``P`` whose rows are added left to right
 from +0.0, ``sum((P[..., k] for k in range(4)), 0.0)``, the one order of
 every table sum. `kirkwood._kd_entries` likewise contracts its states term
-by term in that order. Complex entries add part by part, so a complex
-table transforms as its real and imaginary parts do.
+by term in that order, and `kirkwood.reconstruct_kd` is two transforms.
+Complex entries add part by part, so a complex table transforms as its
+real and imaginary parts do.
 """
 
 import numpy as np
@@ -16,7 +17,7 @@ from hypothesis.extra import numpy as hnp
 
 from xymeas.analysis import _self_convolution
 from xymeas.checks import _random_qubit_densities
-from xymeas.kirkwood import _kd_entries
+from xymeas.kirkwood import SINGULAR_VISIBILITY, _kd_entries, reconstruct_kd
 from xymeas.povm import HADAMARD, OUTCOMES4, _hadamard
 from xymeas.qubit import density, eigenstate
 
@@ -133,3 +134,16 @@ def test_kd_entries_add_left_to_right():
     negative_zeros = [np.full((2, 2), z) for z in (complex(-0.0, 0.0), complex(-0.0, -0.0))]
     for rho in [*map(density, kets), *negative_zeros]:
         assert bits(_kd_entries(rho)) == bits(reference_kd_entries(rho))
+
+
+def test_reconstruction_is_two_transforms():
+    # kd = H (d * H p) / 4 with d = (1, 1/vy, 1/vx, -1/c), for any signs and
+    # magnitudes from the floor to 1, and for a complex c off the imaginary axis
+    rng = np.random.Generator(np.random.Philox(key=23))
+    for k in range(1000):
+        p = rng.dirichlet(np.ones(4))
+        vx, vy, vz = rng.choice([-1.0, 1.0], 3) * SINGULAR_VISIBILITY * 10.0 ** rng.uniform(0.0, 3.0, 3)
+        c = 1j * vz if k % 2 else vz * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+        d = np.array([1.0, 1 / complex(vy), 1 / complex(vx), -1 / complex(c)])
+        expected = reference_hadamard(reference_hadamard(p) * d) / 4.0
+        assert bits(reconstruct_kd(p, vx, vy, c).entries) == bits(expected)
