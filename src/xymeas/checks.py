@@ -23,6 +23,7 @@ from .qubit import (
     ATOL_EIG,
     _bloch_operators,
     _lowest_eigenvalues,
+    _product,
     density,
     ensure_density_matrix,
     identity,
@@ -207,7 +208,7 @@ def check_operator_identities(samples: int = 1000, seed: int = 20240901) -> Chec
     rho = ensure_density_matrix(_random_qubit_densities(rng, samples), dim=2)
     traces = np.einsum("oij,nji->no", ideal, rho)
     deviations = {
-        "x_times_y_equals_i_z": np.max(np.abs(pauli("X") @ pauli("Y") - 1j * pauli("Z"))),
+        "x_times_y_equals_i_z": np.max(np.abs(_product(pauli("X"), pauli("Y")) - 1j * pauli("Z"))),
         "ideal_operator_is_family_at_vz_i": np.max(np.abs(ideal - family)),
         "ideal_operators_sum_to_identity": np.max(np.abs(np.sum(ideal, axis=0) - identity(2))),
         "ideal_traces_equal_kd_entries": np.max(np.abs(traces - _kd_entries(rho)), initial=0.0),

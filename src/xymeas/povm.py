@@ -23,6 +23,7 @@ import numpy as np
 from .qubit import (
     ATOL_ALGEBRA,
     _bloch_operators,
+    _product,
     ensure_density_matrix,
     ensure_sign,
     identity,
@@ -214,25 +215,6 @@ def outcome_probs(elements: np.ndarray, rho) -> np.ndarray:
     return _real_probs(values, "outcome probabilities")
 
 
-def pair_outcome_probs(e1: np.ndarray, e2: np.ndarray, rho4) -> np.ndarray:
-    """Joint outcome probabilities for independent measurements on a pair, in ``OUTCOMES16`` order.
-
-    ``e1`` and ``e2`` are (4, 2, 2) element arrays as `build_povm` returns
-    them; entry ``(x1, y1, x2, y2)`` is ``Tr((e1[k1] (x) e2[k2]) @ rho4)``
-    with ``k1``, ``k2`` the ``OUTCOMES4`` indices of ``(x1, y1)`` and ``(x2, y2)``.
-    The 16 Kronecker products are one broadcast product, entry for entry
-    what ``np.kron`` computes, so the table equals the per-element
-    ``np.trace(np.kron(e1[k1], e2[k2]) @ rho4)`` bit for bit. The two
-    measurements may differ; the pattern-based estimators in `analysis`
-    assume they are identical.
-    """
-    rho4 = ensure_density_matrix(rho4, dim=4)
-    # axes (o1, o2, i1, i2, j1, j2): kron row i1*2+i2, column j1*2+j2, outcome o1*4+o2
-    kron = (e1[:, None, :, None, :, None] * e2[None, :, None, :, None, :]).reshape(16, 4, 4)
-    values = np.trace(kron @ rho4, axis1=1, axis2=2)
-    return _real_probs(values, "pair probabilities")
-
-
 def exact_pattern_probs(v: VisibilityTriple) -> PatternStats:
     """Exact flip-pattern probabilities for identical measurements on a singlet pair.
 
@@ -261,8 +243,10 @@ def ideal_operator(sx: int, sy: int) -> np.ndarray:
     This is the (non-Hermitian) vz = i member of the measurement family; its
     traces against states give the Kirkwood-Dirac quasi-probabilities in
     `kirkwood`. The Hermiticity defect is ``op - op^dagger = i*sx*sy*Z/2``.
+    The product is written entry by entry (`qubit._product`); its entries
+    are sums of products of 0, +-1 and +-i, so they are exact.
     """
     sx = ensure_sign(sx, "sx")
     sy = ensure_sign(sy, "sy")
     eye = identity(2)
-    return (eye + sx * pauli("X")) @ (eye + sy * pauli("Y")) / 4.0
+    return _product(eye + sx * pauli("X"), eye + sy * pauli("Y")) / 4.0

@@ -85,7 +85,7 @@ def ensure_state_vector(psi) -> np.ndarray:
     arr = _as_complex_array(psi, "state")
     if arr.ndim != 1 or arr.shape[0] not in (2, 4):
         raise ValueError(f"state must be a length-2 or length-4 vector, got shape {arr.shape}")
-    norm_sq = float(np.vdot(arr, arr).real)
+    norm_sq = sum((z.real * z.real + z.imag * z.imag for z in arr.tolist()), 0.0)
     if abs(norm_sq - 1.0) > ATOL_ALGEBRA:
         raise ValueError(f"state is not normalized: |psi|^2 = {norm_sq!r}")
     return arr
@@ -132,6 +132,12 @@ def _lowest_eigenvalues(arr: np.ndarray) -> np.ndarray:
         radius = np.hypot(half_diff, np.abs(arr[..., 0, 1]))
         return 0.5 * (a + d) - radius
     return np.linalg.eigvalsh(arr)[..., 0]
+
+
+def _product(a, b) -> np.ndarray:
+    """2x2 matrix product without BLAS: entry ``(i, j)`` is ``a[i,0] b[0,j] + a[i,1] b[1,j]``."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a[:, 0, None] * b[0] + a[:, 1, None] * b[1]
 
 
 def _bloch_operators(coeffs) -> np.ndarray:

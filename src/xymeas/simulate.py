@@ -20,6 +20,14 @@ the outcome; otherwise only the outcome uniforms. Outcomes are drawn by
 inverse CDF over the fixed category order ``OUTCOMES4`` / ``OUTCOMES16``
 (+1 before -1). Each block is counted by edge crossings, the number of draws
 below each cumulative edge, which gives the inverse-CDF histogram exactly.
+
+Every table a run samples from is a Bloch contraction ``Tr(E rho)``: with
+``(t, bx, by, bz) = (Tr E, Tr EX, Tr EY, Tr EZ)`` read elementwise off the
+element array (`_bloch_components`), an eigenstate table is
+``(t + value * b_axis) / 2`` (`eigenstate_table`) and a Werner pair table
+``(t (x) t - p (bx (x) bx + by (x) by + bz (x) bz)) / 4`` (`werner_table`).
+No state matrix is built and no matrix product or eigensolve runs, so the
+edges depend on neither the BLAS library nor its kernel.
 """
 
 from __future__ import annotations
@@ -30,14 +38,8 @@ from typing import Callable
 
 import numpy as np
 
-from .povm import (
-    VisibilityTriple,
-    _checked_table,
-    build_povm,
-    outcome_probs,
-    pair_outcome_probs,
-)
-from .qubit import density, eigenstate, ensure_axis, ensure_sign, identity, singlet
+from .povm import VisibilityTriple, _checked_table, build_povm
+from .qubit import ensure_axis, ensure_sign
 
 BLOCK_SHOTS = 1 << 16
 
@@ -135,11 +137,38 @@ def _histogram(cum: np.ndarray, u: np.ndarray, where: np.ndarray | None = None) 
     return np.diff(below + [total], prepend=0)
 
 
-def werner_state(p: float) -> np.ndarray:
-    """Isotropic mixture ``p * singlet + (1 - p) * I/4`` of the pair source."""
+def _bloch_components(elements: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``(Tr E, Tr EX, Tr EY, Tr EZ)`` of each element of a (4, 2, 2) array, four real 4-vectors.
+
+    ``e00 + e11``, ``e01 + e10``, ``i (e01 - e10)`` and ``e00 - e11``,
+    entry for entry.
+    """
+    e00, e01, e10, e11 = (elements[:, i, j] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
+    # the real part of i*z is -Im(z)
+    return (e00 + e11).real, (e01 + e10).real, (e10 - e01).imag, (e00 - e11).real
+
+
+def eigenstate_table(elements: np.ndarray, axis: str, value: int) -> np.ndarray:
+    """Outcome table, in ``OUTCOMES4`` order, on the ``value`` eigenstate of ``axis``.
+
+    The state is ``(I + value * sigma_axis) / 2``, so the table is
+    ``(t + value * b_axis) / 2`` over the Bloch components.
+    """
+    t, *b = _bloch_components(elements)
+    return (t + value * b["XYZ".index(axis)]) / 2.0
+
+
+def werner_table(elements: np.ndarray, p: float) -> np.ndarray:
+    """Pair table, in ``OUTCOMES16`` order, of identical measurements on a Werner source.
+
+    The source is ``p * singlet + (1 - p) * I/4 = (II - p (XX + YY + ZZ)) / 4``,
+    so entry ``(k1, k2)`` is ``(t t - p (bx bx + by by + bz bz)) / 4`` over
+    the Bloch components of elements ``k1`` and ``k2``.
+    """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"werner parameter must lie in [0, 1], got {p!r}")
-    return p * density(singlet()) + (1.0 - p) * identity(4) / 4.0
+    tt, xx, yy, zz = (c[:, None] * c[None, :] for c in _bloch_components(elements))
+    return ((tt - p * (xx + yy + zz)) / 4.0).reshape(16)
 
 
 def _usable_cpus() -> int:
@@ -186,7 +215,8 @@ def run_eigenstate_experiment(
     probability 1/2; a flipped shot samples the outcome for the negated
     eigenvalue and records the negation of both outcome bits, which
     preserves the flip pattern relative to the input. Returned counts are
-    therefore always in the nominal input frame.
+    therefore always in the nominal input frame. The tables sampled are
+    `eigenstate_table` of the input and, with flips, of its negation.
     """
     axis = ensure_axis(axis)
     value = ensure_sign(value)
@@ -194,17 +224,16 @@ def run_eigenstate_experiment(
         raise ValueError("eigenstate runs accept axis X or Y only")
 
     povm = build_povm(config.visibilities)
-    cum_nominal = _cumulative(outcome_probs(povm, density(eigenstate(axis, value))))
+    cum_nominal = _cumulative(eigenstate_table(povm, axis, value))
     if randomize_flips:
-        cum_flipped = _cumulative(outcome_probs(povm, density(eigenstate(axis, -value))))
+        cum_flipped = _cumulative(eigenstate_table(povm, axis, -value))
 
     def block_sampler(rng: np.random.Generator, n: int) -> np.ndarray:
         if not randomize_flips:
             return _histogram(cum_nominal, rng.random(n))
-        # one draw of 2n is the stream of the flip coins, then the outcomes
-        w = rng.random(2 * n)
-        flips = w[:n] < 0.5
-        u = w[n:]
+        # two draws of n continue one stream: the flip coins, then the outcomes
+        flips = rng.random(n) < 0.5
+        u = rng.random(n)
         # an OUTCOMES4 index has one bit per sign, so (-x, -y) is index ^ 3
         flipped = _histogram(cum_flipped, u, flips)[np.arange(4) ^ 3]
         return _histogram(cum_nominal, u, ~flips) + flipped
@@ -216,9 +245,13 @@ def run_eigenstate_experiment(
 def run_pair_experiment(
     config: ExperimentConfig, *, werner_p: float = 1.0, workers: int = 1
 ) -> PairCounts16:
-    """Simulate identical joint measurements on both halves of a `werner_state` source."""
+    """Simulate identical joint measurements on both halves of a Werner source.
+
+    The source is ``werner_p * singlet + (1 - werner_p) * I/4``; its table
+    is `werner_table`, which rejects a ``werner_p`` outside [0, 1] or NaN.
+    """
     povm = build_povm(config.visibilities)
-    cum = _cumulative(pair_outcome_probs(povm, povm, werner_state(werner_p)))
+    cum = _cumulative(werner_table(povm, werner_p))
 
     def block_sampler(rng: np.random.Generator, n: int) -> np.ndarray:
         return _histogram(cum, rng.random(n))

@@ -9,7 +9,10 @@ never adds up a sum of its own that the library also computes, so a test
 through an oracle still tests the sums the commands run, each added left
 to right from +0.0. `element` picks one operator out of the element array
 `povm.build_povm` returns. The pair quasi-probability, which no command
-computes, is plain numpy over ``np.kron`` product kets. `pattern_of`
+computes, is plain numpy over ``np.kron`` product kets. The Werner state
+and the pair table as operator traces, ``Tr((E1 (x) E2) rho4)``, are the
+references that `simulate.werner_table` reads off Bloch components instead;
+they are matrix products, so their digits depend on the BLAS kernel. `pattern_of`
 states a pair outcome's flip pattern from its four signs, the rule the
 bit arithmetic of `analysis._PATTERN_INDEX16` encodes. Each keeps only
 the validation some test checks.
@@ -29,8 +32,18 @@ from xymeas.povm import (
     PatternStats,
     _checked_table,
     _hadamard,
+    _real_probs,
 )
-from xymeas.qubit import ATOL_ALGEBRA, ATOL_EIG, _lowest_eigenvalues, eigenstate
+from xymeas.qubit import (
+    ATOL_ALGEBRA,
+    ATOL_EIG,
+    _lowest_eigenvalues,
+    density,
+    eigenstate,
+    ensure_density_matrix,
+    identity,
+    singlet,
+)
 
 # -- qubit operators -----------------------------------------------------------
 
@@ -68,6 +81,31 @@ def min_eigenvalue_hermitian(m):
 def element(elements: np.ndarray, x: int, y: int) -> np.ndarray:
     """The operator of outcome ``(x, y)`` in a (4, 2, 2) element array such as `build_povm` returns."""
     return elements[OUTCOMES4.index((x, y))]
+
+
+def pair_outcome_probs(e1: np.ndarray, e2: np.ndarray, rho4) -> np.ndarray:
+    """Joint outcome probabilities for independent measurements on a pair, in ``OUTCOMES16`` order.
+
+    ``e1`` and ``e2`` are (4, 2, 2) element arrays as `build_povm` returns
+    them; entry ``(x1, y1, x2, y2)`` is ``Tr((e1[k1] (x) e2[k2]) @ rho4)``
+    with ``k1``, ``k2`` the ``OUTCOMES4`` indices of ``(x1, y1)`` and ``(x2, y2)``.
+    The 16 Kronecker products are one broadcast product, entry for entry
+    what ``np.kron`` computes, so the table equals the per-element
+    ``np.trace(np.kron(e1[k1], e2[k2]) @ rho4)`` bit for bit. The two
+    measurements may differ.
+    """
+    rho4 = ensure_density_matrix(rho4, dim=4)
+    # axes (o1, o2, i1, i2, j1, j2): kron row i1*2+i2, column j1*2+j2, outcome o1*4+o2
+    kron = (e1[:, None, :, None, :, None] * e2[None, :, None, :, None, :]).reshape(16, 4, 4)
+    values = np.trace(kron @ rho4, axis1=1, axis2=2)
+    return _real_probs(values, "pair probabilities")
+
+
+def werner_state(p: float) -> np.ndarray:
+    """Isotropic mixture ``p * singlet + (1 - p) * I/4`` of the pair source, as a 4x4 matrix."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"werner parameter must lie in [0, 1], got {p!r}")
+    return p * density(singlet()) + (1.0 - p) * identity(4) / 4.0
 
 
 # -- error models --------------------------------------------------------------

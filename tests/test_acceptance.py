@@ -14,6 +14,7 @@ from oracles import (
     element,
     kd_pair_from_state,
     min_eigenvalue_hermitian,
+    pair_outcome_probs,
     pattern_quasiprobs,
     predicted_pattern_probs,
     random_qubit_density,
@@ -38,7 +39,6 @@ from xymeas.povm import (
     exact_pattern_probs,
     ideal_operator,
     outcome_probs,
-    pair_outcome_probs,
 )
 from xymeas.qubit import density, eigenstate, identity, pauli, singlet
 from xymeas.simulate import ExperimentConfig, run_eigenstate_experiment, run_pair_experiment

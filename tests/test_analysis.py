@@ -132,7 +132,7 @@ class TestCollapsePairCounts:
     def test_exact_probs_match_closed_form(self):
         v = VisibilityTriple(SQ3, SQ3, SQ3)
         povm = build_povm(v)
-        from xymeas.povm import pair_outcome_probs
+        from oracles import pair_outcome_probs
         from xymeas.qubit import singlet
 
         # at the symmetric point each pair outcome has probability 1/12 or 0

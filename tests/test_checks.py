@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import pattern_of
+from oracles import pair_outcome_probs, pattern_of
 from xymeas import checks
 from xymeas.analysis import classicality_statistic
 from xymeas.checks import (
@@ -27,7 +27,6 @@ from xymeas.povm import (
     _family_elements,
     build_povm,
     exact_pattern_probs,
-    pair_outcome_probs,
 )
 from xymeas.qubit import density, singlet
 

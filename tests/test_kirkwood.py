@@ -10,6 +10,7 @@ from oracles import (
     random_qubit_density,
     tensor,
     trace_product,
+    werner_state,
 )
 from xymeas import checks
 from xymeas.checks import CheckResult, check_operator_identities
@@ -22,7 +23,7 @@ from xymeas.kirkwood import (
 )
 from xymeas.povm import OUTCOMES4, OUTCOMES16, VisibilityTriple, build_povm, outcome_probs
 from xymeas.qubit import ATOL_ALGEBRA, density, eigenstate, identity, pauli, singlet
-from xymeas.simulate import ExperimentConfig, run_eigenstate_experiment, werner_state
+from xymeas.simulate import ExperimentConfig, run_eigenstate_experiment
 
 SQ3 = 1.0 / np.sqrt(3.0)
 

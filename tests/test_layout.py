@@ -1,15 +1,17 @@
 """The package ships one path per computation; per-record forms live in ``tests/oracles.py``."""
 
+import ast
 import inspect
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from xymeas import analysis, checks, fileio, kirkwood, povm, qubit
+from xymeas import analysis, checks, fileio, kirkwood, povm, qubit, simulate
 from xymeas.simulate import OutcomeCounts4, PairCounts16
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -27,6 +29,8 @@ MOVED = {
     ),
     kirkwood: ("forward_map", "kd_pair_from_state", "random_qubit_density"),
     qubit: ("trace_product", "tensor", "min_eigenvalue_hermitian", "is_hermitian"),
+    povm: ("pair_outcome_probs",),
+    simulate: ("werner_state",),
 }
 
 
@@ -93,3 +97,28 @@ def test_count_records_reject_a_float_table(build, size, kind):
     with pytest.raises(ValueError, match="integer shot counts"):
         build(table)
     assert build(np.full(size, 3)).counts.dtype.kind == "i"
+
+
+# numpy names that reach BLAS or LAPACK, or run a matrix product
+BLAS_NAMES = {"linalg", "matmul", "dot", "vdot", "inner", "tensordot", "kron"}
+
+
+def _blas_uses(source: str) -> list[str]:
+    """Each ``@`` and each use of a `BLAS_NAMES` attribute in ``source``, by line."""
+    uses = []
+    for node in ast.walk(ast.parse(textwrap.dedent(source))):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+            uses.append(f"{node.lineno}: @")
+        elif isinstance(node, ast.Attribute) and node.attr in BLAS_NAMES:
+            uses.append(f"{node.lineno}: {node.attr}")
+    return uses
+
+
+@pytest.mark.parametrize(
+    "code",
+    [simulate, povm.ideal_operator, checks.check_operator_identities],
+    ids=["simulate", "ideal_operator", "check_operator_identities"],
+)
+def test_sampling_and_verify_products_call_no_blas(code):
+    # so their digits depend on neither the BLAS library nor its kernel
+    assert _blas_uses(inspect.getsource(code)) == []

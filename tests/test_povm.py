@@ -7,7 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import element, min_eigenvalue_hermitian, random_qubit_density, tensor, trace_product
+from oracles import (
+    element,
+    min_eigenvalue_hermitian,
+    pair_outcome_probs,
+    random_qubit_density,
+    tensor,
+    trace_product,
+    werner_state,
+)
 from xymeas.povm import (
     OUTCOMES4,
     OUTCOMES16,
@@ -19,10 +27,8 @@ from xymeas.povm import (
     exact_pattern_probs,
     ideal_operator,
     outcome_probs,
-    pair_outcome_probs,
 )
 from xymeas.qubit import ATOL_ALGEBRA, ATOL_EIG, density, eigenstate, identity, pauli, singlet
-from xymeas.simulate import werner_state
 
 SQ3 = 1.0 / np.sqrt(3.0)
 
@@ -296,6 +302,12 @@ class TestPatternStats:
 
 
 class TestIdealOperator:
+    @pytest.mark.parametrize("sx,sy", OUTCOMES4)
+    def test_entries_are_exact(self, sx, sy):
+        # (I + sx X)(I + sy Y) = I + sx X + sy Y + i sx sy Z, every entry a sum of 0, +-1 and +-i
+        expected = identity(2) + sx * pauli("X") + sy * pauli("Y") + 1j * sx * sy * pauli("Z")
+        assert np.array_equal(ideal_operator(sx, sy), expected / 4.0)
+
     def test_completeness(self):
         total = sum(ideal_operator(sx, sy) for sx, sy in OUTCOMES4)
         assert np.max(np.abs(total - identity(2))) <= ATOL_ALGEBRA

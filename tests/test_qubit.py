@@ -53,6 +53,14 @@ class TestPauli:
     def test_cyclic_products(self, a, b, c):
         assert np.allclose(pauli(a) @ pauli(b), 1j * pauli(c), atol=ATOL_ALGEBRA)
 
+    def test_elementwise_product_is_the_matrix_product(self):
+        for a, b in itertools.product(AXES, repeat=2):
+            assert np.array_equal(qubit._product(pauli(a), pauli(b)), pauli(a) @ pauli(b))
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            a, b = rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2))
+            assert np.max(np.abs(qubit._product(a, b) - a @ b)) <= 1e-14
+
     @pytest.mark.parametrize("a,b", list(itertools.combinations(AXES, 2)))
     def test_anticommutators_vanish(self, a, b):
         anti = pauli(a) @ pauli(b) + pauli(b) @ pauli(a)

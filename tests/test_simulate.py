@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import platform
 import subprocess
 import sys
 from concurrent import futures
@@ -9,10 +10,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import tensor, trace_product
+from oracles import pair_outcome_probs, tensor, trace_product, werner_state
 from xymeas import simulate
 from xymeas.povm import (
     OUTCOMES4,
@@ -22,7 +23,6 @@ from xymeas.povm import (
     build_povm,
     exact_pattern_probs,
     outcome_probs,
-    pair_outcome_probs,
 )
 from xymeas.qubit import density, eigenstate, identity, pauli, singlet
 from xymeas.simulate import (
@@ -33,9 +33,10 @@ from xymeas.simulate import (
     _cumulative,
     _histogram,
     block_rng,
+    eigenstate_table,
     run_eigenstate_experiment,
     run_pair_experiment,
-    werner_state,
+    werner_table,
 )
 
 SQ3 = 1.0 / np.sqrt(3.0)
@@ -191,10 +192,7 @@ class TestBlockRng:
 def per_shot_eigenstate_counts(config, axis, value, randomize_flips):
     """Reference sampler: one inverse-CDF index per shot, then a bincount."""
     povm = build_povm(config.visibilities)
-    cums = {
-        v: _cumulative(outcome_probs(povm, density(eigenstate(axis, v))))
-        for v in (value, -value)
-    }
+    cums = {v: _cumulative(eigenstate_table(povm, axis, v)) for v in (value, -value)}
     hist = np.zeros(4, dtype=np.int64)
     for index, start in enumerate(range(0, config.shots, BLOCK_SHOTS)):
         n = min(BLOCK_SHOTS, config.shots - start)
@@ -217,9 +215,10 @@ class TestConfig:
             ExperimentConfig(visibilities=v, shots=10, seed=-1)
         with pytest.raises(ValueError):
             ExperimentConfig(visibilities=v, shots=10, seed=2 ** 64)
-        # werner_p is an argument of the pair run, checked by werner_state
-        with pytest.raises(ValueError, match="werner parameter"):
-            run_pair_experiment(ExperimentConfig(visibilities=v, shots=10, seed=1), werner_p=1.5)
+        # werner_p is an argument of the pair run, checked by werner_table
+        for werner_p in (-0.1, 1.5, float("nan")):
+            with pytest.raises(ValueError, match="werner parameter"):
+                run_pair_experiment(ExperimentConfig(visibilities=v, shots=10, seed=1), werner_p=werner_p)
 
     def test_run_options_are_keyword_only(self):
         # a positional worker count must not land in randomize_flips or werner_p
@@ -273,6 +272,102 @@ class TestWernerState:
         for k in range(16):
             expected = p * pure[k] + (1.0 - p) / 16.0
             assert noisy[k] == pytest.approx(expected, abs=1e-12)
+
+
+@st.composite
+def family_triples(draw):
+    """Visibility triples of the family, about half of them on its boundary ``|v| = 1``."""
+    direction = np.array([draw(st.floats(min_value=-1.0, max_value=1.0)) for _ in range(3)])
+    norm = float(np.sqrt(np.sum(direction * direction)))
+    assume(norm > 1e-3)
+    radius = draw(st.one_of(st.just(1.0), st.floats(min_value=0.0, max_value=1.0)))
+    vx, vy, vz = (direction * (radius / norm)).tolist()
+    return VisibilityTriple(min(abs(vx), 1.0), min(abs(vy), 1.0), vz)
+
+
+# Hashes the inverse-CDF edges every run samples from: 200 seeded triples
+# (a tenth with |v| = 1), flip-randomized eigenstate runs on both axes and
+# values, and Werner runs at p = 0, 0.37 and 1, one shot each. The triples
+# are built without a BLAS call, so only the tables can move the hash.
+KERNEL_HASH_SCRIPT = """
+import hashlib
+import numpy as np
+from xymeas import simulate
+from xymeas.povm import VisibilityTriple
+
+edges = []
+cumulative = simulate._cumulative
+
+def recording_cumulative(probs):
+    cum = cumulative(probs)
+    edges.append(cum.tobytes())
+    return cum
+
+simulate._cumulative = recording_cumulative
+rng = np.random.Generator(np.random.Philox(key=7))
+for _ in range(200):
+    d = rng.normal(size=3)
+    d /= np.sqrt(np.sum(d * d))
+    r = 1.0 if rng.random() < 0.1 else rng.random() ** (1 / 3)
+    config = simulate.ExperimentConfig(VisibilityTriple(abs(d[0]) * r, abs(d[1]) * r, d[2] * r), 1, 1)
+    for axis in "XY":
+        for value in (+1, -1):
+            simulate.run_eigenstate_experiment(config, axis, value, randomize_flips=True)
+    for p in (0.0, 0.37, 1.0):
+        simulate.run_pair_experiment(config, werner_p=p)
+print(len(edges), hashlib.sha256(b"".join(edges)).hexdigest())
+"""
+
+
+def _openblas_kernels_selectable() -> bool:
+    """Whether numpy's BLAS is OpenBLAS on an x86-64 CPU that runs its Haswell kernels (AVX2, FMA)."""
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        return False
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (ImportError, KeyError, TypeError):
+        return False
+    return bool(__cpu_features__.get("AVX2") and __cpu_features__.get("FMA3")) and "openblas" in blas.lower()
+
+
+class TestSamplingTables:
+    """The tables the runs sample from, read off the elements' Bloch components."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(v=family_triples())
+    def test_eigenstate_tables_equal_operator_traces(self, v):
+        povm = build_povm(v)
+        for axis in ("X", "Y"):
+            for value in (+1, -1):
+                reference = outcome_probs(povm, density(eigenstate(axis, value)))
+                assert np.max(np.abs(eigenstate_table(povm, axis, value) - reference)) <= 1e-15
+
+    @settings(max_examples=200, deadline=None)
+    @given(v=family_triples(), p=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+    def test_werner_tables_equal_operator_traces(self, v, p):
+        povm = build_povm(v)
+        reference = pair_outcome_probs(povm, povm, werner_state(p))
+        assert np.max(np.abs(werner_table(povm, p) - reference)) <= 1e-15
+
+    @pytest.mark.skipif(
+        not _openblas_kernels_selectable(),
+        reason="forcing OpenBLAS kernels needs numpy on OpenBLAS and an x86-64 CPU with AVX2 and FMA",
+    )
+    def test_tables_do_not_depend_on_the_blas_kernel(self):
+        src = str(Path(simulate.__file__).resolve().parents[1])
+        hashes = {}
+        for kernel in ("Haswell", "Sandybridge"):
+            env = dict(os.environ, OPENBLAS_CORETYPE=kernel)
+            env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+            proc = subprocess.run(
+                [sys.executable, "-c", KERNEL_HASH_SCRIPT], capture_output=True, text=True, env=env, timeout=120
+            )
+            assert proc.returncode == 0, proc.stderr
+            hashes[kernel] = proc.stdout
+        assert hashes["Haswell"].startswith("2200 ")
+        assert hashes["Haswell"] == hashes["Sandybridge"]
 
 
 class TestEigenstateExperiment:
@@ -503,7 +598,7 @@ class TestPairExperiment:
         v = VisibilityTriple(0.4, 0.5, 0.3)
         config = ExperimentConfig(visibilities=v, shots=BLOCK_SHOTS + 9, seed=42)
         povm = build_povm(v)
-        cum = _cumulative(pair_outcome_probs(povm, povm, werner_state(0.7)))
+        cum = _cumulative(werner_table(povm, 0.7))
         expected = np.zeros(16, dtype=np.int64)
         for index, n in enumerate((BLOCK_SHOTS, 9)):
             idx = np.searchsorted(cum, block_rng(42, index).random(n), side="right")

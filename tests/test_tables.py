@@ -14,6 +14,7 @@ from oracles import (
     error_model_from_visibilities,
     forward_map,
     kd_pair_from_state,
+    pair_outcome_probs,
     pattern_quasiprobs,
 )
 from xymeas.fileio import read_document, read_probs_document, write_probs_file
@@ -27,7 +28,6 @@ from xymeas.povm import (
     build_povm,
     exact_pattern_probs,
     outcome_probs,
-    pair_outcome_probs,
 )
 from xymeas.qubit import density, eigenstate, singlet
 from xymeas.simulate import OutcomeCounts4, PairCounts16
