@@ -15,8 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from xymeas import cli
-from xymeas.fileio import fmt_float, named_state_density, write_probs_file
-from xymeas.povm import OUTCOMES4, VisibilityTriple, build_povm, outcome_probs
+from xymeas.fileio import fmt_float, named_state_bloch, write_probs_file
+from xymeas.povm import OUTCOMES4, VisibilityTriple, build_povm, outcome_table
 
 
 def main() -> int:
@@ -30,7 +30,7 @@ def main() -> int:
 
     args.workdir.mkdir(parents=True, exist_ok=True)
     v = VisibilityTriple(args.vx, args.vy, args.vz)
-    probs = outcome_probs(build_povm(v), named_state_density(args.state))
+    probs = outcome_table(build_povm(v), named_state_bloch(args.state))
     probs_path = args.workdir / f"{args.state.replace('+', 'plus').replace('-', 'minus')}_probs.txt"
     write_probs_file(probs_path, probs, state=args.state)
 

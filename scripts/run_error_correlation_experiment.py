@@ -66,7 +66,8 @@ def main() -> None:
         ("c^2 (pair run)", "csquared", 0.0 - p * v.vz ** 2),  # no -0.0 at vz = 0
     ]
     rows = [(name, number(s), number(s, "stderr"), reference) for name, s, reference in rows]
-    rows.append(("S statistic", number("classicality", "statistic"), 0.0, p * v.vz ** 2 / 4))
+    rows.append(("S statistic", number("classicality", "statistic"), number("classicality", "stderr"),
+                 p * v.vz ** 2 / 4))
     for name, value, stderr, reference in rows:
         print(f"{name:<22}{value:>14.6f}{stderr:>12.2g}{reference:>14.6f}")
     print()

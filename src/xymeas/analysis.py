@@ -31,14 +31,17 @@ gives ``vx`` or ``vy`` from an eigenstate run of that axis, and
 Each estimate is one `Estimate`, value and standard error; `is_classical` is
 the one verdict on ``c^2``.
 
-Standard errors use plain binomial/multinomial propagation. Zero-count
-pattern cells get the rule-of-three upper bound ``3/N`` in place of an
-estimated binomial spread.
+Standard errors are diagonals of the multinomial covariance: a row
+``m = h . f`` of ``H`` (signs ``h = +-1``) over fractions ``f`` of ``N`` shots
+has ``Var(m) = (1 - m^2) / N``, for a visibility and for each pattern row
+alike. A pattern cell is binomial; an empty one gets the rule-of-three ``3/N``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
 import numpy as np
 
 from .povm import PATTERNS, PatternStats, _float_table, _hadamard
@@ -107,23 +110,30 @@ def collapse_pair_counts(counts: PairCounts16) -> PatternStats:
     return PatternStats(e=f / 4.0, stderr=stderr)
 
 
-def pattern_estimates(stats: PatternStats) -> tuple[Estimate, Estimate, Estimate]:
+def pattern_estimates(stats: PatternStats, shots: float, p: float = 1.0) -> tuple[Estimate, ...]:
     """``vx^2``, ``vy^2`` and ``c^2`` from pattern probabilities, rows of ``4 * H e``.
 
-    The three sums share one standard error. Every measurement in the
-    positive family gives ``c^2 = -vz^2`` exactly; a significantly negative
-    estimate is the non-classical signature (see `is_classical`). Only the
-    square is observable, so no sign of the correlation itself is reported.
+    ``stats`` is a pair run of ``shots`` shots (``math.inf`` for an exact
+    table), corrected by `correct_for_source_noise` with Werner parameter
+    ``p`` or uncorrected at ``p = 1``; each estimate ``m`` has the stderr
+    ``sqrt((1 - (p m)^2) / shots) / p``, ``p m`` being the sampled row.
+    Every measurement in the positive family gives ``c^2 = -vz^2`` exactly;
+    a significantly negative estimate is the non-classical signature (see
+    `is_classical`). Only the square is observable, so no sign of the
+    correlation itself is reported.
     """
     _, vy2, vx2, c2 = (4.0 * _hadamard(stats.e)).tolist()
-    stderr = 4.0 * float(np.sqrt(sum(s ** 2 for s in stats.stderr.tolist())))
-    return Estimate(vx2, stderr), Estimate(vy2, stderr), Estimate(c2, stderr)
+    # clipped at 0: a row at |p m| = 1 may round just above it
+    return tuple(Estimate(m, math.sqrt(max(0.0, 1.0 - (p * m) ** 2) / shots) / p) for m in (vx2, vy2, c2))
 
 
 def is_classical(c2: Estimate) -> bool:
     """Whether ``c^2`` lies within ``CLASSICAL_SIGMA`` standard errors of the classical region.
 
     The ``ATOL_ALGEBRA`` floor keeps exact inputs with rounding dust below zero classical.
+    The verdict assumes identical devices on the two halves of the pair: with
+    devices A and B the row is ``c^2 = -vzA * vzB``, so two quantum devices
+    with opposite ``vz`` also read "consistent with classical".
     """
     return bool(c2.value >= -(CLASSICAL_SIGMA * c2.stderr + ATOL_ALGEBRA))
 

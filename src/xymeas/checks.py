@@ -18,18 +18,7 @@ import numpy as np
 from .analysis import _PATTERN_INDEX16, _self_convolution, classicality_statistic
 from .kirkwood import _kd_entries
 from .povm import OUTCOMES4, VisibilityTriple, _exact_patterns, _family_elements, _hadamard, ideal_operator
-from .qubit import (
-    ATOL_ALGEBRA,
-    ATOL_EIG,
-    _bloch_operators,
-    _lowest_eigenvalues,
-    _product,
-    density,
-    ensure_density_matrix,
-    identity,
-    pauli,
-    singlet,
-)
+from .qubit import ATOL_ALGEBRA, ATOL_EIG, _bloch_operators, _lowest_eigenvalues, _product, identity, pauli
 
 # Cases are swept as arrays of this many at a time. That bounds the memory
 # of the random-model sweeps whatever the sample count; `visibility_grid`
@@ -58,6 +47,10 @@ def visibility_grid(n: int) -> np.ndarray:
     return v[vx * vx + vy * vy + vz * vz <= 1.0 + 1e-12]
 
 
+# the singlet ket: the pair tables are checked against it, not the Bloch form `simulate` samples
+_SINGLET = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2.0)
+
+
 def _singlet_pair_tables(elements: np.ndarray) -> np.ndarray:
     """``Tr((E_a (x) E_b) rho)`` on the singlet for each (4, 2, 2) stack of an (n, 4, 2, 2) array.
 
@@ -65,7 +58,7 @@ def _singlet_pair_tables(elements: np.ndarray) -> np.ndarray:
     for row k*2+l and column i*2+j, so no 4x4 Kronecker product is formed.
     Returns (n, 16) in ``OUTCOMES16`` order.
     """
-    rho = density(singlet()).reshape(2, 2, 2, 2)
+    rho = np.outer(_SINGLET, _SINGLET.conj()).reshape(2, 2, 2, 2)
     pairs = np.einsum("naik,nbjl,klij->nab", elements, elements, rho)
     return pairs.reshape(len(elements), 16)
 
@@ -101,7 +94,7 @@ def check_povm_family(grid: int = 9) -> CheckResult:
     for start in range(0, len(triples), CHUNK):
         v = triples[start:start + CHUNK]
         elements = _family_elements(v)
-        completeness = np.max(np.abs(np.sum(elements, axis=1) - identity(2)), axis=(-2, -1))
+        completeness = np.max(np.abs(np.sum(elements, axis=1) - identity()), axis=(-2, -1))
         hermiticity = np.max(np.abs(elements - elements.conj().swapaxes(-1, -2)), axis=(-2, -1))
         expected_min = (1.0 - np.sqrt(v[:, 0] ** 2 + v[:, 1] ** 2 + v[:, 2] ** 2)) / 4.0
         eigenvalue = np.abs(_lowest_eigenvalues(elements) - expected_min[:, None])
@@ -174,17 +167,17 @@ def check_classicality_dichotomy(
     )
 
 
-def _random_qubit_densities(rng: np.random.Generator, n: int) -> np.ndarray:
-    """``n`` states as (n, 2, 2), Bloch vectors uniform in the unit ball.
+def _random_bloch_vectors(rng: np.random.Generator, n: int) -> np.ndarray:
+    """``n`` Bloch vectors as (n, 3), uniform in the unit ball.
 
     One batch of ``n`` directions is drawn, then one of ``n`` radii. So for
-    ``n > 1`` the states differ from ``n`` calls with ``n = 1``, which
+    ``n > 1`` the vectors differ from ``n`` calls with ``n = 1``, which
     interleave the two draws.
     """
     direction = rng.normal(size=(n, 3))
     direction /= np.linalg.norm(direction, axis=1, keepdims=True)
     radius = rng.random(n) ** (1.0 / 3.0)
-    return _bloch_operators(radius[:, None] * direction) / 2.0
+    return radius[:, None] * direction
 
 
 def check_operator_identities(samples: int = 1000, seed: int = 20240901) -> CheckResult:
@@ -197,21 +190,23 @@ def check_operator_identities(samples: int = 1000, seed: int = 20240901) -> Chec
       with ``vx = vy = 1`` and ``vz`` replaced by the imaginary unit;
     * the four ideal operators sum to the identity;
     * ``Tr(ideal_operator(x, y) @ rho)`` equals the quasi-probability entry
-      ``kirkwood._kd_entries(rho)`` at ``(x, y)`` for ``samples`` random states.
+      ``kirkwood._kd_entries(r)`` at ``(x, y)`` for ``samples`` random states
+      ``rho = (I + r . sigma) / 2``.
 
-    The states are drawn as one batch (`_random_qubit_densities`), validated
-    as a stack, and both sides of the last identity are computed over it.
+    The Bloch vectors are drawn as one batch (`_random_bloch_vectors`), inside
+    the unit ball by construction, and both sides of the last identity are
+    computed over it: the traces from the matrices, the entries from ``r``.
     """
     ideal = np.array([ideal_operator(sx, sy) for sx, sy in OUTCOMES4])
     family = _bloch_operators([(sx, sy, sx * sy * 1j) for sx, sy in OUTCOMES4]) / 4.0
     rng = np.random.Generator(np.random.Philox(key=seed))
-    rho = ensure_density_matrix(_random_qubit_densities(rng, samples), dim=2)
-    traces = np.einsum("oij,nji->no", ideal, rho)
+    r = _random_bloch_vectors(rng, samples)
+    traces = np.einsum("oij,nji->no", ideal, _bloch_operators(r) / 2.0)
     deviations = {
         "x_times_y_equals_i_z": np.max(np.abs(_product(pauli("X"), pauli("Y")) - 1j * pauli("Z"))),
         "ideal_operator_is_family_at_vz_i": np.max(np.abs(ideal - family)),
-        "ideal_operators_sum_to_identity": np.max(np.abs(np.sum(ideal, axis=0) - identity(2))),
-        "ideal_traces_equal_kd_entries": np.max(np.abs(traces - _kd_entries(rho)), initial=0.0),
+        "ideal_operators_sum_to_identity": np.max(np.abs(np.sum(ideal, axis=0) - identity())),
+        "ideal_traces_equal_kd_entries": np.max(np.abs(traces - _kd_entries(r)), initial=0.0),
     }
     # "not <=" also fails a NaN deviation
     failed = [name for name, dev in deviations.items() if not dev <= ATOL_ALGEBRA]

@@ -39,7 +39,7 @@ from .fileio import (
     fmt_float,
     fmt_sign,
     keyed_rows,
-    named_state_density,
+    named_state_bloch,
     one_of,
     parse_sign,
     read_counts_document,
@@ -48,7 +48,7 @@ from .fileio import (
     read_report_visibilities,
     write_artifact,
 )
-from .kirkwood import SingularInversionError, kd_from_state, reconstruct_kd
+from .kirkwood import SingularInversionError, kd_from_bloch, reconstruct_kd
 from .povm import OUTCOMES4, OUTCOMES16, PATTERNS, PositivityError, VisibilityTriple, build_povm
 from .simulate import (
     BLOCK_SHOTS,
@@ -264,7 +264,8 @@ def cmd_estimate(args) -> int:
             (str(rx), str(ry), fmt_float(e), fmt_float(stderr))
             for (rx, ry), e, stderr in zip(PATTERNS, stats.e.tolist(), stats.stderr.tolist())
         ]
-        vx2, vy2, c2 = pattern_estimates(stats)
+        p = werner_p if args.correct_source_noise else 1.0
+        vx2, vy2, c2 = pattern_estimates(stats, pair.counts.total, p)
         section("vx_squared_pair", vx2)
         section("vy_squared_pair", vy2)
         classical = is_classical(c2)
@@ -272,7 +273,9 @@ def cmd_estimate(args) -> int:
         extra = ("vz_magnitude", fmt_float(vz)), ("classical", fmt_bool(classical))
         figure = section("csquared", c2, *extra)
         statistic = classicality_statistic(stats.e)
-        sections["classicality"] = [("statistic", fmt_float(statistic))]
+        # S = -c^2 / 4, so its stderr is a quarter of c^2's
+        s_stderr = fmt_float(c2.stderr / 4.0)
+        sections["classicality"] = [("statistic", fmt_float(statistic)), ("stderr", s_stderr)]
         verdict = "consistent with classical errors" if classical else "non-classical"
         summary.append(f"c^2 = {figure} ({verdict})")
         summary.append(f"|vz| = {vz:.6f}, S = {statistic:.6f}")
@@ -325,8 +328,6 @@ def cmd_reconstruct(args) -> int:
         raise UsageError(f"input file not found: {args.input}")
     doc = read_document(args.input)
     schema = doc.header_value("schema", one_of(SCHEMA_COUNTS, SCHEMA_PROBS))
-    reference = None
-    reference_label = None
     if schema == SCHEMA_COUNTS:
         counts = read_counts_document(doc).counts
         if isinstance(counts, PairCounts16):
@@ -334,12 +335,8 @@ def cmd_reconstruct(args) -> int:
             raise UsageError(f"{where}: reconstruct needs a single-qubit table; pair counts cannot be used")
         probs = counts.counts / counts.total
         reference_label = f"{counts.input_axis}{'+' if counts.input_value == +1 else '-'}"
-        reference = named_state_density(reference_label)
     else:
-        probs, state = read_probs_document(doc)
-        if state is not None:
-            reference_label = state
-            reference = named_state_density(state)
+        probs, reference_label = read_probs_document(doc)
 
     vx, vy, vz = _reconstruction_visibilities(args)
     kd = reconstruct_kd(probs, vx, vy, 1j * vz)
@@ -353,8 +350,8 @@ def cmd_reconstruct(args) -> int:
         "kd_x_marginals": [(fmt_sign(x), fmt_float(kd.x_marginal(x))) for x in (+1, -1)],
         "kd_y_marginals": [(fmt_sign(y), fmt_float(kd.y_marginal(y))) for y in (+1, -1)],
     }
-    if reference is not None:
-        expected = kd_from_state(reference)
+    if reference_label is not None:
+        expected = kd_from_bloch(named_state_bloch(reference_label))
         deviations = [abs(e - x) for e, x in zip(entries, expected.entries.tolist())]
         sections["kd_reference_deviation"] = [
             ("state", reference_label),

@@ -46,7 +46,7 @@ import numpy as np
 
 from . import __version__ as _tool_version
 from .povm import OUTCOMES4, OUTCOMES16, VisibilityTriple, _checked_table
-from .qubit import ATOL_ALGEBRA
+from .qubit import ATOL_ALGEBRA, bloch_vector
 from .simulate import OutcomeCounts4, PairCounts16
 
 SCHEMA_COUNTS = "xymeas-counts/1"
@@ -454,12 +454,8 @@ def read_probs_document(doc: Document) -> tuple[np.ndarray, str | None]:
     return _checked_table(probs, 4), state
 
 
-def named_state_density(label: str):
-    """Density matrix of a state label used in probability files."""
-    from .qubit import density, eigenstate, identity
-
-    if label == "mixed":
-        return identity(2) / 2.0
-    if label in STATE_LABELS:
-        return density(eigenstate(label[0], +1 if label[1] == "+" else -1))
-    raise ValueError(f"unknown state label {label!r}")
+def named_state_bloch(label: str) -> np.ndarray:
+    """Bloch vector of a state label used in probability files, as integers; ``mixed`` is 0."""
+    if one_of(*STATE_LABELS)(label) == "mixed":
+        return np.zeros(3, dtype=int)
+    return bloch_vector(label[0], +1 if label[1] == "+" else -1)

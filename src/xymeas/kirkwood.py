@@ -7,7 +7,9 @@ The quasi-probability of a qubit state over joint X/Y outcomes is
 with ``|x>`` the X eigenstates and ``|y>`` the Y eigenstates, i.e. the
 ordered-projector convention with the X projector acting first. Its
 marginals are the Born probabilities of X and Y; its correlation moment is
-imaginary, ``sum_{x,y} x*y*kd(x,y) = i*<Z>``.
+imaginary, ``sum_{x,y} x*y*kd(x,y) = i*<Z>``. For the state of Bloch vector
+``r = (<X>, <Y>, <Z>)`` it is one transform of the moments,
+``kd = H (1, <Y>, <X>, i*<Z>) / 4`` (`kd_from_bloch`).
 
 Sign convention for the correlation parameter
 ---------------------------------------------
@@ -17,8 +19,8 @@ x, x*y) of the Walsh-Hadamard transform ``H = povm.HADAMARD``, the
 quasi-probability has moments ``H kd = (1, <Y>, <X>, i*<Z>)`` and the
 measurement's table ``H p = (1, vy*<Y>, vx*<X>, vz*<Z>)``. So
 `reconstruct_kd` divides the correlation moment by ``-c``, for every
-nonzero complex ``c``: only then does ``reconstruct_kd(outcome_probs(...),
-vx, vy, i*vz)`` return ``kd_from_state(rho)``. (Dividing by ``c`` would
+nonzero complex ``c``: only then does ``reconstruct_kd(outcome_table(...,
+r), vx, vy, i*vz)`` return ``kd_from_bloch(r)``. (Dividing by ``c`` would
 correspond to the transposed projector order, which conjugates every
 quasi-probability entry.)
 """
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .povm import OUTCOMES4, _checked_table, _hadamard
-from .qubit import ATOL_ALGEBRA, ensure_density_matrix, eigenstate
+from .qubit import ATOL_ALGEBRA
 
 # Visibilities below this magnitude are rejected rather than regularized.
 # The inversion scales rounding by 1/|v|: with all three |v| equal, random
@@ -74,30 +76,18 @@ class KDDistribution:
         return complex(self.entries[k] + self.entries[k + 2]).real
 
 
-def kd_from_state(rho) -> KDDistribution:
-    """Quasi-probability ``<x|y><y|rho|x>`` of a qubit state."""
-    return KDDistribution(entries=_kd_entries(ensure_density_matrix(rho, dim=2)))
+def kd_from_bloch(r) -> KDDistribution:
+    """Quasi-probability ``<x|y><y|rho|x>`` of the qubit state of Bloch vector ``r``."""
+    return KDDistribution(entries=_kd_entries(r))
 
 
-# |x> and |y> of each outcome (x, y), in OUTCOMES4 order
-_KET_X = np.array([eigenstate("X", x) for x, _ in OUTCOMES4])
-_KET_Y = np.array([eigenstate("Y", y) for _, y in OUTCOMES4])
-# <x|y> of each outcome
-_OVERLAP = sum((_KET_X[:, j].conj() * _KET_Y[:, j] for j in range(2)), 0.0)
+def _kd_entries(r) -> np.ndarray:
+    """``<x|y><y|rho|x>`` in ``OUTCOMES4`` order for each Bloch vector of a (..., 3) stack, as (..., 4).
 
-
-def _kd_entries(rho: np.ndarray) -> np.ndarray:
-    """``<x|y><y|rho|x>`` in ``OUTCOMES4`` order for each qubit state of a (..., 2, 2) stack, as (..., 4).
-
-    The products ``rho[..., i, j] * ket_x[o, j]`` are contracted over ``j``,
-    then ``conj(ket_y[o, i]) * rho_x[..., o, i]`` over ``i``, each sum added
-    left to right from +0.0 as every table sum is, without building either
-    (..., 4, 2, 2) product.
+    One transform of the moments, ``H (1, ry, rx, i*rz) / 4`` (`povm._hadamard`).
     """
-    rho = np.asarray(rho)
-    # rho_x[i][..., o] = sum_j rho[..., i, j] * ket_x[o, j]
-    rho_x = [sum((rho[..., i, j, None] * _KET_X[:, j] for j in range(2)), 0.0) for i in range(2)]
-    return _OVERLAP * sum((_KET_Y[:, i].conj() * rho_x[i] for i in range(2)), 0.0)
+    rx, ry, rz = np.moveaxis(np.asarray(r, dtype=float), -1, 0)
+    return _hadamard(np.stack([np.ones_like(rx), ry, rx, 1j * rz], axis=-1)) / 4.0
 
 
 def _check_not_singular(name: str, value: complex) -> complex:
@@ -118,11 +108,11 @@ def reconstruct_kd(p, vx: float, vy: float, c: complex) -> KDDistribution:
     scaled it, are those of the quasi-probability, and ``H / 4`` inverts ``H``.
 
     For a table produced by the measurement with visibilities (vx, vy, vz)
-    on a state ``rho``, ``c = i*vz`` returns ``kd_from_state(rho)`` (see the
-    module docstring for the sign); any nonzero complex ``c`` is accepted, so
-    hypothetical real error models invert too. Visibilities smaller in
-    magnitude than ``SINGULAR_VISIBILITY`` raise `SingularInversionError`
-    naming the offending parameter.
+    on the state of Bloch vector ``r``, ``c = i*vz`` returns
+    ``kd_from_bloch(r)`` (see the module docstring for the sign); any
+    nonzero complex ``c`` is accepted, so hypothetical real error models
+    invert too. Visibilities smaller in magnitude than ``SINGULAR_VISIBILITY``
+    raise `SingularInversionError` naming the offending parameter.
     """
     probs = _checked_table(
         p, 4, low=-ATOL_ALGEBRA, high=1.0 + ATOL_ALGEBRA, total=1.0, what="probabilities"

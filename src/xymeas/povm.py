@@ -24,7 +24,6 @@ from .qubit import (
     ATOL_ALGEBRA,
     _bloch_operators,
     _product,
-    ensure_density_matrix,
     ensure_sign,
     identity,
     pauli,
@@ -195,24 +194,20 @@ def _family_elements(v) -> np.ndarray:
     return _bloch_operators(np.asarray(v, dtype=float)[..., None, :] * signs) / 4.0
 
 
-def _real_probs(values, what: str) -> np.ndarray:
-    values = np.array(values)
-    worst = np.max(np.abs(values.imag))
-    if worst > ATOL_ALGEBRA:
-        raise ValueError(f"{what} have a non-negligible imaginary part: {worst!r}")
-    slack = ATOL_ALGEBRA
-    return _checked_table(values.real, low=-slack, high=1.0 + slack, total=1.0, tol=slack, what=what)
+def outcome_table(elements: np.ndarray, r) -> np.ndarray:
+    """Outcome table ``Tr(E rho)``, in ``OUTCOMES4`` order, on the qubit state of Bloch vector ``r``.
 
-
-def outcome_probs(elements: np.ndarray, rho) -> np.ndarray:
-    """Outcome probabilities ``Tr(element(x,y) @ rho)`` for a qubit state, in ``OUTCOMES4`` order.
-
-    ``elements`` is a (4, 2, 2) element array in ``OUTCOMES4`` order, as
-    `build_povm` returns it.
+    ``elements`` is a (4, 2, 2) array as `build_povm` returns it, and
+    ``rho = (I + r . sigma) / 2``. The trace is written entry by entry and
+    added left to right, ``e00 (1 + rz)/2 + e11 (1 - rz)/2 + rx Re e01 - ry Im e01``,
+    so a Z eigenstate reads ``e00`` or ``e11`` exactly and an X or Y
+    eigenstate ``(Tr E +- Tr E sigma) / 2`` to the bit. ``r`` is not checked
+    to lie in the unit ball; the read-only table's entries must be finite.
     """
-    rho = ensure_density_matrix(rho, dim=2)
-    values = np.trace(elements @ rho, axis1=1, axis2=2)
-    return _real_probs(values, "outcome probabilities")
+    rx, ry, rz = r
+    e00, e01, e11 = elements[:, 0, 0].real, elements[:, 0, 1], elements[:, 1, 1].real
+    table = e00 * (1 + rz) / 2 + e11 * (1 - rz) / 2 + rx * e01.real - ry * e01.imag
+    return _checked_table(table, 4, what="outcome table")
 
 
 def exact_pattern_probs(v: VisibilityTriple) -> PatternStats:
@@ -248,5 +243,5 @@ def ideal_operator(sx: int, sy: int) -> np.ndarray:
     """
     sx = ensure_sign(sx, "sx")
     sy = ensure_sign(sy, "sy")
-    eye = identity(2)
+    eye = identity()
     return _product(eye + sx * pauli("X"), eye + sy * pauli("Y")) / 4.0

@@ -21,10 +21,11 @@ inverse CDF over the fixed category order ``OUTCOMES4`` / ``OUTCOMES16``
 (+1 before -1). Each block is counted by edge crossings, the number of draws
 below each cumulative edge, which gives the inverse-CDF histogram exactly.
 
-Every table a run samples from is a Bloch contraction ``Tr(E rho)``: with
-``(t, bx, by, bz) = (Tr E, Tr EX, Tr EY, Tr EZ)`` read elementwise off the
-element array (`_bloch_components`), an eigenstate table is
-``(t + value * b_axis) / 2`` (`eigenstate_table`) and a Werner pair table
+Every table a run samples from is a Bloch contraction ``Tr(E rho)`` read
+elementwise off the element array. An eigenstate table is
+`povm.outcome_table` at the Bloch vector ``value * unit(axis)``; a Werner
+pair table, with ``(t, bx, by, bz) = (Tr E, Tr EX, Tr EY, Tr EZ)``
+(`_bloch_components`), is
 ``(t (x) t - p (bx (x) bx + by (x) by + bz (x) bz)) / 4`` (`werner_table`).
 No state matrix is built and no matrix product or eigensolve runs, so the
 edges depend on neither the BLAS library nor its kernel.
@@ -38,8 +39,8 @@ from typing import Callable
 
 import numpy as np
 
-from .povm import VisibilityTriple, _checked_table, build_povm
-from .qubit import ensure_axis, ensure_sign
+from .povm import VisibilityTriple, _checked_table, build_povm, outcome_table
+from .qubit import bloch_vector, ensure_axis, ensure_sign
 
 BLOCK_SHOTS = 1 << 16
 
@@ -148,16 +149,6 @@ def _bloch_components(elements: np.ndarray) -> tuple[np.ndarray, ...]:
     return (e00 + e11).real, (e01 + e10).real, (e10 - e01).imag, (e00 - e11).real
 
 
-def eigenstate_table(elements: np.ndarray, axis: str, value: int) -> np.ndarray:
-    """Outcome table, in ``OUTCOMES4`` order, on the ``value`` eigenstate of ``axis``.
-
-    The state is ``(I + value * sigma_axis) / 2``, so the table is
-    ``(t + value * b_axis) / 2`` over the Bloch components.
-    """
-    t, *b = _bloch_components(elements)
-    return (t + value * b["XYZ".index(axis)]) / 2.0
-
-
 def werner_table(elements: np.ndarray, p: float) -> np.ndarray:
     """Pair table, in ``OUTCOMES16`` order, of identical measurements on a Werner source.
 
@@ -216,7 +207,7 @@ def run_eigenstate_experiment(
     eigenvalue and records the negation of both outcome bits, which
     preserves the flip pattern relative to the input. Returned counts are
     therefore always in the nominal input frame. The tables sampled are
-    `eigenstate_table` of the input and, with flips, of its negation.
+    `povm.outcome_table` of the input and, with flips, of its negation.
     """
     axis = ensure_axis(axis)
     value = ensure_sign(value)
@@ -224,9 +215,9 @@ def run_eigenstate_experiment(
         raise ValueError("eigenstate runs accept axis X or Y only")
 
     povm = build_povm(config.visibilities)
-    cum_nominal = _cumulative(eigenstate_table(povm, axis, value))
+    cum_nominal = _cumulative(outcome_table(povm, bloch_vector(axis, value)))
     if randomize_flips:
-        cum_flipped = _cumulative(eigenstate_table(povm, axis, -value))
+        cum_flipped = _cumulative(outcome_table(povm, bloch_vector(axis, -value)))
 
     def block_sampler(rng: np.random.Generator, n: int) -> np.ndarray:
         if not randomize_flips:

@@ -5,19 +5,24 @@ appear in the terminal summary.
 """
 
 import contextlib
+import math
 
 import numpy as np
 
 from conftest import record_acceptance
 from oracles import (
     ErrorModel,
+    bloch_density,
+    density,
     element,
+    kd_from_state,
     kd_pair_from_state,
     min_eigenvalue_hermitian,
     pair_outcome_probs,
     pattern_quasiprobs,
     predicted_pattern_probs,
-    random_qubit_density,
+    random_bloch_vector,
+    singlet,
     trace_product,
 )
 from xymeas import cli
@@ -29,7 +34,7 @@ from xymeas.analysis import (
     pattern_estimates,
 )
 from xymeas.checks import visibility_grid
-from xymeas.kirkwood import kd_from_state, reconstruct_kd
+from xymeas.kirkwood import kd_from_bloch, reconstruct_kd
 from xymeas.povm import (
     OUTCOMES4,
     OUTCOMES16,
@@ -38,9 +43,9 @@ from xymeas.povm import (
     build_povm,
     exact_pattern_probs,
     ideal_operator,
-    outcome_probs,
+    outcome_table,
 )
-from xymeas.qubit import density, eigenstate, identity, pauli, singlet
+from xymeas.qubit import bloch_vector, identity, pauli
 from xymeas.simulate import ExperimentConfig, run_eigenstate_experiment, run_pair_experiment
 
 SQ3 = 1.0 / np.sqrt(3.0)
@@ -62,7 +67,7 @@ def test_criterion_1_povm_structure():
         for v in GRID:
             povm = build_povm(v)
             total = sum(element(povm, *o) for o in OUTCOMES4)
-            assert np.max(np.abs(total - identity(2))) <= 1e-12
+            assert np.max(np.abs(total - identity())) <= 1e-12
             expected_min = (1.0 - np.sqrt(v.norm_squared)) / 4.0
             for o in OUTCOMES4:
                 lam = min_eigenvalue_hermitian(element(povm, *o))
@@ -90,13 +95,13 @@ def test_criterion_2_exact_pair_predictions():
 def test_criterion_3_negative_csquared():
     with criterion(3, "c^2 = -vz^2 exactly on the grid; Monte-Carlo hits -1/3 non-classically"):
         for v in GRID:
-            _, _, corr = pattern_estimates(exact_pattern_probs(v))
+            _, _, corr = pattern_estimates(exact_pattern_probs(v), math.inf)
             assert abs(corr.value - (-(v.vz ** 2))) <= 1e-12
         config = ExperimentConfig(
             visibilities=VisibilityTriple(SQ3, SQ3, SQ3), shots=1_000_000, seed=20240910
         )
         counts = run_pair_experiment(config)
-        _, _, corr = pattern_estimates(collapse_pair_counts(counts))
+        _, _, corr = pattern_estimates(collapse_pair_counts(counts), counts.total)
         assert abs(corr.value - (-1 / 3)) <= 0.01
         assert corr.value < -3.0 * corr.stderr
         assert is_classical(corr) is False
@@ -133,7 +138,7 @@ def test_criterion_5_visibility_recovery():
         pair = run_pair_experiment(
             ExperimentConfig(visibilities=v, shots=shots, seed=20240914)
         )
-        vx2, vy2, _ = pattern_estimates(collapse_pair_counts(pair))
+        vx2, vy2, _ = pattern_estimates(collapse_pair_counts(pair), pair.total)
         for pair_est, eig_est in ((vx2, vx_est), (vy2, vy_est)):
             eig_sq = eig_est.value ** 2
             eig_sq_stderr = 2.0 * abs(eig_est.value) * eig_est.stderr
@@ -172,15 +177,15 @@ def test_criterion_7_kd_round_trip():
                 if vx * vx + vy * vy + vz * vz <= 1.0:
                     break
             v = VisibilityTriple(vx, vy, vz)
-            rho = random_qubit_density(rng)
-            p = outcome_probs(build_povm(v), rho)
+            r = random_bloch_vector(rng)
+            p = outcome_table(build_povm(v), r)
             kd = reconstruct_kd(p, v.vx, v.vy, 1j * v.vz)
-            expected = kd_from_state(rho)
+            expected = kd_from_state(bloch_density(r))
             for k in range(4):
                 assert abs(kd.entries[k] - expected.entries[k]) <= 1e-10
 
         v = VisibilityTriple(SQ3, SQ3, SQ3)
-        p = outcome_probs(build_povm(v), density(eigenstate("Z", +1)))
+        p = outcome_table(build_povm(v), bloch_vector("Z", +1))
         kd = reconstruct_kd(p, v.vx, v.vy, 1j * v.vz)
         # OUTCOMES4 order: (+1, +1), (+1, -1), (-1, +1), (-1, -1)
         assert abs(kd.entries[0] - (1 + 1j) / 4) <= 1e-10
@@ -192,16 +197,16 @@ def test_criterion_7_kd_round_trip():
 def test_criterion_8_operator_identities():
     with criterion(8, "X@Y = i Z; ideal operators are the vz = i family and give KD entries"):
         assert np.max(np.abs(pauli("X") @ pauli("Y") - 1j * pauli("Z"))) <= 1e-12
-        eye = identity(2)
+        eye = identity()
         for sx, sy in OUTCOMES4:
             family = (eye + sx * pauli("X") + sy * pauli("Y") + sx * sy * 1j * pauli("Z")) / 4.0
             assert np.max(np.abs(ideal_operator(sx, sy) - family)) <= 1e-12
         rng = np.random.Generator(np.random.Philox(key=20240917))
         for _ in range(1000):
-            rho = random_qubit_density(rng)
-            kd = kd_from_state(rho)
+            r = random_bloch_vector(rng)
+            kd = kd_from_bloch(r)
             for (x, y), entry in zip(OUTCOMES4, kd.entries.tolist()):
-                value = trace_product(ideal_operator(x, y), rho)
+                value = trace_product(ideal_operator(x, y), bloch_density(r))
                 assert abs(value - entry) <= 1e-12
 
 

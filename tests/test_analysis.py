@@ -1,5 +1,6 @@
 """Visibility and correlation estimators, error-model algebra, classicality."""
 
+import math
 import re
 from pathlib import Path
 
@@ -34,10 +35,16 @@ from xymeas.povm import (
     VisibilityTriple,
     build_povm,
     exact_pattern_probs,
-    outcome_probs,
+    outcome_table,
 )
-from xymeas.qubit import density, eigenstate
-from xymeas.simulate import ExperimentConfig, OutcomeCounts4, PairCounts16, run_eigenstate_experiment
+from xymeas.qubit import bloch_vector
+from xymeas.simulate import (
+    ExperimentConfig,
+    OutcomeCounts4,
+    PairCounts16,
+    run_eigenstate_experiment,
+    run_pair_experiment,
+)
 
 SQ3 = 1.0 / np.sqrt(3.0)
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -71,17 +78,13 @@ class TestVisibilityEstimates:
         assert estimate_visibility(uniform).value == pytest.approx(0.0)
 
     def test_vy_mirror(self):
-        probs = outcome_probs(
-            build_povm(VisibilityTriple(0.6, 0.8, 0.0)), density(eigenstate("Y", +1))
-        )
+        probs = outcome_table(build_povm(VisibilityTriple(0.6, 0.8, 0.0)), bloch_vector("Y", +1))
         counts = OutcomeCounts4(counts=shot_counts(probs), input_axis="Y", input_value=+1)
         est = estimate_visibility(counts)
         assert est.value == pytest.approx(0.8, abs=1e-12)
 
     def test_negative_input_value_counts_correctly(self):
-        probs = outcome_probs(
-            build_povm(VisibilityTriple(0.7, 0.2, 0.0)), density(eigenstate("X", -1))
-        )
+        probs = outcome_table(build_povm(VisibilityTriple(0.7, 0.2, 0.0)), bloch_vector("X", -1))
         counts = OutcomeCounts4(counts=shot_counts(probs), input_axis="X", input_value=-1)
         assert estimate_visibility(counts).value == pytest.approx(0.7, abs=1e-12)
 
@@ -90,7 +93,7 @@ class TestVisibilityEstimates:
         povm = build_povm(VisibilityTriple(vx, vy, 0.0))
         for value in (+1, -1):
             for axis, v in (("X", vx), ("Y", vy)):
-                probs = outcome_probs(povm, density(eigenstate(axis, value)))
+                probs = outcome_table(povm, bloch_vector(axis, value))
                 counts = OutcomeCounts4(counts=shot_counts(probs), input_axis=axis, input_value=value)
                 assert estimate_visibility(counts).value == pytest.approx(v, abs=1e-12)
 
@@ -132,8 +135,7 @@ class TestCollapsePairCounts:
     def test_exact_probs_match_closed_form(self):
         v = VisibilityTriple(SQ3, SQ3, SQ3)
         povm = build_povm(v)
-        from oracles import pair_outcome_probs
-        from xymeas.qubit import singlet
+        from oracles import density, pair_outcome_probs, singlet
 
         # at the symmetric point each pair outcome has probability 1/12 or 0
         probs = pair_outcome_probs(povm, povm, density(singlet()))
@@ -168,7 +170,7 @@ class TestCollapsePairCounts:
 class TestPatternSums:
     def test_symmetric_point(self):
         stats = exact_pattern_probs(VisibilityTriple(SQ3, SQ3, SQ3))
-        vx2, vy2, corr = pattern_estimates(stats)
+        vx2, vy2, corr = pattern_estimates(stats, math.inf)
         assert vx2.value == pytest.approx(1 / 3, abs=1e-12)
         assert vy2.value == pytest.approx(1 / 3, abs=1e-12)
         assert corr.value == pytest.approx(-1 / 3, abs=1e-12)
@@ -177,7 +179,7 @@ class TestPatternSums:
 
     def test_z_blind_device(self):
         stats = exact_pattern_probs(VisibilityTriple(0.6, 0.8, 0.0))
-        vx2, vy2, corr = pattern_estimates(stats)
+        vx2, vy2, corr = pattern_estimates(stats, math.inf)
         assert vx2.value == pytest.approx(0.36, abs=1e-12)
         assert vy2.value == pytest.approx(0.64, abs=1e-12)
         assert corr.value == pytest.approx(0.0, abs=1e-12)
@@ -185,7 +187,7 @@ class TestPatternSums:
 
     def test_uniform_patterns(self):
         stats = PatternStats(e=[1 / 16] * 4, stderr=[0.0] * 4)
-        vx2, vy2, _ = pattern_estimates(stats)
+        vx2, vy2, _ = pattern_estimates(stats, math.inf)
         assert vx2.value == pytest.approx(0.0, abs=1e-12)
         assert vy2.value == pytest.approx(0.0, abs=1e-12)
 
@@ -195,7 +197,7 @@ class TestPatternSums:
             e=[0.25, 0.0, 0.0, 0.0],
             stderr=[0.0] * 4,
         )
-        _, _, corr = pattern_estimates(stats)
+        _, _, corr = pattern_estimates(stats, math.inf)
         assert corr.value == pytest.approx(1.0, abs=1e-12)
         assert is_classical(corr) is True
         assert classicality_statistic(stats.e) == pytest.approx(-0.25, abs=1e-12)
@@ -212,12 +214,45 @@ class TestPatternSums:
     def test_quantum_statistic_is_vz_squared_over_four(self, v):
         stats = exact_pattern_probs(v)
         assert classicality_statistic(stats.e) == pytest.approx(v.vz ** 2 / 4, abs=1e-12)
-        _, _, corr = pattern_estimates(stats)
+        _, _, corr = pattern_estimates(stats, math.inf)
         assert corr.value == pytest.approx(-v.vz ** 2, abs=1e-12)
 
     def test_boundary_vz_zero(self):
         stats = exact_pattern_probs(VisibilityTriple(0.7, 0.7, 0.0))
         assert classicality_statistic(stats.e) == pytest.approx(0.0, abs=1e-12)
+
+    def test_each_estimate_has_its_own_multinomial_stderr(self):
+        # class fractions (0.5, 0.25, 0.15, 0.1) of 1000 shots: rows (vy^2, vx^2, c^2) = (0.3, 0.5, 0.2)
+        counts = [0] * 16
+        for pattern, n in zip(PATTERNS, (500, 250, 150, 100)):
+            counts[next(k for k, o in enumerate(OUTCOMES16) if pattern_of(*o) == pattern)] = n
+        stats = collapse_pair_counts(PairCounts16(counts=counts))
+        for p in (1.0, 0.5):
+            corrected = correct_for_source_noise(stats, p) if p < 1.0 else stats
+            estimates = pattern_estimates(corrected, 1000, p)
+            for est, row in zip(estimates, (0.5, 0.3, 0.2)):
+                assert est.value == pytest.approx(row / p, abs=1e-12)
+                assert est.stderr == pytest.approx(math.sqrt((1.0 - row ** 2) / 1000) / p, rel=1e-12)
+        # a row at +-1 has no spread, and an exact table none at all
+        ideal = pattern_estimates(PatternStats(e=[0.25, 0.0, 0.0, 0.0], stderr=[0.0] * 4), 1000)
+        exact = pattern_estimates(exact_pattern_probs(VisibilityTriple(0.5, 0.4, 0.6)), math.inf)
+        assert [e.stderr for e in (*ideal, *exact)] == [0.0] * 6
+
+    @pytest.mark.parametrize("werner_p", [1.0, 0.8])
+    def test_stderr_matches_replicate_spread(self, werner_p):
+        # 400 seeded pair runs of 20000 shots: each estimate's z-score has unit spread
+        v = VisibilityTriple(SQ3, SQ3, SQ3)
+        exact = np.array([v.vx ** 2, v.vy ** 2, -v.vz ** 2])
+        z = []
+        for seed in range(400):
+            counts = run_pair_experiment(ExperimentConfig(v, 20_000, seed), werner_p=werner_p)
+            stats = collapse_pair_counts(counts)
+            if werner_p < 1.0:
+                stats = correct_for_source_noise(stats, werner_p)
+            estimates = pattern_estimates(stats, counts.total, werner_p)
+            z.append([(e.value - x) / e.stderr for e, x in zip(estimates, exact)])
+        spread = np.std(z, axis=0)
+        assert np.all((0.9 <= spread) & (spread <= 1.1)), spread
 
     def test_pair_patterns_reproduce_eigenstate_resolutions(self):
         # exact pattern sums must land on the same vx, vy that eigenstate
@@ -225,7 +260,7 @@ class TestPatternSums:
         from xymeas.checks import visibility_grid
 
         for v in (VisibilityTriple(*row) for row in visibility_grid(5)):
-            vx2, vy2, _ = pattern_estimates(exact_pattern_probs(v))
+            vx2, vy2, _ = pattern_estimates(exact_pattern_probs(v), math.inf)
             assert vx2.value == pytest.approx(v.vx ** 2, abs=1e-12)
             assert vy2.value == pytest.approx(v.vy ** 2, abs=1e-12)
 
@@ -245,9 +280,9 @@ class TestSourceNoiseCorrection:
         pure = exact_pattern_probs(v)
         p = 0.7
         noisy = PatternStats(e=p * pure.e + (1 - p) / 16, stderr=[0.001] * 4)
-        _, _, raw = pattern_estimates(noisy)
+        _, _, raw = pattern_estimates(noisy, 10_000)
         assert raw.value == pytest.approx(-p * v.vz ** 2, abs=1e-12)
-        _, _, corrected = pattern_estimates(correct_for_source_noise(noisy, p))
+        _, _, corrected = pattern_estimates(correct_for_source_noise(noisy, p), 10_000, p)
         assert corrected.value == pytest.approx(-v.vz ** 2, abs=1e-12)
         assert corrected.stderr == pytest.approx(raw.stderr / p, rel=1e-12)
 
@@ -311,7 +346,7 @@ class TestEigenstateProbsFromModel:
         v = VisibilityTriple(0.5, 0.7, 0.3)
         m = error_model_from_visibilities(v.vx, v.vy, 1j * v.vz)
         predicted = eigenstate_probs_from_error_model(m, "Y")
-        actual = outcome_probs(build_povm(v), density(eigenstate("Y", +1)))
+        actual = outcome_table(build_povm(v), bloch_vector("Y", +1))
         for k in range(4):
             assert predicted[k] == pytest.approx(actual[k], abs=1e-12)
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import pair_outcome_probs, pattern_of
+from oracles import bloch_density, density, eigenstate, kd_from_state, pair_outcome_probs, pattern_of, singlet
 from xymeas import checks
 from xymeas.analysis import classicality_statistic
 from xymeas.checks import (
@@ -17,8 +17,8 @@ from xymeas.checks import (
     run_all_checks,
     visibility_grid,
 )
-from xymeas.checks import _random_qubit_densities
-from xymeas.kirkwood import _kd_entries, kd_from_state
+from xymeas.checks import _random_bloch_vectors
+from xymeas.kirkwood import _kd_entries, kd_from_bloch
 from xymeas.povm import (
     OUTCOMES4,
     OUTCOMES16,
@@ -28,7 +28,6 @@ from xymeas.povm import (
     build_povm,
     exact_pattern_probs,
 )
-from xymeas.qubit import density, singlet
 
 GRID = visibility_grid(9)
 # the same triples as records, for references and the FAIL text
@@ -120,17 +119,16 @@ class TestAgreementWithReferences:
         assert [PATTERNS[i] for i in _PATTERN_INDEX16] == [pattern_of(*o) for o in OUTCOMES16]
 
     def test_stacked_kd_entries_equal_single_state_digits(self):
-        rho = _random_qubit_densities(np.random.Generator(np.random.Philox(key=3)), 50)
-        stacked = _kd_entries(rho)
-        for state, row in zip(rho, stacked):
-            assert row.tobytes() == kd_from_state(state).entries.tobytes()
+        r = _random_bloch_vectors(np.random.Generator(np.random.Philox(key=3)), 50)
+        stacked = _kd_entries(r)
+        for state, row in zip(r, stacked):
+            assert row.tobytes() == kd_from_bloch(state).entries.tobytes()
+            assert np.max(np.abs(row - kd_from_state(bloch_density(state)).entries)) <= 1e-15
 
     def test_kd_entries_match_vdot_loop(self):
-        from xymeas.qubit import eigenstate
-
-        rho = _random_qubit_densities(np.random.Generator(np.random.Philox(key=4)), 200)
-        stacked = _kd_entries(rho)
-        for state, row in zip(rho, stacked):
+        r = _random_bloch_vectors(np.random.Generator(np.random.Philox(key=4)), 200)
+        stacked = _kd_entries(r)
+        for state, row in zip(bloch_density(r), stacked):
             for k, (x, y) in enumerate(OUTCOMES4):
                 ket_x, ket_y = eigenstate("X", x), eigenstate("Y", y)
                 expected = np.vdot(ket_x, ket_y) * np.vdot(ket_y, state @ ket_x)
@@ -138,13 +136,14 @@ class TestAgreementWithReferences:
 
     def test_states_drawn_as_one_batch(self):
         rng = np.random.Generator(np.random.Philox(key=9))
-        rho = _random_qubit_densities(rng, 20)
+        r = _random_bloch_vectors(rng, 20)
         ref = np.random.Generator(np.random.Philox(key=9))
         direction = ref.normal(size=(20, 3))
         radius = ref.random(20) ** (1.0 / 3.0)
         bloch = radius[:, None] * direction / np.linalg.norm(direction, axis=1, keepdims=True)
-        assert np.allclose(rho[:, 0, 1], (bloch[:, 0] - 1j * bloch[:, 1]) / 2.0, rtol=0, atol=1e-15)
-        assert np.allclose(rho[:, 0, 0].real, (1.0 + bloch[:, 2]) / 2.0, rtol=0, atol=1e-15)
+        assert np.allclose(r, bloch, rtol=0, atol=1e-15)
+        # inside the unit ball by construction: every state is a density matrix
+        assert np.all(np.sum(r * r, axis=1) <= 1.0)
 
     def test_all_pass_at_default_sizes(self):
         assert check_povm_family().passed
@@ -266,8 +265,8 @@ class TestOperatorIdentityFailures:
         original = checks._kd_entries
 
         def perturb(delta):
-            def patched(rho):
-                entries = original(rho)
+            def patched(r):
+                entries = original(r)
                 entries[state, 2] += delta
                 return entries
 
@@ -283,21 +282,9 @@ class TestOperatorIdentityFailures:
             "operator_identities", False, "failed: ideal_traces_equal_kd_entries"
         )
 
-    def test_states_validated_as_a_stack(self, monkeypatch):
-        original = checks._random_qubit_densities
-
-        def patched(rng, n):
-            rho = original(rng, n)
-            rho[n // 2] *= 1.5
-            return rho
-
-        monkeypatch.setattr(checks, "_random_qubit_densities", patched)
-        with pytest.raises(ValueError, match="unit trace"):
-            check_operator_identities(samples=100)
-
     def test_no_states(self, monkeypatch):
         # with no states the trace identity reads 0 and fails only on a NaN entry
         assert check_operator_identities(samples=0).passed
-        monkeypatch.setattr(checks, "_kd_entries", lambda rho: np.full((len(rho), 4), np.nan))
+        monkeypatch.setattr(checks, "_kd_entries", lambda r: np.full((len(r), 4), np.nan))
         assert check_operator_identities(samples=0).passed
         assert not check_operator_identities(samples=1).passed

@@ -32,8 +32,8 @@ from xymeas.analysis import (
     pattern_estimates,
 )
 from xymeas.checks import CheckResult
-from xymeas.povm import OUTCOMES4, OUTCOMES16, VisibilityTriple, build_povm, outcome_probs
-from xymeas.qubit import density, eigenstate
+from xymeas.povm import OUTCOMES4, OUTCOMES16, VisibilityTriple, build_povm, outcome_table
+from xymeas.qubit import bloch_vector
 from xymeas.simulate import (
     BLOCK_SHOTS,
     RNG_ID,
@@ -315,17 +315,22 @@ class TestEstimate:
 
         vx = estimate_visibility(read_counts_document(read_document(paths["ex"])).counts)
         vy = estimate_visibility(read_counts_document(read_document(paths["ey"])).counts)
-        stats = collapse_pair_counts(read_counts_document(read_document(paths["pair"])).counts)
-        vx2, vy2, corr = pattern_estimates(stats)
+        pair = read_counts_document(read_document(paths["pair"])).counts
+        stats = collapse_pair_counts(pair)
+        vx2, vy2, corr = pattern_estimates(stats, pair.total)
         assert float(report.section_value("visibility_x", "value")) == pytest.approx(vx.value, abs=1e-12)
         assert float(report.section_value("visibility_x", "stderr")) == pytest.approx(vx.stderr, abs=1e-12)
         assert float(report.section_value("visibility_y", "value")) == pytest.approx(vy.value, abs=1e-12)
         assert float(report.section_value("vx_squared_pair", "value")) == pytest.approx(vx2.value, abs=1e-12)
         assert float(report.section_value("vy_squared_pair", "value")) == pytest.approx(vy2.value, abs=1e-12)
         assert float(report.section_value("csquared", "value")) == pytest.approx(corr.value, abs=1e-12)
+        for name, est in (("vx_squared_pair", vx2), ("vy_squared_pair", vy2), ("csquared", corr)):
+            assert float(report.section_value(name, "stderr")) == pytest.approx(est.stderr, abs=1e-15)
         assert float(report.section_value("classicality", "statistic")) == pytest.approx(
             classicality_statistic(stats.e), abs=1e-12
         )
+        # S = -c^2 / 4
+        assert float(report.section_value("classicality", "stderr")) == corr.stderr / 4.0
 
     def test_source_noise_correction(self, tmp_path):
         v = VisibilityTriple(0.5, 0.5, 0.5)
@@ -345,6 +350,11 @@ class TestEstimate:
         c2_corr = float(read_document(corrected).section_value("csquared", "value"))
         assert c2_plain == pytest.approx(-0.8 * v.vz ** 2, abs=0.01)
         assert c2_corr == pytest.approx(-v.vz ** 2, abs=0.01)
+        # the sampled row and its spread are divided by werner_p
+        se_plain = float(read_document(plain).section_value("csquared", "stderr"))
+        se_corr = float(read_document(corrected).section_value("csquared", "stderr"))
+        assert se_plain == pytest.approx(np.sqrt((1.0 - c2_plain ** 2) / 1_000_000), rel=1e-12)
+        assert se_corr == pytest.approx(se_plain / 0.8, rel=1e-12)
 
     @pytest.mark.parametrize("werner_p", [0.1, 0.15])
     def test_corrected_patterns_may_leave_the_unit_range(self, tmp_path, werner_p):
@@ -378,7 +388,7 @@ class TestEstimate:
 class TestReconstruct:
     def test_exact_z_plus_table(self, tmp_path):
         v = VisibilityTriple(SQ3, SQ3, SQ3)
-        probs = outcome_probs(build_povm(v), density(eigenstate("Z", +1)))
+        probs = outcome_table(build_povm(v), bloch_vector("Z", +1))
         probs_path = tmp_path / "zplus.txt"
         write_probs_file(probs_path, probs, state="Z+")
         out = tmp_path / "kd.txt"
@@ -474,9 +484,7 @@ class TestReconstruct:
         paths = simulate_all(tmp_path, (SQ3_STR, SQ3_STR, SQ3_STR), 400_000, base_seed=700)
         report_path = tmp_path / "report.txt"
         assert run_cli("estimate", *paths.values(), "--out", report_path) == 0
-        probs = outcome_probs(
-            build_povm(VisibilityTriple(SQ3, SQ3, SQ3)), density(eigenstate("Z", +1))
-        )
+        probs = outcome_table(build_povm(VisibilityTriple(SQ3, SQ3, SQ3)), bloch_vector("Z", +1))
         probs_path = tmp_path / "zplus.txt"
         write_probs_file(probs_path, probs, state="Z+")
         out = tmp_path / "kd.txt"

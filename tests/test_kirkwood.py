@@ -4,10 +4,15 @@ import numpy as np
 import pytest
 
 from oracles import (
+    bloch_density,
+    density,
+    eigenstate,
     error_model_from_visibilities,
     forward_map,
+    kd_from_state,
     kd_pair_from_state,
-    random_qubit_density,
+    random_bloch_vector,
+    singlet,
     tensor,
     trace_product,
     werner_state,
@@ -18,11 +23,11 @@ from xymeas.kirkwood import (
     SINGULAR_VISIBILITY,
     KDDistribution,
     SingularInversionError,
-    kd_from_state,
+    kd_from_bloch,
     reconstruct_kd,
 )
-from xymeas.povm import OUTCOMES4, OUTCOMES16, VisibilityTriple, build_povm, outcome_probs
-from xymeas.qubit import ATOL_ALGEBRA, density, eigenstate, identity, pauli, singlet
+from xymeas.povm import OUTCOMES4, OUTCOMES16, VisibilityTriple, build_povm, outcome_table
+from xymeas.qubit import ATOL_ALGEBRA, bloch_vector, pauli
 from xymeas.simulate import ExperimentConfig, run_eigenstate_experiment
 
 SQ3 = 1.0 / np.sqrt(3.0)
@@ -30,7 +35,7 @@ SQ3 = 1.0 / np.sqrt(3.0)
 
 class TestKDFromState:
     def test_z_plus_entries(self):
-        kd = kd_from_state(density(eigenstate("Z", +1)))
+        kd = kd_from_bloch(bloch_vector("Z", +1))
         # OUTCOMES4 order: (+1, +1), (+1, -1), (-1, +1), (-1, -1)
         assert kd.entries[0] == pytest.approx((1 + 1j) / 4, abs=1e-12)
         assert kd.entries[1] == pytest.approx((1 - 1j) / 4, abs=1e-12)
@@ -38,13 +43,13 @@ class TestKDFromState:
         assert kd.entries[3] == pytest.approx((1 + 1j) / 4, abs=1e-12)
 
     def test_maximally_mixed_uniform(self):
-        kd = kd_from_state(identity(2) / 2)
+        kd = kd_from_bloch((0, 0, 0))
         for entry in kd.entries:
             assert entry == pytest.approx(0.25, abs=1e-12)
 
     @pytest.mark.parametrize("axis,value", [("X", +1), ("X", -1), ("Y", +1), ("Y", -1)])
     def test_eigenstate_kd_is_real_and_concentrated(self, axis, value):
-        kd = kd_from_state(density(eigenstate(axis, value)))
+        kd = kd_from_bloch(bloch_vector(axis, value))
         for (x, y), entry in zip(OUTCOMES4, kd.entries.tolist()):
             assert abs(entry.imag) <= 1e-12
             outcome = x if axis == "X" else y
@@ -57,17 +62,18 @@ class TestKDFromState:
     def test_correlation_moment_is_imaginary_z_expectation(self):
         rng = np.random.default_rng(51)
         for _ in range(25):
-            rho = random_qubit_density(rng)
-            kd = kd_from_state(rho)
+            r = random_bloch_vector(rng)
+            kd = kd_from_bloch(r)
             moment = sum(x * y * entry for (x, y), entry in zip(OUTCOMES4, kd.entries))
-            mean_z = trace_product(pauli("Z"), rho).real
+            mean_z = trace_product(pauli("Z"), bloch_density(r)).real
             assert complex(moment) == pytest.approx(1j * mean_z, abs=1e-12)
 
     def test_marginals_are_born_probabilities(self):
         rng = np.random.default_rng(52)
         for _ in range(25):
-            rho = random_qubit_density(rng)
-            kd = kd_from_state(rho)
+            r = random_bloch_vector(rng)
+            rho = bloch_density(r)
+            kd = kd_from_bloch(r)
             for x in (+1, -1):
                 born = trace_product(density(eigenstate("X", x)), rho).real
                 assert kd.x_marginal(x) == pytest.approx(born, abs=1e-12)
@@ -77,19 +83,32 @@ class TestKDFromState:
 
     def test_linear_in_the_state(self):
         rng = np.random.default_rng(53)
-        rho1 = random_qubit_density(rng)
-        rho2 = random_qubit_density(rng)
+        r1 = random_bloch_vector(rng)
+        r2 = random_bloch_vector(rng)
         lam = 0.3
-        mixture = kd_from_state(lam * rho1 + (1 - lam) * rho2)
-        kd1 = kd_from_state(rho1)
-        kd2 = kd_from_state(rho2)
+        mixture = kd_from_bloch(lam * r1 + (1 - lam) * r2)
+        kd1 = kd_from_bloch(r1)
+        kd2 = kd_from_bloch(r2)
         for k in range(4):
             expected = lam * kd1.entries[k] + (1 - lam) * kd2.entries[k]
             assert mixture.entries[k] == pytest.approx(expected, abs=1e-12)
 
     def test_invalid_state_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            kd_from_bloch((np.nan, 0.0, 0.0))
+        # the ket reference validates its density matrix
         with pytest.raises(ValueError):
             kd_from_state(np.diag([0.5, 0.6]))
+
+    def test_matches_ket_reference(self):
+        # <x|y><y|rho|x> contracted from the kets, for named states, the unit sphere and the ball
+        rng = np.random.default_rng(50)
+        named = [bloch_vector(a, s) for a in "XYZ" for s in (+1, -1)]
+        sphere = [r / np.linalg.norm(r) for r in rng.normal(size=(50, 3))]
+        ball = [random_bloch_vector(rng) for _ in range(50)]
+        for r in [*named, *sphere, *ball, np.zeros(3)]:
+            reference = kd_from_state(bloch_density(r)).entries
+            assert np.max(np.abs(kd_from_bloch(r).entries - reference)) <= 1e-15
 
 
 def kd_pair_reference(rho4) -> list:
@@ -112,7 +131,7 @@ class TestPairKD:
         rng = np.random.default_rng(560 + seed)
         for _ in range(25):
             # Werner states mixed with random product states, and random full-rank states
-            product = tensor(random_qubit_density(rng), random_qubit_density(rng))
+            product = tensor(*(bloch_density(random_bloch_vector(rng)) for _ in range(2)))
             lam = rng.random()
             ginibre = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
             generic = ginibre @ ginibre.conj().T
@@ -132,25 +151,25 @@ class TestPairKD:
                 assert entry.real == pytest.approx(0.0, abs=1e-12)
 
     def test_maximally_mixed_uniform(self):
-        kd = kd_pair_from_state(identity(4) / 4)
+        kd = kd_pair_from_state(np.eye(4) / 4)
         for entry in kd:
             assert entry == pytest.approx(1 / 16, abs=1e-12)
 
     def test_product_state_factorizes(self):
         rng = np.random.default_rng(54)
-        rho_a = random_qubit_density(rng)
-        rho_b = random_qubit_density(rng)
-        pair = kd_pair_from_state(tensor(rho_a, rho_b))
-        kd_a = kd_from_state(rho_a)
-        kd_b = kd_from_state(rho_b)
+        r_a = random_bloch_vector(rng)
+        r_b = random_bloch_vector(rng)
+        pair = kd_pair_from_state(tensor(bloch_density(r_a), bloch_density(r_b)))
+        kd_a = kd_from_bloch(r_a)
+        kd_b = kd_from_bloch(r_b)
         for (x1, y1, x2, y2), entry in zip(OUTCOMES16, pair):
             expected = kd_a.entries[OUTCOMES4.index((x1, y1))] * kd_b.entries[OUTCOMES4.index((x2, y2))]
             assert entry == pytest.approx(expected, abs=1e-12)
 
     def test_wing_marginals_reproduce_x_statistics(self):
         rng = np.random.default_rng(55)
-        rho_a = random_qubit_density(rng)
-        rho_b = random_qubit_density(rng)
+        rho_a = bloch_density(random_bloch_vector(rng))
+        rho_b = bloch_density(random_bloch_vector(rng))
         pair = kd_pair_from_state(tensor(rho_a, rho_b))
         for x1 in (+1, -1):
             marginal = sum(
@@ -166,8 +185,7 @@ class TestPairKD:
 class TestReconstruct:
     def test_z_plus_round_trip_at_symmetric_point(self):
         v = VisibilityTriple(SQ3, SQ3, SQ3)
-        rho = density(eigenstate("Z", +1))
-        p = outcome_probs(build_povm(v), rho)
+        p = outcome_table(build_povm(v), bloch_vector("Z", +1))
         kd = reconstruct_kd(p, v.vx, v.vy, 1j * v.vz)
         # OUTCOMES4 order: (+1, +1), (+1, -1), (-1, +1), (-1, -1)
         assert kd.entries[0] == pytest.approx((1 + 1j) / 4, abs=1e-10)
@@ -190,15 +208,15 @@ class TestReconstruct:
                 if abs(vz) >= 0.05 and vx * vx + vy * vy + vz * vz <= 1.0:
                     break
             v = VisibilityTriple(vx, vy, vz)
-            rho = random_qubit_density(rng)
-            p = outcome_probs(build_povm(v), rho)
+            r = random_bloch_vector(rng)
+            p = outcome_table(build_povm(v), r)
             kd = reconstruct_kd(p, v.vx, v.vy, 1j * v.vz)
-            expected = kd_from_state(rho)
+            expected = kd_from_bloch(r)
             for k in range(4):
                 assert abs(kd.entries[k] - expected.entries[k]) <= 1e-10
 
     def test_singular_parameters_rejected_by_name(self):
-        p = outcome_probs(build_povm(VisibilityTriple(0.6, 0.8, 0.0)), identity(2) / 2)
+        p = outcome_table(build_povm(VisibilityTriple(0.6, 0.8, 0.0)), (0, 0, 0))
         with pytest.raises(SingularInversionError, match="c"):
             reconstruct_kd(p, 0.6, 0.8, 0.0)
         with pytest.raises(SingularInversionError, match="vx"):
@@ -243,8 +261,8 @@ class TestReconstruct:
         counts = run_eigenstate_experiment(config, "X", +1)
         p_hat = counts.counts / shots
         kd_hat = reconstruct_kd(p_hat, v.vx, v.vy, 1j * v.vz)
-        expected = kd_from_state(density(eigenstate("X", +1)))
-        p_true = outcome_probs(build_povm(v), density(eigenstate("X", +1)))
+        expected = kd_from_bloch(bloch_vector("X", +1))
+        p_true = outcome_table(build_povm(v), bloch_vector("X", +1))
         for x, y in OUTCOMES4:
             coeffs = {
                 (xp, yp): (
@@ -263,7 +281,7 @@ class TestReconstruct:
 
 class TestForwardMap:
     def test_z_plus_through_symmetric_device(self):
-        kd = kd_from_state(density(eigenstate("Z", +1)))
+        kd = kd_from_bloch(bloch_vector("Z", +1))
         m = error_model_from_visibilities(SQ3, SQ3, 1j * SQ3)
         table = forward_map(kd, m)
         for (x, y), entry in zip(OUTCOMES4, table):
@@ -277,7 +295,7 @@ class TestForwardMap:
             assert entry == pytest.approx(0.25, abs=1e-12)
 
     def test_ideal_classical_model_is_identity_on_eigenstate_kd(self):
-        kd = kd_from_state(density(eigenstate("X", +1)))
+        kd = kd_from_bloch(bloch_vector("X", +1))
         m = error_model_from_visibilities(1.0, 1.0, 1.0)
         table = forward_map(kd, m)
         for k in range(4):
@@ -292,10 +310,10 @@ class TestForwardMap:
                 if vx * vx + vy * vy + vz * vz <= 1.0:
                     break
             v = VisibilityTriple(vx, vy, vz)
-            rho = random_qubit_density(rng)
+            r = random_bloch_vector(rng)
             m = error_model_from_visibilities(v.vx, v.vy, 1j * v.vz)
-            table = forward_map(kd_from_state(rho), m)
-            expected = outcome_probs(build_povm(v), rho)
+            table = forward_map(kd_from_bloch(r), m)
+            expected = outcome_table(build_povm(v), r)
             for k in range(4):
                 assert table[k] == pytest.approx(expected[k], abs=1e-10)
 
@@ -318,8 +336,7 @@ class TestForwardMap:
     def test_inverse_of_reconstruct_for_physical_devices(self):
         rng = np.random.default_rng(60)
         for _ in range(20):
-            rho = random_qubit_density(rng)
-            kd = kd_from_state(rho)
+            kd = kd_from_bloch(random_bloch_vector(rng))
             while True:
                 vx, vy = rng.uniform(0.2, 1.0, size=2)
                 vz = rng.uniform(0.05, 1.0) * rng.choice([-1.0, 1.0])
@@ -333,7 +350,7 @@ class TestForwardMap:
 
     def test_inconsistent_pair_rejected(self):
         # real correlation weight against an imaginary correlation moment
-        kd = kd_from_state(density(eigenstate("Z", +1)))
+        kd = kd_from_bloch(bloch_vector("Z", +1))
         m = error_model_from_visibilities(0.2, 0.2, 0.5)
         with pytest.raises(ValueError, match="complex"):
             forward_map(kd, m)
@@ -368,7 +385,7 @@ class TestOperatorIdentities:
         result = check_operator_identities(samples=10)
         assert result.passed and result.detail.startswith("max deviation ")
 
-        monkeypatch.setattr(checks, "_kd_entries", lambda rho: np.full((len(rho), 4), np.nan))
+        monkeypatch.setattr(checks, "_kd_entries", lambda r: np.full((len(r), 4), np.nan))
         result = check_operator_identities(samples=10)
         assert not result.passed
         assert result.detail == "failed: ideal_traces_equal_kd_entries"

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from xymeas import analysis, checks, fileio, kirkwood, povm, qubit, simulate
+from xymeas import analysis, checks, cli, fileio, kirkwood, povm, qubit, simulate
 from xymeas.simulate import OutcomeCounts4, PairCounts16
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -27,9 +27,21 @@ MOVED = {
         "predicted_pattern_probs",
         "pattern_of",
     ),
-    kirkwood: ("forward_map", "kd_pair_from_state", "random_qubit_density"),
-    qubit: ("trace_product", "tensor", "min_eigenvalue_hermitian", "is_hermitian"),
-    povm: ("pair_outcome_probs",),
+    kirkwood: ("forward_map", "kd_pair_from_state", "kd_from_state"),
+    qubit: (
+        "trace_product",
+        "tensor",
+        "min_eigenvalue_hermitian",
+        "is_hermitian",
+        "eigenstate",
+        "singlet",
+        "ensure_state_vector",
+        "density",
+        "ensure_density_matrix",
+        "_EIGENSTATE",
+        "_as_complex_array",
+    ),
+    povm: ("pair_outcome_probs", "_real_probs"),
     simulate: ("werner_state",),
 }
 
@@ -42,13 +54,15 @@ def test_oracle_names_are_not_in_the_package():
 
 
 # capability no command used: the measurement-dump reader and the two-qubit KD path;
-# and the second summation order with the wrapper around the element array
+# the second summation order with the wrapper around the element array; and the
+# ket and density-matrix forms of a qubit state, which its Bloch vector replaces
 REMOVED = {
-    fileio: ("read_povm_file", "_entry"),
+    fileio: ("read_povm_file", "_entry", "named_state_density"),
     qubit: ("tensor_state",),
-    kirkwood: ("_product_kets",),
-    povm: ("_sum4", "JointPovm"),
-    checks: ("_hadamard_by_parts",),
+    kirkwood: ("_product_kets", "random_qubit_density", "_KET_X", "_KET_Y", "_OVERLAP"),
+    povm: ("_sum4", "JointPovm", "outcome_probs"),
+    simulate: ("eigenstate_table",),
+    checks: ("_hadamard_by_parts", "_random_qubit_densities"),
 }
 
 
@@ -61,11 +75,11 @@ def test_removed_names_stay_removed():
 
 @pytest.mark.parametrize(
     "function, parameter",
-    [(kirkwood._kd_entries, "outcomes"), (fileio._parse_keyed, "width")],
-    ids=["_kd_entries", "_parse_keyed"],
+    [(kirkwood._kd_entries, "outcomes"), (fileio._parse_keyed, "width"), (qubit.identity, "dim")],
+    ids=["_kd_entries", "_parse_keyed", "identity"],
 )
 def test_one_shape_parameters_are_gone(function, parameter):
-    # _kd_entries serves qubit states only, _parse_keyed one value per row
+    # _kd_entries serves qubit states only, _parse_keyed one value per row, identity 2x2 only
     assert parameter not in inspect.signature(function).parameters
 
 
@@ -82,8 +96,8 @@ def test_kirkwood_does_not_import_analysis():
 def test_kirkwood_holds_no_self_check():
     # the operator-identity check and its state sampler live in `checks` with the other three
     assert not hasattr(kirkwood, "verify_operator_identities")
-    assert not hasattr(kirkwood, "_random_qubit_densities")
-    assert hasattr(checks, "_random_qubit_densities")
+    assert not hasattr(kirkwood, "_random_bloch_vectors")
+    assert hasattr(checks, "_random_bloch_vectors")
 
 
 @pytest.mark.parametrize(
@@ -116,9 +130,18 @@ def _blas_uses(source: str) -> list[str]:
 
 @pytest.mark.parametrize(
     "code",
-    [simulate, povm.ideal_operator, checks.check_operator_identities],
-    ids=["simulate", "ideal_operator", "check_operator_identities"],
+    [simulate, kirkwood, qubit, povm.outcome_table, povm.ideal_operator, checks.check_operator_identities],
+    ids=["simulate", "kirkwood", "qubit", "outcome_table", "ideal_operator", "check_operator_identities"],
 )
 def test_sampling_and_verify_products_call_no_blas(code):
     # so their digits depend on neither the BLAS library nor its kernel
     assert _blas_uses(inspect.getsource(code)) == []
+
+
+def test_linalg_only_normalizes_the_random_bloch_vectors():
+    # no eigensolve and no 4x4 path is left in the package: a qubit state is its Bloch vector
+    def linalg(code) -> int:
+        return sum(use.endswith(": linalg") for use in _blas_uses(inspect.getsource(code)))
+
+    modules = (analysis, checks, cli, fileio, kirkwood, povm, qubit, simulate)
+    assert sum(map(linalg, modules)) == linalg(checks._random_bloch_vectors) == 1

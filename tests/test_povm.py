@@ -8,10 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    bloch_density,
+    density,
+    eigenstate,
     element,
     min_eigenvalue_hermitian,
     pair_outcome_probs,
-    random_qubit_density,
+    random_bloch_vector,
+    singlet,
     tensor,
     trace_product,
     werner_state,
@@ -26,9 +30,10 @@ from xymeas.povm import (
     build_povm,
     exact_pattern_probs,
     ideal_operator,
-    outcome_probs,
+    outcome_table,
 )
-from xymeas.qubit import ATOL_ALGEBRA, ATOL_EIG, density, eigenstate, identity, pauli, singlet
+from xymeas.qubit import ATOL_ALGEBRA, ATOL_EIG, bloch_vector, identity, pauli
+from xymeas.simulate import _bloch_components
 
 SQ3 = 1.0 / np.sqrt(3.0)
 
@@ -70,7 +75,7 @@ class TestBuildPovm:
     def test_projective_x_limit(self):
         povm = build_povm(VisibilityTriple(1.0, 0.0, 0.0))
         for x, y in OUTCOMES4:
-            expected = (identity(2) + x * pauli("X")) / 4.0
+            expected = (identity() + x * pauli("X")) / 4.0
             assert np.allclose(element(povm, x, y), expected, atol=ATOL_ALGEBRA)
 
     def test_symmetric_point_elements_are_half_projectors(self):
@@ -85,7 +90,7 @@ class TestBuildPovm:
     def test_completeness_and_min_eigenvalue(self, v):
         povm = build_povm(v)
         total = sum(element(povm, *o) for o in OUTCOMES4)
-        assert np.max(np.abs(total - identity(2))) <= ATOL_ALGEBRA
+        assert np.max(np.abs(total - identity())) <= ATOL_ALGEBRA
         expected_min = (1.0 - np.sqrt(v.norm_squared)) / 4.0
         for o in OUTCOMES4:
             lam = min_eigenvalue_hermitian(element(povm, *o))
@@ -98,13 +103,13 @@ class TestBuildPovm:
 def test_povm_completeness_property(v):
     povm = build_povm(v)
     total = sum(element(povm, *o) for o in OUTCOMES4)
-    assert np.max(np.abs(total - identity(2))) <= ATOL_ALGEBRA
+    assert np.max(np.abs(total - identity())) <= ATOL_ALGEBRA
 
 
 class TestOutcomeProbs:
     def test_x_plus_input(self):
         povm = build_povm(VisibilityTriple(0.6, 0.8, 0.0))
-        p = outcome_probs(povm, density(eigenstate("X", +1)))
+        p = outcome_table(povm, bloch_vector("X", +1))
         # OUTCOMES4 order: (+1, +1), (+1, -1), (-1, +1), (-1, -1)
         assert p[0] == pytest.approx(0.4, abs=ATOL_ALGEBRA)
         assert p[1] == pytest.approx(0.4, abs=ATOL_ALGEBRA)
@@ -113,13 +118,13 @@ class TestOutcomeProbs:
 
     def test_maximally_mixed_is_uniform(self):
         povm = build_povm(VisibilityTriple(0.5, 0.5, 0.5))
-        p = outcome_probs(povm, identity(2) / 2.0)
+        p = outcome_table(povm, (0, 0, 0))
         for entry in p:
             assert entry == pytest.approx(0.25, abs=ATOL_ALGEBRA)
 
     def test_z_plus_sees_only_the_correlation(self):
         povm = build_povm(VisibilityTriple(SQ3, SQ3, SQ3))
-        p = outcome_probs(povm, density(eigenstate("Z", +1)))
+        p = outcome_table(povm, bloch_vector("Z", +1))
         for (x, y), entry in zip(OUTCOMES4, p):
             assert entry == pytest.approx((1 + x * y * SQ3) / 4.0, abs=ATOL_ALGEBRA)
 
@@ -127,11 +132,10 @@ class TestOutcomeProbs:
         rng = np.random.default_rng(23)
         povm = build_povm(VisibilityTriple(0.7, 0.5, 0.2))
         for _ in range(10):
-            psi = rng.normal(size=2) + 1j * rng.normal(size=2)
-            rho = density(psi / np.linalg.norm(psi))
-            p = outcome_probs(povm, rho)
-            mean_x = trace_product(pauli("X"), rho).real
-            mean_y = trace_product(pauli("Y"), rho).real
+            r = random_bloch_vector(rng)
+            p = outcome_table(povm, r)
+            mean_x = trace_product(pauli("X"), bloch_density(r)).real
+            mean_y = trace_product(pauli("Y"), bloch_density(r)).real
             for x in (+1, -1):
                 marginal = p[OUTCOMES4.index((x, +1))] + p[OUTCOMES4.index((x, -1))]
                 assert marginal == pytest.approx((1 + x * 0.7 * mean_x) / 2, abs=1e-10)
@@ -141,10 +145,26 @@ class TestOutcomeProbs:
 
     def test_invalid_state_rejected(self):
         povm = build_povm(VisibilityTriple(0.5, 0.5, 0.0))
+        with pytest.raises(ValueError, match="outcome table: entries must be finite"):
+            outcome_table(povm, (np.nan, 0.0, 0.0))
         with pytest.raises(ValueError):
-            outcome_probs(povm, np.diag([0.7, 0.7]))
-        with pytest.raises(ValueError):
-            outcome_probs(povm, np.diag([1.4, -0.4]))
+            outcome_table(povm, (0.0, 1.0))
+
+    def test_z_eigenstates_read_the_diagonal_exactly(self):
+        for v in valid_triples():
+            povm = build_povm(v)
+            assert outcome_table(povm, bloch_vector("Z", +1)).tobytes() == povm[:, 0, 0].real.tobytes()
+            assert outcome_table(povm, bloch_vector("Z", -1)).tobytes() == povm[:, 1, 1].real.tobytes()
+
+    def test_x_and_y_eigenstates_are_bloch_rows_to_the_bit(self):
+        # the Bloch-component form (Tr E + value Tr E sigma) / 2, bit for bit
+        for v in valid_triples():
+            povm = build_povm(v)
+            t, bx, by, _ = _bloch_components(povm)
+            for axis, b in (("X", bx), ("Y", by)):
+                for value in (+1, -1):
+                    table = outcome_table(povm, bloch_vector(axis, value))
+                    assert table.tobytes() == ((t + value * b) / 2.0).tobytes()
 
 
 class TestPairOutcomeProbs:
@@ -193,7 +213,7 @@ class TestPairOutcomeProbs:
     def test_invalid_pair_state_rejected(self):
         povm = build_povm(VisibilityTriple(0.5, 0.5, 0.0))
         with pytest.raises(ValueError):
-            pair_outcome_probs(povm, povm, identity(4))
+            pair_outcome_probs(povm, povm, np.eye(4))
 
 
     def test_elements_are_one_read_only_stack(self):
@@ -213,12 +233,16 @@ def random_pair_density(seed: int) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
+def random_unit_vector(seed: int) -> np.ndarray:
+    r = np.random.default_rng(seed).normal(size=3)
+    return r / np.linalg.norm(r)
+
+
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
-qubit_states = st.one_of(
-    st.sampled_from([(a, s) for a in "XYZ" for s in (+1, -1)]).map(
-        lambda a: density(eigenstate(*a))
-    ),
-    seeds.map(lambda s: random_qubit_density(np.random.default_rng(s))),
+bloch_vectors = st.one_of(
+    st.sampled_from([bloch_vector(a, s) for a in "XYZ" for s in (+1, -1)]),
+    seeds.map(lambda s: random_bloch_vector(np.random.default_rng(s))),
+    seeds.map(random_unit_vector),
 )
 pair_states = st.one_of(
     st.floats(min_value=0.0, max_value=1.0).map(werner_state),
@@ -227,12 +251,12 @@ pair_states = st.one_of(
 
 
 @settings(max_examples=300, deadline=None)
-@given(v1=visibility_triples, v2=visibility_triples, rho=qubit_states, rho4=pair_states)
-def test_stacked_tables_equal_per_element_reference(v1, v2, rho, rho4):
-    """One stacked product gives the per-element traces bit for bit."""
+@given(v1=visibility_triples, v2=visibility_triples, r=bloch_vectors, rho4=pair_states)
+def test_stacked_tables_equal_per_element_reference(v1, v2, r, rho4):
+    """The Bloch table is the per-element trace to 1e-15; one stacked pair product is bit for bit."""
     povm1, povm2 = build_povm(v1), build_povm(v2)
-    single = [trace_product(element(povm1, *o), rho) for o in OUTCOMES4]
-    assert np.array_equal(outcome_probs(povm1, rho), np.real(single))
+    single = [trace_product(element(povm1, *o), bloch_density(r)) for o in OUTCOMES4]
+    assert np.max(np.abs(outcome_table(povm1, r) - np.real(single))) <= 1e-15
     for a, b in ((povm1, povm2), (povm2, povm1), (povm1, povm1)):
         pair = [
             trace_product(tensor(element(a, x1, y1), element(b, x2, y2)), rho4)
@@ -305,12 +329,12 @@ class TestIdealOperator:
     @pytest.mark.parametrize("sx,sy", OUTCOMES4)
     def test_entries_are_exact(self, sx, sy):
         # (I + sx X)(I + sy Y) = I + sx X + sy Y + i sx sy Z, every entry a sum of 0, +-1 and +-i
-        expected = identity(2) + sx * pauli("X") + sy * pauli("Y") + 1j * sx * sy * pauli("Z")
+        expected = identity() + sx * pauli("X") + sy * pauli("Y") + 1j * sx * sy * pauli("Z")
         assert np.array_equal(ideal_operator(sx, sy), expected / 4.0)
 
     def test_completeness(self):
         total = sum(ideal_operator(sx, sy) for sx, sy in OUTCOMES4)
-        assert np.max(np.abs(total - identity(2))) <= ATOL_ALGEBRA
+        assert np.max(np.abs(total - identity())) <= ATOL_ALGEBRA
 
     @pytest.mark.parametrize("sx,sy", OUTCOMES4)
     def test_trace_on_z_plus(self, sx, sy):

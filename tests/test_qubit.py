@@ -1,4 +1,4 @@
-"""Pauli algebra, eigenstates, the singlet, and trace machinery."""
+"""Pauli algebra, Bloch vectors, and the ket and density-matrix references in ``oracles``."""
 
 import itertools
 
@@ -7,17 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import is_hermitian, min_eigenvalue_hermitian, tensor, trace_product
-from xymeas import qubit
-from xymeas.qubit import (
-    ATOL_ALGEBRA,
-    ATOL_EIG,
+import oracles
+from oracles import (
     density,
     eigenstate,
-    identity,
-    pauli,
+    is_hermitian,
+    min_eigenvalue_hermitian,
     singlet,
+    tensor,
+    trace_product,
 )
+from xymeas import qubit
+from xymeas.fileio import named_state_bloch
+from xymeas.qubit import ATOL_ALGEBRA, ATOL_EIG, bloch_vector, identity, pauli
 
 AXES = ("X", "Y", "Z")
 
@@ -44,7 +46,7 @@ class TestPauli:
 
     @pytest.mark.parametrize("axis", AXES)
     def test_involution(self, axis):
-        assert np.allclose(pauli(axis) @ pauli(axis), identity(2), atol=ATOL_ALGEBRA)
+        assert np.allclose(pauli(axis) @ pauli(axis), identity(), atol=ATOL_ALGEBRA)
 
     def test_xy_is_i_z(self):
         assert np.allclose(pauli("X") @ pauli("Y"), 1j * pauli("Z"), atol=ATOL_ALGEBRA)
@@ -106,6 +108,26 @@ class TestEigenstate:
     def test_invalid_value_rejected(self):
         with pytest.raises(ValueError):
             eigenstate("X", 2)
+        with pytest.raises(ValueError):
+            bloch_vector("X", 0)
+        with pytest.raises(ValueError):
+            bloch_vector("W", +1)
+
+    @pytest.mark.parametrize("axis", AXES)
+    @pytest.mark.parametrize("value", [+1, -1])
+    def test_bloch_vector_is_the_kets_state(self, axis, value):
+        r = bloch_vector(axis, value)
+        assert r.dtype.kind == "i" and r.tolist() == [value * (a == axis) for a in AXES]
+        assert np.max(np.abs(oracles.bloch_density(r) - density(eigenstate(axis, value)))) <= ATOL_ALGEBRA
+        # a probability file names the same state by its label
+        assert named_state_bloch(f"{axis}{'+' if value == +1 else '-'}").tolist() == r.tolist()
+
+    def test_named_mixed_state_is_the_origin(self):
+        r = named_state_bloch("mixed")
+        assert r.dtype.kind == "i" and r.tolist() == [0, 0, 0]
+        assert np.array_equal(oracles.bloch_density(r), identity() / 2)
+        with pytest.raises(ValueError, match="expected one of"):
+            named_state_bloch("Q+")
 
 
 class TestSinglet:
@@ -135,7 +157,7 @@ class TestSinglet:
 
 class TestTensor:
     def test_identity_factors(self):
-        assert np.array_equal(tensor(identity(2), identity(2)), identity(4))
+        assert np.array_equal(tensor(identity(), identity()), np.eye(4))
 
     def test_zz_diagonal(self):
         assert np.allclose(tensor(pauli("Z"), pauli("Z")), np.diag([1, -1, -1, 1]))
@@ -153,13 +175,13 @@ class TestTensor:
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            tensor(identity(2), identity(4))
+            tensor(identity(), np.eye(4))
 
 
 class TestTraceProduct:
     def test_identity_against_unit_trace(self):
         rho = density(eigenstate("Y", -1))
-        assert abs(trace_product(identity(2), rho) - 1.0) <= ATOL_ALGEBRA
+        assert abs(trace_product(identity(), rho) - 1.0) <= ATOL_ALGEBRA
 
     def test_eigenvalue_readout(self):
         rho = density(eigenstate("Z", +1))
@@ -185,7 +207,7 @@ class TestTraceProduct:
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            trace_product(identity(2), identity(4))
+            trace_product(identity(), np.eye(4))
 
 
 class TestDensity:
@@ -209,14 +231,14 @@ class TestDensity:
 
 class TestMinEigenvalue:
     def test_identity(self):
-        assert min_eigenvalue_hermitian(identity(2)) == pytest.approx(1.0, abs=ATOL_EIG)
+        assert min_eigenvalue_hermitian(identity()) == pytest.approx(1.0, abs=ATOL_EIG)
 
     def test_pauli_x(self):
         assert min_eigenvalue_hermitian(pauli("X")) == pytest.approx(-1.0, abs=ATOL_EIG)
 
     def test_unit_bloch_vector_element(self):
         # closed-form 2x2 eigenvalues (1 +- |v|)/4 with |v| = 1
-        m = (identity(2) + (pauli("X") + pauli("Y") + pauli("Z")) / np.sqrt(3)) / 4.0
+        m = (identity() + (pauli("X") + pauli("Y") + pauli("Z")) / np.sqrt(3)) / 4.0
         assert min_eigenvalue_hermitian(m) == pytest.approx(0.0, abs=ATOL_EIG)
 
     def test_matches_dense_solver(self):
@@ -291,7 +313,7 @@ class TestStackedMinEigenvalue:
         assert isinstance(min_eigenvalue_hermitian(stack2[0, 0]), float)
 
     def test_non_hermitian_member_rejected(self):
-        stack = np.array([identity(2), identity(2), [[0, 1], [0, 0]]], dtype=complex)
+        stack = np.array([identity(), identity(), [[0, 1], [0, 0]]], dtype=complex)
         with pytest.raises(ValueError, match="Hermitian"):
             min_eigenvalue_hermitian(stack)
 
@@ -299,7 +321,7 @@ class TestStackedMinEigenvalue:
 class TestStackedDensityMatrices:
     def test_valid_stack_returned(self):
         stack = np.array([density(eigenstate(a, s)) for a in AXES for s in (+1, -1)])
-        assert qubit.ensure_density_matrix(stack, dim=2) is not None
+        assert oracles.ensure_density_matrix(stack, dim=2) is not None
         assert is_hermitian(stack)
 
     @pytest.mark.parametrize(
@@ -315,13 +337,13 @@ class TestStackedDensityMatrices:
         stack = np.array([density(eigenstate("Z", +1))] * 4)
         stack[2] = spoil(stack[2])
         with pytest.raises(ValueError, match=message):
-            qubit.ensure_density_matrix(stack)
+            oracles.ensure_density_matrix(stack)
 
     def test_empty_stack_accepted(self):
-        assert qubit.ensure_density_matrix(np.zeros((0, 2, 2)), dim=2).shape == (0, 2, 2)
+        assert oracles.ensure_density_matrix(np.zeros((0, 2, 2)), dim=2).shape == (0, 2, 2)
 
     def test_single_matrix_functions_reject_stacks(self):
-        stack = np.array([identity(2)] * 2)
+        stack = np.array([identity()] * 2)
         with pytest.raises(ValueError, match="2x2 or 4x4 matrix"):
             trace_product(stack, stack)
 
@@ -335,13 +357,13 @@ class TestStackedDensityMatrices:
 def test_trace_product_linear_in_scaled_projectors(axis, value, coeff):
     rho = density(eigenstate(axis, value))
     m = pauli(axis)
-    lhs = trace_product(coeff * m + identity(2), rho)
+    lhs = trace_product(coeff * m + identity(), rho)
     rhs = coeff * trace_product(m, rho) + 1.0
     assert abs(lhs - rhs) <= 1e-10
 
 
 def test_validators_reject_nonfinite():
     with pytest.raises(ValueError):
-        qubit.ensure_state_vector(np.array([np.nan, 0.0]))
+        oracles.ensure_state_vector(np.array([np.nan, 0.0]))
     with pytest.raises(ValueError):
-        qubit.ensure_density_matrix(np.full((2, 2), np.inf))
+        oracles.ensure_density_matrix(np.full((2, 2), np.inf))

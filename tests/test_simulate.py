@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import pair_outcome_probs, tensor, trace_product, werner_state
+from oracles import density, eigenstate, pair_outcome_probs, singlet, tensor, trace_product, werner_state
 from xymeas import simulate
 from xymeas.povm import (
     OUTCOMES4,
@@ -22,9 +22,9 @@ from xymeas.povm import (
     VisibilityTriple,
     build_povm,
     exact_pattern_probs,
-    outcome_probs,
+    outcome_table,
 )
-from xymeas.qubit import density, eigenstate, identity, pauli, singlet
+from xymeas.qubit import bloch_vector, pauli
 from xymeas.simulate import (
     BLOCK_SHOTS,
     ExperimentConfig,
@@ -33,7 +33,6 @@ from xymeas.simulate import (
     _cumulative,
     _histogram,
     block_rng,
-    eigenstate_table,
     run_eigenstate_experiment,
     run_pair_experiment,
     werner_table,
@@ -192,7 +191,7 @@ class TestBlockRng:
 def per_shot_eigenstate_counts(config, axis, value, randomize_flips):
     """Reference sampler: one inverse-CDF index per shot, then a bincount."""
     povm = build_povm(config.visibilities)
-    cums = {v: _cumulative(eigenstate_table(povm, axis, v)) for v in (value, -value)}
+    cums = {v: _cumulative(outcome_table(povm, bloch_vector(axis, v))) for v in (value, -value)}
     hist = np.zeros(4, dtype=np.int64)
     for index, start in enumerate(range(0, config.shots, BLOCK_SHOTS)):
         n = min(BLOCK_SHOTS, config.shots - start)
@@ -250,7 +249,7 @@ class TestConfig:
 class TestWernerState:
     def test_endpoints(self):
         assert np.allclose(werner_state(1.0), density(singlet()), atol=1e-15)
-        assert np.allclose(werner_state(0.0), identity(4) / 4.0, atol=1e-15)
+        assert np.allclose(werner_state(0.0), np.eye(4) / 4.0, atol=1e-15)
 
     def test_half_mixture_correlation(self):
         xx = tensor(pauli("X"), pauli("X"))
@@ -339,10 +338,11 @@ class TestSamplingTables:
     @given(v=family_triples())
     def test_eigenstate_tables_equal_operator_traces(self, v):
         povm = build_povm(v)
-        for axis in ("X", "Y"):
+        for axis in ("X", "Y", "Z"):
             for value in (+1, -1):
-                reference = outcome_probs(povm, density(eigenstate(axis, value)))
-                assert np.max(np.abs(eigenstate_table(povm, axis, value) - reference)) <= 1e-15
+                rho = density(eigenstate(axis, value))
+                reference = [trace_product(e, rho).real for e in povm]
+                assert np.max(np.abs(outcome_table(povm, bloch_vector(axis, value)) - reference)) <= 1e-15
 
     @settings(max_examples=200, deadline=None)
     @given(v=family_triples(), p=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
@@ -403,9 +403,7 @@ class TestEigenstateExperiment:
             visibilities=VisibilityTriple(0.3, 0.7, 0.4), shots=1_000_000, seed=14
         )
         counts = run_eigenstate_experiment(config, "Y", -1)
-        probs = outcome_probs(
-            build_povm(config.visibilities), density(eigenstate("Y", -1))
-        )
+        probs = outcome_table(build_povm(config.visibilities), bloch_vector("Y", -1))
         for k in range(4):
             p = probs[k]
             bound = 5.0 * np.sqrt(p * (1.0 - p) / config.shots)
@@ -439,7 +437,7 @@ class TestEigenstateExperiment:
         # counts must match the no-flip distribution (GOF at 1e-3)
         v = VisibilityTriple(0.6, 0.3, 0.5)
         shots = 200_000
-        probs = outcome_probs(build_povm(v), density(eigenstate("X", +1)))
+        probs = outcome_table(build_povm(v), bloch_vector("X", +1))
         expected = probs.tolist()
         for seed, flips in ((21, True), (22, False)):
             config = ExperimentConfig(visibilities=v, shots=shots, seed=seed)

@@ -12,13 +12,15 @@ from oracles import (
     ErrorModel,
     eigenstate_probs_from_error_model,
     error_model_from_visibilities,
+    density,
     forward_map,
     kd_pair_from_state,
     pair_outcome_probs,
     pattern_quasiprobs,
+    singlet,
 )
 from xymeas.fileio import read_document, read_probs_document, write_probs_file
-from xymeas.kirkwood import KDDistribution, kd_from_state, reconstruct_kd
+from xymeas.kirkwood import KDDistribution, kd_from_bloch, reconstruct_kd
 from xymeas.povm import (
     OUTCOMES4,
     OUTCOMES16,
@@ -27,14 +29,14 @@ from xymeas.povm import (
     VisibilityTriple,
     build_povm,
     exact_pattern_probs,
-    outcome_probs,
+    outcome_table,
 )
-from xymeas.qubit import density, eigenstate, singlet
+from xymeas.qubit import bloch_vector
 from xymeas.simulate import OutcomeCounts4, PairCounts16
 
 POVM = build_povm(VisibilityTriple(0.5, 0.4, 0.3))
 MODEL = error_model_from_visibilities(0.5, 0.4, 0.3j)
-ZPLUS = density(eigenstate("Z", +1))
+ZPLUS = bloch_vector("Z", +1)
 SINGLET = density(singlet())
 
 
@@ -51,11 +53,11 @@ TABLES = [
     ("PatternStats.e", PATTERNS, lambda _: exact_pattern_probs(VisibilityTriple(0.5, 0.4, 0.3)).e),
     ("PatternStats.stderr", PATTERNS, lambda _: PatternStats([0.25, 0, 0, 0], [0.01] * 4).stderr),
     ("ErrorModel.weights", PATTERNS, lambda _: MODEL.weights),
-    ("KDDistribution.entries", OUTCOMES4, lambda _: kd_from_state(ZPLUS).entries),
-    ("outcome_probs", OUTCOMES4, lambda _: outcome_probs(POVM, ZPLUS)),
+    ("KDDistribution.entries", OUTCOMES4, lambda _: kd_from_bloch(ZPLUS).entries),
+    ("outcome_table", OUTCOMES4, lambda _: outcome_table(POVM, ZPLUS)),
     ("pair_outcome_probs", OUTCOMES16, lambda _: pair_outcome_probs(POVM, POVM, SINGLET)),
     ("kd_pair_from_state", OUTCOMES16, lambda _: kd_pair_from_state(SINGLET)),
-    ("forward_map", OUTCOMES4, lambda _: forward_map(kd_from_state(ZPLUS), MODEL)),
+    ("forward_map", OUTCOMES4, lambda _: forward_map(kd_from_bloch(ZPLUS), MODEL)),
     ("pattern_quasiprobs", PATTERNS, lambda _: pattern_quasiprobs(MODEL)),
     ("eigenstate_probs_from_error_model", OUTCOMES4, lambda _: eigenstate_probs_from_error_model(MODEL, "X")),
     ("read_probs_document", OUTCOMES4, probs_read_back),

@@ -4,8 +4,8 @@
 their input directly. The references below are the formulas they replace:
 a ``(..., 4, 4)`` product table ``P`` whose rows are added left to right
 from +0.0, ``sum((P[..., k] for k in range(4)), 0.0)``, the one order of
-every table sum. `kirkwood._kd_entries` likewise contracts its states term
-by term in that order, and `kirkwood.reconstruct_kd` is two transforms.
+every table sum. `kirkwood._kd_entries` is one transform of a state's
+Bloch moments, and `kirkwood.reconstruct_kd` is two transforms.
 Complex entries add part by part, so a complex table transforms as its
 real and imaginary parts do.
 """
@@ -16,10 +16,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from xymeas.analysis import _self_convolution
-from xymeas.checks import _random_qubit_densities
+from xymeas.checks import _random_bloch_vectors
 from xymeas.kirkwood import SINGULAR_VISIBILITY, _kd_entries, reconstruct_kd
-from xymeas.povm import HADAMARD, OUTCOMES4, _hadamard
-from xymeas.qubit import density, eigenstate
+from xymeas.povm import HADAMARD, _hadamard
+from xymeas.qubit import AXES, bloch_vector
 
 _XOR = np.bitwise_xor.outer(np.arange(4), np.arange(4))
 
@@ -116,24 +116,23 @@ def test_list_and_integer_inputs_promote_like_the_reference():
         assert bits(_self_convolution(t)) == bits(reference_self_convolution(t))
 
 
-def reference_kd_entries(rho):
-    ket_x = np.array([eigenstate("X", x) for x, _ in OUTCOMES4])
-    ket_y = np.array([eigenstate("Y", y) for _, y in OUTCOMES4])
-    overlap = added(ket_x.conj() * ket_y)
-    rho_x = added(np.asarray(rho)[..., None, :, :] * ket_x[:, None, :])
-    return overlap * added(ket_y.conj() * rho_x)
+def reference_kd_entries(r):
+    """The moments ``(1, <Y>, <X>, i<Z>)`` of each Bloch vector through the product-table transform, over 4."""
+    r = np.asarray(r, dtype=float)
+    moments = np.stack([np.ones(r.shape[:-1]), r[..., 1], r[..., 0], 1j * r[..., 2]], axis=-1)
+    return reference_hadamard(moments) / 4.0
 
 
 def test_kd_entries_add_left_to_right():
     rng = np.random.Generator(np.random.Philox(key=11))
-    stack = _random_qubit_densities(rng, 500)
+    stack = _random_bloch_vectors(rng, 500)
     assert bits(_kd_entries(stack)) == bits(reference_kd_entries(stack))
     # eigenstates have exact zeros, whose signs the report digits show
-    kets = [eigenstate(axis, value) for axis in "XYZ" for value in (+1, -1)]
-    # and states of negative zeros, since every sum starts from +0.0
-    negative_zeros = [np.full((2, 2), z) for z in (complex(-0.0, 0.0), complex(-0.0, -0.0))]
-    for rho in [*map(density, kets), *negative_zeros]:
-        assert bits(_kd_entries(rho)) == bits(reference_kd_entries(rho))
+    eigenstates = [bloch_vector(axis, value) for axis in AXES for value in (+1, -1)]
+    # and vectors of negative zeros, since every sum starts from +0.0
+    negative_zeros = [np.array([-0.0, -0.0, -0.0]), np.array([0.0, -0.0, 1.0]), np.array([-0.0, 1.0, -0.0])]
+    for r in [*eigenstates, *negative_zeros]:
+        assert bits(_kd_entries(r)) == bits(reference_kd_entries(r))
 
 
 def test_reconstruction_is_two_transforms():
