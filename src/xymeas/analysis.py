@@ -31,10 +31,10 @@ gives ``vx`` or ``vy`` from an eigenstate run of that axis, and
 Each estimate is one `Estimate`, value and standard error; `is_classical` is
 the one verdict on ``c^2``.
 
-Standard errors are diagonals of the multinomial covariance: a row
-``m = h . f`` of ``H`` (signs ``h = +-1``) over fractions ``f`` of ``N`` shots
-has ``Var(m) = (1 - m^2) / N``, for a visibility and for each pattern row
-alike. A pattern cell is binomial; an empty one gets the rule-of-three ``3/N``.
+Standard errors are diagonals of the multinomial covariance: a row ``m = h . f``
+of ``H`` (signs ``h = +-1``) over fractions ``f`` of ``N`` shots has
+``Var(m) = (1 - m^2) / N``, for a visibility and a pattern row alike. An empty
+pattern cell, or the empty side of a pattern row, gets the rule-of-three ``3/N``.
 """
 
 from __future__ import annotations
@@ -113,18 +113,23 @@ def collapse_pair_counts(counts: PairCounts16) -> PatternStats:
 def pattern_estimates(stats: PatternStats, shots: float, p: float = 1.0) -> tuple[Estimate, ...]:
     """``vx^2``, ``vy^2`` and ``c^2`` from pattern probabilities, rows of ``4 * H e``.
 
-    ``stats`` is a pair run of ``shots`` shots (``math.inf`` for an exact
-    table), corrected by `correct_for_source_noise` with Werner parameter
-    ``p`` or uncorrected at ``p = 1``; each estimate ``m`` has the stderr
-    ``sqrt((1 - (p m)^2) / shots) / p``, ``p m`` being the sampled row.
-    Every measurement in the positive family gives ``c^2 = -vz^2`` exactly;
-    a significantly negative estimate is the non-classical signature (see
-    `is_classical`). Only the square is observable, so no sign of the
-    correlation itself is reported.
+    ``stats`` is an uncorrected pair run of ``shots`` shots (``math.inf``
+    for an exact table); the values are rows of
+    ``correct_for_source_noise(stats, p)``. Each sampled row ``m`` has the
+    stderr ``sqrt((1 - m^2) / shots) / p``; where every shot falls on one
+    side of a row, the empty side gets the rule-of-three ``3 / shots`` of an
+    empty cell, a stderr of ``6 / shots / p``. Every measurement in the
+    positive family gives ``c^2 = -vz^2`` exactly; a significantly negative
+    estimate is the non-classical signature (see `is_classical`). Only the
+    square is observable, so no sign of the correlation itself is reported.
     """
-    _, vy2, vx2, c2 = (4.0 * _hadamard(stats.e)).tolist()
-    # clipped at 0: a row at |p m| = 1 may round just above it
-    return tuple(Estimate(m, math.sqrt(max(0.0, 1.0 - (p * m) ** 2) / shots) / p) for m in (vx2, vy2, c2))
+    values = (4.0 * _hadamard(correct_for_source_noise(stats, p).e)).tolist()
+    # occupied: signed counts of nonzero cells, +-occupied[0] on a row whose other side is
+    # empty; 1 - m^2 clipped at 0, as rounding dust in an exact table may lift |m| above 1
+    rows, occupied = (4.0 * _hadamard(stats.e)).tolist(), _hadamard(stats.e != 0.0).tolist()
+    stderr = [6.0 / shots if abs(k) == occupied[0] else math.sqrt(max(0.0, 1.0 - m ** 2) / shots)
+              for m, k in zip(rows, occupied)]
+    return tuple(Estimate(values[i], stderr[i] / p) for i in (2, 1, 3))
 
 
 def is_classical(c2: Estimate) -> bool:

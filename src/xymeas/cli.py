@@ -243,7 +243,7 @@ def cmd_estimate(args) -> int:
 
     if "pair" in roles:
         pair = roles["pair"]
-        stats = collapse_pair_counts(pair.counts)
+        sampled = collapse_pair_counts(pair.counts)
         werner_p, werner_lineno = pair.werner_p or (None, None)
         if args.correct_source_noise:
             if werner_p is None:
@@ -254,7 +254,8 @@ def cmd_estimate(args) -> int:
                     f"{where}: werner_p {werner_p:g} leaves no singlet signal to correct "
                     f"(below {MIN_WERNER_P:g})"
                 )
-            stats = correct_for_source_noise(stats, werner_p)
+        p = werner_p if args.correct_source_noise else 1.0
+        stats = correct_for_source_noise(sampled, p)
         sections["pair_run"] = [
             ("total_shots", str(pair.counts.total)),
             ("werner_p", fmt_float(werner_p) if werner_p is not None else "unknown"),
@@ -264,8 +265,7 @@ def cmd_estimate(args) -> int:
             (str(rx), str(ry), fmt_float(e), fmt_float(stderr))
             for (rx, ry), e, stderr in zip(PATTERNS, stats.e.tolist(), stats.stderr.tolist())
         ]
-        p = werner_p if args.correct_source_noise else 1.0
-        vx2, vy2, c2 = pattern_estimates(stats, pair.counts.total, p)
+        vx2, vy2, c2 = pattern_estimates(sampled, pair.counts.total, p)
         section("vx_squared_pair", vx2)
         section("vy_squared_pair", vy2)
         classical = is_classical(c2)

@@ -228,15 +228,29 @@ class TestPatternSums:
             counts[next(k for k, o in enumerate(OUTCOMES16) if pattern_of(*o) == pattern)] = n
         stats = collapse_pair_counts(PairCounts16(counts=counts))
         for p in (1.0, 0.5):
-            corrected = correct_for_source_noise(stats, p) if p < 1.0 else stats
-            estimates = pattern_estimates(corrected, 1000, p)
+            estimates = pattern_estimates(stats, 1000, p)
             for est, row in zip(estimates, (0.5, 0.3, 0.2)):
                 assert est.value == pytest.approx(row / p, abs=1e-12)
                 assert est.stderr == pytest.approx(math.sqrt((1.0 - row ** 2) / 1000) / p, rel=1e-12)
-        # a row at +-1 has no spread, and an exact table none at all
-        ideal = pattern_estimates(PatternStats(e=[0.25, 0.0, 0.0, 0.0], stderr=[0.0] * 4), 1000)
+        # an exact table has no spread
         exact = pattern_estimates(exact_pattern_probs(VisibilityTriple(0.5, 0.4, 0.6)), math.inf)
-        assert [e.stderr for e in (*ideal, *exact)] == [0.0] * 6
+        assert [e.stderr for e in exact] == [0.0] * 3
+
+    @pytest.mark.parametrize("p", [1.0, 0.5])
+    def test_one_sided_row_gets_rule_of_three(self, p):
+        # every shot in pattern (0, 0): each row reads 1 with an empty other side, 3/N of it
+        ideal = PatternStats(e=[0.25, 0.0, 0.0, 0.0], stderr=[0.0] * 4)
+        assert [e.stderr for e in pattern_estimates(ideal, 1000, p)] == [6.0 / 1000 / p] * 3
+        assert [e.stderr for e in pattern_estimates(ideal, math.inf, p)] == [0.0] * 3
+
+    def test_single_pair_shot_is_classical(self):
+        # one anticorrelated shot in pattern (0, 1) reads c^2 = -1, but one shot proves nothing
+        counts = [0] * 16
+        counts[OUTCOMES16.index((+1, +1, -1, +1))] = 1
+        _, _, corr = pattern_estimates(collapse_pair_counts(PairCounts16(counts=counts)), 1)
+        assert corr.value == -1.0
+        assert corr.stderr == 6.0
+        assert is_classical(corr) is True
 
     @pytest.mark.parametrize("werner_p", [1.0, 0.8])
     def test_stderr_matches_replicate_spread(self, werner_p):
@@ -246,10 +260,7 @@ class TestPatternSums:
         z = []
         for seed in range(400):
             counts = run_pair_experiment(ExperimentConfig(v, 20_000, seed), werner_p=werner_p)
-            stats = collapse_pair_counts(counts)
-            if werner_p < 1.0:
-                stats = correct_for_source_noise(stats, werner_p)
-            estimates = pattern_estimates(stats, counts.total, werner_p)
+            estimates = pattern_estimates(collapse_pair_counts(counts), counts.total, werner_p)
             z.append([(e.value - x) / e.stderr for e, x in zip(estimates, exact)])
         spread = np.std(z, axis=0)
         assert np.all((0.9 <= spread) & (spread <= 1.1)), spread
@@ -282,7 +293,7 @@ class TestSourceNoiseCorrection:
         noisy = PatternStats(e=p * pure.e + (1 - p) / 16, stderr=[0.001] * 4)
         _, _, raw = pattern_estimates(noisy, 10_000)
         assert raw.value == pytest.approx(-p * v.vz ** 2, abs=1e-12)
-        _, _, corrected = pattern_estimates(correct_for_source_noise(noisy, p), 10_000, p)
+        _, _, corrected = pattern_estimates(noisy, 10_000, p)
         assert corrected.value == pytest.approx(-v.vz ** 2, abs=1e-12)
         assert corrected.stderr == pytest.approx(raw.stderr / p, rel=1e-12)
 

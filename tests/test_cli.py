@@ -286,6 +286,20 @@ class TestEstimate:
         assert doc.section_value("csquared", "vz_magnitude") == "0"
         assert "|vz| = 0.000000," in capsys.readouterr().out
 
+    def test_single_pair_shot_is_consistent_with_classical(self, tmp_path, capsys):
+        # one shot in pattern (0, 1) reads c^2 = -1, with the rule-of-three stderr 6 of one shot
+        rows = "".join(f"{' '.join(map(fmt_sign, o))} {int(o == (+1, +1, -1, +1))}\n" for o in OUTCOMES16)
+        counts = tmp_path / "pair.counts"
+        counts.write_text("schema: xymeas-counts/1\nmode: pair\n[counts]\n" + rows)
+        report = tmp_path / "r.txt"
+        assert run_cli("estimate", counts, "--allow-partial", "--out", report) == 0
+        doc = read_document(report)
+        assert doc.section_value("csquared", "value") == "-1"
+        assert doc.section_value("csquared", "stderr") == "6"
+        assert doc.section_value("csquared", "classical") == "true"
+        assert doc.section_value("classicality", "stderr") == "1.5"
+        assert "c^2 = -1.000000 +- 6 (consistent with classical errors)" in capsys.readouterr().out
+
     def test_missing_pair_file_listed(self, tmp_path, capsys):
         paths = simulate_all(tmp_path, ("0.6", "0.8", "0"), 1000, base_seed=300)
         assert run_cli("estimate", paths["ex"], paths["ey"], "--out", tmp_path / "r.txt") == 1

@@ -47,6 +47,15 @@ def test_error_correlation_experiment(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_error_correlation_experiment_at_vz_one(tmp_path):
+    # every pair shot reads c^2 = -1: the empty side of the row gets the rule-of-three 3/N
+    out = run_script("run_error_correlation_experiment.py", "--vx", 0, "--vy", 0, "--vz", 1,
+                     "--shots", 2000, cwd=tmp_path)
+    assert out.splitlines()[-1] == (
+        "verdict: non-classical error correlation, c^2 < 0 at 333.3 sigma (|vz| estimate 1.000000)"
+    )
+
+
 def test_sweep_correlation_vs_vz(tmp_path):
     out = run_script("sweep_correlation_vs_vz.py", "--steps", 3, "--shots", 20000, cwd=tmp_path)
     header, *rows = out.splitlines()
