@@ -31,10 +31,11 @@ gives ``vx`` or ``vy`` from an eigenstate run of that axis, and
 Each estimate is one `Estimate`, value and standard error; `is_classical` is
 the one verdict on ``c^2``.
 
-Standard errors are diagonals of the multinomial covariance: a row ``m = h . f``
-of ``H`` (signs ``h = +-1``) over fractions ``f`` of ``N`` shots has
-``Var(m) = (1 - m^2) / N``, for a visibility and a pattern row alike. An empty
-pattern cell, or the empty side of a pattern row, gets the rule-of-three ``3/N``.
+Both read an integer row of ``H n`` over ``N`` counts ``n`` (`_contrast`), so
+``m = row / N`` is correctly rounded. One stderr rule serves a visibility and
+a pattern row alike: the multinomial ``sqrt((1 - m^2) / N)``, except where
+every shot fell on one side, whose empty side gets the rule-of-three ``3/N``
+(stderr ``6/N``, never 0), as an empty pattern cell does.
 """
 
 from __future__ import annotations
@@ -73,20 +74,24 @@ class Estimate:
             raise ValueError("stderr must be non-negative")
 
 
+def _contrast(counts, j: int) -> Estimate:
+    """Row ``j`` of ``H n / N`` over counts ``n`` as ``int(row) / N``; stderr ``6/N`` at ``|row| = N``."""
+    rows = _hadamard(counts).tolist()
+    total, row = int(rows[0]), int(rows[j])
+    m = row / total
+    return Estimate(m, 6.0 / total if abs(row) == total else math.sqrt((1.0 - m * m) / total))
+
+
 def estimate_visibility(counts: OutcomeCounts4) -> Estimate:
     """Resolution of the input axis from an X- or Y-eigenstate run.
 
     ``input_value * (n(+1) - n(-1)) / total`` on the axis the record names
     (``counts.input_axis``): the x or y row of ``H @ counts`` over the shot
-    count. Its binomial standard error is ``sqrt((1 - v^2) / total)``.
+    count, with the stderr of `_contrast`.
     """
-    total = counts.total
-    if total <= 0:
-        raise ValueError("estimate_visibility needs at least one shot")
-    _, y, x, _ = _hadamard(counts.counts).tolist()
-    # an integer contrast, so a balanced run at input -1 reads 0.0, not -0.0
-    v = counts.input_value * int(x if counts.input_axis == "X" else y) / total
-    return Estimate(value=v, stderr=np.sqrt((1.0 - v ** 2) / total))
+    m = _contrast(counts.counts, 2 if counts.input_axis == "X" else 1)
+    # 0.0 - m, so a balanced run at input -1 reads 0.0, not -0.0
+    return m if counts.input_value == +1 else Estimate(0.0 - m.value, m.stderr)
 
 
 # Pattern index of each OUTCOMES16 entry k, the pair of OUTCOMES4 outcomes k >> 2 and
@@ -101,35 +106,25 @@ def collapse_pair_counts(counts: PairCounts16) -> PatternStats:
     class count divided by ``4 * total``.
     """
     total = counts.total
-    if total <= 0:
-        raise ValueError("collapse_pair_counts needs at least one shot")
-    class_counts = np.bincount(_PATTERN_INDEX16, weights=counts.counts, minlength=len(PATTERNS))
-    f = class_counts / total
+    f = np.bincount(_PATTERN_INDEX16, weights=counts.counts, minlength=len(PATTERNS)) / total
     # rule-of-three upper bound for an empty pattern class
     stderr = np.where(f == 0.0, 3.0 / total, np.sqrt(f * (1.0 - f) / total)) / 4.0
     return PatternStats(e=f / 4.0, stderr=stderr)
 
 
-def pattern_estimates(stats: PatternStats, shots: float, p: float = 1.0) -> tuple[Estimate, ...]:
-    """``vx^2``, ``vy^2`` and ``c^2`` from pattern probabilities, rows of ``4 * H e``.
+def pattern_estimates(counts: PairCounts16, p: float = 1.0) -> tuple[Estimate, ...]:
+    """``vx^2``, ``vy^2`` and ``c^2`` of a pair run, rows of ``4 * H e``.
 
-    ``stats`` is an uncorrected pair run of ``shots`` shots (``math.inf``
-    for an exact table); the values are rows of
-    ``correct_for_source_noise(stats, p)``. Each sampled row ``m`` has the
-    stderr ``sqrt((1 - m^2) / shots) / p``; where every shot falls on one
-    side of a row, the empty side gets the rule-of-three ``3 / shots`` of an
-    empty cell, a stderr of ``6 / shots / p``. Every measurement in the
-    positive family gives ``c^2 = -vz^2`` exactly; a significantly negative
-    estimate is the non-classical signature (see `is_classical`). Only the
-    square is observable, so no sign of the correlation itself is reported.
+    Each is a `_contrast` of the pattern class counts over the source's
+    Werner parameter ``p``, as `correct_for_source_noise` divides a contrast.
+    The positive family gives ``c^2 = -vz^2`` exactly; a significantly
+    negative estimate is the non-classical signature (see `is_classical`).
+    Only the square is observable, so no sign of the correlation is reported.
     """
-    values = (4.0 * _hadamard(correct_for_source_noise(stats, p).e)).tolist()
-    # occupied: signed counts of nonzero cells, +-occupied[0] on a row whose other side is
-    # empty; 1 - m^2 clipped at 0, as rounding dust in an exact table may lift |m| above 1
-    rows, occupied = (4.0 * _hadamard(stats.e)).tolist(), _hadamard(stats.e != 0.0).tolist()
-    stderr = [6.0 / shots if abs(k) == occupied[0] else math.sqrt(max(0.0, 1.0 - m ** 2) / shots)
-              for m, k in zip(rows, occupied)]
-    return tuple(Estimate(values[i], stderr[i] / p) for i in (2, 1, 3))
+    _check_werner_p(p)
+    classes = np.bincount(_PATTERN_INDEX16, weights=counts.counts, minlength=len(PATTERNS))
+    contrasts = (_contrast(classes, j) for j in (2, 1, 3))
+    return tuple(Estimate(m.value / p, m.stderr / p) for m in contrasts)
 
 
 def is_classical(c2: Estimate) -> bool:
@@ -164,9 +159,13 @@ def correct_for_source_noise(stats: PatternStats, p: float) -> PatternStats:
     entries may fall below 0 or above 1/4 where the true probability is near
     either end.
     """
+    _check_werner_p(p)
+    return PatternStats(e=(stats.e - (1.0 - p) / 16.0) / p, stderr=stats.stderr / p)
+
+
+def _check_werner_p(p: float) -> None:
     if not MIN_WERNER_P <= p <= 1.0:
         raise ValueError(f"source parameter must lie in [{MIN_WERNER_P}, 1], got {p!r}")
-    return PatternStats(e=(stats.e - (1.0 - p) / 16.0) / p, stderr=stats.stderr / p)
 
 
 def _self_convolution(w) -> np.ndarray:

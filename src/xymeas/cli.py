@@ -20,7 +20,6 @@ from . import __version__
 from .analysis import (
     MIN_WERNER_P,
     Estimate,
-    classicality_statistic,
     collapse_pair_counts,
     correct_for_source_noise,
     estimate_visibility,
@@ -243,7 +242,6 @@ def cmd_estimate(args) -> int:
 
     if "pair" in roles:
         pair = roles["pair"]
-        sampled = collapse_pair_counts(pair.counts)
         werner_p, werner_lineno = pair.werner_p or (None, None)
         if args.correct_source_noise:
             if werner_p is None:
@@ -255,7 +253,7 @@ def cmd_estimate(args) -> int:
                     f"(below {MIN_WERNER_P:g})"
                 )
         p = werner_p if args.correct_source_noise else 1.0
-        stats = correct_for_source_noise(sampled, p)
+        stats = correct_for_source_noise(collapse_pair_counts(pair.counts), p)
         sections["pair_run"] = [
             ("total_shots", str(pair.counts.total)),
             ("werner_p", fmt_float(werner_p) if werner_p is not None else "unknown"),
@@ -265,15 +263,15 @@ def cmd_estimate(args) -> int:
             (str(rx), str(ry), fmt_float(e), fmt_float(stderr))
             for (rx, ry), e, stderr in zip(PATTERNS, stats.e.tolist(), stats.stderr.tolist())
         ]
-        vx2, vy2, c2 = pattern_estimates(sampled, pair.counts.total, p)
+        vx2, vy2, c2 = pattern_estimates(pair.counts, p)
         section("vx_squared_pair", vx2)
         section("vy_squared_pair", vy2)
         classical = is_classical(c2)
         vz = math.sqrt(max(0.0, -c2.value))
         extra = ("vz_magnitude", fmt_float(vz)), ("classical", fmt_bool(classical))
         figure = section("csquared", c2, *extra)
-        statistic = classicality_statistic(stats.e)
-        # S = -c^2 / 4, so its stderr is a quarter of c^2's
+        # S = -c^2 / 4, one number with c^2 and its stderr; 0.0 - keeps S = 0 unsigned
+        statistic = 0.0 - c2.value / 4.0
         s_stderr = fmt_float(c2.stderr / 4.0)
         sections["classicality"] = [("statistic", fmt_float(statistic)), ("stderr", s_stderr)]
         verdict = "consistent with classical errors" if classical else "non-classical"

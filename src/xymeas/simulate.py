@@ -63,10 +63,12 @@ class ExperimentConfig:
 
 
 def _shot_counts(values, size: int) -> np.ndarray:
-    """``size`` non-negative integer shot counts as a read-only vector; a float table is rejected."""
+    """``size`` integer shot counts, >= 0 and not all 0, as a read-only vector; floats are rejected."""
     counts = _checked_table(values, size, dtype=None, low=0, what="counts")
     if counts.dtype.kind not in "iu":
         raise ValueError(f"counts: expected integer shot counts, got {counts.dtype} {counts.tolist()}")
+    if not counts.any():
+        raise ValueError("counts: expected at least one shot")
     return counts
 
 

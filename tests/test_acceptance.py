@@ -5,7 +5,6 @@ appear in the terminal summary.
 """
 
 import contextlib
-import math
 
 import numpy as np
 
@@ -28,7 +27,6 @@ from oracles import (
 from xymeas import cli
 from xymeas.analysis import (
     classicality_statistic,
-    collapse_pair_counts,
     estimate_visibility,
     is_classical,
     pattern_estimates,
@@ -40,6 +38,7 @@ from xymeas.povm import (
     OUTCOMES16,
     PATTERNS,
     VisibilityTriple,
+    _hadamard,
     build_povm,
     exact_pattern_probs,
     ideal_operator,
@@ -95,13 +94,13 @@ def test_criterion_2_exact_pair_predictions():
 def test_criterion_3_negative_csquared():
     with criterion(3, "c^2 = -vz^2 exactly on the grid; Monte-Carlo hits -1/3 non-classically"):
         for v in GRID:
-            _, _, corr = pattern_estimates(exact_pattern_probs(v), math.inf)
-            assert abs(corr.value - (-(v.vz ** 2))) <= 1e-12
+            c2 = 4.0 * _hadamard(exact_pattern_probs(v).e)[3]
+            assert abs(c2 - (-(v.vz ** 2))) <= 1e-12
         config = ExperimentConfig(
             visibilities=VisibilityTriple(SQ3, SQ3, SQ3), shots=1_000_000, seed=20240910
         )
         counts = run_pair_experiment(config)
-        _, _, corr = pattern_estimates(collapse_pair_counts(counts), counts.total)
+        _, _, corr = pattern_estimates(counts)
         assert abs(corr.value - (-1 / 3)) <= 0.01
         assert corr.value < -3.0 * corr.stderr
         assert is_classical(corr) is False
@@ -138,7 +137,7 @@ def test_criterion_5_visibility_recovery():
         pair = run_pair_experiment(
             ExperimentConfig(visibilities=v, shots=shots, seed=20240914)
         )
-        vx2, vy2, _ = pattern_estimates(collapse_pair_counts(pair), pair.total)
+        vx2, vy2, _ = pattern_estimates(pair)
         for pair_est, eig_est in ((vx2, vx_est), (vy2, vy_est)):
             eig_sq = eig_est.value ** 2
             eig_sq_stderr = 2.0 * abs(eig_est.value) * eig_est.stderr

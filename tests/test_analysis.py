@@ -19,6 +19,7 @@ from oracles import (
 )
 from xymeas.analysis import (
     MIN_WERNER_P,
+    Estimate,
     classicality_statistic,
     collapse_pair_counts,
     correct_for_source_noise,
@@ -33,6 +34,7 @@ from xymeas.povm import (
     PATTERNS,
     PatternStats,
     VisibilityTriple,
+    _hadamard,
     build_povm,
     exact_pattern_probs,
     outcome_table,
@@ -73,7 +75,9 @@ class TestVisibilityEstimates:
             input_axis="X",
             input_value=+1,
         )
-        assert estimate_visibility(perfect).value == pytest.approx(1.0)
+        # every shot on the input's side: the empty side gets the rule-of-three 3/N
+        est = estimate_visibility(perfect)
+        assert (est.value, est.stderr) == (1.0, 6.0 / 100)
         uniform = OutcomeCounts4(counts=[25] * 4, input_axis="X", input_value=+1)
         assert estimate_visibility(uniform).value == pytest.approx(0.0)
 
@@ -167,40 +171,47 @@ class TestCollapsePairCounts:
         assert pattern_of(+1, +1, +1, +1) == (1, 1)
 
 
+def exact_rows(v):
+    """``(1, vy^2, vx^2, c^2)``: the rows ``4 * H e`` of the exact pattern table of ``v``."""
+    return (4.0 * _hadamard(exact_pattern_probs(v).e)).tolist()
+
+
+def pattern_counts(class_counts):
+    """A pair record whose pattern classes hold ``class_counts`` shots (``PATTERNS`` order)."""
+    counts = [0] * 16
+    for pattern, n in zip(PATTERNS, class_counts):
+        counts[next(k for k, o in enumerate(OUTCOMES16) if pattern_of(*o) == pattern)] = n
+    return PairCounts16(counts=counts)
+
+
 class TestPatternSums:
     def test_symmetric_point(self):
-        stats = exact_pattern_probs(VisibilityTriple(SQ3, SQ3, SQ3))
-        vx2, vy2, corr = pattern_estimates(stats, math.inf)
-        assert vx2.value == pytest.approx(1 / 3, abs=1e-12)
-        assert vy2.value == pytest.approx(1 / 3, abs=1e-12)
-        assert corr.value == pytest.approx(-1 / 3, abs=1e-12)
-        assert np.sqrt(-corr.value) == pytest.approx(SQ3, abs=1e-12)
-        assert is_classical(corr) is False
+        _, vy2, vx2, c2 = exact_rows(VisibilityTriple(SQ3, SQ3, SQ3))
+        assert vx2 == pytest.approx(1 / 3, abs=1e-12)
+        assert vy2 == pytest.approx(1 / 3, abs=1e-12)
+        assert c2 == pytest.approx(-1 / 3, abs=1e-12)
+        assert np.sqrt(-c2) == pytest.approx(SQ3, abs=1e-12)
+        assert is_classical(Estimate(c2, 0.0)) is False
 
     def test_z_blind_device(self):
-        stats = exact_pattern_probs(VisibilityTriple(0.6, 0.8, 0.0))
-        vx2, vy2, corr = pattern_estimates(stats, math.inf)
-        assert vx2.value == pytest.approx(0.36, abs=1e-12)
-        assert vy2.value == pytest.approx(0.64, abs=1e-12)
-        assert corr.value == pytest.approx(0.0, abs=1e-12)
-        assert is_classical(corr) is True
+        _, vy2, vx2, c2 = exact_rows(VisibilityTriple(0.6, 0.8, 0.0))
+        assert vx2 == pytest.approx(0.36, abs=1e-12)
+        assert vy2 == pytest.approx(0.64, abs=1e-12)
+        assert c2 == pytest.approx(0.0, abs=1e-12)
+        assert is_classical(Estimate(c2, 0.0)) is True
 
     def test_uniform_patterns(self):
-        stats = PatternStats(e=[1 / 16] * 4, stderr=[0.0] * 4)
-        vx2, vy2, _ = pattern_estimates(stats, math.inf)
-        assert vx2.value == pytest.approx(0.0, abs=1e-12)
-        assert vy2.value == pytest.approx(0.0, abs=1e-12)
+        vx2, vy2, _ = pattern_estimates(PairCounts16(counts=[25] * 16))
+        assert vx2.value == 0.0
+        assert vy2.value == 0.0
 
     def test_ideal_classical_device(self):
-        stats = PatternStats(
-            # PATTERNS order: (0, 0), (0, 1), (1, 0), (1, 1)
-            e=[0.25, 0.0, 0.0, 0.0],
-            stderr=[0.0] * 4,
-        )
-        _, _, corr = pattern_estimates(stats, math.inf)
-        assert corr.value == pytest.approx(1.0, abs=1e-12)
+        # every shot in pattern (0, 0); PATTERNS order: (0, 0), (0, 1), (1, 0), (1, 1)
+        counts = pattern_counts([1000, 0, 0, 0])
+        _, _, corr = pattern_estimates(counts)
+        assert corr.value == 1.0
         assert is_classical(corr) is True
-        assert classicality_statistic(stats.e) == pytest.approx(-0.25, abs=1e-12)
+        assert classicality_statistic(collapse_pair_counts(counts).e) == pytest.approx(-0.25, abs=1e-12)
 
     @pytest.mark.parametrize(
         "v",
@@ -214,8 +225,7 @@ class TestPatternSums:
     def test_quantum_statistic_is_vz_squared_over_four(self, v):
         stats = exact_pattern_probs(v)
         assert classicality_statistic(stats.e) == pytest.approx(v.vz ** 2 / 4, abs=1e-12)
-        _, _, corr = pattern_estimates(stats, math.inf)
-        assert corr.value == pytest.approx(-v.vz ** 2, abs=1e-12)
+        assert exact_rows(v)[3] == pytest.approx(-v.vz ** 2, abs=1e-12)
 
     def test_boundary_vz_zero(self):
         stats = exact_pattern_probs(VisibilityTriple(0.7, 0.7, 0.0))
@@ -223,31 +233,24 @@ class TestPatternSums:
 
     def test_each_estimate_has_its_own_multinomial_stderr(self):
         # class fractions (0.5, 0.25, 0.15, 0.1) of 1000 shots: rows (vy^2, vx^2, c^2) = (0.3, 0.5, 0.2)
-        counts = [0] * 16
-        for pattern, n in zip(PATTERNS, (500, 250, 150, 100)):
-            counts[next(k for k, o in enumerate(OUTCOMES16) if pattern_of(*o) == pattern)] = n
-        stats = collapse_pair_counts(PairCounts16(counts=counts))
+        counts = pattern_counts([500, 250, 150, 100])
         for p in (1.0, 0.5):
-            estimates = pattern_estimates(stats, 1000, p)
+            estimates = pattern_estimates(counts, p)
             for est, row in zip(estimates, (0.5, 0.3, 0.2)):
                 assert est.value == pytest.approx(row / p, abs=1e-12)
                 assert est.stderr == pytest.approx(math.sqrt((1.0 - row ** 2) / 1000) / p, rel=1e-12)
-        # an exact table has no spread
-        exact = pattern_estimates(exact_pattern_probs(VisibilityTriple(0.5, 0.4, 0.6)), math.inf)
-        assert [e.stderr for e in exact] == [0.0] * 3
 
     @pytest.mark.parametrize("p", [1.0, 0.5])
     def test_one_sided_row_gets_rule_of_three(self, p):
         # every shot in pattern (0, 0): each row reads 1 with an empty other side, 3/N of it
-        ideal = PatternStats(e=[0.25, 0.0, 0.0, 0.0], stderr=[0.0] * 4)
-        assert [e.stderr for e in pattern_estimates(ideal, 1000, p)] == [6.0 / 1000 / p] * 3
-        assert [e.stderr for e in pattern_estimates(ideal, math.inf, p)] == [0.0] * 3
+        ideal = pattern_counts([1000, 0, 0, 0])
+        assert [e.stderr for e in pattern_estimates(ideal, p)] == [6.0 / 1000 / p] * 3
 
     def test_single_pair_shot_is_classical(self):
         # one anticorrelated shot in pattern (0, 1) reads c^2 = -1, but one shot proves nothing
         counts = [0] * 16
         counts[OUTCOMES16.index((+1, +1, -1, +1))] = 1
-        _, _, corr = pattern_estimates(collapse_pair_counts(PairCounts16(counts=counts)), 1)
+        _, _, corr = pattern_estimates(PairCounts16(counts=counts))
         assert corr.value == -1.0
         assert corr.stderr == 6.0
         assert is_classical(corr) is True
@@ -260,7 +263,7 @@ class TestPatternSums:
         z = []
         for seed in range(400):
             counts = run_pair_experiment(ExperimentConfig(v, 20_000, seed), werner_p=werner_p)
-            estimates = pattern_estimates(collapse_pair_counts(counts), counts.total, werner_p)
+            estimates = pattern_estimates(counts, werner_p)
             z.append([(e.value - x) / e.stderr for e, x in zip(estimates, exact)])
         spread = np.std(z, axis=0)
         assert np.all((0.9 <= spread) & (spread <= 1.1)), spread
@@ -271,9 +274,9 @@ class TestPatternSums:
         from xymeas.checks import visibility_grid
 
         for v in (VisibilityTriple(*row) for row in visibility_grid(5)):
-            vx2, vy2, _ = pattern_estimates(exact_pattern_probs(v), math.inf)
-            assert vx2.value == pytest.approx(v.vx ** 2, abs=1e-12)
-            assert vy2.value == pytest.approx(v.vy ** 2, abs=1e-12)
+            _, vy2, vx2, _ = exact_rows(v)
+            assert vx2 == pytest.approx(v.vx ** 2, abs=1e-12)
+            assert vy2 == pytest.approx(v.vy ** 2, abs=1e-12)
 
 
 class TestSourceNoiseCorrection:
@@ -290,12 +293,16 @@ class TestSourceNoiseCorrection:
         v = VisibilityTriple(0.5, 0.4, 0.6)
         pure = exact_pattern_probs(v)
         p = 0.7
-        noisy = PatternStats(e=p * pure.e + (1 - p) / 16, stderr=[0.001] * 4)
-        _, _, raw = pattern_estimates(noisy, 10_000)
+        # class fractions 4 * (p e + (1 - p) / 16) are whole multiples of 1/100000
+        counts = pattern_counts(shot_counts(4.0 * (p * pure.e + (1 - p) / 16), 100_000))
+        _, _, raw = pattern_estimates(counts)
         assert raw.value == pytest.approx(-p * v.vz ** 2, abs=1e-12)
-        _, _, corrected = pattern_estimates(noisy, 10_000, p)
+        _, _, corrected = pattern_estimates(counts, p)
         assert corrected.value == pytest.approx(-v.vz ** 2, abs=1e-12)
         assert corrected.stderr == pytest.approx(raw.stderr / p, rel=1e-12)
+        # the same row as the corrected [patterns] table's
+        table = correct_for_source_noise(collapse_pair_counts(counts), p)
+        assert corrected.value == pytest.approx(4.0 * _hadamard(table.e)[3], abs=1e-12)
 
     def test_invalid_parameter_rejected(self):
         stats = exact_pattern_probs(VisibilityTriple(0.5, 0.4, 0.6))

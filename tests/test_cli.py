@@ -25,12 +25,7 @@ from xymeas.fileio import (
     read_probs_document,
     write_probs_file,
 )
-from xymeas.analysis import (
-    classicality_statistic,
-    collapse_pair_counts,
-    estimate_visibility,
-    pattern_estimates,
-)
+from xymeas.analysis import estimate_visibility, pattern_estimates
 from xymeas.checks import CheckResult
 from xymeas.povm import OUTCOMES4, OUTCOMES16, VisibilityTriple, build_povm, outcome_table
 from xymeas.qubit import bloch_vector
@@ -300,6 +295,22 @@ class TestEstimate:
         assert doc.section_value("classicality", "stderr") == "1.5"
         assert "c^2 = -1.000000 +- 6 (consistent with classical errors)" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "axis, flags",
+        [("X", ("--vx", 1, "--vy", 0, "--vz", 0, "--value", "+1")),
+         ("Y", ("--vx", 0, "--vy", 1, "--vz", 0, "--value", "-1"))],
+        ids=["X+", "Y-"],
+    )
+    def test_one_sided_eigenstate_run_gets_rule_of_three(self, tmp_path, capsys, axis, flags):
+        # an ideal device puts all 5 shots on the input's side: stderr 6/5, not 0
+        counts, report = tmp_path / "e.counts", tmp_path / "r.txt"
+        assert run_cli("simulate", "--mode", "eigenstate", "--axis", axis, *flags,
+                       "--shots", 5, "--seed", 1, "--out", counts) == 0
+        assert run_cli("estimate", counts, "--allow-partial", "--out", report) == 0
+        section = f"visibility_{axis.lower()}"
+        assert read_document(report).section_value(section, "stderr") == "1.2"
+        assert f"v{axis.lower()} = 1.000000 +- 1.2" in capsys.readouterr().out
+
     def test_missing_pair_file_listed(self, tmp_path, capsys):
         paths = simulate_all(tmp_path, ("0.6", "0.8", "0"), 1000, base_seed=300)
         assert run_cli("estimate", paths["ex"], paths["ey"], "--out", tmp_path / "r.txt") == 1
@@ -330,20 +341,17 @@ class TestEstimate:
         vx = estimate_visibility(read_counts_document(read_document(paths["ex"])).counts)
         vy = estimate_visibility(read_counts_document(read_document(paths["ey"])).counts)
         pair = read_counts_document(read_document(paths["pair"])).counts
-        stats = collapse_pair_counts(pair)
-        vx2, vy2, corr = pattern_estimates(stats, pair.total)
+        vx2, vy2, corr = pattern_estimates(pair)
         assert float(report.section_value("visibility_x", "value")) == pytest.approx(vx.value, abs=1e-12)
         assert float(report.section_value("visibility_x", "stderr")) == pytest.approx(vx.stderr, abs=1e-12)
         assert float(report.section_value("visibility_y", "value")) == pytest.approx(vy.value, abs=1e-12)
-        assert float(report.section_value("vx_squared_pair", "value")) == pytest.approx(vx2.value, abs=1e-12)
-        assert float(report.section_value("vy_squared_pair", "value")) == pytest.approx(vy2.value, abs=1e-12)
-        assert float(report.section_value("csquared", "value")) == pytest.approx(corr.value, abs=1e-12)
+        assert float(report.section_value("vx_squared_pair", "value")) == vx2.value
+        assert float(report.section_value("vy_squared_pair", "value")) == vy2.value
+        assert float(report.section_value("csquared", "value")) == corr.value
         for name, est in (("vx_squared_pair", vx2), ("vy_squared_pair", vy2), ("csquared", corr)):
             assert float(report.section_value(name, "stderr")) == pytest.approx(est.stderr, abs=1e-15)
-        assert float(report.section_value("classicality", "statistic")) == pytest.approx(
-            classicality_statistic(stats.e), abs=1e-12
-        )
-        # S = -c^2 / 4
+        # S = -c^2 / 4, value and stderr
+        assert float(report.section_value("classicality", "statistic")) == 0.0 - corr.value / 4.0
         assert float(report.section_value("classicality", "stderr")) == corr.stderr / 4.0
 
     def test_source_noise_correction(self, tmp_path):

@@ -10,7 +10,7 @@ deviations move with any change to the order of a floating-point sum.
 Manifests carry a timestamp and are left out.
 
 Re-record only when a change is meant to alter these bytes, and say so
-with the change:
+with the change; the recorder names each fixture whose bytes changed:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -111,19 +111,26 @@ def test_cli_artifacts_are_byte_identical(tmp_path, monkeypatch):
         assert text.encode() == (GOLDEN / fixture).read_bytes(), fixture
 
 
+def record(path: Path, data: bytes) -> None:
+    """Write the fixture ``path``, naming it on stderr when its bytes change."""
+    if not path.is_file() or path.read_bytes() != data:
+        print(f"changed {path.name}", file=sys.stderr)
+    path.write_bytes(data)
+
+
 if __name__ == "__main__":
     import os
     import tempfile
 
     GOLDEN.mkdir(exist_ok=True)
-    write_probs(GOLDEN / PROBS)
     with tempfile.TemporaryDirectory() as work:
-        shutil.copy(GOLDEN / PROBS, Path(work) / PROBS)
         os.chdir(work)
+        write_probs(Path(PROBS))
+        record(GOLDEN / PROBS, Path(PROBS).read_bytes())
         stdout = run_all(Path(work))
         for artifact, _argv in COMMANDS:
-            shutil.copy(artifact, GOLDEN / artifact)
+            record(GOLDEN / artifact, Path(artifact).read_bytes())
     for fixture, text in stdout.items():
-        (GOLDEN / fixture).write_bytes(text.encode())
-    (GOLDEN / VERIFY_STDOUT).write_bytes(run_verify().encode())
+        record(GOLDEN / fixture, text.encode())
+    record(GOLDEN / VERIFY_STDOUT, run_verify().encode())
     print(f"recorded {len(COMMANDS) + len(STDOUT) + 2} fixtures in {GOLDEN}", file=sys.stderr)

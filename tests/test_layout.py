@@ -75,11 +75,13 @@ def test_removed_names_stay_removed():
 
 @pytest.mark.parametrize(
     "function, parameter",
-    [(kirkwood._kd_entries, "outcomes"), (fileio._parse_keyed, "width"), (qubit.identity, "dim")],
-    ids=["_kd_entries", "_parse_keyed", "identity"],
+    [(kirkwood._kd_entries, "outcomes"), (fileio._parse_keyed, "width"), (qubit.identity, "dim"),
+     (analysis.pattern_estimates, "shots")],
+    ids=["_kd_entries", "_parse_keyed", "identity", "pattern_estimates"],
 )
 def test_one_shape_parameters_are_gone(function, parameter):
-    # _kd_entries serves qubit states only, _parse_keyed one value per row, identity 2x2 only
+    # _kd_entries serves qubit states only, _parse_keyed one value per row, identity 2x2 only;
+    # pattern_estimates reads its shot count off the pair record
     assert parameter not in inspect.signature(function).parameters
 
 
@@ -100,17 +102,29 @@ def test_kirkwood_holds_no_self_check():
     assert hasattr(checks, "_random_bloch_vectors")
 
 
-@pytest.mark.parametrize(
+# each count record's constructor from a table, and the table's size
+COUNT_RECORDS = pytest.mark.parametrize(
     "build, size",
     [(lambda t: OutcomeCounts4(t, "X", +1), 4), (PairCounts16, 16)],
     ids=["OutcomeCounts4", "PairCounts16"],
 )
+
+
+@COUNT_RECORDS
 @pytest.mark.parametrize("kind", ["probabilities", "whole-floats"])
 def test_count_records_reject_a_float_table(build, size, kind):
     table = [1.0 / size] * size if kind == "probabilities" else [3.0] * size
     with pytest.raises(ValueError, match="integer shot counts"):
         build(table)
     assert build(np.full(size, 3)).counts.dtype.kind == "i"
+
+
+@COUNT_RECORDS
+def test_count_records_reject_zero_shots(build, size):
+    # the one zero-shot guard: no estimator divides by a total of 0
+    with pytest.raises(ValueError, match="counts: expected at least one shot"):
+        build([0] * size)
+    assert build([0] * (size - 1) + [1]).total == 1
 
 
 # numpy names that reach BLAS or LAPACK, or run a matrix product

@@ -2,7 +2,8 @@
 
 The stdout of each script at the sizes in `GOLDEN_STDOUT` is pinned byte
 for byte in ``tests/golden/``. Re-record only when a change is meant to
-alter these bytes, and say so with the change:
+alter these bytes, and say so with the change; the recorder names each
+fixture whose bytes changed:
 
     PYTHONPATH=src python tests/test_scripts.py
 """
@@ -90,7 +91,9 @@ def test_stdout_bytes(tmp_path, fixture, name, args):
 
 
 if __name__ == "__main__":
+    from test_golden import record
+
     for fixture, name, args in GOLDEN_STDOUT:
         with tempfile.TemporaryDirectory() as work:
-            (GOLDEN / fixture).write_bytes(run_script(name, *args, cwd=work, text=False))
+            record(GOLDEN / fixture, run_script(name, *args, cwd=work, text=False))
     print(f"recorded {len(GOLDEN_STDOUT)} fixtures in {GOLDEN}", file=sys.stderr)
