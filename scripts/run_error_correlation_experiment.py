@@ -72,7 +72,7 @@ def main() -> None:
         print(f"{name:<22}{value:>14.6f}{stderr:>12.2g}{reference:>14.6f}")
     print()
     # clipped at 0: on the family's boundary rounding leaves e.g. -2e-17, printed -0.000000
-    exact = exact_pattern_probs(v).e.tolist()
+    exact = exact_pattern_probs(v).tolist()
     for (_, _, e, stderr), r, e_exact in zip(report.section("patterns"), PATTERNS, exact):
         print(f"pattern e{r}: estimate {float(e):.6f} +- {float(stderr):.2g}, "
               f"exact {max(p * e_exact + (1 - p) / 16, 0.0):.6f}")

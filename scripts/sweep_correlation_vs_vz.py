@@ -56,7 +56,7 @@ def main() -> None:
                 fmt_float(0.0 - vz ** 2),  # 0, not -0, at vz = 0
                 report.section_value("csquared", "value"),
                 report.section_value("csquared", "stderr"),
-                fmt_float(classicality_statistic(exact_pattern_probs(v).e)),
+                fmt_float(classicality_statistic(exact_pattern_probs(v))),
                 report.section_value("classicality", "statistic"),
                 "classical" if classical else "non-classical",
             ]

@@ -25,17 +25,22 @@ instead force ``c^2 >= 0``; equivalently, the statistic
 ``s = e(0,1) + e(1,0) - e(0,0) - e(1,1)`` is ``vz^2 / 4 >= 0`` for every
 quantum measurement and ``<= 0`` for every classical model.
 
-Each kind of run has one estimator, rows of ``H``: `estimate_visibility`
+An eigenstate run has one estimator and a pair run two: `estimate_visibility`
 gives ``vx`` or ``vy`` from an eigenstate run of that axis, and
-`pattern_estimates` ``vx^2``, ``vy^2`` and ``c^2`` from a pair run's patterns.
+`pattern_estimates` ``vx^2``, ``vy^2`` and ``c^2``, rows of ``H``, from a pair
+run's patterns. `pattern_cells` gives the pattern probabilities ``e(r)``
+themselves, each from the contrast ``2 n_r - N`` of its class against the
+other three.
 Each estimate is one `Estimate`, value and standard error; `is_classical` is
 the one verdict on ``c^2``.
 
-Both read an integer row of ``H n`` over ``N`` counts ``n`` (`_contrast`), so
-``m = row / N`` is correctly rounded. One stderr rule serves a visibility and
-a pattern row alike: the multinomial ``sqrt((1 - m^2) / N)``, except where
-every shot fell on one side, whose empty side gets the rule-of-three ``3/N``
-(stderr ``6/N``, never 0), as an empty pattern cell does.
+All three read an integer signed count ``row`` of ``N`` shots (`_contrast`),
+so ``m = row / N`` is correctly rounded. One stderr rule serves a
+visibility, a pattern row and a pattern cell alike: the multinomial
+``sqrt((1 - m^2) / N)``, except where every shot fell on one side, whose
+empty side gets the rule-of-three ``3/N`` (stderr ``6/N``, never 0). A cell's
+fraction ``n_r / N`` has half its contrast's stderr, so an empty or a full
+class reads ``3/N``.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .povm import PATTERNS, PatternStats, _float_table, _hadamard
+from .povm import PATTERNS, _float_table, _hadamard
 from .qubit import ATOL_ALGEBRA
 from .simulate import OutcomeCounts4, PairCounts16
 
@@ -53,10 +58,12 @@ from .simulate import OutcomeCounts4, PairCounts16
 # region counts as consistent with a classical error model.
 CLASSICAL_SIGMA = 3.0
 
-# The smallest Werner parameter a source-noise correction divides by. The
-# corrected table's sum carries the input's rounding (a few ulp of 1/4)
-# divided by p, which must stay inside the 1e-9 sum tolerance of a
-# PatternStats: a 1000-shot pair table broke it at p = 1e-9.
+# The smallest Werner parameter a source-noise correction divides by. A
+# corrected pattern cell carries the rounding of f/4 - (1 - p)/16, a few ulp
+# of 1/4, divided by p; down to this p the four cells still sum to 1/4, and
+# their rows 4 H e still match the pair rows, within 1e-9. Over 15000 random
+# pair records of 1 to 1e9 shots the worst row gap was 2.3e-10 at p = 1e-6
+# and 1.9e-9 at p = 1e-7.
 MIN_WERNER_P = 1e-6
 
 
@@ -74,10 +81,8 @@ class Estimate:
             raise ValueError("stderr must be non-negative")
 
 
-def _contrast(counts, j: int) -> Estimate:
-    """Row ``j`` of ``H n / N`` over counts ``n`` as ``int(row) / N``; stderr ``6/N`` at ``|row| = N``."""
-    rows = _hadamard(counts).tolist()
-    total, row = int(rows[0]), int(rows[j])
+def _contrast(row: int, total: int) -> Estimate:
+    """``m = row / total`` of a signed count of ``total`` shots; stderr ``6/total`` at ``|row| = total``."""
     m = row / total
     return Estimate(m, 6.0 / total if abs(row) == total else math.sqrt((1.0 - m * m) / total))
 
@@ -89,7 +94,8 @@ def estimate_visibility(counts: OutcomeCounts4) -> Estimate:
     (``counts.input_axis``): the x or y row of ``H @ counts`` over the shot
     count, with the stderr of `_contrast`.
     """
-    m = _contrast(counts.counts, 2 if counts.input_axis == "X" else 1)
+    total, y, x, _ = map(int, _hadamard(counts.counts).tolist())
+    m = _contrast(x if counts.input_axis == "X" else y, total)
     # 0.0 - m, so a balanced run at input -1 reads 0.0, not -0.0
     return m if counts.input_value == +1 else Estimate(0.0 - m.value, m.stderr)
 
@@ -99,32 +105,49 @@ def estimate_visibility(counts: OutcomeCounts4) -> Estimate:
 _PATTERN_INDEX16 = np.array([(k >> 2) ^ (k & 3) ^ 3 for k in range(16)])
 
 
-def collapse_pair_counts(counts: PairCounts16) -> PatternStats:
-    """Reduce 16 pair-outcome counts to the four per-outcome pattern probabilities.
-
-    Four outcome combinations share each pattern, so ``e(r)`` is the pattern
-    class count divided by ``4 * total``.
-    """
-    total = counts.total
-    f = np.bincount(_PATTERN_INDEX16, weights=counts.counts, minlength=len(PATTERNS)) / total
-    # rule-of-three upper bound for an empty pattern class
-    stderr = np.where(f == 0.0, 3.0 / total, np.sqrt(f * (1.0 - f) / total)) / 4.0
-    return PatternStats(e=f / 4.0, stderr=stderr)
+def _pattern_classes(counts: PairCounts16) -> list[int]:
+    """Shot counts of the four pattern classes of a pair run, in ``PATTERNS`` order."""
+    classes = np.bincount(_PATTERN_INDEX16, weights=counts.counts, minlength=len(PATTERNS))
+    return list(map(int, classes.tolist()))
 
 
 def pattern_estimates(counts: PairCounts16, p: float = 1.0) -> tuple[Estimate, ...]:
     """``vx^2``, ``vy^2`` and ``c^2`` of a pair run, rows of ``4 * H e``.
 
     Each is a `_contrast` of the pattern class counts over the source's
-    Werner parameter ``p``, as `correct_for_source_noise` divides a contrast.
+    Werner parameter ``p``, as `pattern_cells` divides a cell's contrast.
     The positive family gives ``c^2 = -vz^2`` exactly; a significantly
     negative estimate is the non-classical signature (see `is_classical`).
     Only the square is observable, so no sign of the correlation is reported.
     """
     _check_werner_p(p)
-    classes = np.bincount(_PATTERN_INDEX16, weights=counts.counts, minlength=len(PATTERNS))
-    contrasts = (_contrast(classes, j) for j in (2, 1, 3))
+    total, y, x, xy = map(int, _hadamard(_pattern_classes(counts)).tolist())
+    contrasts = (_contrast(row, total) for row in (x, y, xy))
     return tuple(Estimate(m.value / p, m.stderr / p) for m in contrasts)
+
+
+def pattern_cells(counts: PairCounts16, p: float = 1.0) -> tuple[Estimate, ...]:
+    """The pattern probabilities ``e(r)`` of a pair run, in ``PATTERNS`` order.
+
+    Four outcome combinations share each pattern, so ``e(r)`` is the
+    fraction ``f = n_r / N`` of the shots in class ``r``, over 4. ``f`` has
+    half the stderr of the `_contrast` ``2 n_r - N`` of the class against
+    the others: ``sqrt(f (1 - f) / N)``, or ``3/N`` where the class holds
+    none or all of the shots. A source with Werner parameter ``p`` mixes the
+    singlet table with the uniform 1/16 background, ``e_noisy = p * e_pure +
+    (1 - p) / 16``, and the cell undoes it, dividing its contrast and stderr
+    by ``p``. Model-dependent: valid only for isotropic noise with a
+    correctly known ``p``, at least ``MIN_WERNER_P``. A corrected cell may
+    fall below 0 or above 1/4 where the true probability is near either end.
+    """
+    _check_werner_p(p)
+    total = counts.total
+    cells = []
+    for n in _pattern_classes(counts):
+        # e = f / 4, and f has half its contrast's stderr
+        stderr = _contrast(2 * n - total, total).stderr / 8.0
+        cells.append(Estimate((n / total / 4.0 - (1.0 - p) / 16.0) / p, stderr / p))
+    return tuple(cells)
 
 
 def is_classical(c2: Estimate) -> bool:
@@ -142,25 +165,12 @@ def classicality_statistic(e) -> np.ndarray:
     """``e(0,1) + e(1,0) - e(0,0) - e(1,1)`` over the last axis of a (..., 4) pattern table.
 
     > 0 is impossible classically. The terms are added in this order for
-    every shape, so a report and a sweep agree to the bit.
+    every shape, so `checks.check_classicality_dichotomy` and the sweep
+    script's ``s_exact`` column agree to the bit. A report writes ``S`` as
+    ``-c^2 / 4`` from its ``c^2`` instead.
     """
     e = np.asarray(e)
     return e[..., 1] + e[..., 2] - e[..., 0] - e[..., 3]
-
-
-def correct_for_source_noise(stats: PatternStats, p: float) -> PatternStats:
-    """Undo isotropic source noise of known strength on pattern probabilities.
-
-    A source with werner parameter ``p`` mixes the singlet pattern table with
-    the uniform 1/16 background: ``e_noisy = p * e_pure + (1 - p) / 16``.
-    Inverting divides every pattern contrast by ``p`` and scales standard
-    errors by ``1/p``. Model-dependent: valid only for isotropic noise with a
-    correctly known ``p``, at least ``MIN_WERNER_P``. Corrected sampled
-    entries may fall below 0 or above 1/4 where the true probability is near
-    either end.
-    """
-    _check_werner_p(p)
-    return PatternStats(e=(stats.e - (1.0 - p) / 16.0) / p, stderr=stats.stderr / p)
 
 
 def _check_werner_p(p: float) -> None:

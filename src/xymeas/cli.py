@@ -20,10 +20,9 @@ from . import __version__
 from .analysis import (
     MIN_WERNER_P,
     Estimate,
-    collapse_pair_counts,
-    correct_for_source_noise,
     estimate_visibility,
     is_classical,
+    pattern_cells,
     pattern_estimates,
 )
 from .checks import run_all_checks
@@ -253,15 +252,14 @@ def cmd_estimate(args) -> int:
                     f"(below {MIN_WERNER_P:g})"
                 )
         p = werner_p if args.correct_source_noise else 1.0
-        stats = correct_for_source_noise(collapse_pair_counts(pair.counts), p)
         sections["pair_run"] = [
             ("total_shots", str(pair.counts.total)),
             ("werner_p", fmt_float(werner_p) if werner_p is not None else "unknown"),
             ("source_noise_corrected", fmt_bool(args.correct_source_noise)),
         ]
         sections["patterns"] = [
-            (str(rx), str(ry), fmt_float(e), fmt_float(stderr))
-            for (rx, ry), e, stderr in zip(PATTERNS, stats.e.tolist(), stats.stderr.tolist())
+            (str(rx), str(ry), fmt_float(e.value), fmt_float(e.stderr))
+            for (rx, ry), e in zip(PATTERNS, pattern_cells(pair.counts, p))
         ]
         vx2, vy2, c2 = pattern_estimates(pair.counts, p)
         section("vx_squared_pair", vx2)

@@ -149,28 +149,6 @@ class VisibilityTriple:
         return self.vx ** 2 + self.vy ** 2 + self.vz ** 2
 
 
-@dataclass(frozen=True, eq=False)
-class PatternStats:
-    """Per-outcome probabilities of the four pair flip patterns.
-
-    ``e[i]`` is the probability of one specific outcome combination showing
-    pattern ``PATTERNS[i] = (rx, ry)``; since four outcome combinations share
-    each pattern, the four entries sum to 1/4. Entries are not bounded
-    otherwise: a source-noise corrected table may go below 0 or above 1/4.
-    An exact table has zero standard errors. Both fields become read-only
-    vectors in ``PATTERNS`` order, so instances compare by identity.
-    """
-
-    e: np.ndarray
-    stderr: np.ndarray
-
-    def __post_init__(self) -> None:
-        e = _checked_table(self.e, 4, total=0.25, what="patterns")
-        object.__setattr__(self, "e", e)
-        stderr = _checked_table(self.stderr, 4, low=0.0, what="pattern stderr")
-        object.__setattr__(self, "stderr", stderr)
-
-
 def build_povm(v: VisibilityTriple) -> np.ndarray:
     """The four-outcome joint measurement of a visibility triple, as a read-only complex (4, 2, 2) array.
 
@@ -210,11 +188,12 @@ def outcome_table(elements: np.ndarray, r) -> np.ndarray:
     return _checked_table(table, 4, what="outcome table")
 
 
-def exact_pattern_probs(v: VisibilityTriple) -> PatternStats:
+def exact_pattern_probs(v: VisibilityTriple) -> np.ndarray:
     """Exact flip-pattern probabilities for identical measurements on a singlet pair.
 
-    ``e = HADAMARD @ (1, vy^2, vx^2, -vz^2) / 16``; in closed form (per
-    outcome combination):
+    A read-only vector in ``PATTERNS`` order, per outcome combination, so
+    it sums to 1/4: ``e = HADAMARD @ (1, vy^2, vx^2, -vz^2) / 16``, in
+    closed form
 
         e(0,0) = (1 + vx^2 + vy^2 - vz^2) / 16
         e(0,1) = (1 + vx^2 - vy^2 + vz^2) / 16
@@ -222,7 +201,8 @@ def exact_pattern_probs(v: VisibilityTriple) -> PatternStats:
         e(1,1) = (1 - vx^2 - vy^2 - vz^2) / 16
     """
     e = _exact_patterns([v.vx, v.vy, v.vz])
-    return PatternStats(e=e, stderr=np.zeros(4))
+    e.flags.writeable = False
+    return e
 
 
 def _exact_patterns(v) -> np.ndarray:

@@ -33,7 +33,7 @@ import numpy as np
 from xymeas.analysis import _self_convolution
 from xymeas.checks import _random_bloch_vectors
 from xymeas.kirkwood import KDDistribution
-from xymeas.povm import OUTCOMES4, OUTCOMES16, PATTERNS, PatternStats, _checked_table, _hadamard
+from xymeas.povm import OUTCOMES4, OUTCOMES16, PATTERNS, _checked_table, _hadamard
 from xymeas.qubit import ATOL_ALGEBRA, ATOL_EIG, _bloch_operators, _lowest_eigenvalues, ensure_axis, ensure_sign
 
 # -- qubit states as kets and density matrices ---------------------------------
@@ -253,13 +253,13 @@ def pattern_quasiprobs(m: ErrorModel) -> np.ndarray:
     return _checked_table(_self_convolution(m.weights), 4, dtype=complex)
 
 
-def predicted_pattern_probs(m: ErrorModel) -> PatternStats:
-    """`pattern_quasiprobs` as exact pattern probabilities; a complex entry is rejected."""
+def predicted_pattern_probs(m: ErrorModel) -> np.ndarray:
+    """`pattern_quasiprobs` as exact pattern probabilities, summing to 1/4; a complex entry is rejected."""
     e = _self_convolution(m.weights)
     for r, value in zip(PATTERNS, e.tolist()):
         if abs(value.imag) > 1e-10:
             raise ValueError(f"predicted pattern e{r} is complex: {value!r}")
-    return PatternStats(e=np.maximum(e.real, 0.0), stderr=np.zeros(len(PATTERNS)))
+    return _checked_table(np.maximum(e.real, 0.0), 4, total=0.25, what="patterns")
 
 
 def pattern_of(x1: int, y1: int, x2: int, y2: int) -> tuple[int, int]:

@@ -77,24 +77,24 @@ def test_criterion_2_exact_pair_predictions():
     with criterion(2, "closed-form pattern probabilities match the pair trace formula"):
         singlet_rho = density(singlet())
         for v in GRID:
-            stats = exact_pattern_probs(v)
+            e = exact_pattern_probs(v)
             povm = build_povm(v)
             probs = pair_outcome_probs(povm, povm, singlet_rho)
             for (x1, y1, x2, y2), prob in zip(OUTCOMES16, probs):
                 r = (0 if x1 == -x2 else 1, 0 if y1 == -y2 else 1)
-                assert abs(prob - stats.e[PATTERNS.index(r)]) <= 1e-12
+                assert abs(prob - e[PATTERNS.index(r)]) <= 1e-12
         symmetric = exact_pattern_probs(VisibilityTriple(SQ3, SQ3, SQ3))
         # PATTERNS order: (0, 0), (0, 1), (1, 0), (1, 1)
-        assert abs(symmetric.e[0] - 1 / 12) <= 1e-12
-        assert abs(symmetric.e[1] - 1 / 12) <= 1e-12
-        assert abs(symmetric.e[2] - 1 / 12) <= 1e-12
-        assert abs(symmetric.e[3]) <= 1e-12
+        assert abs(symmetric[0] - 1 / 12) <= 1e-12
+        assert abs(symmetric[1] - 1 / 12) <= 1e-12
+        assert abs(symmetric[2] - 1 / 12) <= 1e-12
+        assert abs(symmetric[3]) <= 1e-12
 
 
 def test_criterion_3_negative_csquared():
     with criterion(3, "c^2 = -vz^2 exactly on the grid; Monte-Carlo hits -1/3 non-classically"):
         for v in GRID:
-            c2 = 4.0 * _hadamard(exact_pattern_probs(v).e)[3]
+            c2 = 4.0 * _hadamard(exact_pattern_probs(v))[3]
             assert abs(c2 - (-(v.vz ** 2))) <= 1e-12
         config = ExperimentConfig(
             visibilities=VisibilityTriple(SQ3, SQ3, SQ3), shots=1_000_000, seed=20240910
@@ -109,14 +109,14 @@ def test_criterion_3_negative_csquared():
 def test_criterion_4_classicality_dichotomy():
     with criterion(4, "S = vz^2/4 >= 0 on the grid; S <= 0 for 10^4 classical models"):
         for v in GRID:
-            s = classicality_statistic(exact_pattern_probs(v).e)
+            s = classicality_statistic(exact_pattern_probs(v))
             assert abs(s - v.vz ** 2 / 4.0) <= 1e-12
             assert s >= -1e-12
         rng = np.random.Generator(np.random.Philox(key=20240911))
         for _ in range(10_000):
             weights = rng.dirichlet(np.ones(4))
             model = ErrorModel(weights=weights.astype(complex))
-            assert classicality_statistic(predicted_pattern_probs(model).e) <= 1e-10
+            assert classicality_statistic(predicted_pattern_probs(model)) <= 1e-10
 
 
 def test_criterion_5_visibility_recovery():

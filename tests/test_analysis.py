@@ -21,10 +21,9 @@ from xymeas.analysis import (
     MIN_WERNER_P,
     Estimate,
     classicality_statistic,
-    collapse_pair_counts,
-    correct_for_source_noise,
     estimate_visibility,
     is_classical,
+    pattern_cells,
     pattern_estimates,
 )
 from xymeas.fileio import read_counts_document, read_document
@@ -32,7 +31,6 @@ from xymeas.povm import (
     OUTCOMES4,
     OUTCOMES16,
     PATTERNS,
-    PatternStats,
     VisibilityTriple,
     _hadamard,
     build_povm,
@@ -128,13 +126,23 @@ class TestVisibilityEstimates:
         assert 9.0 < ratio < 11.0
 
 
+def cell_values(cells):
+    return [cell.value for cell in cells]
+
+
+def cell_stderrs(cells):
+    return [cell.stderr for cell in cells]
+
+
 class TestCollapsePairCounts:
+    """16 pair-outcome counts collapsed to the four pattern cells of `pattern_cells`."""
+
     def test_single_anticorrelated_shot(self):
         counts = [0] * 16
         counts[OUTCOMES16.index((+1, +1, -1, -1))] = 1
-        stats = collapse_pair_counts(PairCounts16(counts=counts))
-        assert stats.e[0] == pytest.approx(0.25)
-        assert stats.e[1] == stats.e[2] == stats.e[3] == 0.0
+        e = cell_values(pattern_cells(PairCounts16(counts=counts)))
+        assert e[0] == pytest.approx(0.25)
+        assert e[1] == e[2] == e[3] == 0.0
 
     def test_exact_probs_match_closed_form(self):
         v = VisibilityTriple(SQ3, SQ3, SQ3)
@@ -143,26 +151,34 @@ class TestCollapsePairCounts:
 
         # at the symmetric point each pair outcome has probability 1/12 or 0
         probs = pair_outcome_probs(povm, povm, density(singlet()))
-        stats = collapse_pair_counts(PairCounts16(counts=shot_counts(probs, 1200)))
+        cells = pattern_cells(PairCounts16(counts=shot_counts(probs, 1200)))
         exact = exact_pattern_probs(v)
         for k in range(4):
-            assert stats.e[k] == pytest.approx(exact.e[k], abs=1e-12)
+            assert cells[k].value == pytest.approx(exact[k], abs=1e-12)
         # binomial spread of a 1/3 class; rule of three for the empty (1, 1) class
         binomial = np.sqrt((1 / 3) * (2 / 3) / 1200) / 4
-        assert stats.stderr.tolist() == pytest.approx([binomial] * 3 + [(3 / 1200) / 4], rel=1e-12)
+        assert cell_stderrs(cells) == pytest.approx([binomial] * 3 + [(3 / 1200) / 4], rel=1e-12)
 
     def test_uniform_counts(self):
-        stats = collapse_pair_counts(
+        cells = pattern_cells(
             PairCounts16(counts=[100] * 16)
         )
-        for entry in stats.e:
+        for entry in cell_values(cells):
             assert entry == pytest.approx(1 / 16, abs=1e-12)
 
     def test_zero_count_pattern_gets_rule_of_three(self):
         counts = [0] * 16
         counts[OUTCOMES16.index((+1, +1, -1, -1))] = 1000
-        stats = collapse_pair_counts(PairCounts16(counts=counts))
-        assert stats.stderr[3] == pytest.approx((3 / 1000) / 4)
+        cells = pattern_cells(PairCounts16(counts=counts))
+        assert cells[3].stderr == pytest.approx((3 / 1000) / 4)
+
+    @pytest.mark.parametrize("p", [1.0, 0.5])
+    @pytest.mark.parametrize("shots", [1, 1000])
+    def test_full_class_gets_rule_of_three(self, p, shots):
+        # every shot in pattern (0, 0): the full class, like the three empty ones, reads 3/N of it
+        counts = [0] * 16
+        counts[OUTCOMES16.index((+1, +1, -1, -1))] = shots
+        assert cell_stderrs(pattern_cells(PairCounts16(counts=counts), p)) == [0.75 / shots / p] * 4
 
     def test_pattern_of(self):
         assert pattern_of(+1, +1, -1, -1) == (0, 0)
@@ -173,7 +189,7 @@ class TestCollapsePairCounts:
 
 def exact_rows(v):
     """``(1, vy^2, vx^2, c^2)``: the rows ``4 * H e`` of the exact pattern table of ``v``."""
-    return (4.0 * _hadamard(exact_pattern_probs(v).e)).tolist()
+    return (4.0 * _hadamard(exact_pattern_probs(v))).tolist()
 
 
 def pattern_counts(class_counts):
@@ -211,7 +227,7 @@ class TestPatternSums:
         _, _, corr = pattern_estimates(counts)
         assert corr.value == 1.0
         assert is_classical(corr) is True
-        assert classicality_statistic(collapse_pair_counts(counts).e) == pytest.approx(-0.25, abs=1e-12)
+        assert classicality_statistic(cell_values(pattern_cells(counts))) == pytest.approx(-0.25, abs=1e-12)
 
     @pytest.mark.parametrize(
         "v",
@@ -223,13 +239,13 @@ class TestPatternSums:
         ],
     )
     def test_quantum_statistic_is_vz_squared_over_four(self, v):
-        stats = exact_pattern_probs(v)
-        assert classicality_statistic(stats.e) == pytest.approx(v.vz ** 2 / 4, abs=1e-12)
+        e = exact_pattern_probs(v)
+        assert classicality_statistic(e) == pytest.approx(v.vz ** 2 / 4, abs=1e-12)
         assert exact_rows(v)[3] == pytest.approx(-v.vz ** 2, abs=1e-12)
 
     def test_boundary_vz_zero(self):
-        stats = exact_pattern_probs(VisibilityTriple(0.7, 0.7, 0.0))
-        assert classicality_statistic(stats.e) == pytest.approx(0.0, abs=1e-12)
+        e = exact_pattern_probs(VisibilityTriple(0.7, 0.7, 0.0))
+        assert classicality_statistic(e) == pytest.approx(0.0, abs=1e-12)
 
     def test_each_estimate_has_its_own_multinomial_stderr(self):
         # class fractions (0.5, 0.25, 0.15, 0.1) of 1000 shots: rows (vy^2, vx^2, c^2) = (0.3, 0.5, 0.2)
@@ -279,41 +295,74 @@ class TestPatternSums:
             assert vy2 == pytest.approx(v.vy ** 2, abs=1e-12)
 
 
+def noisy_counts(v, p, shots):
+    """A pair record whose class fractions are ``4 * (p e + (1 - p) / 16)`` of the exact table of ``v``."""
+    return pattern_counts(shot_counts(4.0 * (p * exact_pattern_probs(v) + (1 - p) / 16), shots))
+
+
 class TestSourceNoiseCorrection:
     def test_recovers_noiseless_patterns(self):
         v = VisibilityTriple(0.5, 0.4, 0.6)
         pure = exact_pattern_probs(v)
         p = 0.8
-        noisy = PatternStats(e=p * pure.e + (1 - p) / 16, stderr=[0.0] * 4)
-        corrected = correct_for_source_noise(noisy, p)
+        # class fractions 4 * (p e + (1 - p) / 16) are whole multiples of 1/100000
+        corrected = cell_values(pattern_cells(noisy_counts(v, p, 100_000), p))
         for k in range(4):
-            assert corrected.e[k] == pytest.approx(pure.e[k], abs=1e-12)
+            assert corrected[k] == pytest.approx(pure[k], abs=1e-12)
 
     def test_contrasts_divide_by_p(self):
         v = VisibilityTriple(0.5, 0.4, 0.6)
-        pure = exact_pattern_probs(v)
         p = 0.7
         # class fractions 4 * (p e + (1 - p) / 16) are whole multiples of 1/100000
-        counts = pattern_counts(shot_counts(4.0 * (p * pure.e + (1 - p) / 16), 100_000))
+        counts = noisy_counts(v, p, 100_000)
         _, _, raw = pattern_estimates(counts)
         assert raw.value == pytest.approx(-p * v.vz ** 2, abs=1e-12)
         _, _, corrected = pattern_estimates(counts, p)
         assert corrected.value == pytest.approx(-v.vz ** 2, abs=1e-12)
         assert corrected.stderr == pytest.approx(raw.stderr / p, rel=1e-12)
         # the same row as the corrected [patterns] table's
-        table = correct_for_source_noise(collapse_pair_counts(counts), p)
-        assert corrected.value == pytest.approx(4.0 * _hadamard(table.e)[3], abs=1e-12)
+        table = cell_values(pattern_cells(counts, p))
+        assert corrected.value == pytest.approx(4.0 * _hadamard(table)[3], abs=1e-12)
 
     def test_invalid_parameter_rejected(self):
-        stats = exact_pattern_probs(VisibilityTriple(0.5, 0.4, 0.6))
+        counts = noisy_counts(VisibilityTriple(0.5, 0.4, 0.6), 1.0, 10_000)
         with pytest.raises(ValueError):
-            correct_for_source_noise(stats, 0.0)
+            pattern_cells(counts, 0.0)
 
     def test_parameter_floor(self):
-        stats = exact_pattern_probs(VisibilityTriple(0.5, 0.4, 0.6))
+        counts = noisy_counts(VisibilityTriple(0.5, 0.4, 0.6), 1.0, 10_000)
         with pytest.raises(ValueError, match=re.escape("must lie in [1e-06, 1]")):
-            correct_for_source_noise(stats, MIN_WERNER_P / 2)
-        assert correct_for_source_noise(stats, MIN_WERNER_P).e.sum() == pytest.approx(0.25, abs=1e-9)
+            pattern_cells(counts, MIN_WERNER_P / 2)
+        assert sum(cell_values(pattern_cells(counts, MIN_WERNER_P))) == pytest.approx(0.25, abs=1e-9)
+
+    def test_corrected_cells_may_leave_the_unit_range(self):
+        # one shot at p = 0.2: the full cell reads (1/4 - 0.8/16) / 0.2 = 1, the empty ones -1/4
+        cells = pattern_cells(pattern_counts([1, 0, 0, 0]), 0.2)
+        assert cell_values(cells) == pytest.approx([1.0, -0.25, -0.25, -0.25], abs=1e-15)
+
+
+# any pair record: 16 counts of up to 1e9 shots each, at least one shot in all
+pair_records = st.lists(st.integers(0, 10 ** 9), min_size=16, max_size=16).filter(any)
+
+
+@pytest.mark.parametrize("p", [1.0, 0.5])
+@settings(max_examples=100, deadline=None)
+@given(counts=pair_records)
+def test_no_pattern_stderr_is_zero(p, counts):
+    record = PairCounts16(counts=counts)
+    assert all(est.stderr > 0.0 for est in pattern_cells(record, p) + pattern_estimates(record, p))
+
+
+@settings(max_examples=200, deadline=None)
+@given(counts=pair_records)
+def test_cells_match_the_pair_rows_at_the_parameter_floor(counts):
+    # at MIN_WERNER_P the corrected cells still sum to 1/4, and their rows 4 H e still
+    # match the pair rows, within 1e-9: the rounding of each cell grows as 1/p
+    record = PairCounts16(counts=counts)
+    rows = (4.0 * _hadamard(cell_values(pattern_cells(record, MIN_WERNER_P)))).tolist()
+    assert rows[0] / 4.0 == pytest.approx(0.25, abs=1e-9)
+    for est, j in zip(pattern_estimates(record, MIN_WERNER_P), (2, 1, 3)):
+        assert rows[j] == pytest.approx(est.value, abs=1e-9)
 
 
 class TestErrorModelAlgebra:
@@ -400,20 +449,20 @@ class TestEigenstateProbsFromModel:
 class TestPredictedPatternProbs:
     def test_symmetric_quantum_model(self):
         m = error_model_from_visibilities(SQ3, SQ3, 1j * SQ3)
-        stats = predicted_pattern_probs(m)
+        e = predicted_pattern_probs(m)
         exact = exact_pattern_probs(VisibilityTriple(SQ3, SQ3, SQ3))
         for k in range(4):
-            assert stats.e[k] == pytest.approx(exact.e[k], abs=1e-12)
+            assert e[k] == pytest.approx(exact[k], abs=1e-12)
 
     def test_ideal_classical(self):
-        stats = predicted_pattern_probs(error_model_from_visibilities(1.0, 1.0, 1.0))
-        assert stats.e[0] == pytest.approx(0.25)
+        e = predicted_pattern_probs(error_model_from_visibilities(1.0, 1.0, 1.0))
+        assert e[0] == pytest.approx(0.25)
         for k in (1, 2, 3):
-            assert stats.e[k] == pytest.approx(0.0)
+            assert e[k] == pytest.approx(0.0)
 
     def test_uniform(self):
-        stats = predicted_pattern_probs(error_model_from_visibilities(0.0, 0.0, 0.0))
-        for entry in stats.e:
+        e = predicted_pattern_probs(error_model_from_visibilities(0.0, 0.0, 0.0))
+        for entry in e:
             assert entry == pytest.approx(1 / 16)
 
     def test_inconsistent_model_rejected(self):
@@ -432,10 +481,10 @@ class TestPredictedPatternProbs:
     )
     def test_quantum_models_match_exact_patterns(self, v):
         m = error_model_from_visibilities(v.vx, v.vy, 1j * v.vz)
-        stats = predicted_pattern_probs(m)
+        e = predicted_pattern_probs(m)
         exact = exact_pattern_probs(v)
         for k in range(4):
-            assert stats.e[k] == pytest.approx(exact.e[k], abs=1e-12)
+            assert e[k] == pytest.approx(exact[k], abs=1e-12)
 
 
 complex_weights = st.tuples(
@@ -491,5 +540,4 @@ def test_fourier_identity(raw):
 def test_classical_models_never_look_quantum(raw):
     values = np.array(raw) / sum(raw)
     m = ErrorModel(weights=values.astype(complex))
-    stats = predicted_pattern_probs(m)
-    assert classicality_statistic(stats.e) <= 1e-10
+    assert classicality_statistic(predicted_pattern_probs(m)) <= 1e-10

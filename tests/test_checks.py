@@ -108,9 +108,9 @@ class TestAgreementWithReferences:
             vx2, vy2, vz2 = v.vx ** 2, v.vy ** 2, v.vz ** 2
             closed = [1 + vx2 + vy2 - vz2, 1 + vx2 - vy2 + vz2, 1 - vx2 + vy2 + vz2, 1 - vx2 - vy2 - vz2]
             assert np.max(np.abs(row - np.array(closed) / 16.0)) <= 1e-16
-            stats = exact_pattern_probs(v)
-            assert row.tobytes() == stats.e.tobytes()
-            assert row[1] + row[2] - row[0] - row[3] == classicality_statistic(stats.e)
+            e = exact_pattern_probs(v)
+            assert row.tobytes() == e.tobytes()
+            assert row[1] + row[2] - row[0] - row[3] == classicality_statistic(e)
 
     def test_pattern_index_follows_pattern_of(self):
         from xymeas.analysis import _PATTERN_INDEX16

@@ -293,6 +293,8 @@ class TestEstimate:
         assert doc.section_value("csquared", "stderr") == "6"
         assert doc.section_value("csquared", "classical") == "true"
         assert doc.section_value("classicality", "stderr") == "1.5"
+        # the full pattern class, like the three empty ones, reads stderr 3/N of a cell's 4 outcomes
+        assert [row[3] for row in doc.section("patterns")] == ["0.75"] * 4
         assert "c^2 = -1.000000 +- 6 (consistent with classical errors)" in capsys.readouterr().out
 
     @pytest.mark.parametrize(

@@ -55,14 +55,16 @@ def test_oracle_names_are_not_in_the_package():
 
 # capability no command used: the measurement-dump reader and the two-qubit KD path;
 # the second summation order with the wrapper around the element array; and the
-# ket and density-matrix forms of a qubit state, which its Bloch vector replaces
+# ket and density-matrix forms of a qubit state, which its Bloch vector replaces; and the
+# pattern-table record and its two-step path, which the `pattern_cells` contrasts replace
 REMOVED = {
     fileio: ("read_povm_file", "_entry", "named_state_density"),
     qubit: ("tensor_state",),
     kirkwood: ("_product_kets", "random_qubit_density", "_KET_X", "_KET_Y", "_OVERLAP"),
-    povm: ("_sum4", "JointPovm", "outcome_probs"),
+    povm: ("_sum4", "JointPovm", "outcome_probs", "PatternStats"),
     simulate: ("eigenstate_table",),
     checks: ("_hadamard_by_parts", "_random_qubit_densities"),
+    analysis: ("collapse_pair_counts", "correct_for_source_noise"),
 }
 
 

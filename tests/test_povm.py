@@ -1,7 +1,5 @@
 """Construction and exact statistics of the joint X/Y measurement family."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,7 +22,6 @@ from xymeas.povm import (
     OUTCOMES4,
     OUTCOMES16,
     PATTERNS,
-    PatternStats,
     PositivityError,
     VisibilityTriple,
     build_povm,
@@ -267,62 +264,38 @@ def test_stacked_tables_equal_per_element_reference(v1, v2, r, rho4):
 
 class TestExactPatternProbs:
     def test_symmetric_point(self):
-        stats = exact_pattern_probs(VisibilityTriple(SQ3, SQ3, SQ3))
+        e = exact_pattern_probs(VisibilityTriple(SQ3, SQ3, SQ3))
         # PATTERNS order: (0, 0), (0, 1), (1, 0), (1, 1)
-        assert stats.e[0] == pytest.approx(1.0 / 12.0, abs=ATOL_ALGEBRA)
-        assert stats.e[1] == pytest.approx(1.0 / 12.0, abs=ATOL_ALGEBRA)
-        assert stats.e[2] == pytest.approx(1.0 / 12.0, abs=ATOL_ALGEBRA)
-        assert stats.e[3] == pytest.approx(0.0, abs=ATOL_ALGEBRA)
+        assert e[0] == pytest.approx(1.0 / 12.0, abs=ATOL_ALGEBRA)
+        assert e[1] == pytest.approx(1.0 / 12.0, abs=ATOL_ALGEBRA)
+        assert e[2] == pytest.approx(1.0 / 12.0, abs=ATOL_ALGEBRA)
+        assert e[3] == pytest.approx(0.0, abs=ATOL_ALGEBRA)
 
     def test_z_blind_device(self):
-        stats = exact_pattern_probs(VisibilityTriple(0.6, 0.8, 0.0))
-        assert stats.e[0] == pytest.approx(0.125, abs=ATOL_ALGEBRA)
-        assert stats.e[1] == pytest.approx(0.045, abs=ATOL_ALGEBRA)
-        assert stats.e[2] == pytest.approx(0.08, abs=ATOL_ALGEBRA)
-        assert stats.e[3] == pytest.approx(0.0, abs=ATOL_ALGEBRA)
+        e = exact_pattern_probs(VisibilityTriple(0.6, 0.8, 0.0))
+        assert e[0] == pytest.approx(0.125, abs=ATOL_ALGEBRA)
+        assert e[1] == pytest.approx(0.045, abs=ATOL_ALGEBRA)
+        assert e[2] == pytest.approx(0.08, abs=ATOL_ALGEBRA)
+        assert e[3] == pytest.approx(0.0, abs=ATOL_ALGEBRA)
 
     def test_fully_random_device(self):
-        stats = exact_pattern_probs(VisibilityTriple(0.0, 0.0, 0.0))
-        for entry in stats.e:
+        e = exact_pattern_probs(VisibilityTriple(0.0, 0.0, 0.0))
+        for entry in e:
             assert entry == pytest.approx(1.0 / 16.0, abs=ATOL_ALGEBRA)
 
     @pytest.mark.parametrize("v", list(valid_triples(step=0.5)))
     def test_matches_pair_probabilities(self, v):
-        stats = exact_pattern_probs(v)
+        e = exact_pattern_probs(v)
         povm = build_povm(v)
         p = pair_outcome_probs(povm, povm, density(singlet()))
         for (x1, y1, x2, y2), entry in zip(OUTCOMES16, p):
             r = (0 if x1 == -x2 else 1, 0 if y1 == -y2 else 1)
-            assert entry == pytest.approx(stats.e[PATTERNS.index(r)], abs=ATOL_ALGEBRA)
+            assert entry == pytest.approx(e[PATTERNS.index(r)], abs=ATOL_ALGEBRA)
 
     @pytest.mark.parametrize("v", list(valid_triples(step=0.5)))
     def test_normalization(self, v):
-        stats = exact_pattern_probs(v)
-        assert 4.0 * sum(stats.e) == pytest.approx(1.0, abs=ATOL_ALGEBRA)
-
-
-class TestPatternStats:
-    def test_rejects_bad_sum(self):
-        e = [0.1] * 4
-        with pytest.raises(ValueError):
-            PatternStats(e=e, stderr=[0.0] * 4)
-
-    def test_fields_are_the_table_and_its_stderr(self):
-        assert [f.name for f in dataclasses.fields(PatternStats)] == ["e", "stderr"]
-
-    def test_corrected_entries_outside_unit_range_accepted(self):
-        # a source-noise corrected table of few shots may leave [0, 1] on both sides
-        stats = PatternStats(e=[1.9375, -0.5625, -0.5625, -0.5625], stderr=[0.1] * 4)
-        assert stats.e.tolist() == [1.9375, -0.5625, -0.5625, -0.5625]
-
-    @pytest.mark.parametrize("bad", [[0.25, 0, 0, np.nan], [np.inf, 0, 0, 0]])
-    def test_rejects_non_finite_entry(self, bad):
-        with pytest.raises(ValueError, match="finite"):
-            PatternStats(e=bad, stderr=[0.0] * 4)
-
-    def test_rejects_negative_stderr(self):
-        with pytest.raises(ValueError, match="pattern stderr"):
-            PatternStats(e=[0.25, 0, 0, 0], stderr=[0.0, 0.0, 0.0, -0.01])
+        e = exact_pattern_probs(v)
+        assert 4.0 * sum(e) == pytest.approx(1.0, abs=ATOL_ALGEBRA)
 
 
 class TestIdealOperator:

@@ -618,10 +618,10 @@ class TestPairExperiment:
         v = VisibilityTriple(SQ3, SQ3, SQ3)
         config = ExperimentConfig(visibilities=v, shots=1_000_000, seed=37)
         counts = run_pair_experiment(config)
-        stats = exact_pattern_probs(v)
+        e = exact_pattern_probs(v)
         class_counts = {r: 0 for r in ((0, 0), (0, 1), (1, 0), (1, 1))}
         for (x1, y1, x2, y2), n in zip(OUTCOMES16, counts.counts):
             r = (0 if x1 == -x2 else 1, 0 if y1 == -y2 else 1)
             class_counts[r] += n
         for r, n in class_counts.items():
-            assert n / (4 * config.shots) == pytest.approx(stats.e[PATTERNS.index(r)], abs=0.002)
+            assert n / (4 * config.shots) == pytest.approx(e[PATTERNS.index(r)], abs=0.002)

@@ -17,6 +17,7 @@ from oracles import (
     kd_pair_from_state,
     pair_outcome_probs,
     pattern_quasiprobs,
+    predicted_pattern_probs,
     singlet,
 )
 from xymeas.fileio import read_document, read_probs_document, write_probs_file
@@ -25,7 +26,6 @@ from xymeas.povm import (
     OUTCOMES4,
     OUTCOMES16,
     PATTERNS,
-    PatternStats,
     VisibilityTriple,
     build_povm,
     exact_pattern_probs,
@@ -50,8 +50,7 @@ def probs_read_back(tmp_path):
 TABLES = [
     ("OutcomeCounts4.counts", OUTCOMES4, lambda _: OutcomeCounts4([1, 2, 3, 4], "X", +1).counts),
     ("PairCounts16.counts", OUTCOMES16, lambda _: PairCounts16(range(16)).counts),
-    ("PatternStats.e", PATTERNS, lambda _: exact_pattern_probs(VisibilityTriple(0.5, 0.4, 0.3)).e),
-    ("PatternStats.stderr", PATTERNS, lambda _: PatternStats([0.25, 0, 0, 0], [0.01] * 4).stderr),
+    ("exact_pattern_probs", PATTERNS, lambda _: exact_pattern_probs(VisibilityTriple(0.5, 0.4, 0.3))),
     ("ErrorModel.weights", PATTERNS, lambda _: MODEL.weights),
     ("KDDistribution.entries", OUTCOMES4, lambda _: kd_from_bloch(ZPLUS).entries),
     ("outcome_table", OUTCOMES4, lambda _: outcome_table(POVM, ZPLUS)),
@@ -59,6 +58,7 @@ TABLES = [
     ("kd_pair_from_state", OUTCOMES16, lambda _: kd_pair_from_state(SINGLET)),
     ("forward_map", OUTCOMES4, lambda _: forward_map(kd_from_bloch(ZPLUS), MODEL)),
     ("pattern_quasiprobs", PATTERNS, lambda _: pattern_quasiprobs(MODEL)),
+    ("predicted_pattern_probs", PATTERNS, lambda _: predicted_pattern_probs(MODEL)),
     ("eigenstate_probs_from_error_model", OUTCOMES4, lambda _: eigenstate_probs_from_error_model(MODEL, "X")),
     ("read_probs_document", OUTCOMES4, probs_read_back),
 ]
@@ -77,12 +77,11 @@ def test_table_is_a_read_only_vector_in_key_order(tmp_path, keys, build):
     [
         lambda m: OutcomeCounts4(m(OUTCOMES4), "X", +1),
         lambda m: PairCounts16(m(OUTCOMES16)),
-        lambda m: PatternStats(m(PATTERNS), [0.0] * 4),
         lambda m: ErrorModel(m(PATTERNS)),
         lambda m: KDDistribution(m(OUTCOMES4)),
         lambda m: reconstruct_kd(m(OUTCOMES4), 0.5, 0.4, 0.3j),
     ],
-    ids=["OutcomeCounts4", "PairCounts16", "PatternStats", "ErrorModel", "KDDistribution", "reconstruct_kd"],
+    ids=["OutcomeCounts4", "PairCounts16", "ErrorModel", "KDDistribution", "reconstruct_kd"],
 )
 def test_mapping_input_rejected(build):
     def mapping(keys):
