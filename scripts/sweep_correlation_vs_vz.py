@@ -16,7 +16,7 @@ import tempfile
 from pathlib import Path
 
 from run_error_correlation_experiment import xymeas
-from xymeas.analysis import classicality_statistic
+from xymeas.checks import classicality_statistic
 from xymeas.fileio import fmt_float, read_document
 from xymeas.povm import VisibilityTriple, exact_pattern_probs
 

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .povm import PATTERNS, _float_table, _hadamard
+from .povm import PATTERNS, _hadamard
 from .qubit import ATOL_ALGEBRA
 from .simulate import OutcomeCounts4, PairCounts16
 
@@ -161,35 +161,6 @@ def is_classical(c2: Estimate) -> bool:
     return bool(c2.value >= -(CLASSICAL_SIGMA * c2.stderr + ATOL_ALGEBRA))
 
 
-def classicality_statistic(e) -> np.ndarray:
-    """``e(0,1) + e(1,0) - e(0,0) - e(1,1)`` over the last axis of a (..., 4) pattern table.
-
-    > 0 is impossible classically. The terms are added in this order for
-    every shape, so `checks.check_classicality_dichotomy` and the sweep
-    script's ``s_exact`` column agree to the bit. A report writes ``S`` as
-    ``-c^2 / 4`` from its ``c^2`` instead.
-    """
-    e = np.asarray(e)
-    return e[..., 1] + e[..., 2] - e[..., 0] - e[..., 3]
-
-
 def _check_werner_p(p: float) -> None:
     if not MIN_WERNER_P <= p <= 1.0:
         raise ValueError(f"source parameter must lie in [{MIN_WERNER_P}, 1], got {p!r}")
-
-
-def _self_convolution(w) -> np.ndarray:
-    """``e[..., r] = (1/4) * sum_s w[..., s] * w[..., s xor r]`` over the last axis.
-
-    Each product keeps the operand order ``w(s) * w(s xor r)`` (a fused
-    complex multiply is not commutative to the bit), and each row adds its
-    four products left to right from +0.0, the order of `povm._hadamard`,
-    without building the ``(..., 4, 4)`` product table.
-    """
-    w = _float_table(w)
-    cols = [w[..., s] for s in range(4)]
-    e = np.empty(w.shape, w.dtype)
-    for r in range(4):
-        e[..., r] = sum((cols[s] * cols[s ^ r] for s in range(4)), 0.0)
-    e /= 4.0
-    return e

@@ -15,9 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import _PATTERN_INDEX16, _self_convolution, classicality_statistic
+from .analysis import _PATTERN_INDEX16
 from .kirkwood import _kd_entries
-from .povm import OUTCOMES4, VisibilityTriple, _exact_patterns, _family_elements, _hadamard, ideal_operator
+from .povm import (
+    OUTCOMES4, VisibilityTriple, _exact_patterns, _family_elements, _float_table, _hadamard, ideal_operator,
+)
 from .qubit import ATOL_ALGEBRA, ATOL_EIG, _bloch_operators, _lowest_eigenvalues, _product, identity, pauli
 
 # Cases are swept as arrays of this many at a time. That bounds the memory
@@ -113,6 +115,23 @@ def check_povm_family(grid: int = 9) -> CheckResult:
     return CheckResult("povm_family", True, f"max deviation {worst:.3e}")
 
 
+def _self_convolution(w) -> np.ndarray:
+    """``e[..., r] = (1/4) * sum_s w[..., s] * w[..., s xor r]`` over the last axis.
+
+    Each product keeps the operand order ``w(s) * w(s xor r)`` (a fused
+    complex multiply is not commutative to the bit), and each row adds its
+    four products left to right from +0.0, the order of `povm._hadamard`,
+    without building the ``(..., 4, 4)`` product table.
+    """
+    w = _float_table(w)
+    cols = [w[..., s] for s in range(4)]
+    e = np.empty(w.shape, w.dtype)
+    for r in range(4):
+        e[..., r] = sum((cols[s] * cols[s ^ r] for s in range(4)), 0.0)
+    e /= 4.0
+    return e
+
+
 def check_fourier_identity(samples: int = 10_000, seed: int = 20240902) -> CheckResult:
     """Character identity of the XOR self-convolution on random complex models.
 
@@ -133,6 +152,18 @@ def check_fourier_identity(samples: int = 10_000, seed: int = 20240902) -> Check
             return CheckResult("fourier_identity", False, f"identity violated by {deviation:.3e}")
         worst = max(worst, deviation)
     return CheckResult("fourier_identity", True, f"max deviation {worst:.3e} over {samples} models")
+
+
+def classicality_statistic(e) -> np.ndarray:
+    """``e(0,1) + e(1,0) - e(0,0) - e(1,1)`` over the last axis of a (..., 4) pattern table.
+
+    > 0 is impossible classically. The terms are added in this order for
+    every shape, so `check_classicality_dichotomy` and the sweep script's
+    ``s_exact`` column agree to the bit. A report writes ``S`` as
+    ``-c^2 / 4`` from its ``c^2`` instead.
+    """
+    e = np.asarray(e)
+    return e[..., 1] + e[..., 2] - e[..., 0] - e[..., 3]
 
 
 def check_classicality_dichotomy(

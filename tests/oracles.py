@@ -2,7 +2,7 @@
 
 The commands work on whole tables and stacks; these are the one-record
 forms the tests state identities with. Each wraps the library's own
-arithmetic (`povm._hadamard`, `analysis._self_convolution`,
+arithmetic (`povm._hadamard`, `checks._self_convolution`,
 `checks._random_bloch_vectors`, `qubit._lowest_eigenvalues`,
 `qubit._bloch_operators`, `povm._checked_table`) or plain numpy
 (``np.kron``, ``np.trace``), and never adds up a sum of its own that the
@@ -19,8 +19,9 @@ quasi-probability ``<x|y><y|rho|x>`` contracted from the kets, which
 quasi-probability, which no command computes, is plain numpy over
 ``np.kron`` product kets. The Werner state and the pair table as operator
 traces, ``Tr((E1 (x) E2) rho4)``, are the references that
-`simulate.werner_table` reads off Bloch components instead; they are
-matrix products, so their digits depend on the BLAS kernel. `pattern_of`
+`povm.werner_table` reads off the device's Bloch table
+(`povm.family_device`) instead; they are matrix products, so their digits
+depend on the BLAS kernel. `pattern_of`
 states a pair outcome's flip pattern from its four signs, the rule the bit
 arithmetic of `analysis._PATTERN_INDEX16` encodes. Each keeps only the
 validation some test checks.
@@ -30,8 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from xymeas.analysis import _self_convolution
-from xymeas.checks import _random_bloch_vectors
+from xymeas.checks import _random_bloch_vectors, _self_convolution
 from xymeas.kirkwood import KDDistribution
 from xymeas.povm import OUTCOMES4, OUTCOMES16, PATTERNS, _checked_table, _hadamard
 from xymeas.qubit import ATOL_ALGEBRA, ATOL_EIG, _bloch_operators, _lowest_eigenvalues, ensure_axis, ensure_sign

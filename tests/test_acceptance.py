@@ -26,12 +26,11 @@ from oracles import (
 )
 from xymeas import cli
 from xymeas.analysis import (
-    classicality_statistic,
     estimate_visibility,
     is_classical,
     pattern_estimates,
 )
-from xymeas.checks import visibility_grid
+from xymeas.checks import classicality_statistic, visibility_grid
 from xymeas.kirkwood import kd_from_bloch, reconstruct_kd
 from xymeas.povm import (
     OUTCOMES4,
@@ -41,6 +40,7 @@ from xymeas.povm import (
     _hadamard,
     build_povm,
     exact_pattern_probs,
+    family_device,
     ideal_operator,
     outcome_table,
 )
@@ -177,14 +177,14 @@ def test_criterion_7_kd_round_trip():
                     break
             v = VisibilityTriple(vx, vy, vz)
             r = random_bloch_vector(rng)
-            p = outcome_table(build_povm(v), r)
+            p = outcome_table(family_device(v), r)
             kd = reconstruct_kd(p, v.vx, v.vy, 1j * v.vz)
             expected = kd_from_state(bloch_density(r))
             for k in range(4):
                 assert abs(kd.entries[k] - expected.entries[k]) <= 1e-10
 
         v = VisibilityTriple(SQ3, SQ3, SQ3)
-        p = outcome_table(build_povm(v), bloch_vector("Z", +1))
+        p = outcome_table(family_device(v), bloch_vector("Z", +1))
         kd = reconstruct_kd(p, v.vx, v.vy, 1j * v.vz)
         # OUTCOMES4 order: (+1, +1), (+1, -1), (-1, +1), (-1, -1)
         assert abs(kd.entries[0] - (1 + 1j) / 4) <= 1e-10

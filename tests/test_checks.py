@@ -8,12 +8,12 @@ import pytest
 
 from oracles import bloch_density, density, eigenstate, kd_from_state, pair_outcome_probs, pattern_of, singlet
 from xymeas import checks
-from xymeas.analysis import classicality_statistic
 from xymeas.checks import (
     check_classicality_dichotomy,
     check_fourier_identity,
     check_operator_identities,
     check_povm_family,
+    classicality_statistic,
     run_all_checks,
     visibility_grid,
 )

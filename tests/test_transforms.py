@@ -1,6 +1,6 @@
 """Column-form sums equal the product-table formulas they replace, bit for bit.
 
-`povm._hadamard` and `analysis._self_convolution` add the four columns of
+`povm._hadamard` and `checks._self_convolution` add the four columns of
 their input directly. The references below are the formulas they replace:
 a ``(..., 4, 4)`` product table ``P`` whose rows are added left to right
 from +0.0, ``sum((P[..., k] for k in range(4)), 0.0)``, the one order of
@@ -15,8 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from xymeas.analysis import _self_convolution
-from xymeas.checks import _random_bloch_vectors
+from xymeas.checks import _random_bloch_vectors, _self_convolution
 from xymeas.kirkwood import SINGULAR_VISIBILITY, _kd_entries, reconstruct_kd
 from xymeas.povm import HADAMARD, _hadamard
 from xymeas.qubit import AXES, bloch_vector
