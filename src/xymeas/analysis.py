@@ -35,12 +35,12 @@ Each estimate is one `Estimate`, value and standard error; `is_classical` is
 the one verdict on ``c^2``.
 
 All three read an integer signed count ``row`` of ``N`` shots (`_contrast`),
-so ``m = row / N`` is correctly rounded. One stderr rule serves a
-visibility, a pattern row and a pattern cell alike: the multinomial
-``sqrt((1 - m^2) / N)``, except where every shot fell on one side, whose
-empty side gets the rule-of-three ``3/N`` (stderr ``6/N``, never 0). A cell's
-fraction ``n_r / N`` has half its contrast's stderr, so an empty or a full
-class reads ``3/N``.
+so ``m = row / N`` is correctly rounded. One stderr rule serves a visibility,
+a pattern row and a pattern cell alike: the multinomial ``sqrt((1 - m^2) / N)``,
+as ``sqrt((N - row)(N + row)) / N / sqrt(N)`` so no ``1 - m^2`` cancels, except
+where every shot fell on one side, whose empty side gets the rule-of-three
+``3/N`` (stderr ``6/N``, never 0). A cell's fraction ``n_r / N`` has half its
+contrast's stderr, so an empty or a full class reads ``3/N``.
 """
 
 from __future__ import annotations
@@ -82,9 +82,10 @@ class Estimate:
 
 
 def _contrast(row: int, total: int) -> Estimate:
-    """``m = row / total`` of a signed count of ``total`` shots; stderr ``6/total`` at ``|row| = total``."""
-    m = row / total
-    return Estimate(m, 6.0 / total if abs(row) == total else math.sqrt((1.0 - m * m) / total))
+    """``row / total`` of a signed count of ``total`` shots, with the stderr rule of the module docstring."""
+    if abs(row) == total:
+        return Estimate(row / total, 6.0 / total)
+    return Estimate(row / total, math.sqrt((total - row) * (total + row)) / total / math.sqrt(total))
 
 
 def estimate_visibility(counts: OutcomeCounts4) -> Estimate:
@@ -95,9 +96,8 @@ def estimate_visibility(counts: OutcomeCounts4) -> Estimate:
     count, with the stderr of `_contrast`.
     """
     total, y, x, _ = map(int, _hadamard(counts.counts).tolist())
-    m = _contrast(x if counts.input_axis == "X" else y, total)
-    # 0.0 - m, so a balanced run at input -1 reads 0.0, not -0.0
-    return m if counts.input_value == +1 else Estimate(0.0 - m.value, m.stderr)
+    # an integer row, so a balanced run at input -1 reads 0 / total = 0.0, not -0.0
+    return _contrast(counts.input_value * (x if counts.input_axis == "X" else y), total)
 
 
 # Pattern index of each OUTCOMES16 entry k, the pair of OUTCOMES4 outcomes k >> 2 and

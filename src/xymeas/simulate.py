@@ -89,7 +89,7 @@ class OutcomeCounts4:
         object.__setattr__(self, "counts", _shot_counts(self.counts, 4))
         if self.input_axis not in ("X", "Y"):
             raise ValueError(f"input_axis must be 'X' or 'Y', got {self.input_axis!r}")
-        ensure_sign(self.input_value, "input_value")
+        object.__setattr__(self, "input_value", ensure_sign(self.input_value, "input_value"))
 
     @property
     def total(self) -> int:

@@ -2,6 +2,7 @@
 
 import math
 import re
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +50,19 @@ from xymeas.simulate import (
 
 SQ3 = 1.0 / np.sqrt(3.0)
 GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def decimal_stderr(f, total):
+    """``sqrt(f (1 - f) / total)`` of a fraction ``f`` of ``total`` shots, in 40-digit decimal arithmetic."""
+    with localcontext() as context:
+        context.prec = 40
+        f = Decimal(f)
+        return float((f * (1 - f) / total).sqrt())
+
+
+# one shot of 10^12 away from the rest: there 1 - m^2 of the rounded m = row / N
+# cancels to a relative error of 1e-5, where the integer rows keep every digit
+HUGE = 10 ** 12
 
 
 def shot_counts(probs, shots=1_000_000):
@@ -114,6 +128,25 @@ class TestVisibilityEstimates:
                 correct = sum(n for o, n in zip(OUTCOMES4, table) if o[k] == value)
                 wrong = sum(table) - correct
                 assert str(estimate_visibility(counts).value) == str((correct - wrong) / sum(table))
+
+    @pytest.mark.parametrize("value", [+1, -1])
+    def test_near_perfect_stderr_keeps_full_precision(self, value):
+        # the contrast m = 2f - 1 has stderr sqrt((1 - m^2) / N) = 2 sqrt(f (1 - f) / N)
+        table = [HUGE - 1, 0, 1, 0] if value == +1 else [1, 0, HUGE - 1, 0]
+        est = estimate_visibility(OutcomeCounts4(counts=table, input_axis="X", input_value=value))
+        assert est.value == (HUGE - 2) / HUGE
+        assert est.stderr == pytest.approx(2 * decimal_stderr(Decimal(HUGE - 1) / HUGE, HUGE), rel=1e-12)
+
+    @pytest.mark.parametrize("flips", [False, True])
+    def test_stderr_matches_replicate_spread(self, flips):
+        # 400 seeded X+ runs of 20000 shots through the sampler: the vx z-score has unit spread
+        v = VisibilityTriple(SQ3, SQ3, SQ3)
+        z = []
+        for seed in range(400):
+            config = ExperimentConfig(v, 20_000, seed)
+            est = estimate_visibility(run_eigenstate_experiment(config, "X", +1, randomize_flips=flips))
+            z.append((est.value - v.vx) / est.stderr)
+        assert 0.9 <= np.std(z) <= 1.1, np.std(z)
 
     def test_stderr_scales_with_shots(self):
         v = VisibilityTriple(0.6, 0.8, 0.0)
@@ -262,6 +295,17 @@ class TestPatternSums:
         # every shot in pattern (0, 0): each row reads 1 with an empty other side, 3/N of it
         ideal = pattern_counts([1000, 0, 0, 0])
         assert [e.stderr for e in pattern_estimates(ideal, p)] == [6.0 / 1000 / p] * 3
+
+    def test_near_one_sided_rows_and_cells_keep_full_precision(self):
+        # classes (0, 0) and (0, 1) share the x character, so that row is one-sided
+        counts = pattern_counts([HUGE - 1, 1, 0, 0])
+        vx2, vy2, c2 = pattern_estimates(counts)
+        assert vx2.stderr == 6.0 / HUGE
+        reference = decimal_stderr(Decimal(HUGE - 1) / HUGE, HUGE)
+        assert [vy2.stderr, c2.stderr] == pytest.approx([2 * reference] * 2, rel=1e-12)
+        # a cell e = f / 4 of a class with f = (N - 1) / N or 1 / N
+        cells = pattern_cells(counts)
+        assert [cell.stderr for cell in cells[:2]] == pytest.approx([reference / 4] * 2, rel=1e-12)
 
     def test_single_pair_shot_is_classical(self):
         # one anticorrelated shot in pattern (0, 1) reads c^2 = -1, but one shot proves nothing
