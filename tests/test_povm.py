@@ -29,7 +29,6 @@ from xymeas.povm import (
     family_device,
     ideal_operator,
     outcome_table,
-    werner_table,
 )
 from xymeas.qubit import ATOL_ALGEBRA, ATOL_EIG, bloch_vector, identity, pauli
 
