@@ -16,7 +16,7 @@ import numpy as np
 
 from xymeas import cli
 from xymeas.fileio import fmt_float, named_state_bloch, write_probs_file
-from xymeas.povm import OUTCOMES4, VisibilityTriple, family_device, outcome_table
+from xymeas.povm import OUTCOMES4, VisibilityTriple, build_povm, outcome_table
 
 
 def main() -> int:
@@ -30,7 +30,7 @@ def main() -> int:
 
     args.workdir.mkdir(parents=True, exist_ok=True)
     v = VisibilityTriple(args.vx, args.vy, args.vz)
-    probs = outcome_table(family_device(v), named_state_bloch(args.state))
+    probs = outcome_table(build_povm(v), named_state_bloch(args.state))
     probs_path = args.workdir / f"{args.state.replace('+', 'plus').replace('-', 'minus')}_probs.txt"
     write_probs_file(probs_path, probs, state=args.state)
 

@@ -44,9 +44,6 @@ PATTERNS: tuple[tuple[int, int], ...] = ((0, 0), (0, 1), (1, 0), (1, 1))
 # PATTERNS or OUTCOMES4 order its rows are the characters 1, y, x and x*y.
 HADAMARD = np.kron([[1.0, 1.0], [1.0, -1.0]], [[1.0, 1.0], [1.0, -1.0]])
 
-# Bloch signs of each outcome: rows 1, x, y, x*y, one column per OUTCOMES4 outcome (x, y)
-_BLOCH_SIGNS = np.array([(1, x, y, x * y) for x, y in OUTCOMES4], dtype=float).T
-
 
 def _float_table(table) -> np.ndarray:
     """``table`` as a float64 or complex128 array, without a copy when it already is one."""
@@ -171,44 +168,24 @@ def _family_elements(v) -> np.ndarray:
     The four elements run in ``OUTCOMES4`` order. Nothing is validated, so a
     check can build elements for any triple, positive or not.
     """
-    return _bloch_operators(np.asarray(v, dtype=float)[..., None, :] * _BLOCH_SIGNS[1:].T) / 4.0
+    signs = np.array([(x, y, x * y) for x, y in OUTCOMES4], dtype=float)
+    return _bloch_operators(np.asarray(v, dtype=float)[..., None, :] * signs) / 4.0
 
 
-def family_device(v: VisibilityTriple) -> np.ndarray:
-    """The measurement of a visibility triple as its real Bloch table, a read-only (4, 4) array.
-
-    Rows ``t, bx, by, bz`` are ``Tr E, Tr EX, Tr EY, Tr EZ``; column ``k``,
-    element ``OUTCOMES4[k] = (x, y)``, is exactly ``(1, x*vx, y*vy, x*y*vz) / 2``.
-    """
-    device = _BLOCH_SIGNS * np.array([1.0, v.vx, v.vy, v.vz])[:, None] / 2.0
-    device.flags.writeable = False
-    return device
-
-
-def outcome_table(device: np.ndarray, r) -> np.ndarray:
+def outcome_table(elements: np.ndarray, r) -> np.ndarray:
     """Outcome table ``Tr(E rho)``, in ``OUTCOMES4`` order, on the qubit state of Bloch vector ``r``.
 
-    ``device`` is a Bloch table as `family_device` returns it and ``rho = (I + r . sigma) / 2``,
-    so the table is ``(t + rx bx + ry by + rz bz) / 2``, added left to right. ``r`` is not
-    checked to lie in the unit ball; the read-only table's entries must be finite.
+    ``elements`` is a (4, 2, 2) array as `build_povm` returns it, and
+    ``rho = (I + r . sigma) / 2``. The trace is written entry by entry and
+    added left to right, ``e00 (1 + rz)/2 + e11 (1 - rz)/2 + rx Re e01 - ry Im e01``,
+    so a Z eigenstate reads ``e00`` or ``e11`` exactly and an X or Y
+    eigenstate ``(Tr E +- Tr E sigma) / 2`` to the bit. ``r`` is not checked
+    to lie in the unit ball; the read-only table's entries must be finite.
     """
-    t, bx, by, bz = device
     rx, ry, rz = r
-    table = (t + rx * bx + ry * by + rz * bz) / 2
+    e00, e01, e11 = elements[:, 0, 0].real, elements[:, 0, 1], elements[:, 1, 1].real
+    table = e00 * (1 + rz) / 2 + e11 * (1 - rz) / 2 + rx * e01.real - ry * e01.imag
     return _checked_table(table, 4, what="outcome table")
-
-
-def werner_table(device: np.ndarray, p: float) -> np.ndarray:
-    """Pair table, in ``OUTCOMES16`` order, of one device on both halves of a Werner source.
-
-    The source is ``p * singlet + (1 - p) * I/4 = (II - p (XX + YY + ZZ)) / 4``,
-    so entry ``(k1, k2)`` is ``(t t - p (bx bx + by by + bz bz)) / 4`` over
-    columns ``k1`` and ``k2`` of the device's Bloch table.
-    """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"werner parameter must lie in [0, 1], got {p!r}")
-    tt, xx, yy, zz = (c[:, None] * c[None, :] for c in device)
-    return ((tt - p * (xx + yy + zz)) / 4.0).reshape(16)
 
 
 def exact_pattern_probs(v: VisibilityTriple) -> np.ndarray:

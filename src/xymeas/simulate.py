@@ -21,14 +21,14 @@ inverse CDF over the fixed category order ``OUTCOMES4`` / ``OUTCOMES16``
 (+1 before -1). Each block is counted by edge crossings, the number of draws
 below each cumulative edge, which gives the inverse-CDF histogram exactly.
 
-Every table a run samples from is read elementwise off the device's real
-Bloch table ``D = povm.family_device(v)``, whose rows are
-``(t, bx, by, bz) = (Tr E, Tr EX, Tr EY, Tr EZ)``. An eigenstate table is
+Every table a run samples from is a Bloch contraction ``Tr(E rho)`` read
+elementwise off the element array. An eigenstate table is
 `povm.outcome_table` at the Bloch vector ``value * unit(axis)``; a Werner
-pair table is ``(t (x) t - p (bx (x) bx + by (x) by + bz (x) bz)) / 4``
-(`povm.werner_table`). No operator or state matrix is built and no matrix
-product or eigensolve runs, so the edges depend on neither the BLAS library
-nor its kernel.
+pair table, with ``(t, bx, by, bz) = (Tr E, Tr EX, Tr EY, Tr EZ)``
+(`_bloch_components`), is
+``(t (x) t - p (bx (x) bx + by (x) by + bz (x) bz)) / 4`` (`werner_table`).
+No state matrix is built and no matrix product or eigensolve runs, so the
+edges depend on neither the BLAS library nor its kernel.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from typing import Callable
 
 import numpy as np
 
-from .povm import VisibilityTriple, _checked_table, family_device, outcome_table, werner_table
+from .povm import VisibilityTriple, _checked_table, build_povm, outcome_table
 from .qubit import bloch_vector, ensure_axis, ensure_sign
 
 BLOCK_SHOTS = 1 << 16
@@ -140,6 +140,30 @@ def _histogram(cum: np.ndarray, u: np.ndarray, where: np.ndarray | None = None) 
     return np.diff(below + [total], prepend=0)
 
 
+def _bloch_components(elements: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``(Tr E, Tr EX, Tr EY, Tr EZ)`` of each element of a (4, 2, 2) array, four real 4-vectors.
+
+    ``e00 + e11``, ``e01 + e10``, ``i (e01 - e10)`` and ``e00 - e11``,
+    entry for entry.
+    """
+    e00, e01, e10, e11 = (elements[:, i, j] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
+    # the real part of i*z is -Im(z)
+    return (e00 + e11).real, (e01 + e10).real, (e10 - e01).imag, (e00 - e11).real
+
+
+def werner_table(elements: np.ndarray, p: float) -> np.ndarray:
+    """Pair table, in ``OUTCOMES16`` order, of identical measurements on a Werner source.
+
+    The source is ``p * singlet + (1 - p) * I/4 = (II - p (XX + YY + ZZ)) / 4``,
+    so entry ``(k1, k2)`` is ``(t t - p (bx bx + by by + bz bz)) / 4`` over
+    the Bloch components of elements ``k1`` and ``k2``.
+    """
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"werner parameter must lie in [0, 1], got {p!r}")
+    tt, xx, yy, zz = (c[:, None] * c[None, :] for c in _bloch_components(elements))
+    return ((tt - p * (xx + yy + zz)) / 4.0).reshape(16)
+
+
 def _usable_cpus() -> int:
     """CPUs this process may run on: its affinity set where the OS reports one."""
     if hasattr(os, "sched_getaffinity"):
@@ -192,10 +216,10 @@ def run_eigenstate_experiment(
     if axis == "Z":
         raise ValueError("eigenstate runs accept axis X or Y only")
 
-    device = family_device(config.visibilities)
-    cum_nominal = _cumulative(outcome_table(device, bloch_vector(axis, value)))
+    povm = build_povm(config.visibilities)
+    cum_nominal = _cumulative(outcome_table(povm, bloch_vector(axis, value)))
     if randomize_flips:
-        cum_flipped = _cumulative(outcome_table(device, bloch_vector(axis, -value)))
+        cum_flipped = _cumulative(outcome_table(povm, bloch_vector(axis, -value)))
 
     def block_sampler(rng: np.random.Generator, n: int) -> np.ndarray:
         if not randomize_flips:
@@ -217,9 +241,10 @@ def run_pair_experiment(
     """Simulate identical joint measurements on both halves of a Werner source.
 
     The source is ``werner_p * singlet + (1 - werner_p) * I/4``; its table
-    is `povm.werner_table`, which rejects a ``werner_p`` outside [0, 1] or NaN.
+    is `werner_table`, which rejects a ``werner_p`` outside [0, 1] or NaN.
     """
-    cum = _cumulative(werner_table(family_device(config.visibilities), werner_p))
+    povm = build_povm(config.visibilities)
+    cum = _cumulative(werner_table(povm, werner_p))
 
     def block_sampler(rng: np.random.Generator, n: int) -> np.ndarray:
         return _histogram(cum, rng.random(n))

@@ -19,9 +19,8 @@ quasi-probability ``<x|y><y|rho|x>`` contracted from the kets, which
 quasi-probability, which no command computes, is plain numpy over
 ``np.kron`` product kets. The Werner state and the pair table as operator
 traces, ``Tr((E1 (x) E2) rho4)``, are the references that
-`povm.werner_table` reads off the device's Bloch table
-(`povm.family_device`) instead; they are matrix products, so their digits
-depend on the BLAS kernel. `pattern_of`
+`simulate.werner_table` reads off Bloch components instead; they are
+matrix products, so their digits depend on the BLAS kernel. `pattern_of`
 states a pair outcome's flip pattern from its four signs, the rule the bit
 arithmetic of `analysis._PATTERN_INDEX16` encodes. Each keeps only the
 validation some test checks.

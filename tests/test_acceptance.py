@@ -40,7 +40,6 @@ from xymeas.povm import (
     _hadamard,
     build_povm,
     exact_pattern_probs,
-    family_device,
     ideal_operator,
     outcome_table,
 )
@@ -177,14 +176,14 @@ def test_criterion_7_kd_round_trip():
                     break
             v = VisibilityTriple(vx, vy, vz)
             r = random_bloch_vector(rng)
-            p = outcome_table(family_device(v), r)
+            p = outcome_table(build_povm(v), r)
             kd = reconstruct_kd(p, v.vx, v.vy, 1j * v.vz)
             expected = kd_from_state(bloch_density(r))
             for k in range(4):
                 assert abs(kd.entries[k] - expected.entries[k]) <= 1e-10
 
         v = VisibilityTriple(SQ3, SQ3, SQ3)
-        p = outcome_table(family_device(v), bloch_vector("Z", +1))
+        p = outcome_table(build_povm(v), bloch_vector("Z", +1))
         kd = reconstruct_kd(p, v.vx, v.vy, 1j * v.vz)
         # OUTCOMES4 order: (+1, +1), (+1, -1), (-1, +1), (-1, -1)
         assert abs(kd.entries[0] - (1 + 1j) / 4) <= 1e-10

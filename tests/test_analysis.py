@@ -36,7 +36,6 @@ from xymeas.povm import (
     _hadamard,
     build_povm,
     exact_pattern_probs,
-    family_device,
     outcome_table,
 )
 from xymeas.qubit import bloch_vector
@@ -95,22 +94,22 @@ class TestVisibilityEstimates:
         assert estimate_visibility(uniform).value == pytest.approx(0.0)
 
     def test_vy_mirror(self):
-        probs = outcome_table(family_device(VisibilityTriple(0.6, 0.8, 0.0)), bloch_vector("Y", +1))
+        probs = outcome_table(build_povm(VisibilityTriple(0.6, 0.8, 0.0)), bloch_vector("Y", +1))
         counts = OutcomeCounts4(counts=shot_counts(probs), input_axis="Y", input_value=+1)
         est = estimate_visibility(counts)
         assert est.value == pytest.approx(0.8, abs=1e-12)
 
     def test_negative_input_value_counts_correctly(self):
-        probs = outcome_table(family_device(VisibilityTriple(0.7, 0.2, 0.0)), bloch_vector("X", -1))
+        probs = outcome_table(build_povm(VisibilityTriple(0.7, 0.2, 0.0)), bloch_vector("X", -1))
         counts = OutcomeCounts4(counts=shot_counts(probs), input_axis="X", input_value=-1)
         assert estimate_visibility(counts).value == pytest.approx(0.7, abs=1e-12)
 
     @pytest.mark.parametrize("vx,vy", [(0.3, 0.9), (0.6, 0.8), (1.0, 0.0)])
     def test_exact_consistency_over_inputs(self, vx, vy):
-        device = family_device(VisibilityTriple(vx, vy, 0.0))
+        povm = build_povm(VisibilityTriple(vx, vy, 0.0))
         for value in (+1, -1):
             for axis, v in (("X", vx), ("Y", vy)):
-                probs = outcome_table(device, bloch_vector(axis, value))
+                probs = outcome_table(povm, bloch_vector(axis, value))
                 counts = OutcomeCounts4(counts=shot_counts(probs), input_axis=axis, input_value=value)
                 assert estimate_visibility(counts).value == pytest.approx(v, abs=1e-12)
 
@@ -458,7 +457,7 @@ class TestEigenstateProbsFromModel:
         v = VisibilityTriple(0.5, 0.7, 0.3)
         m = error_model_from_visibilities(v.vx, v.vy, 1j * v.vz)
         predicted = eigenstate_probs_from_error_model(m, "Y")
-        actual = outcome_table(family_device(v), bloch_vector("Y", +1))
+        actual = outcome_table(build_povm(v), bloch_vector("Y", +1))
         for k in range(4):
             assert predicted[k] == pytest.approx(actual[k], abs=1e-12)
 

@@ -27,7 +27,7 @@ from xymeas.fileio import (
 )
 from xymeas.analysis import estimate_visibility, pattern_estimates
 from xymeas.checks import CheckResult
-from xymeas.povm import OUTCOMES4, OUTCOMES16, VisibilityTriple, build_povm, family_device, outcome_table
+from xymeas.povm import OUTCOMES4, OUTCOMES16, VisibilityTriple, build_povm, outcome_table
 from xymeas.qubit import bloch_vector
 from xymeas.simulate import (
     BLOCK_SHOTS,
@@ -412,7 +412,7 @@ class TestEstimate:
 class TestReconstruct:
     def test_exact_z_plus_table(self, tmp_path):
         v = VisibilityTriple(SQ3, SQ3, SQ3)
-        probs = outcome_table(family_device(v), bloch_vector("Z", +1))
+        probs = outcome_table(build_povm(v), bloch_vector("Z", +1))
         probs_path = tmp_path / "zplus.txt"
         write_probs_file(probs_path, probs, state="Z+")
         out = tmp_path / "kd.txt"
@@ -508,7 +508,7 @@ class TestReconstruct:
         paths = simulate_all(tmp_path, (SQ3_STR, SQ3_STR, SQ3_STR), 400_000, base_seed=700)
         report_path = tmp_path / "report.txt"
         assert run_cli("estimate", *paths.values(), "--out", report_path) == 0
-        probs = outcome_table(family_device(VisibilityTriple(SQ3, SQ3, SQ3)), bloch_vector("Z", +1))
+        probs = outcome_table(build_povm(VisibilityTriple(SQ3, SQ3, SQ3)), bloch_vector("Z", +1))
         probs_path = tmp_path / "zplus.txt"
         write_probs_file(probs_path, probs, state="Z+")
         out = tmp_path / "kd.txt"

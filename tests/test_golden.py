@@ -23,7 +23,7 @@ from pathlib import Path
 
 from xymeas import cli
 from xymeas.fileio import write_probs_file
-from xymeas.povm import VisibilityTriple, family_device, outcome_table
+from xymeas.povm import VisibilityTriple, build_povm, outcome_table
 from xymeas.qubit import bloch_vector
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -64,7 +64,7 @@ VERIFY_STDOUT = "verify.stdout"
 
 def write_probs(path):
     v = VisibilityTriple(*map(float, V))
-    write_probs_file(path, outcome_table(family_device(v), bloch_vector("Z", +1)), state="Z+")
+    write_probs_file(path, outcome_table(build_povm(v), bloch_vector("Z", +1)), state="Z+")
 
 
 def run_all(directory: Path) -> dict[str, str]:

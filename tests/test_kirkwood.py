@@ -26,7 +26,7 @@ from xymeas.kirkwood import (
     kd_from_bloch,
     reconstruct_kd,
 )
-from xymeas.povm import OUTCOMES4, OUTCOMES16, VisibilityTriple, family_device, outcome_table
+from xymeas.povm import OUTCOMES4, OUTCOMES16, VisibilityTriple, build_povm, outcome_table
 from xymeas.qubit import ATOL_ALGEBRA, bloch_vector, pauli
 from xymeas.simulate import ExperimentConfig, run_eigenstate_experiment
 
@@ -185,7 +185,7 @@ class TestPairKD:
 class TestReconstruct:
     def test_z_plus_round_trip_at_symmetric_point(self):
         v = VisibilityTriple(SQ3, SQ3, SQ3)
-        p = outcome_table(family_device(v), bloch_vector("Z", +1))
+        p = outcome_table(build_povm(v), bloch_vector("Z", +1))
         kd = reconstruct_kd(p, v.vx, v.vy, 1j * v.vz)
         # OUTCOMES4 order: (+1, +1), (+1, -1), (-1, +1), (-1, -1)
         assert kd.entries[0] == pytest.approx((1 + 1j) / 4, abs=1e-10)
@@ -209,14 +209,14 @@ class TestReconstruct:
                     break
             v = VisibilityTriple(vx, vy, vz)
             r = random_bloch_vector(rng)
-            p = outcome_table(family_device(v), r)
+            p = outcome_table(build_povm(v), r)
             kd = reconstruct_kd(p, v.vx, v.vy, 1j * v.vz)
             expected = kd_from_bloch(r)
             for k in range(4):
                 assert abs(kd.entries[k] - expected.entries[k]) <= 1e-10
 
     def test_singular_parameters_rejected_by_name(self):
-        p = outcome_table(family_device(VisibilityTriple(0.6, 0.8, 0.0)), (0, 0, 0))
+        p = outcome_table(build_povm(VisibilityTriple(0.6, 0.8, 0.0)), (0, 0, 0))
         with pytest.raises(SingularInversionError, match="c"):
             reconstruct_kd(p, 0.6, 0.8, 0.0)
         with pytest.raises(SingularInversionError, match="vx"):
@@ -262,7 +262,7 @@ class TestReconstruct:
         p_hat = counts.counts / shots
         kd_hat = reconstruct_kd(p_hat, v.vx, v.vy, 1j * v.vz)
         expected = kd_from_bloch(bloch_vector("X", +1))
-        p_true = outcome_table(family_device(v), bloch_vector("X", +1))
+        p_true = outcome_table(build_povm(v), bloch_vector("X", +1))
         for x, y in OUTCOMES4:
             coeffs = {
                 (xp, yp): (
@@ -313,7 +313,7 @@ class TestForwardMap:
             r = random_bloch_vector(rng)
             m = error_model_from_visibilities(v.vx, v.vy, 1j * v.vz)
             table = forward_map(kd_from_bloch(r), m)
-            expected = outcome_table(family_device(v), r)
+            expected = outcome_table(build_povm(v), r)
             for k in range(4):
                 assert table[k] == pytest.approx(expected[k], abs=1e-10)
 

@@ -57,14 +57,13 @@ def test_oracle_names_are_not_in_the_package():
 # the second summation order with the wrapper around the element array; and the
 # ket and density-matrix forms of a qubit state, which its Bloch vector replaces; and the
 # pattern-table record and its two-step path, which the `pattern_cells` contrasts replace;
-# the read-back of Bloch components from the element array, which `povm.family_device` replaces;
 # and S with its convolution, whose one package caller is `checks`
 REMOVED = {
     fileio: ("read_povm_file", "_entry", "named_state_density"),
     qubit: ("tensor_state",),
     kirkwood: ("_product_kets", "random_qubit_density", "_KET_X", "_KET_Y", "_OVERLAP"),
     povm: ("_sum4", "JointPovm", "outcome_probs", "PatternStats"),
-    simulate: ("eigenstate_table", "_bloch_components"),
+    simulate: ("eigenstate_table",),
     checks: ("_hadamard_by_parts", "_random_qubit_densities"),
     analysis: ("collapse_pair_counts", "correct_for_source_noise", "classicality_statistic", "_self_convolution"),
 }
@@ -148,10 +147,8 @@ def _blas_uses(source: str) -> list[str]:
 
 @pytest.mark.parametrize(
     "code",
-    [simulate, kirkwood, qubit, povm.family_device, povm.outcome_table, povm.werner_table, povm.ideal_operator,
-     checks.check_operator_identities],
-    ids=["simulate", "kirkwood", "qubit", "family_device", "outcome_table", "werner_table", "ideal_operator",
-         "check_operator_identities"],
+    [simulate, kirkwood, qubit, povm.outcome_table, povm.ideal_operator, checks.check_operator_identities],
+    ids=["simulate", "kirkwood", "qubit", "outcome_table", "ideal_operator", "check_operator_identities"],
 )
 def test_sampling_and_verify_products_call_no_blas(code):
     # so their digits depend on neither the BLAS library nor its kernel

@@ -26,11 +26,11 @@ from xymeas.povm import (
     VisibilityTriple,
     build_povm,
     exact_pattern_probs,
-    family_device,
     ideal_operator,
     outcome_table,
 )
 from xymeas.qubit import ATOL_ALGEBRA, ATOL_EIG, bloch_vector, identity, pauli
+from xymeas.simulate import _bloch_components
 
 SQ3 = 1.0 / np.sqrt(3.0)
 
@@ -105,7 +105,8 @@ def test_povm_completeness_property(v):
 
 class TestOutcomeProbs:
     def test_x_plus_input(self):
-        p = outcome_table(family_device(VisibilityTriple(0.6, 0.8, 0.0)), bloch_vector("X", +1))
+        povm = build_povm(VisibilityTriple(0.6, 0.8, 0.0))
+        p = outcome_table(povm, bloch_vector("X", +1))
         # OUTCOMES4 order: (+1, +1), (+1, -1), (-1, +1), (-1, -1)
         assert p[0] == pytest.approx(0.4, abs=ATOL_ALGEBRA)
         assert p[1] == pytest.approx(0.4, abs=ATOL_ALGEBRA)
@@ -113,21 +114,23 @@ class TestOutcomeProbs:
         assert p[3] == pytest.approx(0.1, abs=ATOL_ALGEBRA)
 
     def test_maximally_mixed_is_uniform(self):
-        p = outcome_table(family_device(VisibilityTriple(0.5, 0.5, 0.5)), (0, 0, 0))
+        povm = build_povm(VisibilityTriple(0.5, 0.5, 0.5))
+        p = outcome_table(povm, (0, 0, 0))
         for entry in p:
             assert entry == pytest.approx(0.25, abs=ATOL_ALGEBRA)
 
     def test_z_plus_sees_only_the_correlation(self):
-        p = outcome_table(family_device(VisibilityTriple(SQ3, SQ3, SQ3)), bloch_vector("Z", +1))
+        povm = build_povm(VisibilityTriple(SQ3, SQ3, SQ3))
+        p = outcome_table(povm, bloch_vector("Z", +1))
         for (x, y), entry in zip(OUTCOMES4, p):
             assert entry == pytest.approx((1 + x * y * SQ3) / 4.0, abs=ATOL_ALGEBRA)
 
     def test_marginals_reduce_to_binary_visibility(self):
         rng = np.random.default_rng(23)
-        device = family_device(VisibilityTriple(0.7, 0.5, 0.2))
+        povm = build_povm(VisibilityTriple(0.7, 0.5, 0.2))
         for _ in range(10):
             r = random_bloch_vector(rng)
-            p = outcome_table(device, r)
+            p = outcome_table(povm, r)
             mean_x = trace_product(pauli("X"), bloch_density(r)).real
             mean_y = trace_product(pauli("Y"), bloch_density(r)).real
             for x in (+1, -1):
@@ -138,26 +141,26 @@ class TestOutcomeProbs:
                 assert marginal == pytest.approx((1 + y * 0.5 * mean_y) / 2, abs=1e-10)
 
     def test_invalid_state_rejected(self):
-        device = family_device(VisibilityTriple(0.5, 0.5, 0.0))
+        povm = build_povm(VisibilityTriple(0.5, 0.5, 0.0))
         with pytest.raises(ValueError, match="outcome table: entries must be finite"):
-            outcome_table(device, (np.nan, 0.0, 0.0))
+            outcome_table(povm, (np.nan, 0.0, 0.0))
         with pytest.raises(ValueError):
-            outcome_table(device, (0.0, 1.0))
+            outcome_table(povm, (0.0, 1.0))
 
     def test_z_eigenstates_read_the_diagonal_exactly(self):
         for v in valid_triples():
-            device, povm = family_device(v), build_povm(v)
-            assert outcome_table(device, bloch_vector("Z", +1)).tobytes() == povm[:, 0, 0].real.tobytes()
-            assert outcome_table(device, bloch_vector("Z", -1)).tobytes() == povm[:, 1, 1].real.tobytes()
+            povm = build_povm(v)
+            assert outcome_table(povm, bloch_vector("Z", +1)).tobytes() == povm[:, 0, 0].real.tobytes()
+            assert outcome_table(povm, bloch_vector("Z", -1)).tobytes() == povm[:, 1, 1].real.tobytes()
 
     def test_x_and_y_eigenstates_are_bloch_rows_to_the_bit(self):
         # the Bloch-component form (Tr E + value Tr E sigma) / 2, bit for bit
         for v in valid_triples():
-            device = family_device(v)
-            t, bx, by, _ = device
+            povm = build_povm(v)
+            t, bx, by, _ = _bloch_components(povm)
             for axis, b in (("X", bx), ("Y", by)):
                 for value in (+1, -1):
-                    table = outcome_table(device, bloch_vector(axis, value))
+                    table = outcome_table(povm, bloch_vector(axis, value))
                     assert table.tobytes() == ((t + value * b) / 2.0).tobytes()
 
 
@@ -250,7 +253,7 @@ def test_stacked_tables_equal_per_element_reference(v1, v2, r, rho4):
     """The Bloch table is the per-element trace to 1e-15; one stacked pair product is bit for bit."""
     povm1, povm2 = build_povm(v1), build_povm(v2)
     single = [trace_product(element(povm1, *o), bloch_density(r)) for o in OUTCOMES4]
-    assert np.max(np.abs(outcome_table(family_device(v1), r) - np.real(single))) <= 1e-15
+    assert np.max(np.abs(outcome_table(povm1, r) - np.real(single))) <= 1e-15
     for a, b in ((povm1, povm2), (povm2, povm1), (povm1, povm1)):
         pair = [
             trace_product(tensor(element(a, x1, y1), element(b, x2, y2)), rho4)

@@ -22,9 +22,7 @@ from xymeas.povm import (
     VisibilityTriple,
     build_povm,
     exact_pattern_probs,
-    family_device,
     outcome_table,
-    werner_table,
 )
 from xymeas.qubit import bloch_vector, pauli
 from xymeas.simulate import (
@@ -37,6 +35,7 @@ from xymeas.simulate import (
     block_rng,
     run_eigenstate_experiment,
     run_pair_experiment,
+    werner_table,
 )
 
 SQ3 = 1.0 / np.sqrt(3.0)
@@ -191,8 +190,8 @@ class TestBlockRng:
 
 def per_shot_eigenstate_counts(config, axis, value, randomize_flips):
     """Reference sampler: one inverse-CDF index per shot, then a bincount."""
-    device = family_device(config.visibilities)
-    cums = {v: _cumulative(outcome_table(device, bloch_vector(axis, v))) for v in (value, -value)}
+    povm = build_povm(config.visibilities)
+    cums = {v: _cumulative(outcome_table(povm, bloch_vector(axis, v))) for v in (value, -value)}
     hist = np.zeros(4, dtype=np.int64)
     for index, start in enumerate(range(0, config.shots, BLOCK_SHOTS)):
         n = min(BLOCK_SHOTS, config.shots - start)
@@ -333,32 +332,24 @@ def _openblas_kernels_selectable() -> bool:
 
 
 class TestSamplingTables:
-    """The tables the runs sample from, read off the device's Bloch table."""
-
-    @settings(max_examples=200, deadline=None)
-    @given(v=family_triples())
-    def test_device_is_the_elements_bloch_components(self, v):
-        # rows t, bx, by, bz are Tr E, Tr EX, Tr EY, Tr EZ of the operators build_povm dumps
-        povm = build_povm(v)
-        reference = [[trace_product(e, op).real for e in povm] for op in (np.eye(2), *map(pauli, "XYZ"))]
-        assert np.max(np.abs(family_device(v) - reference)) <= 1e-15
+    """The tables the runs sample from, read off the elements' Bloch components."""
 
     @settings(max_examples=200, deadline=None)
     @given(v=family_triples())
     def test_eigenstate_tables_equal_operator_traces(self, v):
-        povm, device = build_povm(v), family_device(v)
+        povm = build_povm(v)
         for axis in ("X", "Y", "Z"):
             for value in (+1, -1):
                 rho = density(eigenstate(axis, value))
                 reference = [trace_product(e, rho).real for e in povm]
-                assert np.max(np.abs(outcome_table(device, bloch_vector(axis, value)) - reference)) <= 1e-15
+                assert np.max(np.abs(outcome_table(povm, bloch_vector(axis, value)) - reference)) <= 1e-15
 
     @settings(max_examples=200, deadline=None)
     @given(v=family_triples(), p=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
     def test_werner_tables_equal_operator_traces(self, v, p):
         povm = build_povm(v)
         reference = pair_outcome_probs(povm, povm, werner_state(p))
-        assert np.max(np.abs(werner_table(family_device(v), p) - reference)) <= 1e-15
+        assert np.max(np.abs(werner_table(povm, p) - reference)) <= 1e-15
 
     @pytest.mark.skipif(
         not _openblas_kernels_selectable(),
@@ -412,7 +403,7 @@ class TestEigenstateExperiment:
             visibilities=VisibilityTriple(0.3, 0.7, 0.4), shots=1_000_000, seed=14
         )
         counts = run_eigenstate_experiment(config, "Y", -1)
-        probs = outcome_table(family_device(config.visibilities), bloch_vector("Y", -1))
+        probs = outcome_table(build_povm(config.visibilities), bloch_vector("Y", -1))
         for k in range(4):
             p = probs[k]
             bound = 5.0 * np.sqrt(p * (1.0 - p) / config.shots)
@@ -446,7 +437,7 @@ class TestEigenstateExperiment:
         # counts must match the no-flip distribution (GOF at 1e-3)
         v = VisibilityTriple(0.6, 0.3, 0.5)
         shots = 200_000
-        probs = outcome_table(family_device(v), bloch_vector("X", +1))
+        probs = outcome_table(build_povm(v), bloch_vector("X", +1))
         expected = probs.tolist()
         for seed, flips in ((21, True), (22, False)):
             config = ExperimentConfig(visibilities=v, shots=shots, seed=seed)
@@ -604,7 +595,8 @@ class TestPairExperiment:
     def test_counts_equal_per_shot_reference(self):
         v = VisibilityTriple(0.4, 0.5, 0.3)
         config = ExperimentConfig(visibilities=v, shots=BLOCK_SHOTS + 9, seed=42)
-        cum = _cumulative(werner_table(family_device(v), 0.7))
+        povm = build_povm(v)
+        cum = _cumulative(werner_table(povm, 0.7))
         expected = np.zeros(16, dtype=np.int64)
         for index, n in enumerate((BLOCK_SHOTS, 9)):
             idx = np.searchsorted(cum, block_rng(42, index).random(n), side="right")

@@ -29,14 +29,12 @@ from xymeas.povm import (
     VisibilityTriple,
     build_povm,
     exact_pattern_probs,
-    family_device,
     outcome_table,
 )
 from xymeas.qubit import bloch_vector
 from xymeas.simulate import OutcomeCounts4, PairCounts16
 
 POVM = build_povm(VisibilityTriple(0.5, 0.4, 0.3))
-DEVICE = family_device(VisibilityTriple(0.5, 0.4, 0.3))
 MODEL = error_model_from_visibilities(0.5, 0.4, 0.3j)
 ZPLUS = bloch_vector("Z", +1)
 SINGLET = density(singlet())
@@ -55,7 +53,7 @@ TABLES = [
     ("exact_pattern_probs", PATTERNS, lambda _: exact_pattern_probs(VisibilityTriple(0.5, 0.4, 0.3))),
     ("ErrorModel.weights", PATTERNS, lambda _: MODEL.weights),
     ("KDDistribution.entries", OUTCOMES4, lambda _: kd_from_bloch(ZPLUS).entries),
-    ("outcome_table", OUTCOMES4, lambda _: outcome_table(DEVICE, ZPLUS)),
+    ("outcome_table", OUTCOMES4, lambda _: outcome_table(POVM, ZPLUS)),
     ("pair_outcome_probs", OUTCOMES16, lambda _: pair_outcome_probs(POVM, POVM, SINGLET)),
     ("kd_pair_from_state", OUTCOMES16, lambda _: kd_pair_from_state(SINGLET)),
     ("forward_map", OUTCOMES4, lambda _: forward_map(kd_from_bloch(ZPLUS), MODEL)),
