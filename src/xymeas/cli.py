@@ -47,7 +47,7 @@ from .fileio import (
     write_artifact,
 )
 from .kirkwood import SingularInversionError, kd_from_bloch, reconstruct_kd
-from .povm import OUTCOMES4, OUTCOMES16, PATTERNS, PositivityError, VisibilityTriple, build_povm
+from .povm import OUTCOMES4, OUTCOMES16, PATTERNS, PositivityError, VisibilityTriple, _family_elements
 from .simulate import (
     BLOCK_SHOTS,
     RNG_ID,
@@ -139,7 +139,7 @@ def build_parser() -> _Parser:
 
 def cmd_build_povm(args) -> int:
     v = VisibilityTriple(args.vx, args.vy, args.vz)
-    entries = build_povm(v).ravel().tolist()
+    entries = _family_elements([v.vx, v.vy, v.vz]).ravel().tolist()
     real, imag = [fmt_float(e.real) for e in entries], [fmt_float(e.imag) for e in entries]
     sections = {"elements": keyed_rows(ELEMENT_KEYS, real, imag)}
     parameters = {"vx": fmt_float(v.vx), "vy": fmt_float(v.vy), "vz": fmt_float(v.vz)}

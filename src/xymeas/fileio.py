@@ -370,14 +370,21 @@ def read_counts_document(doc: Document) -> CountsArtifact:
     a header number that does not parse, a ``mode`` other than
     ``eigenstate``/``pair``, an ``axis`` other than ``X``/``Y`` or a
     ``value`` other than ``+1``/``-1``, header visibilities outside the
-    measurement family, a ``werner_p`` header outside [0, 1], or a ``shots``
-    header not written as a count or that disagrees with the counts sum is
-    rejected with its ``file:line``; a ``[counts]`` table that sums to 0 at
+    measurement family, a ``werner_p`` header outside [0, 1], a ``shots``
+    header not written as a count or that disagrees with the counts sum, a
+    ``randomize_flips`` other than ``true``/``false``, or another mode's key
+    (eigenstate ``werner_p``; pair ``axis``, ``value``, ``randomize_flips: true``)
+    is rejected with its ``file:line``; a ``[counts]`` table that sums to 0 at
     its ``[counts]`` line. The ``vx``/``vy``/``vz`` headers are optional
     together: with any one present, a missing one is named.
     """
     doc.header_value("schema", one_of(SCHEMA_COUNTS))
     mode = doc.header_value("mode", one_of("eigenstate", "pair"))
+    for key in ("werner_p",) if mode == "eigenstate" else ("axis", "value"):
+        if key in doc.header:
+            raise ValueError(f"{doc._where(doc.header_lines[key])}header {key}: not written in {mode} files")
+    if "randomize_flips" in doc.header:
+        doc.header_value("randomize_flips", one_of("true", "false") if mode == "eigenstate" else one_of("false"))
     visibilities = None
     if any(k in doc.header for k in ("vx", "vy", "vz")):
         visibilities = _header_visibilities(doc)

@@ -10,6 +10,10 @@ no effect on eigenstate statistics and only shows up in the correlations
 between the two outcomes. Positivity of the elements is equivalent to
 ``vx^2 + vy^2 + vz^2 <= 1``; on the boundary each element is half a rank-1
 projector.
+
+`build_povm` returns a measurement as its real Bloch table, which every run
+samples from; ``XY = iZ`` puts the X/Y error correlation in its ``bz`` row.
+Only the ``build-povm`` dump and `checks` build operators (`_family_elements`).
 """
 
 from __future__ import annotations
@@ -150,41 +154,41 @@ class VisibilityTriple:
 
 
 def build_povm(v: VisibilityTriple) -> np.ndarray:
-    """The four-outcome joint measurement of a visibility triple, as a read-only complex (4, 2, 2) array.
+    """The measurement of a visibility triple as its real Bloch table, a read-only (4, 4) array.
 
-    Element ``k`` is the operator of outcome ``OUTCOMES4[k]``. The triple is
-    positive already: ``VisibilityTriple`` raises ``PositivityError`` when
-    ``vx^2 + vy^2 + vz^2 > 1``, checked algebraically, each element's
-    smallest eigenvalue being ``(1 - sqrt(vx^2+vy^2+vz^2)) / 4``.
+    Rows ``t, bx, by, bz`` are ``Tr E, Tr EX, Tr EY, Tr EZ``; column ``(x, y)``, in
+    ``OUTCOMES4`` order, is exactly ``(1, x*vx, y*vy, x*y*vz) / 2``, the rows
+    ``1, x, y, x*y`` of `HADAMARD` scaled. The triple is positive already:
+    ``VisibilityTriple`` raises ``PositivityError`` when ``vx^2 + vy^2 + vz^2 > 1``,
+    each element's smallest eigenvalue being ``(1 - sqrt(vx^2+vy^2+vz^2)) / 4``.
     """
-    elements = _family_elements([v.vx, v.vy, v.vz])
-    elements.flags.writeable = False
-    return elements
+    table = HADAMARD[[0, 2, 1, 3]] * np.array([1.0, v.vx, v.vy, v.vz])[:, None] / 2.0
+    table.flags.writeable = False
+    return table
 
 
 def _family_elements(v) -> np.ndarray:
-    """Elements of the family for a (..., 3) stack of (vx, vy, vz), as (..., 4, 2, 2).
+    """Operators of the family for a (..., 3) stack of (vx, vy, vz), as complex (..., 4, 2, 2).
 
     The four elements run in ``OUTCOMES4`` order. Nothing is validated, so a
     check can build elements for any triple, positive or not.
     """
-    signs = np.array([(x, y, x * y) for x, y in OUTCOMES4], dtype=float)
+    # HADAMARD rows x, y and x*y, transposed: one row (x, y, x*y) per outcome
+    signs = HADAMARD[[2, 1, 3]].T
     return _bloch_operators(np.asarray(v, dtype=float)[..., None, :] * signs) / 4.0
 
 
-def outcome_table(elements: np.ndarray, r) -> np.ndarray:
+def outcome_table(device: np.ndarray, r) -> np.ndarray:
     """Outcome table ``Tr(E rho)``, in ``OUTCOMES4`` order, on the qubit state of Bloch vector ``r``.
 
-    ``elements`` is a (4, 2, 2) array as `build_povm` returns it, and
-    ``rho = (I + r . sigma) / 2``. The trace is written entry by entry and
-    added left to right, ``e00 (1 + rz)/2 + e11 (1 - rz)/2 + rx Re e01 - ry Im e01``,
-    so a Z eigenstate reads ``e00`` or ``e11`` exactly and an X or Y
-    eigenstate ``(Tr E +- Tr E sigma) / 2`` to the bit. ``r`` is not checked
-    to lie in the unit ball; the read-only table's entries must be finite.
+    ``device`` is a Bloch table as `build_povm` returns it and
+    ``rho = (I + r . sigma) / 2``, so the table is
+    ``(t + rx bx + ry by + rz bz) / 2``, added left to right. ``r`` is not
+    checked to lie in the unit ball; the read-only table's entries must be finite.
     """
+    t, bx, by, bz = device
     rx, ry, rz = r
-    e00, e01, e11 = elements[:, 0, 0].real, elements[:, 0, 1], elements[:, 1, 1].real
-    table = e00 * (1 + rz) / 2 + e11 * (1 - rz) / 2 + rx * e01.real - ry * e01.imag
+    table = (t + rx * bx + ry * by + rz * bz) / 2
     return _checked_table(table, 4, what="outcome table")
 
 

@@ -21,14 +21,13 @@ inverse CDF over the fixed category order ``OUTCOMES4`` / ``OUTCOMES16``
 (+1 before -1). Each block is counted by edge crossings, the number of draws
 below each cumulative edge, which gives the inverse-CDF histogram exactly.
 
-Every table a run samples from is a Bloch contraction ``Tr(E rho)`` read
-elementwise off the element array. An eigenstate table is
-`povm.outcome_table` at the Bloch vector ``value * unit(axis)``; a Werner
-pair table, with ``(t, bx, by, bz) = (Tr E, Tr EX, Tr EY, Tr EZ)``
-(`_bloch_components`), is
+Every table a run samples from is read elementwise off the rows of the
+device's real Bloch table ``(t, bx, by, bz) = (Tr E, Tr EX, Tr EY, Tr EZ)``,
+which `povm.build_povm` returns. An eigenstate table is `povm.outcome_table`
+at the Bloch vector ``value * unit(axis)``; a Werner pair table is
 ``(t (x) t - p (bx (x) bx + by (x) by + bz (x) bz)) / 4`` (`werner_table`).
-No state matrix is built and no matrix product or eigensolve runs, so the
-edges depend on neither the BLAS library nor its kernel.
+No operator or state matrix is built and no matrix product or eigensolve
+runs, so the edges depend on neither the BLAS library nor its kernel.
 """
 
 from __future__ import annotations
@@ -140,27 +139,16 @@ def _histogram(cum: np.ndarray, u: np.ndarray, where: np.ndarray | None = None) 
     return np.diff(below + [total], prepend=0)
 
 
-def _bloch_components(elements: np.ndarray) -> tuple[np.ndarray, ...]:
-    """``(Tr E, Tr EX, Tr EY, Tr EZ)`` of each element of a (4, 2, 2) array, four real 4-vectors.
-
-    ``e00 + e11``, ``e01 + e10``, ``i (e01 - e10)`` and ``e00 - e11``,
-    entry for entry.
-    """
-    e00, e01, e10, e11 = (elements[:, i, j] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
-    # the real part of i*z is -Im(z)
-    return (e00 + e11).real, (e01 + e10).real, (e10 - e01).imag, (e00 - e11).real
-
-
-def werner_table(elements: np.ndarray, p: float) -> np.ndarray:
-    """Pair table, in ``OUTCOMES16`` order, of identical measurements on a Werner source.
+def werner_table(device: np.ndarray, p: float) -> np.ndarray:
+    """Pair table, in ``OUTCOMES16`` order, of one device on both halves of a Werner source.
 
     The source is ``p * singlet + (1 - p) * I/4 = (II - p (XX + YY + ZZ)) / 4``,
     so entry ``(k1, k2)`` is ``(t t - p (bx bx + by by + bz bz)) / 4`` over
-    the Bloch components of elements ``k1`` and ``k2``.
+    columns ``k1`` and ``k2`` of the Bloch table `povm.build_povm` returns.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"werner parameter must lie in [0, 1], got {p!r}")
-    tt, xx, yy, zz = (c[:, None] * c[None, :] for c in _bloch_components(elements))
+    tt, xx, yy, zz = (c[:, None] * c[None, :] for c in device)
     return ((tt - p * (xx + yy + zz)) / 4.0).reshape(16)
 
 
@@ -216,10 +204,10 @@ def run_eigenstate_experiment(
     if axis == "Z":
         raise ValueError("eigenstate runs accept axis X or Y only")
 
-    povm = build_povm(config.visibilities)
-    cum_nominal = _cumulative(outcome_table(povm, bloch_vector(axis, value)))
+    device = build_povm(config.visibilities)
+    cum_nominal = _cumulative(outcome_table(device, bloch_vector(axis, value)))
     if randomize_flips:
-        cum_flipped = _cumulative(outcome_table(povm, bloch_vector(axis, -value)))
+        cum_flipped = _cumulative(outcome_table(device, bloch_vector(axis, -value)))
 
     def block_sampler(rng: np.random.Generator, n: int) -> np.ndarray:
         if not randomize_flips:
@@ -243,8 +231,7 @@ def run_pair_experiment(
     The source is ``werner_p * singlet + (1 - werner_p) * I/4``; its table
     is `werner_table`, which rejects a ``werner_p`` outside [0, 1] or NaN.
     """
-    povm = build_povm(config.visibilities)
-    cum = _cumulative(werner_table(povm, werner_p))
+    cum = _cumulative(werner_table(build_povm(config.visibilities), werner_p))
 
     def block_sampler(rng: np.random.Generator, n: int) -> np.ndarray:
         return _histogram(cum, rng.random(n))

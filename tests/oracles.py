@@ -7,8 +7,11 @@ arithmetic (`povm._hadamard`, `checks._self_convolution`,
 `qubit._bloch_operators`, `povm._checked_table`) or plain numpy
 (``np.kron``, ``np.trace``), and never adds up a sum of its own that the
 library also computes, so a test through an oracle still tests the sums the
-commands run, each added left to right from +0.0. `element` picks one
-operator out of the element array `povm.build_povm` returns.
+commands run, each added left to right from +0.0. The commands hold a
+measurement as its real Bloch table (`povm.build_povm`); `family_operators`
+gives the complex (4, 2, 2) operators of a triple, as `povm._family_elements`
+builds them for the ``build-povm`` dump and `verify`, and `element` picks
+one operator out of that stack.
 
 The commands hold a qubit state as its Bloch vector. The ket and
 density-matrix forms are here as the independent references: the X, Y and
@@ -19,7 +22,7 @@ quasi-probability ``<x|y><y|rho|x>`` contracted from the kets, which
 quasi-probability, which no command computes, is plain numpy over
 ``np.kron`` product kets. The Werner state and the pair table as operator
 traces, ``Tr((E1 (x) E2) rho4)``, are the references that
-`simulate.werner_table` reads off Bloch components instead; they are
+`simulate.werner_table` reads off the Bloch table's rows instead; they are
 matrix products, so their digits depend on the BLAS kernel. `pattern_of`
 states a pair outcome's flip pattern from its four signs, the rule the bit
 arithmetic of `analysis._PATTERN_INDEX16` encodes. Each keeps only the
@@ -32,7 +35,9 @@ import numpy as np
 
 from xymeas.checks import _random_bloch_vectors, _self_convolution
 from xymeas.kirkwood import KDDistribution
-from xymeas.povm import OUTCOMES4, OUTCOMES16, PATTERNS, _checked_table, _hadamard
+from xymeas.povm import (
+    OUTCOMES4, OUTCOMES16, PATTERNS, VisibilityTriple, _checked_table, _family_elements, _hadamard,
+)
 from xymeas.qubit import ATOL_ALGEBRA, ATOL_EIG, _bloch_operators, _lowest_eigenvalues, ensure_axis, ensure_sign
 
 # -- qubit states as kets and density matrices ---------------------------------
@@ -153,8 +158,13 @@ def min_eigenvalue_hermitian(m):
     return float(lowest) if arr.ndim == 2 else lowest
 
 
+def family_operators(v: VisibilityTriple) -> np.ndarray:
+    """The complex (4, 2, 2) operators of a triple, in ``OUTCOMES4`` order: `povm._family_elements`."""
+    return _family_elements([v.vx, v.vy, v.vz])
+
+
 def element(elements: np.ndarray, x: int, y: int) -> np.ndarray:
-    """The operator of outcome ``(x, y)`` in a (4, 2, 2) element array such as `build_povm` returns."""
+    """The operator of outcome ``(x, y)`` in a (4, 2, 2) stack such as `family_operators` returns."""
     return elements[OUTCOMES4.index((x, y))]
 
 
@@ -170,7 +180,7 @@ def _real_probs(values, what: str) -> np.ndarray:
 def pair_outcome_probs(e1: np.ndarray, e2: np.ndarray, rho4) -> np.ndarray:
     """Joint outcome probabilities for independent measurements on a pair, in ``OUTCOMES16`` order.
 
-    ``e1`` and ``e2`` are (4, 2, 2) element arrays as `build_povm` returns
+    ``e1`` and ``e2`` are (4, 2, 2) stacks as `family_operators` returns
     them; entry ``(x1, y1, x2, y2)`` is ``Tr((e1[k1] (x) e2[k2]) @ rho4)``
     with ``k1``, ``k2`` the ``OUTCOMES4`` indices of ``(x1, y1)`` and ``(x2, y2)``.
     The 16 Kronecker products are one broadcast product, entry for entry

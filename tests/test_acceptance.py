@@ -14,6 +14,7 @@ from oracles import (
     bloch_density,
     density,
     element,
+    family_operators,
     kd_from_state,
     kd_pair_from_state,
     min_eigenvalue_hermitian,
@@ -63,7 +64,7 @@ def criterion(number: int, name: str):
 def test_criterion_1_povm_structure():
     with criterion(1, "POVM completeness and closed-form positivity on the 9x9x9 grid"):
         for v in GRID:
-            povm = build_povm(v)
+            povm = family_operators(v)
             total = sum(element(povm, *o) for o in OUTCOMES4)
             assert np.max(np.abs(total - identity())) <= 1e-12
             expected_min = (1.0 - np.sqrt(v.norm_squared)) / 4.0
@@ -77,7 +78,7 @@ def test_criterion_2_exact_pair_predictions():
         singlet_rho = density(singlet())
         for v in GRID:
             e = exact_pattern_probs(v)
-            povm = build_povm(v)
+            povm = family_operators(v)
             probs = pair_outcome_probs(povm, povm, singlet_rho)
             for (x1, y1, x2, y2), prob in zip(OUTCOMES16, probs):
                 r = (0 if x1 == -x2 else 1, 0 if y1 == -y2 else 1)

@@ -179,9 +179,9 @@ class TestCollapsePairCounts:
 
     def test_exact_probs_match_closed_form(self):
         v = VisibilityTriple(SQ3, SQ3, SQ3)
-        povm = build_povm(v)
-        from oracles import density, pair_outcome_probs, singlet
+        from oracles import density, family_operators, pair_outcome_probs, singlet
 
+        povm = family_operators(v)
         # at the symmetric point each pair outcome has probability 1/12 or 0
         probs = pair_outcome_probs(povm, povm, density(singlet()))
         cells = pattern_cells(PairCounts16(counts=shot_counts(probs, 1200)))

@@ -6,7 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import bloch_density, density, eigenstate, kd_from_state, pair_outcome_probs, pattern_of, singlet
+from oracles import (
+    bloch_density, density, eigenstate, family_operators, kd_from_state, pair_outcome_probs, pattern_of, singlet,
+)
 from xymeas import checks
 from xymeas.checks import (
     check_classicality_dichotomy,
@@ -25,7 +27,6 @@ from xymeas.povm import (
     VisibilityTriple,
     _exact_patterns,
     _family_elements,
-    build_povm,
     exact_pattern_probs,
 )
 
@@ -89,16 +90,17 @@ def test_grid_matches_triple_loop(n):
 
 
 class TestAgreementWithReferences:
-    def test_family_elements_are_build_povm_bit_for_bit(self):
+    def test_family_elements_stack_is_the_single_triple_call_bit_for_bit(self):
+        # `verify` sweeps the stack; the build-povm dump builds one triple
         stack = _family_elements(GRID)
         for v, elements in zip(TRIPLES, stack):
-            assert elements.tobytes() == build_povm(v).tobytes()
+            assert elements.tobytes() == family_operators(v).tobytes()
 
     def test_pair_tables_match_kronecker_traces(self):
         tables = checks._singlet_pair_tables(_family_elements(GRID))
         rho = density(singlet())
         for v, table in zip(TRIPLES[::7], tables[::7]):
-            povm = build_povm(v)
+            povm = family_operators(v)
             expected = pair_outcome_probs(povm, povm, rho)
             assert np.max(np.abs(table - expected)) <= 1e-15
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import element
+from oracles import element, family_operators
 from xymeas import cli, fileio
 from xymeas.fileio import (
     ELEMENT_KEYS,
@@ -102,7 +102,7 @@ class TestBuildPovm:
         assert run_cli("build-povm", "--vx", SQ3_STR, "--vy", SQ3_STR, "--vz", SQ3_STR, "--out", out) == 0
         v, elements = read_povm_dump(out)
         assert v == VisibilityTriple(SQ3, SQ3, SQ3)
-        assert np.array_equal(elements, build_povm(v))
+        assert np.array_equal(elements, family_operators(v))
         manifest = read_document(tmp_path / "povm.txt.manifest")
         assert manifest.header["command"] == "build-povm"
         assert ("povm.txt",) in manifest.section("artifacts")
@@ -766,6 +766,38 @@ class TestFileFormat:
         with pytest.raises(ValueError, match=re.escape(where)):
             read_counts_document(read_document(paths["ex"]))
         assert run_cli("estimate", *paths.values(), "--out", tmp_path / "r.txt") == 1
+        assert f"error: {where}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "fixture, line, message",
+        [
+            ("x.counts", "werner_p: 0.5", "werner_p: not written in eigenstate files"),
+            ("pair.counts", "axis: X", "axis: not written in pair files"),
+            ("pair.counts", "value: +1", "value: not written in pair files"),
+            ("x.counts", "randomize_flips: maybe", "randomize_flips: expected one of true, false, got 'maybe'"),
+            ("pair.counts", "randomize_flips: maybe", "randomize_flips: expected one of false, got 'maybe'"),
+            ("pair.counts", "randomize_flips: true", "randomize_flips: expected one of false, got 'true'"),
+        ],
+        ids=["x-werner_p", "pair-axis", "pair-value", "x-flips", "pair-flips", "pair-flips-true"],
+    )
+    def test_other_mode_header_located(self, tmp_path, capsys, fixture, line, message):
+        # the writer never puts these in a file of the fixture's mode: a key is added before
+        # [counts], randomize_flips is rewritten in place
+        lines = (GOLDEN / fixture).read_text().splitlines()
+        key = line.split(":")[0]
+        written = [i for i, row in enumerate(lines) if row.startswith(f"{key}: ")]
+        if written:
+            (k,) = written
+            lines[k] = line
+        else:
+            k = lines.index("[counts]")
+            lines.insert(k, line)
+        path = tmp_path / fixture
+        path.write_text("\n".join(lines) + "\n")
+        where = f"{path}:{k + 1}: header {message}"
+        with pytest.raises(ValueError, match=re.escape(where)):
+            read_counts_document(read_document(path))
+        assert run_cli("estimate", path, "--allow-partial", "--out", tmp_path / "r.txt") == 1
         assert f"error: {where}" in capsys.readouterr().err
 
     def test_bad_state_header_located(self, tmp_path, capsys):

@@ -57,13 +57,14 @@ def test_oracle_names_are_not_in_the_package():
 # the second summation order with the wrapper around the element array; and the
 # ket and density-matrix forms of a qubit state, which its Bloch vector replaces; and the
 # pattern-table record and its two-step path, which the `pattern_cells` contrasts replace;
-# and S with its convolution, whose one package caller is `checks`
+# and S with its convolution, whose one package caller is `checks`; and the read of
+# the Bloch components back out of the element array, which the real Bloch table replaces
 REMOVED = {
     fileio: ("read_povm_file", "_entry", "named_state_density"),
     qubit: ("tensor_state",),
     kirkwood: ("_product_kets", "random_qubit_density", "_KET_X", "_KET_Y", "_OVERLAP"),
     povm: ("_sum4", "JointPovm", "outcome_probs", "PatternStats"),
-    simulate: ("eigenstate_table",),
+    simulate: ("eigenstate_table", "_bloch_components"),
     checks: ("_hadamard_by_parts", "_random_qubit_densities"),
     analysis: ("collapse_pair_counts", "correct_for_source_noise", "classicality_statistic", "_self_convolution"),
 }
@@ -147,8 +148,14 @@ def _blas_uses(source: str) -> list[str]:
 
 @pytest.mark.parametrize(
     "code",
-    [simulate, kirkwood, qubit, povm.outcome_table, povm.ideal_operator, checks.check_operator_identities],
-    ids=["simulate", "kirkwood", "qubit", "outcome_table", "ideal_operator", "check_operator_identities"],
+    [
+        simulate, kirkwood, qubit, povm.build_povm, povm.outcome_table, povm.ideal_operator,
+        checks.check_operator_identities,
+    ],
+    ids=[
+        "simulate", "kirkwood", "qubit", "build_povm", "outcome_table", "ideal_operator",
+        "check_operator_identities",
+    ],
 )
 def test_sampling_and_verify_products_call_no_blas(code):
     # so their digits depend on neither the BLAS library nor its kernel

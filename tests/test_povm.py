@@ -10,6 +10,7 @@ from oracles import (
     density,
     eigenstate,
     element,
+    family_operators,
     min_eigenvalue_hermitian,
     pair_outcome_probs,
     random_bloch_vector,
@@ -30,7 +31,6 @@ from xymeas.povm import (
     outcome_table,
 )
 from xymeas.qubit import ATOL_ALGEBRA, ATOL_EIG, bloch_vector, identity, pauli
-from xymeas.simulate import _bloch_components
 
 SQ3 = 1.0 / np.sqrt(3.0)
 
@@ -69,14 +69,33 @@ class TestVisibilityTriple:
 
 
 class TestBuildPovm:
+    def test_table_is_the_operators_traces(self):
+        # rows t, bx, by, bz are Tr E, Tr EX, Tr EY, Tr EZ, also on the boundary |v| = 1
+        triples = list(valid_triples())
+        assert any(v.norm_squared == 1.0 for v in triples)
+        for v in triples:
+            table = build_povm(v)
+            assert table.shape == (4, 4) and table.dtype == float
+            assert not table.flags.writeable
+            traces = np.array(
+                [[trace_product(e, s) for e in family_operators(v)] for s in (identity(), *map(pauli, "XYZ"))]
+            )
+            assert np.max(np.abs(table - traces)) <= 1e-15
+
+    def test_table_columns_are_the_closed_form(self):
+        v = VisibilityTriple(0.5, 0.4, 0.3)
+        table = build_povm(v)
+        for k, (x, y) in enumerate(OUTCOMES4):
+            assert table[:, k].tolist() == [0.5, x * v.vx / 2, y * v.vy / 2, x * y * v.vz / 2]
+
     def test_projective_x_limit(self):
-        povm = build_povm(VisibilityTriple(1.0, 0.0, 0.0))
+        povm = family_operators(VisibilityTriple(1.0, 0.0, 0.0))
         for x, y in OUTCOMES4:
             expected = (identity() + x * pauli("X")) / 4.0
             assert np.allclose(element(povm, x, y), expected, atol=ATOL_ALGEBRA)
 
     def test_symmetric_point_elements_are_half_projectors(self):
-        povm = build_povm(VisibilityTriple(SQ3, SQ3, SQ3))
+        povm = family_operators(VisibilityTriple(SQ3, SQ3, SQ3))
         for x, y in OUTCOMES4:
             el = element(povm, x, y)
             # eigenvalues (1 +- 1)/4, so 2*el is a rank-1 projector
@@ -85,7 +104,7 @@ class TestBuildPovm:
 
     @pytest.mark.parametrize("v", list(valid_triples(step=0.5)))
     def test_completeness_and_min_eigenvalue(self, v):
-        povm = build_povm(v)
+        povm = family_operators(v)
         total = sum(element(povm, *o) for o in OUTCOMES4)
         assert np.max(np.abs(total - identity())) <= ATOL_ALGEBRA
         expected_min = (1.0 - np.sqrt(v.norm_squared)) / 4.0
@@ -98,7 +117,7 @@ class TestBuildPovm:
 @settings(max_examples=80, deadline=None)
 @given(v=visibility_triples)
 def test_povm_completeness_property(v):
-    povm = build_povm(v)
+    povm = family_operators(v)
     total = sum(element(povm, *o) for o in OUTCOMES4)
     assert np.max(np.abs(total - identity())) <= ATOL_ALGEBRA
 
@@ -148,26 +167,30 @@ class TestOutcomeProbs:
             outcome_table(povm, (0.0, 1.0))
 
     def test_z_eigenstates_read_the_diagonal_exactly(self):
+        # (Tr E +- Tr EZ) / 2, which is the operators' diagonal bit for bit
         for v in valid_triples():
-            povm = build_povm(v)
-            assert outcome_table(povm, bloch_vector("Z", +1)).tobytes() == povm[:, 0, 0].real.tobytes()
-            assert outcome_table(povm, bloch_vector("Z", -1)).tobytes() == povm[:, 1, 1].real.tobytes()
+            table = build_povm(v)
+            t, _, _, bz = table
+            operators = family_operators(v)
+            for value, diagonal in ((+1, operators[:, 0, 0]), (-1, operators[:, 1, 1])):
+                z_table = outcome_table(table, bloch_vector("Z", value))
+                assert z_table.tobytes() == ((t + value * bz) / 2.0).tobytes() == diagonal.real.tobytes()
 
     def test_x_and_y_eigenstates_are_bloch_rows_to_the_bit(self):
-        # the Bloch-component form (Tr E + value Tr E sigma) / 2, bit for bit
+        # the Bloch-row form (Tr E + value Tr E sigma) / 2, bit for bit
         for v in valid_triples():
-            povm = build_povm(v)
-            t, bx, by, _ = _bloch_components(povm)
+            table = build_povm(v)
+            t, bx, by, _ = table
             for axis, b in (("X", bx), ("Y", by)):
                 for value in (+1, -1):
-                    table = outcome_table(povm, bloch_vector(axis, value))
-                    assert table.tobytes() == ((t + value * b) / 2.0).tobytes()
+                    xy_table = outcome_table(table, bloch_vector(axis, value))
+                    assert xy_table.tobytes() == ((t + value * b) / 2.0).tobytes()
 
 
 class TestPairOutcomeProbs:
     @pytest.mark.parametrize("v", list(valid_triples(step=0.5)))
     def test_singlet_closed_form(self, v):
-        povm = build_povm(v)
+        povm = family_operators(v)
         p = pair_outcome_probs(povm, povm, density(singlet()))
         for (x1, y1, x2, y2), entry in zip(OUTCOMES16, p):
             expected = (
@@ -179,19 +202,19 @@ class TestPairOutcomeProbs:
             assert entry == pytest.approx(expected, abs=ATOL_ALGEBRA)
 
     def test_blind_device_is_uniform(self):
-        povm = build_povm(VisibilityTriple(0.0, 0.0, 0.0))
+        povm = family_operators(VisibilityTriple(0.0, 0.0, 0.0))
         p = pair_outcome_probs(povm, povm, werner_state(0.37))
         for entry in p:
             assert entry == pytest.approx(1.0 / 16.0, abs=ATOL_ALGEBRA)
 
     def test_symmetric_point_kills_repeated_outcomes(self):
-        povm = build_povm(VisibilityTriple(SQ3, SQ3, SQ3))
+        povm = family_operators(VisibilityTriple(SQ3, SQ3, SQ3))
         p = pair_outcome_probs(povm, povm, density(singlet()))
         for x, y in OUTCOMES4:
             assert p[OUTCOMES16.index((x, y, x, y))] == pytest.approx(0.0, abs=ATOL_ALGEBRA)
 
     def test_outcome_depends_only_on_pattern_class(self):
-        povm = build_povm(VisibilityTriple(0.5, 0.4, 0.6))
+        povm = family_operators(VisibilityTriple(0.5, 0.4, 0.6))
         p = pair_outcome_probs(povm, povm, density(singlet()))
         by_pattern = {}
         for (x1, y1, x2, y2), entry in zip(OUTCOMES16, p):
@@ -202,24 +225,15 @@ class TestPairOutcomeProbs:
             assert max(values) - min(values) <= ATOL_ALGEBRA
 
     def test_different_devices_allowed(self):
-        povm1 = build_povm(VisibilityTriple(0.9, 0.1, 0.0))
-        povm2 = build_povm(VisibilityTriple(0.1, 0.9, 0.0))
+        povm1 = family_operators(VisibilityTriple(0.9, 0.1, 0.0))
+        povm2 = family_operators(VisibilityTriple(0.1, 0.9, 0.0))
         p = pair_outcome_probs(povm1, povm2, density(singlet()))
         assert sum(p) == pytest.approx(1.0, abs=ATOL_ALGEBRA)
 
     def test_invalid_pair_state_rejected(self):
-        povm = build_povm(VisibilityTriple(0.5, 0.5, 0.0))
+        povm = family_operators(VisibilityTriple(0.5, 0.5, 0.0))
         with pytest.raises(ValueError):
             pair_outcome_probs(povm, povm, np.eye(4))
-
-
-    def test_elements_are_one_read_only_stack(self):
-        elements = build_povm(VisibilityTriple(0.5, 0.4, 0.3))
-        assert isinstance(elements, np.ndarray)
-        assert elements.shape == (4, 2, 2) and elements.dtype == complex
-        assert not elements.flags.writeable
-        for k, (x, y) in enumerate(OUTCOMES4):
-            assert np.array_equal(element(elements, x, y), elements[k])
 
 
 def random_pair_density(seed: int) -> np.ndarray:
@@ -251,9 +265,9 @@ pair_states = st.one_of(
 @given(v1=visibility_triples, v2=visibility_triples, r=bloch_vectors, rho4=pair_states)
 def test_stacked_tables_equal_per_element_reference(v1, v2, r, rho4):
     """The Bloch table is the per-element trace to 1e-15; one stacked pair product is bit for bit."""
-    povm1, povm2 = build_povm(v1), build_povm(v2)
+    povm1, povm2 = family_operators(v1), family_operators(v2)
     single = [trace_product(element(povm1, *o), bloch_density(r)) for o in OUTCOMES4]
-    assert np.max(np.abs(outcome_table(povm1, r) - np.real(single))) <= 1e-15
+    assert np.max(np.abs(outcome_table(build_povm(v1), r) - np.real(single))) <= 1e-15
     for a, b in ((povm1, povm2), (povm2, povm1), (povm1, povm1)):
         pair = [
             trace_product(tensor(element(a, x1, y1), element(b, x2, y2)), rho4)
@@ -286,7 +300,7 @@ class TestExactPatternProbs:
     @pytest.mark.parametrize("v", list(valid_triples(step=0.5)))
     def test_matches_pair_probabilities(self, v):
         e = exact_pattern_probs(v)
-        povm = build_povm(v)
+        povm = family_operators(v)
         p = pair_outcome_probs(povm, povm, density(singlet()))
         for (x1, y1, x2, y2), entry in zip(OUTCOMES16, p):
             r = (0 if x1 == -x2 else 1, 0 if y1 == -y2 else 1)

@@ -13,7 +13,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import density, eigenstate, pair_outcome_probs, singlet, tensor, trace_product, werner_state
+from oracles import (
+    density, eigenstate, family_operators, pair_outcome_probs, singlet, tensor, trace_product, werner_state,
+)
 from xymeas import simulate
 from xymeas.povm import (
     OUTCOMES4,
@@ -190,8 +192,8 @@ class TestBlockRng:
 
 def per_shot_eigenstate_counts(config, axis, value, randomize_flips):
     """Reference sampler: one inverse-CDF index per shot, then a bincount."""
-    povm = build_povm(config.visibilities)
-    cums = {v: _cumulative(outcome_table(povm, bloch_vector(axis, v))) for v in (value, -value)}
+    table = build_povm(config.visibilities)
+    cums = {v: _cumulative(outcome_table(table, bloch_vector(axis, v))) for v in (value, -value)}
     hist = np.zeros(4, dtype=np.int64)
     for index, start in enumerate(range(0, config.shots, BLOCK_SHOTS)):
         n = min(BLOCK_SHOTS, config.shots - start)
@@ -265,7 +267,7 @@ class TestWernerState:
 
     @pytest.mark.parametrize("p", [0.0, 0.3, 0.8, 1.0])
     def test_pair_probs_linear_in_noise(self, p):
-        povm = build_povm(VisibilityTriple(0.5, 0.4, 0.6))
+        povm = family_operators(VisibilityTriple(0.5, 0.4, 0.6))
         noisy = pair_outcome_probs(povm, povm, werner_state(p))
         pure = pair_outcome_probs(povm, povm, density(singlet()))
         for k in range(16):
@@ -332,24 +334,24 @@ def _openblas_kernels_selectable() -> bool:
 
 
 class TestSamplingTables:
-    """The tables the runs sample from, read off the elements' Bloch components."""
+    """The tables the runs sample from, read off the rows of the device's Bloch table."""
 
     @settings(max_examples=200, deadline=None)
     @given(v=family_triples())
     def test_eigenstate_tables_equal_operator_traces(self, v):
-        povm = build_povm(v)
+        table, operators = build_povm(v), family_operators(v)
         for axis in ("X", "Y", "Z"):
             for value in (+1, -1):
                 rho = density(eigenstate(axis, value))
-                reference = [trace_product(e, rho).real for e in povm]
-                assert np.max(np.abs(outcome_table(povm, bloch_vector(axis, value)) - reference)) <= 1e-15
+                reference = [trace_product(e, rho).real for e in operators]
+                assert np.max(np.abs(outcome_table(table, bloch_vector(axis, value)) - reference)) <= 1e-15
 
     @settings(max_examples=200, deadline=None)
     @given(v=family_triples(), p=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
     def test_werner_tables_equal_operator_traces(self, v, p):
-        povm = build_povm(v)
-        reference = pair_outcome_probs(povm, povm, werner_state(p))
-        assert np.max(np.abs(werner_table(povm, p) - reference)) <= 1e-15
+        operators = family_operators(v)
+        reference = pair_outcome_probs(operators, operators, werner_state(p))
+        assert np.max(np.abs(werner_table(build_povm(v), p) - reference)) <= 1e-15
 
     @pytest.mark.skipif(
         not _openblas_kernels_selectable(),
@@ -574,7 +576,7 @@ class TestPairExperiment:
             visibilities=VisibilityTriple(0.5, 0.4, 0.3), shots=1_000_000, seed=34
         )
         counts = run_pair_experiment(config, werner_p=0.9)
-        povm = build_povm(config.visibilities)
+        povm = family_operators(config.visibilities)
         probs = pair_outcome_probs(povm, povm, werner_state(0.9))
         for k in range(16):
             p = probs[k]
@@ -586,7 +588,7 @@ class TestPairExperiment:
             visibilities=VisibilityTriple(0.5, 0.5, 0.5), shots=400_000, seed=35
         )
         counts = run_pair_experiment(config)
-        povm = build_povm(config.visibilities)
+        povm = family_operators(config.visibilities)
         probs = pair_outcome_probs(povm, povm, density(singlet()))
         observed = counts.counts.tolist()
         expected = probs.tolist()
@@ -595,8 +597,7 @@ class TestPairExperiment:
     def test_counts_equal_per_shot_reference(self):
         v = VisibilityTriple(0.4, 0.5, 0.3)
         config = ExperimentConfig(visibilities=v, shots=BLOCK_SHOTS + 9, seed=42)
-        povm = build_povm(v)
-        cum = _cumulative(werner_table(povm, 0.7))
+        cum = _cumulative(werner_table(build_povm(v), 0.7))
         expected = np.zeros(16, dtype=np.int64)
         for index, n in enumerate((BLOCK_SHOTS, 9)):
             idx = np.searchsorted(cum, block_rng(42, index).random(n), side="right")

@@ -13,6 +13,7 @@ from oracles import (
     eigenstate_probs_from_error_model,
     error_model_from_visibilities,
     density,
+    family_operators,
     forward_map,
     kd_pair_from_state,
     pair_outcome_probs,
@@ -35,6 +36,7 @@ from xymeas.qubit import bloch_vector
 from xymeas.simulate import OutcomeCounts4, PairCounts16
 
 POVM = build_povm(VisibilityTriple(0.5, 0.4, 0.3))
+OPERATORS = family_operators(VisibilityTriple(0.5, 0.4, 0.3))
 MODEL = error_model_from_visibilities(0.5, 0.4, 0.3j)
 ZPLUS = bloch_vector("Z", +1)
 SINGLET = density(singlet())
@@ -54,7 +56,7 @@ TABLES = [
     ("ErrorModel.weights", PATTERNS, lambda _: MODEL.weights),
     ("KDDistribution.entries", OUTCOMES4, lambda _: kd_from_bloch(ZPLUS).entries),
     ("outcome_table", OUTCOMES4, lambda _: outcome_table(POVM, ZPLUS)),
-    ("pair_outcome_probs", OUTCOMES16, lambda _: pair_outcome_probs(POVM, POVM, SINGLET)),
+    ("pair_outcome_probs", OUTCOMES16, lambda _: pair_outcome_probs(OPERATORS, OPERATORS, SINGLET)),
     ("kd_pair_from_state", OUTCOMES16, lambda _: kd_pair_from_state(SINGLET)),
     ("forward_map", OUTCOMES4, lambda _: forward_map(kd_from_bloch(ZPLUS), MODEL)),
     ("pattern_quasiprobs", PATTERNS, lambda _: pattern_quasiprobs(MODEL)),
